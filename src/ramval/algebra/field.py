@@ -79,6 +79,13 @@ class Fq:
         self.modulus = None if m == 1 else find_irreducible(p, m)
         self.zero = 0 if m == 1 else (0,) * m
         self.one = 1 if m == 1 else (1,) + (0,) * (m - 1)
+        # t^k mod the modulus for k = m .. 2m-2: the rows that fold an
+        # unreduced product of two elements back into degree < m
+        self._fold_rows = []
+        if m > 1:
+            for k in range(m, 2 * m - 1):
+                row = _poly_mod([0] * k + [1], self.modulus, p)
+                self._fold_rows.append(row + [0] * (m - len(row)))
 
     def __repr__(self):
         return f"Fq({self.p})" if self.m == 1 else f"Fq({self.p}, {self.m})"
@@ -117,14 +124,24 @@ class Fq:
     def mul(self, a, b):
         if self.m == 1:
             return (a * b) % self.p
-        prod_ = [0] * (2 * self.m - 1)
+        raw = [0] * (2 * self.m - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    prod_[i + j] += x * y
-        red = _poly_mod(prod_, self.modulus, self.p)
-        red += [0] * (self.m - len(red))
-        return tuple(red)
+                for j, y in enumerate(b, i):
+                    raw[j] += x * y
+        return self.fold(raw)
+
+    def fold(self, raw: list[int]):
+        """The element of a proper extension with unreduced polynomial-basis
+        coefficients ``raw`` (integers, degree <= 2m - 2)."""
+        m, p = self.m, self.p
+        out = raw[:m]
+        for k, row in enumerate(self._fold_rows, m):
+            c = raw[k]
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return tuple(c % p for c in out)
 
     def inv(self, a):
         if a == self.zero:

@@ -8,9 +8,21 @@ chart).
 Powers decompose into base-p digits so that p-power exponents reduce to
 Frobenius (coefficient-wise p-th power plus exponent scaling), which keeps
 the tower polynomials sparse in characteristic p.
+
+Products defer the field reduction: the raw products of a multiplication
+are summed per exponent (as integers over a prime field, as unreduced
+coefficient convolutions over F_q with q = p^m, m > 1) and each output
+coefficient is reduced once.  Division by a polynomial monic in y works on
+y-rows {j: {i: c}}: each step peels the top row of the remainder and
+subtracts the quotient row times every row of the divisor.  The next live
+row comes from a max-heap of row degrees, so the empty degrees of sparse
+operands (tower keys reach y-degree p^(2N) with a handful of terms) are
+skipped, never stepped through.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
 
 from .field import Fq
 
@@ -25,6 +37,18 @@ class DivisibleByX(ArithmeticError):
 
 class IndeterminateOrder(ArithmeticError):
     """Order of the zero polynomial (or a series that is 0 to its precision)."""
+
+
+def _rows(terms: dict) -> dict:
+    """Regroup {(i, j): c} by y-degree as {j: {i: c}}."""
+    rows: dict = {}
+    for (i, j), c in terms.items():
+        row = rows.get(j)
+        if row is None:
+            rows[j] = {i: c}
+        else:
+            row[i] = c
+    return rows
 
 
 class Poly2:
@@ -82,9 +106,6 @@ class Poly2:
     def __hash__(self):
         return hash((self.field, frozenset(self.terms.items())))
 
-    def copy(self) -> "Poly2":
-        return Poly2(self.field, dict(self.terms))
-
     def deg_y(self) -> int:
         if not self.terms:
             return -1
@@ -124,21 +145,34 @@ class Poly2:
 
     def __mul__(self, other: "Poly2") -> "Poly2":
         fld = self.field
-        if not self.terms or not other.terms:
-            return Poly2(fld)
         a, b = self.terms, other.terms
+        if not a or not b:
+            return Poly2(fld)
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
+        b_items = list(b.items())
+        acc: dict = {}
+        if fld.m == 1:
+            get = acc.get
+            for (i1, j1), c1 in a.items():
+                for (i2, j2), c2 in b_items:
+                    e = (i1 + i2, j1 + j2)
+                    acc[e] = get(e, 0) + c1 * c2
+            p = fld.p
+            return Poly2(fld, {e: c for e, s in acc.items() if (c := s % p)})
+        width = 2 * fld.m - 1
         for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
+            nz1 = [(s, u) for s, u in enumerate(c1) if u]
+            for (i2, j2), c2 in b_items:
                 e = (i1 + i2, j1 + j2)
-                s = fld.add(out.get(e, fld.zero), fld.mul(c1, c2))
-                if s == fld.zero:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return Poly2(fld, out)
+                raw = acc.get(e)
+                if raw is None:
+                    raw = acc[e] = [0] * width
+                for s, u in nz1:
+                    for t, w in enumerate(c2, s):
+                        raw[t] += u * w
+        zero, fold = fld.zero, fld.fold
+        return Poly2(fld, {e: c for e, raw in acc.items() if (c := fold(raw)) != zero})
 
     def scale(self, c) -> "Poly2":
         fld = self.field
@@ -212,14 +246,6 @@ class Poly2:
         """Coefficient of x^i as dict {y-exponent: coeff}."""
         return {j: c for (xi, j), c in self.terms.items() if xi == i}
 
-    def y_coefficients(self) -> dict:
-        """Regroup as a polynomial in y: {y-exponent: Poly2 in x only}."""
-        out: dict[int, Poly2] = {}
-        for (i, j), c in self.terms.items():
-            out.setdefault(j, Poly2(self.field))
-            out[j].terms[(i, 0)] = c
-        return out
-
     def leading_y_coefficient(self) -> "Poly2":
         d = self.deg_y()
         if d < 0:
@@ -233,30 +259,74 @@ class Poly2:
     # -- division -----------------------------------------------------------
 
     def divrem_y(self, g: "Poly2") -> tuple["Poly2", "Poly2"]:
-        """Division in k[x][y] by g monic in y: self = q*g + r, deg_y r < deg_y g."""
+        """Division in k[x][y] by g monic in y: self = q*g + r, deg_y r < deg_y g.
+
+        Works on y-rows {j: {i: c}}.  Each step takes the highest live row of
+        the remainder, records it (over the leading unit) as a quotient row,
+        and subtracts the quotient row times every row of g, the leading one
+        included; the top row must then vanish.  Live degrees come from a
+        max-heap, so empty degrees are skipped.  Over a prime field the rows
+        hold unreduced integers, reduced when a row becomes the top and in
+        the final remainder.
+        """
         fld = self.field
-        dg = g.deg_y()
+        g_rows = _rows(g.terms)
+        dg = max(g_rows, default=-1)
         if dg < 1:
             raise NotMonic("divisor must have y-degree >= 1")
-        lead = g.leading_y_coefficient()
-        if set(lead.terms) != {(0, 0)}:
+        lead = g_rows[dg]
+        if set(lead) != {0}:
             raise NotMonic("divisor's leading y-coefficient must be a constant unit")
-        lead_inv = fld.inv(lead.terms[(0, 0)])
-
-        q = Poly2(fld)
-        r = self.copy()
-        while True:
-            dr = r.deg_y()
-            if dr < dg:
-                break
-            # peel the whole top y-slice at once
-            top = Poly2(fld, {(i, dr - dg): fld.mul(c, lead_inv)
-                              for (i, j), c in r.terms.items() if j == dr})
-            q = q + top
-            r = r - top * g
-            if r.deg_y() >= dr and not r.is_zero():
+        rows = _rows(self.terms)
+        heap = [-j for j in rows if j >= dg]
+        if not heap:
+            return Poly2(fld), self
+        heapify(heap)
+        lead_inv = fld.inv(lead[0])
+        g_items = [(j - dg, list(row.items())) for j, row in g_rows.items()]
+        prime = fld.m == 1
+        p, zero, mul, sub = fld.p, fld.zero, fld.mul, fld.sub
+        q: dict = {}
+        while heap:
+            # rows below dr only are created from here on, so every degree
+            # enters the heap once and its row is still present
+            dr = -heappop(heap)
+            if prime:
+                top = {i: c * lead_inv % p for i, c in rows[dr].items() if c % p}
+            else:
+                top = {i: mul(c, lead_inv) for i, c in rows[dr].items() if c != zero}
+            if not top:
+                del rows[dr]
+                continue
+            shift = dr - dg
+            for i, c in top.items():
+                q[(i, shift)] = c
+            for dj, g_row in g_items:
+                t = dr + dj
+                row = rows.get(t)
+                if row is None:
+                    row = rows[t] = {}
+                    if t >= dg:
+                        heappush(heap, -t)
+                get = row.get
+                if prime:
+                    for i1, c1 in top.items():
+                        for i2, c2 in g_row:
+                            k = i1 + i2
+                            row[k] = get(k, 0) - c1 * c2
+                else:
+                    for i1, c1 in top.items():
+                        for i2, c2 in g_row:
+                            k = i1 + i2
+                            row[k] = sub(get(k, zero), mul(c1, c2))
+            left = rows.pop(dr).values()
+            if any(c % p for c in left) if prime else any(c != zero for c in left):
                 raise ArithmeticError("division failed to reduce the y-degree")
-        return q, r
+        if prime:
+            r = {(i, j): c for j, row in rows.items() for i, s in row.items() if (c := s % p)}
+        else:
+            r = {(i, j): c for j, row in rows.items() for i, c in row.items() if c != zero}
+        return Poly2(fld, q), Poly2(fld, r)
 
     def divexact_xpow(self, m: int) -> "Poly2":
         """Exact division by x^m."""
@@ -273,16 +343,16 @@ class Poly2:
     def compose(self, sub_x: "Poly2", sub_y: "Poly2") -> "Poly2":
         """Evaluate at x = sub_x, y = sub_y (both polynomials)."""
         fld = self.field
-        by_y = self.y_coefficients()
+        by_y = _rows(self.terms)
         if not by_y:
             return Poly2(fld)
         # Horner in y; coefficients composed in x by direct powering (exponents
         # carry heavy p-power structure, so __pow__ keeps them sparse).
         xpow_cache: dict[int, Poly2] = {0: Poly2.one(fld)}
 
-        def xsub(poly_x: Poly2) -> Poly2:
+        def xsub(row: dict) -> Poly2:
             out = Poly2(fld)
-            for (i, _), c in poly_x.terms.items():
+            for i, c in row.items():
                 if i not in xpow_cache:
                     xpow_cache[i] = sub_x**i
                 out = out + xpow_cache[i].scale(c)
@@ -294,9 +364,6 @@ class Poly2:
             if j in by_y:
                 result = result + xsub(by_y[j])
         return result
-
-    def swap_vars(self) -> "Poly2":
-        return Poly2(self.field, {(j, i): c for (i, j), c in self.terms.items()})
 
     # -- display ------------------------------------------------------------
 

@@ -153,8 +153,8 @@ def cmd_tower(args) -> int:
 
 
 def _report_task(task) -> tuple[str, list[dict], bool]:
-    kind, p, c, length, levels, seed, samples, prec, payload = task
-    tower = towers.build_tower(p, c, length)
+    kind, p, c, fld, length, levels, seed, samples, prec, payload = task
+    tower = towers.build_tower(p, c, length, fld)
     if kind == "validity":
         seqs = {"top": tower.seq_top, "mid": tower.seq_mid, "base": tower.seq_base}
         rows, ok = [], True
@@ -187,7 +187,8 @@ def cmd_report(args) -> int:
     p, c = args.p, args.c
     jmax_dev = min(args.length - 1, 4 if p == 2 else 3)
     jmax_val = min(args.length - 2, 4)
-    base = (p, c, args.length, args.levels, args.seed, args.samples, args.prec)
+    base = (p, c, _field_for(p, args.q), args.length, args.levels, args.seed, args.samples,
+            args.prec)
     tasks = [("validity", *base, None)]
     tasks += [("deviation", *base, j) for j in range(1, jmax_dev + 1)]
     tasks += [("value-comparison", *base, j) for j in range(1, jmax_val + 1)]

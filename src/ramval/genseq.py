@@ -5,12 +5,19 @@ n_i * deg_y Q_i) together with strictly compatible values determines a
 valuation on the local ring of the chart: the value of f is the minimum of
 sum(m_i * value_i) over the standard expansion of f, and the minimum is
 attained by a unique term.
+
+The values of a validated sequence lie in (1/D)Z for the common denominator
+D of its values, so the minimum is taken over integer dot products with the
+weights value_i * D (MacLane, "A construction for absolute values in
+polynomial rings", Trans. AMS 40, 1936); public values stay Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .algebra import Fq, LocalElem, NotInField, Poly2
 from .values import (
@@ -51,6 +58,18 @@ class RecursionStep:
 FAMILY_CHARTS = {"Q": ("x", "y"), "P": ("u", "v"), "U": ("x", "v")}
 
 
+@dataclass(frozen=True)
+class Lattice:
+    """What every expansion of a validated sequence reads: the indices n_i,
+    the key y-degrees, the common denominator D of the values and the
+    integer weights value_i * D."""
+
+    indices: tuple[int, ...]
+    degrees: tuple[int, ...]
+    denom: int
+    weights: tuple[int, ...]
+
+
 @dataclass
 class GenSeq:
     """Keys with assigned values; keys[0] is the chart coordinate x."""
@@ -61,7 +80,7 @@ class GenSeq:
     chart: tuple[str, str] = ("x", "y")
     label: str = ""
     recursion: list[RecursionStep] | None = None
-    _checked: bool = dc_field(default=False, repr=False)
+    _lattice: Lattice | None = dc_field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -89,20 +108,27 @@ class GenSeq:
     def degrees(self) -> list[int]:
         return [k.deg_y() if i else 0 for i, k in enumerate(self.keys)]
 
-    def ensure_valid(self):
-        if self._checked:
-            return
-        report = validate(self)
-        if not report.ok:
-            raise InvalidSequence(report.summary())
-        self._checked = True
+    def ensure_valid(self) -> Lattice:
+        """Validate once; the lattice data are computed then and cached."""
+        if self._lattice is None:
+            report = validate(self)
+            if not report.ok:
+                raise InvalidSequence(report.summary())
+            denom = lcm(*(v.denominator for v in self.values))
+            self._lattice = Lattice(
+                indices=tuple(self.indices()),
+                degrees=tuple(self.degrees()),
+                denom=denom,
+                weights=tuple(int(v * denom) for v in self.values),
+            )
+        return self._lattice
 
     def key_str(self, i: int) -> str:
         return self.keys[i].to_str(*self.chart)
 
     def describe(self) -> list[dict]:
         """Rows (i, key, value, n_i) for reports."""
-        idx = self.indices()
+        idx = self._lattice.indices if self._lattice else self.indices()
         return [
             {
                 "i": i,
@@ -254,9 +280,6 @@ class ExpTerm:
     coeff: object
     exps: tuple[int, ...]  # (m_0, m_1, ..., m_N)
 
-    def value(self, values: list[Fraction]) -> Fraction:
-        return sum((m * v for m, v in zip(self.exps, values)), Fraction(0))
-
 
 @dataclass
 class StandardExpansion:
@@ -275,12 +298,20 @@ class StandardExpansion:
         return out
 
     def minimal_term(self) -> tuple[Fraction, ExpTerm]:
-        vals = [(t.value(self.gs.values), k) for k, t in enumerate(self.terms)]
-        vals.sort(key=lambda pair: pair[0])
-        best, k = vals[0]
-        if len(vals) > 1 and vals[1][0] == best:
+        """The unique term of least value, found in one pass over the integer
+        dot products with the lattice weights."""
+        lat = self.gs.ensure_valid()
+        weights = lat.weights
+        best, best_term, tied = None, None, False
+        for t in self.terms:
+            v = sum(map(mul, t.exps, weights))
+            if best is None or v < best:
+                best, best_term, tied = v, t, False
+            elif v == best:
+                tied = True
+        if tied:
             raise InvalidSequence("minimal value attained by more than one standard term")
-        return best, self.terms[k]
+        return Fraction(best, lat.denom), best_term
 
     def term_str(self, t: ExpTerm) -> str:
         gs = self.gs
@@ -296,16 +327,14 @@ class StandardExpansion:
         return "*".join(parts)
 
 
-def _expand_in_key(g: Poly2, key: Poly2) -> list[Poly2]:
-    """Coefficients of g in powers of key: g = sum coeffs[k] * key**k."""
+def _expand_in_key(g: Poly2, key: Poly2, deg: int) -> list[Poly2]:
+    """Coefficients of g in powers of key, of y-degree ``deg``:
+    g = sum coeffs[k] * key**k."""
     out = []
-    cur = g
-    while True:
-        q, r = cur.divrem_y(key)
+    while g.deg_y() >= deg:
+        g, r = g.divrem_y(key)
         out.append(r)
-        if q.is_zero():
-            break
-        cur = q
+    out.append(g)
     return out
 
 
@@ -315,18 +344,15 @@ def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
     Exponents of key i stay below n_i for i < N automatically; the top
     exponent is bounded by the SequenceTooShort precondition.
     """
-    gs.ensure_valid()
+    lat = gs.ensure_valid()
     if isinstance(f, LocalElem):
         f = f.num  # unit denominators never affect the expansion support
     if f.is_zero():
         raise ArithmeticError("cannot expand the zero element")
     top = gs.top
-    degs = gs.degrees()
-    idx = gs.indices()
-    if top >= 1 and f.deg_y() >= degs[top] * idx[top]:
-        raise SequenceTooShort(
-            f"deg_y {f.deg_y()} >= {degs[top] * idx[top]}; extend the sequence"
-        )
+    span = lat.degrees[top] * lat.indices[top]
+    if top >= 1 and f.deg_y() >= span:
+        raise SequenceTooShort(f"deg_y {f.deg_y()} >= {span}; extend the sequence")
 
     terms: dict[tuple[int, ...], object] = {}
     fld = gs.field
@@ -351,7 +377,7 @@ def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
         if i == 0:
             emit(g, tail)
             return
-        for k, coeff in enumerate(_expand_in_key(g, gs.keys[i])):
+        for k, coeff in enumerate(_expand_in_key(g, gs.keys[i], lat.degrees[i])):
             rec(coeff, i - 1, (k,) + tail)
 
     rec(f, top, ())
@@ -367,7 +393,7 @@ def value_of(f: Poly2 | LocalElem, gs: GenSeq) -> Fraction:
 def _relation_data(gs: GenSeq, i: int) -> tuple:
     """Initial-form relation of key_i: key_i**n_i has a unique minimal standard
     term; returns (lattice vector n_i*e_i - exps, coefficient)."""
-    idx = gs.indices()
+    idx = gs.ensure_valid().indices
     power = gs.keys[i] ** idx[i]
     _, term = expand(power, gs).minimal_term()
     vec = [0] * len(gs.keys)
@@ -415,10 +441,10 @@ def monomial_residue(gs: GenSeq, delta):
     (entries may be negative), resolved through the initial-form relations
     key_i**n_i -> c_i * (lower monomial).  NotInField when the vector is not
     generated by the relations."""
-    gs.ensure_valid()
+    weights = gs.ensure_valid().weights
     fld = gs.field
     delta = tuple(delta)
-    if sum((m * v for m, v in zip(delta, gs.values)), Fraction(0)) != 0:
+    if sum(map(mul, delta, weights)) != 0:
         raise ValueMismatch("monomial does not have value 0")
     columns, consts = [], []
     for i in range(1, gs.top):
@@ -484,27 +510,25 @@ class ValSemigroup:
 
 def semigroup(gs: GenSeq, bound: Fraction) -> ValSemigroup:
     """All values sum(m_i * value_i) <= bound with m_0 >= 0 and 0 <= m_i < n_i."""
-    gs.ensure_valid()
+    lat = gs.ensure_valid()
     bound = Fraction(bound)
     if bound < 0:
         raise BadParams("bound must be >= 0")
-    idx = gs.indices()
-    vals = gs.values
-    found: set[Fraction] = set()
+    # in units of 1/D: lattice points up to floor(bound * D)
+    top = bound * lat.denom // 1
+    w = lat.weights
+    found: set[int] = set()
 
-    def rec(i: int, acc: Fraction):
+    def rec(i: int, acc: int):
         if i == 0:
-            # x-exponent free: acc + m*vals[0] <= bound
-            m = 0
-            while acc + m * vals[0] <= bound:
-                found.add(acc + m * vals[0])
-                m += 1
+            # x-exponent free: acc + m*w[0] <= top
+            found.update(range(acc, top + 1, w[0]))
             return
-        for m in range(idx[i]):
-            nxt = acc + m * vals[i]
-            if nxt > bound:
+        for m in range(lat.indices[i]):
+            nxt = acc + m * w[i]
+            if nxt > top:
                 break
             rec(i - 1, nxt)
 
-    rec(gs.top, Fraction(0))
-    return ValSemigroup(bound, tuple(sorted(found)))
+    rec(gs.top, 0)
+    return ValSemigroup(bound, tuple(Fraction(v, lat.denom) for v in sorted(found)))

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import Fq, LocalElem, Poly2, PrecisionTooLow
 from .genseq import BadParams, GenSeq, build_tower_seq, value_of
-from .transforms import ChartChain
+from .transforms import ChartChain, NotApplicable
 from .values import fmt_value
 
 Value = Fraction
@@ -449,6 +449,6 @@ def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = N
             )
             checks["unit_residues_nonzero"] = all(r != fld.zero for r in residues.values())
             details["residues"] = {name: fld.to_str(r) for name, r in residues.items()}
-        except Exception as ex:  # exact maps unavailable at this depth
+        except NotApplicable as ex:  # exact maps unavailable at this depth
             details["residues"] = f"skipped ({type(ex).__name__})"
     return CheckReport(f"parameter links j={j}", all(checks.values()), {**checks, **details})

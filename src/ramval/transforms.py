@@ -254,7 +254,7 @@ def _first_key_linear_parts(seq) -> tuple[Poly2, Poly2]:
 
 def _seq_degrees(seq) -> list[int]:
     if isinstance(seq, GenSeq):
-        return seq.degrees()
+        return list(seq.ensure_valid().degrees)
     return seq.degrees
 
 
@@ -303,8 +303,7 @@ def composite_transform(seq) -> tuple[ChartMap, ChartSeq]:
     if len(seq.keys) < 2:
         raise NotApplicable("need at least two keys to transform")
     if isinstance(seq, GenSeq):
-        seq.ensure_valid()
-        indices = seq.indices()
+        indices = seq.ensure_valid().indices
         level = 1
     else:
         indices = seq.indices()
@@ -503,7 +502,7 @@ class ChartChain:
     """
 
     def __init__(self, base: GenSeq):
-        base.ensure_valid()
+        lat = base.ensure_valid()
         self.base = base
         nbase = len(base.keys)
         ident = [tuple(1 if t == i else 0 for t in range(nbase)) for i in range(nbase)]
@@ -511,8 +510,8 @@ class ChartChain:
             ChainLevel(
                 k=1,
                 values=list(base.values),
-                indices=base.indices(),
-                degrees=[0] + [max(d, 1) for d in base.degrees()[1:]],
+                indices=list(lat.indices),
+                degrees=[0] + [max(d, 1) for d in lat.degrees[1:]],
                 vecs=ident,
                 crows=ident,
                 seq=base,

@@ -18,12 +18,21 @@ from ramval.algebra import (
 
 F2 = Fq(2)
 F3 = Fq(3)
+F5 = Fq(5)
+F4 = Fq(2, 2)
+F9 = Fq(3, 2)
+FIELDS = (F2, F3, F5, F4, F9)
+GAP = 3**10
+
+
+def random_elem(field, rng):
+    return field.elements()[rng.randrange(field.q)]
 
 
 def random_poly(field, rng, max_deg=8, max_terms=8):
     out = Poly2.zero(field)
     for _ in range(rng.randint(1, max_terms)):
-        c = field.of_int(rng.randrange(field.q))
+        c = random_elem(field, rng)
         out = out + Poly2.monomial(field, rng.randint(0, max_deg), rng.randint(0, max_deg), c)
     return out
 
@@ -31,9 +40,50 @@ def random_poly(field, rng, max_deg=8, max_terms=8):
 def random_monic(field, rng, deg, max_xdeg=4):
     out = Poly2.monomial(field, 0, deg)
     for j in range(deg):
-        c = field.of_int(rng.randrange(field.q))
+        c = random_elem(field, rng)
         out = out + Poly2.monomial(field, rng.randint(0, max_xdeg), j, c)
     return out
+
+
+def random_sparse(field, rng, y_degrees, max_xdeg=4):
+    """One term of random x-degree and nonzero coefficient at each y-degree."""
+    out = Poly2.zero(field)
+    nonzero = field.elements()[1:]
+    for j in y_degrees:
+        out = out + Poly2.monomial(field, rng.randint(0, max_xdeg), j, rng.choice(nonzero))
+    return out
+
+
+def reference_field_mul(field, a, b):
+    """Schoolbook product reduced by long division by the modulus."""
+    p = field.p
+    if field.m == 1:
+        return a * b % p
+    prod = [0] * (2 * field.m - 1)
+    for i, u in enumerate(a):
+        for j, w in enumerate(b):
+            prod[i + j] += u * w
+    mod = field.modulus
+    for k in range(len(prod) - 1, field.m - 1, -1):
+        lead = prod[k]
+        for i, c in enumerate(mod):
+            prod[k - field.m + i] -= lead * c
+    return tuple(c % p for c in prod[: field.m])
+
+
+def reference_mul(f, g):
+    """Term-by-term product with every coefficient reduced at once."""
+    field = f.field
+    out = {}
+    for (i1, j1), c1 in f.terms.items():
+        for (i2, j2), c2 in g.terms.items():
+            e = (i1 + i2, j1 + j2)
+            s = field.add(out.get(e, field.zero), reference_field_mul(field, c1, c2))
+            if s == field.zero:
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return Poly2(field, out)
 
 
 # -- field contexts -----------------------------------------------------------
@@ -54,6 +104,15 @@ def test_field_axioms_spot(p, m):
         a, b, c = (elems[rng.randrange(len(elems))] for _ in range(3))
         assert fld.mul(a, b) == fld.mul(b, a)
         assert fld.mul(a, fld.add(b, c)) == fld.add(fld.mul(a, b), fld.mul(a, c))
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (2, 3)])
+def test_field_mul_matches_reference(p, m):
+    fld = Fq(p, m)
+    elems = fld.elements()
+    for a in elems:
+        for b in elems:
+            assert fld.mul(a, b) == reference_field_mul(fld, a, b)
 
 
 def test_frobenius_fixes_prime_field():
@@ -120,19 +179,48 @@ def test_divrem_degree_too_small():
 
 
 def test_divrem_requires_monic():
-    with pytest.raises(NotMonic):
-        parse_poly("y^2", F2).divrem_y(parse_poly("x*y + 1", F2))
+    for g in ("x*y + 1", "y^2 + x*y^2", "1"):
+        with pytest.raises(NotMonic):
+            parse_poly("y^2", F2).divrem_y(parse_poly(g, F2))
 
 
 def test_divrem_roundtrip_random():
     rng = random.Random(17)
-    for fld in (F2, F3):
+    for fld in FIELDS:
         for _ in range(500):
             f = random_poly(fld, rng, max_deg=8)
             g = random_monic(fld, rng, rng.randint(1, 4))
             q, r = f.divrem_y(g)
             assert q * g + r == f
             assert r.deg_y() < g.deg_y()
+
+
+def test_divrem_roundtrip_sparse_gaps():
+    # tower-key shapes: y-degrees far apart, so almost every degree is empty
+    rng = random.Random(19)
+    for fld in FIELDS:
+        for _ in range(40):
+            dg = GAP * rng.randint(1, 3)
+            g = random_sparse(fld, rng, range(0, dg, GAP)) + Poly2.monomial(fld, 0, dg)
+            f = random_sparse(fld, rng, rng.sample(range(0, 7 * GAP, GAP), rng.randint(1, 6)))
+            q, r = f.divrem_y(g)
+            assert q * g + r == f
+            assert r.deg_y() < dg
+            assert all(j % GAP == 0 for _, j in q.terms) and all(j % GAP == 0 for _, j in r.terms)
+
+
+def test_mul_matches_reference():
+    rng = random.Random(29)
+    for fld in FIELDS:
+        for _ in range(150):
+            f = random_poly(fld, rng, max_deg=6)
+            g = random_poly(fld, rng, max_deg=6)
+            assert f * g == reference_mul(f, g)
+            assert f * g == g * f
+        for _ in range(20):
+            f = random_sparse(fld, rng, rng.sample(range(0, 9 * GAP, GAP), 4))
+            g = random_sparse(fld, rng, rng.sample(range(0, 9 * GAP, GAP), 4))
+            assert f * g == reference_mul(f, g)
 
 
 def test_invert_unit_one():

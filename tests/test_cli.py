@@ -1,5 +1,7 @@
 import json
 
+from ramval import towers
+from ramval.algebra import Fq
 from ramval.cli import main
 
 
@@ -118,6 +120,27 @@ def test_value_extension_field(capsys):
 def test_q_not_power_of_p_exit_2(capsys):
     code, _, err = run(capsys, "value", "--family", "Q", "--p", "2", "--q", "6", "x")
     assert code == 2
+
+
+def test_report_honours_q(capsys, monkeypatch):
+    fields = []
+    real = towers.build_tower
+
+    def recording(p, c, length=5, field=None):
+        tower = real(p, c, length, field)
+        fields.append(tower.field)
+        return tower
+
+    monkeypatch.setattr(towers, "build_tower", recording)
+    code, out, _ = run(capsys, "report", "--p", "2", "--c", "1", "--q", "4", "--levels", "2",
+                       "--length", "5", "--samples", "10", "--format", "json")
+    assert code == 0
+    assert fields and set(fields) == {Fq(2, 2)}
+    report = json.loads(out)
+    assert report["config"]["q"] == 4
+    links = [r for s in report["sections"] for r in s["rows"]
+             if r.get("check", "").startswith("parameter links")]
+    assert links[0]["residues"]["tau"] == "(1,0)"  # an F_4 element
 
 
 def test_report_prec_guard(capsys):

@@ -7,8 +7,11 @@ from ramval.algebra import Fq, LocalElem, NotInField, Poly2, parse_poly
 from ramval.genseq import (
     monomial_residue,
     BadParams,
+    ExpTerm,
     GenSeq,
+    InvalidSequence,
     SequenceTooShort,
+    StandardExpansion,
     ValueMismatch,
     build_tower_seq,
     expand,
@@ -231,6 +234,55 @@ def test_value_additive_and_ultrametric():
             assert vs >= min(vf, vg)
             if vf != vg:
                 assert vs == min(vf, vg)
+
+
+def test_minimal_term_lattice_matches_fraction_sum():
+    # the integer dot products over (1/D)Z give the same minimum as summing
+    # the Fraction values term by term
+    rng = random.Random(53)
+    for fld in (F2, F3, Fq(5), Fq(2, 2), Fq(3, 2)):
+        p = fld.p
+        for fam, c in (("Q", None), ("U", p - 1)):
+            gs = build_tower_seq(fam, p, c, 3, fld)
+            # several key_2 multiples, inside the span of the sequence
+            max_y = 3 * gs.keys[2].deg_y()
+            for _ in range(40):
+                f = Poly2.zero(fld)
+                for _ in range(rng.randint(1, 6)):
+                    cf = fld.elements()[rng.randrange(1, fld.q)]
+                    f = f + Poly2.monomial(fld, rng.randint(0, 6), rng.randrange(max_y), cf)
+                if f.is_zero():
+                    continue
+                e = expand(f, gs)
+                vals = [sum((m * v for m, v in zip(t.exps, gs.values)), F(0)) for t in e.terms]
+                best = min(vals)
+                assert vals.count(best) == 1
+                v, term = e.minimal_term()
+                assert type(v) is F
+                assert v == best == value_of(f, gs)
+                assert term is e.terms[vals.index(best)]
+
+
+def test_minimal_term_tie_raises():
+    gs = build_tower_seq("Q", 2, None, 3)
+    # x and key_1^4 both have value 1
+    tie = StandardExpansion(gs, [ExpTerm(1, (1, 0, 0, 0)), ExpTerm(1, (0, 4, 0, 0))])
+    with pytest.raises(InvalidSequence):
+        tie.minimal_term()
+    lower = StandardExpansion(gs, tie.terms + [ExpTerm(1, (0, 1, 0, 0))])
+    assert lower.minimal_term() == (F(1, 4), lower.terms[2])
+
+
+def test_lattice_cached_on_validation():
+    gs = build_tower_seq("U", 2, 1, 4)
+    lat = gs.ensure_valid()
+    assert gs.ensure_valid() is lat
+    assert list(lat.indices) == gs.indices()
+    assert list(lat.degrees) == gs.degrees()
+    assert [F(w, lat.denom) for w in lat.weights] == gs.values
+    bad = GenSeq(F2, [Poly2.x(F2), parse_poly("x*y + y", F2)], [F(1), F(1, 2)])
+    with pytest.raises(InvalidSequence):
+        bad.ensure_valid()
 
 
 def test_keys_have_declared_values():

@@ -13,7 +13,7 @@ from ramval.towers import (
     verify_restriction,
     verify_value_comparison,
 )
-from ramval.transforms import run_tower_ladder
+from ramval.transforms import ChartChain, run_tower_ladder
 
 F2 = Fq(2)
 
@@ -143,6 +143,19 @@ def test_parameter_links(j):
             # gamma and lambda are units; the construction yields +-1
             assert residues["gamma"] in (fld.to_str(fld.one), fld.to_str(fld.neg(fld.one)))
             assert residues["lambda"] in (fld.to_str(fld.one), fld.to_str(fld.neg(fld.one)))
+
+
+def test_parameter_links_skip_only_without_exact_maps(monkeypatch):
+    t = build_tower(2, 1, 6)
+    rep = verify_parameter_links(t, 4, exact_residues=True)  # level 5: no exact map
+    assert rep.details["residues"] == "skipped (NotApplicable)"
+
+    def broken(self, elem, k):
+        raise ZeroDivisionError("kernel fault")
+
+    monkeypatch.setattr(ChartChain, "push_exact", broken)
+    with pytest.raises(ZeroDivisionError):
+        verify_parameter_links(build_tower(2, 1, 5), 1)
 
 
 def test_expected_alternation_shape():
