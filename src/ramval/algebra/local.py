@@ -28,10 +28,6 @@ class LocalElem:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: Poly2) -> "LocalElem":
-        return cls(p)
-
     @property
     def field(self) -> Fq:
         return self.num.field

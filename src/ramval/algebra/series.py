@@ -28,10 +28,6 @@ class XSeries:
         self.prec = prec
         self.poly = Poly2(poly.field, {e: c for e, c in poly.terms.items() if e[0] < prec})
 
-    @classmethod
-    def from_poly(cls, poly: Poly2, prec: int) -> "XSeries":
-        return cls(poly, prec)
-
     @property
     def field(self) -> Fq:
         return self.poly.field

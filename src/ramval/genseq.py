@@ -21,6 +21,7 @@ from operator import mul
 
 from .algebra import Fq, LocalElem, NotInField, Poly2
 from .values import (
+    NotSubgroup,
     ValueGroup,
     fmt_value,
     group_index,
@@ -175,7 +176,7 @@ def validate(gs: GenSeq) -> ValidityReport:
         row: dict = {"i": i}
         try:
             idx = group_index(grps[i], grps[i - 1])
-        except Exception:
+        except NotSubgroup:
             idx = None
         order = order_in_quotient(gs.values[i], grps[i - 1])
         row["index_computed"] = idx
@@ -329,7 +330,18 @@ class StandardExpansion:
 
 def _expand_in_key(g: Poly2, key: Poly2, deg: int) -> list[Poly2]:
     """Coefficients of g in powers of key, of y-degree ``deg``:
-    g = sum coeffs[k] * key**k."""
+    g = sum coeffs[k] * key**k.
+
+    For the key y^deg the coefficients are slices of the y-rows: the term
+    x^a y^j goes to coefficient j // deg as x^a y^(j mod deg).  Any other
+    key is divided out one power at a time."""
+    fld = g.field
+    if key.terms == {(0, deg): fld.one}:
+        sliced = [{} for _ in range(g.deg_y() // deg + 1)]
+        for (a, j), c in g.terms.items():
+            k, r = divmod(j, deg)
+            sliced[k][(a, r)] = c
+        return [Poly2(fld, t) for t in sliced]
     out = []
     while g.deg_y() >= deg:
         g, r = g.divrem_y(key)

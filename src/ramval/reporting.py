@@ -24,7 +24,6 @@ class RunConfig:
     prec: int | None = None
     fmt: str = "text"
     seed: int = 0
-    jobs: int = 1
 
     def header(self) -> dict:
         d = asdict(self)

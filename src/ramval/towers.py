@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .algebra import Fq, LocalElem, Poly2, PrecisionTooLow
 from .genseq import BadParams, GenSeq, build_tower_seq, value_of
-from .transforms import ChartChain, NotApplicable
+from .transforms import ChartChain, NotApplicable, _bottom_row
 from .values import fmt_value
 
 Value = Fraction
@@ -59,12 +59,25 @@ class Tower:
     value_scale: dict = dc_field(default_factory=dict)
     _chains: dict = dc_field(default_factory=dict, repr=False)
     _certs: dict = dc_field(default_factory=dict, repr=False)
+    _pushed: dict = dc_field(default_factory=dict, repr=False)
 
     def chain(self, which: str) -> ChartChain:
         if which not in self._chains:
             seqs = {"S": self.seq_top, "A": self.seq_mid, "R": self.seq_base}
             self._chains[which] = ChartChain(seqs[which])
         return self._chains[which]
+
+    def pushed_key(self, which: str, i: int, k: int) -> tuple[int, int, object]:
+        """Leading data of foreign key i pushed through the exact maps of
+        chain ``which`` into level k: (x-order, y-order of the lowest x-row,
+        its coefficient).  Chain "S" hosts the middle keys (in the top chart),
+        chain "A" the base keys (in the middle chart).  Computed once per
+        (chain, key, level)."""
+        slot = (which, i, k)
+        if slot not in self._pushed:
+            foreign = {"S": self.mid_keys_xy, "A": self.base_keys_xv}[which]
+            self._pushed[slot] = _bottom_row(self.chain(which).push_exact(foreign[i], k))
+        return self._pushed[slot]
 
     def certificates(self, which: str) -> list[CrossCert]:
         """Cross-chart comparison certificates.
@@ -352,40 +365,26 @@ def check_ladder_report(report) -> CheckReport:
     return CheckReport("ladder alternation", not failures, {"failures": failures})
 
 
-def _vector_as_fraction(base_keys, vec, fld):
-    """Split a key monomial with integer exponents into (numerator, denominator)."""
-    num = LocalElem(Poly2.one(fld))
-    den = LocalElem(Poly2.one(fld))
+def _pushed_leading_data(tower: Tower, chain_label: str, vec, k: int):
+    """((exceptional order, restriction order), leading residue) of the
+    monomial prod key_i^vec[i] in the foreign keys of chain ``chain_label``,
+    pushed through the exact chart maps into level k.
+
+    Leading data is multiplicative (see ``_bottom_row``), so each key is
+    pushed once per level: the orders are the vec-weighted sums of the keys'
+    orders and the residue is the product of their coefficients to the
+    powers vec[i], negative ones included.
+    """
+    fld = tower.field
+    o = t = 0
+    lead = fld.one
     for i, m in enumerate(vec):
-        if m == 0:
-            continue
-        factor = base_keys[i] if isinstance(base_keys[i], LocalElem) else LocalElem(base_keys[i])
-        if m > 0:
-            num = num * factor**m
-        else:
-            den = den * factor ** (-m)
-    return num, den
-
-
-def _pushed_leading_data(tower: Tower, chain_label: str, base_keys, vec, k: int):
-    """((exceptional order, restriction order), leading residue) of a key
-    monomial pushed through the exact chart maps into level k."""
-    chain = tower.chain(chain_label)
-    num, den = _vector_as_fraction(base_keys, vec, tower.field)
-    num_p = chain.push_exact(num, k)
-    den_p = chain.push_exact(den, k)
-
-    def data(e: LocalElem):
-        o = e.num.x_order() - e.den.x_order()
-        nrow = e.num.x_coefficient(e.num.x_order())
-        drow = e.den.x_coefficient(e.den.x_order())
-        t = min(nrow) - min(drow)
-        lead = tower.field.div(nrow[min(nrow)], drow[min(drow)])
-        return o, t, lead
-
-    on, tn, ln = data(num_p)
-    od, td, ld = data(den_p)
-    return (on - od, tn - td), tower.field.div(ln, ld)
+        if m:
+            oi, ti, li = tower.pushed_key(chain_label, i, k)
+            o += m * oi
+            t += m * ti
+            lead = fld.mul(lead, fld.pow_(li, m))
+    return (o, t), lead
 
 
 def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = None) -> CheckReport:
@@ -399,9 +398,14 @@ def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = N
       value(uR) = value(xA)     (j odd)  /  p * value(xA) (j even)
       value(vR) = p * value(vA) (j odd)  /  value(vA) (j even)
 
-    Leading residues: where the exact chart maps reach level j+1 cheaply, the
-    unit factors relating the parameters are extracted from pushforwards and
-    must be nonzero (they come out 1 for these towers).
+    Leading residues: the unit factors relating the parameters are read off
+    exact pushforwards of the keys and must be nonzero.  tau and sigma come
+    out 1; gamma and lambda come out -1 for odd p (printed 2 over F_3 and
+    F_9), which is 1 at p = 2.  By default they are computed up to level 4
+    for p = 2 and level 3 otherwise.  The cut-off is cost, not the lack of
+    an exact map: the pushed keys grow quickly with p and the level, and
+    past it they are too large to push in report time.  A level that the
+    exact maps do not reach (none do from level 5 on) is reported as skipped.
     """
     k = j + 1
     lvl_s = tower.chain("S").level(k)
@@ -435,18 +439,10 @@ def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = N
         fld = tower.field
         residues = {}
         try:
-            _, residues["tau"] = _pushed_leading_data(
-                tower, "S", tower.mid_keys_xy, lvl_a.vecs[0], k
-            )
-            _, residues["gamma"] = _pushed_leading_data(
-                tower, "S", tower.mid_keys_xy, lvl_a.vecs[1], k
-            )
-            _, residues["sigma"] = _pushed_leading_data(
-                tower, "A", tower.base_keys_xv, lvl_r.vecs[0], k
-            )
-            _, residues["lambda"] = _pushed_leading_data(
-                tower, "A", tower.base_keys_xv, lvl_r.vecs[1], k
-            )
+            _, residues["tau"] = _pushed_leading_data(tower, "S", lvl_a.vecs[0], k)
+            _, residues["gamma"] = _pushed_leading_data(tower, "S", lvl_a.vecs[1], k)
+            _, residues["sigma"] = _pushed_leading_data(tower, "A", lvl_r.vecs[0], k)
+            _, residues["lambda"] = _pushed_leading_data(tower, "A", lvl_r.vecs[1], k)
             checks["unit_residues_nonzero"] = all(r != fld.zero for r in residues.values())
             details["residues"] = {name: fld.to_str(r) for name, r in residues.items()}
         except NotApplicable as ex:  # exact maps unavailable at this depth

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import Fq, LocalElem, NotInField, Poly2
+from .algebra import Fq, IndeterminateOrder, LocalElem, NotInField, Poly2
 from .genseq import GenSeq, SequenceTooShort, ValidityReport, residue_of_quotient
 from .values import ValueGroup, fmt_value, group_join, order_in_quotient
 
@@ -382,11 +382,17 @@ def _restriction_order_and_lead(elem: LocalElem) -> tuple[int, object]:
     return on - od, fld.div(num_r[on], den_r[od])
 
 
-def _bottom_row(elem: LocalElem) -> tuple[int, dict, dict]:
-    """(x-order, numerator bottom row, denominator bottom row)."""
+def _bottom_row(elem: LocalElem) -> tuple[int, int, object]:
+    """Leading data of elem: (x-order, y-order of the lowest x-row, its
+    coefficient), the lowest term under a monomial order.  It is
+    multiplicative, because k[x, y] is a domain."""
+    fld = elem.field
     onum = elem.num.x_order()
     oden = elem.den.x_order()
-    return onum - oden, elem.num.x_coefficient(onum), elem.den.x_coefficient(oden)
+    num_row = elem.num.x_coefficient(onum)
+    den_row = elem.den.x_coefficient(oden)
+    tn, td = min(num_row), min(den_row)
+    return onum - oden, tn - td, fld.div(num_row[tn], den_row[td])
 
 
 def validate_chart_seq(seq: ChartSeq) -> ValidityReport:
@@ -438,24 +444,17 @@ def validate_chart_seq(seq: ChartSeq) -> ValidityReport:
         a_j = int(a_j)
         rem = seq.keys[j] ** e_j - seq.keys[j + 1]
         try:
-            o_rem, num_row, den_row = _bottom_row(rem)
-        except Exception:
+            o_rem, t_rem, lead_rem = _bottom_row(rem)
+        except IndeterminateOrder:  # key_j^e_j == key_{j+1}: no lower term
             ok = False
+            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
+                             monic=False, degree="recursion remainder is zero"))
             continue
-        lower = seq.keys[j - 1]
-        o_low, low_num_row, low_den_row = _bottom_row(lower)
-        shape_ok = o_rem == a_j + o_low  # key_0 = x carries its own x power
-        # delta(0,0) = leading restriction coefficient ratio at matching y-order
-        res = None
-        if shape_ok:
-            t_rem = min(num_row) - min(den_row)
-            t_low = min(low_num_row) - min(low_den_row)
-            if t_rem == t_low:
-                lead_rem = fld.div(num_row[min(num_row)], den_row[min(den_row)])
-                lead_low = fld.div(low_num_row[min(low_num_row)], low_den_row[min(low_den_row)])
-                res = fld.div(lead_rem, lead_low)
-            else:
-                shape_ok = False
+        o_low, t_low, lead_low = _bottom_row(seq.keys[j - 1])
+        # key_0 = x carries its own x power; delta(0,0) is the ratio of the
+        # leading coefficients at matching y-order
+        shape_ok = o_rem == a_j + o_low and t_rem == t_low
+        res = fld.div(lead_rem, lead_low) if shape_ok else None
         seq.rel_residues.append(res)
         if not shape_ok or res != fld.one:
             ok = False

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ramval import towers
 from ramval.algebra import Fq
 from ramval.cli import main
@@ -157,3 +159,27 @@ def test_report_json_deterministic(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["config"]["seed"] == 7
+    assert "jobs" not in json.loads(out1)["config"]
+
+
+def test_report_builds_tower_once(capsys, monkeypatch):
+    calls = []
+    real = towers.build_tower
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(towers, "build_tower", counting)
+    for seed in ("1", "2"):
+        code, out, _ = run(capsys, "report", "--p", "2", "--c", "1", "--levels", "3",
+                           "--length", "5", "--samples", "10", "--seed", seed)
+        assert code == 0 and "verified: yes" in out
+    assert len(calls) == 2
+
+
+def test_report_jobs_rejected(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["report", "--p", "2", "--c", "1", "--levels", "2", "--jobs", "2"])
+    assert ex.value.code == 2
+    assert "--jobs" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from ramval.genseq import (
     SequenceTooShort,
     StandardExpansion,
     ValueMismatch,
+    _expand_in_key,
     build_tower_seq,
     expand,
     residue_of_quotient,
@@ -131,6 +132,13 @@ def test_validate_non_monic_fails():
     assert not validate(gs).ok
 
 
+def test_validate_trivial_value_group_fails():
+    # value_0 = 0 makes the stage groups trivial: no index, a failed row
+    report = validate(GenSeq(F2, [Poly2.x(F2), Poly2.y(F2)], [F(0), F(0)]))
+    assert not report.ok
+    assert report.rows[0]["index_computed"] is None
+
+
 # -- expansion -------------------------------------------------------------------
 
 
@@ -172,6 +180,59 @@ def test_expand_roundtrip_random():
             for t in e.terms:
                 for i in range(1, gs.top + 1):
                     assert 0 <= t.exps[i] < idx[i]
+
+
+def _expand_by_division(g: Poly2, key: Poly2, deg: int) -> list[Poly2]:
+    """Reference: divide by the key one power at a time."""
+    out = []
+    while g.deg_y() >= deg:
+        g, r = g.divrem_y(key)
+        out.append(r)
+    out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("fld", [Fq(2), Fq(5), Fq(2, 2), Fq(3, 2)], ids=str)
+def test_expand_in_pure_y_power_matches_division(fld, monkeypatch):
+    rng = random.Random(23)
+    nonzero = fld.elements()[1:]
+    cases = []
+    for d in (1, 2, 3, 5, 3**10):
+        for _ in range(25):
+            # y-degrees on a grid of gap d // 2 + 1 reach up to 7 powers of y^d,
+            # so with d = 3^10 almost every degree is empty
+            gap = d // 2 + 1
+            g = Poly2.zero(fld)
+            for _ in range(rng.randint(1, 8)):
+                j = gap * rng.randint(0, 7 * d // gap)
+                g = g + Poly2.monomial(fld, rng.randint(0, 5), j, rng.choice(nonzero))
+            if g:
+                cases.append((g, Poly2.monomial(fld, 0, d), d))
+    expected = [_expand_by_division(*case) for case in cases]
+
+    def no_division(self, g):
+        raise AssertionError("the key y^d must be expanded without division")
+
+    monkeypatch.setattr(Poly2, "divrem_y", no_division)
+    for case, want in zip(cases, expected):
+        assert _expand_in_key(*case) == want
+
+
+def test_expand_in_other_keys_roundtrip():
+    rng = random.Random(29)
+    for fld in (Fq(2), Fq(5), Fq(2, 2), Fq(3, 2)):
+        # monic in y but not a pure power of y
+        for key in (Poly2.monomial(fld, 0, 3) + Poly2.x(fld),
+                    Poly2.monomial(fld, 0, 2) + Poly2.monomial(fld, 1, 1)):
+            deg = key.deg_y()
+            for _ in range(20):
+                g = Poly2.zero(fld)
+                for _ in range(rng.randint(1, 6)):
+                    g = g + Poly2.monomial(fld, rng.randint(0, 4), rng.randint(0, 12),
+                                           rng.choice(fld.elements()[1:]))
+                coeffs = _expand_in_key(g, key, deg)
+                assert all(c.deg_y() < deg for c in coeffs)
+                assert sum((c * key**k for k, c in enumerate(coeffs)), Poly2.zero(fld)) == g
 
 
 def test_expand_sequence_too_short():

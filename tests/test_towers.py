@@ -1,9 +1,10 @@
 import pytest
 
-from ramval.algebra import Fq, Poly2, parse_poly
+from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.genseq import BadParams, value_of
 from ramval.towers import (
     PrecisionTooLow,
+    _pushed_leading_data,
     build_tower,
     check_ladder_report,
     deviation_exponent,
@@ -156,6 +157,53 @@ def test_parameter_links_skip_only_without_exact_maps(monkeypatch):
     monkeypatch.setattr(ChartChain, "push_exact", broken)
     with pytest.raises(ZeroDivisionError):
         verify_parameter_links(build_tower(2, 1, 5), 1)
+
+
+def _whole_monomial_leading_data(tower, chain_label, foreign_keys, vec, k):
+    """Reference: push the numerator and the denominator of the whole key
+    monomial through the chart maps, then read off their leading data."""
+    fld = tower.field
+    num = den = LocalElem(Poly2.one(fld))
+    for i, m in enumerate(vec):
+        factor = LocalElem(foreign_keys[i]) if isinstance(foreign_keys[i], Poly2) else foreign_keys[i]
+        if m > 0:
+            num = num * factor**m
+        elif m < 0:
+            den = den * factor ** (-m)
+    chain = tower.chain(chain_label)
+
+    def data(e):
+        nrow = e.num.x_coefficient(e.num.x_order())
+        drow = e.den.x_coefficient(e.den.x_order())
+        return (e.num.x_order() - e.den.x_order(), min(nrow) - min(drow),
+                fld.div(nrow[min(nrow)], drow[min(drow)]))
+
+    on, tn, ln = data(chain.push_exact(num, k))
+    od, td, ld = data(chain.push_exact(den, k))
+    return (on - od, tn - td), fld.div(ln, ld)
+
+
+@pytest.mark.parametrize("p,c,q,kmax", [(2, 1, None, 4), (3, 2, None, 3), (3, 2, 9, 3)])
+def test_pushed_leading_data_matches_whole_monomial(p, c, q, kmax):
+    fld = Fq(p) if q is None else Fq(p, 2)
+    t = build_tower(p, c, 5, fld)
+    for k in range(2, kmax + 1):
+        vecs = {"S": t.chain("A").level(k).vecs[:2], "A": t.chain("R").level(k).vecs[:2]}
+        foreign = {"S": t.mid_keys_xy, "A": t.base_keys_xv}
+        for label in ("S", "A"):
+            for vec in vecs[label]:
+                assert _pushed_leading_data(t, label, vec, k) == \
+                    _whole_monomial_leading_data(t, label, foreign[label], vec, k)
+
+
+def test_pushed_leading_data_combines_key_data():
+    # orders add with the exponents, leading coefficients multiply, and a
+    # negative exponent takes the inverse (2^2 * 3^-1 = 3 in F_5)
+    from types import SimpleNamespace
+
+    data = {0: (4, 0, 2), 1: (2, 1, 3)}
+    tower = SimpleNamespace(field=Fq(5), pushed_key=lambda which, i, k: data[i])
+    assert _pushed_leading_data(tower, "S", (2, -1, 0), 3) == ((6, -1), 3)
 
 
 def test_expected_alternation_shape():

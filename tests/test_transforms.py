@@ -149,6 +149,21 @@ def test_chart_validation_detects_tampering():
     assert not validate_chart_seq(fresh).ok
 
 
+def test_chart_validation_reports_vanishing_remainder():
+    # key_2 = key_1^e_1 exactly: the recursion has no lower term, which is a
+    # diagnostic row, not a silent skip; any other error propagates
+    from ramval.transforms import validate_chart_seq
+
+    seq = build_tower_seq("U", 2, 1, 5)
+    _, lvl2 = composite_transform(seq)
+    e1 = lvl2.indices()[1]
+    lvl2.keys[2] = lvl2.keys[1] ** e1
+    report = validate_chart_seq(lvl2)
+    assert not report.ok
+    assert any(r["degree"] == "recursion remainder is zero" for r in report.rows)
+    assert "recursion remainder is zero" in report.summary()
+
+
 # -- chains ------------------------------------------------------------------------
 
 
