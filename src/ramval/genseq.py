@@ -49,6 +49,11 @@ class InvalidSequence(ArithmeticError):
     """Operation on a sequence that fails its own validity conditions."""
 
 
+class Inconsistent(ArithmeticError):
+    """Two independent computations of the same quantity disagree: a
+    verification failure."""
+
+
 # recursion step: key_{j+1} = key_j**exponent - x**x_exp * key_{j-1}
 @dataclass(frozen=True)
 class RecursionStep:
@@ -261,7 +266,7 @@ def build_tower_seq(
     if family == "U":
         expected = [tower_key_value(j, p) for j in range(length + 1)]
         if values != expected:
-            raise AssertionError("alternating recursion disagrees with its value recursion")
+            raise Inconsistent("alternating recursion disagrees with its value recursion")
 
     return GenSeq(
         field=fld,

@@ -24,10 +24,6 @@ class AbhyankarViolation(ValueError):
     pass
 
 
-class Inconsistent(ArithmeticError):
-    pass
-
-
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 

@@ -19,9 +19,7 @@ class RunConfig:
     q: int | None = None  # field size; defaults to p
     levels: int = 3
     length: int = 6
-    bound: str = "2"
     samples: int = 200
-    prec: int | None = None
     fmt: str = "text"
     seed: int = 0
 

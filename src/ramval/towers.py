@@ -19,10 +19,10 @@ import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .algebra import Fq, LocalElem, Poly2, PrecisionTooLow
+from .algebra import Fq, LocalElem, Poly2
 from .genseq import BadParams, GenSeq, build_tower_seq, value_of
 from .transforms import ChartChain, NotApplicable, _bottom_row
-from .values import fmt_value
+from .values import fmt_value, p_adic_split
 
 Value = Fraction
 
@@ -102,7 +102,7 @@ class Tower:
             if ratio.denominator != 1:
                 raise ArithmeticError(f"key {i}: value ratio {ratio} is not integral")
             mult = int(ratio)
-            if mult < 1 or (mult != 1 and not _is_p_power(mult, self.p)):
+            if mult < 1 or p_adic_split(mult, self.p)[0] != 1:
                 raise ArithmeticError(f"key {i}: value ratio {mult} is not a p-power")
             host_power = LocalElem(host.keys[i] ** mult)
             delta = f_elem - host_power
@@ -117,12 +117,6 @@ class Tower:
             certs.append(CrossCert(i, mult, delta.x_order(), margin))
         self._certs[which] = certs
         return certs
-
-
-def _is_p_power(n: int, p: int) -> bool:
-    while n % p == 0:
-        n //= p
-    return n == 1
 
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
@@ -227,7 +221,7 @@ class CheckReport:
         return out
 
 
-def verify_deviation_identity(tower: Tower, j: int, prec: int | None = None) -> CheckReport:
+def verify_deviation_identity(tower: Tower, j: int) -> CheckReport:
     """Exact check of the deviation identity at step j:
 
     mid_{j+1} - top_{j+1}^mult = x^E * f with mult = 1 (j odd) or p (j even),
@@ -239,10 +233,6 @@ def verify_deviation_identity(tower: Tower, j: int, prec: int | None = None) -> 
     mult = 1 if j % 2 == 1 else p
     diff = tower.mid_keys_xy[j + 1] - tower.seq_top.keys[j + 1] ** mult
     exp_e = deviation_exponent(p, j)
-    if prec is not None:
-        needed = 1 + max((i for i, _ in diff.terms), default=0)
-        if prec < needed:
-            raise PrecisionTooLow(f"need precision >= {needed}, got {prec}")
     ord_x = diff.x_order() if diff else -1
     divisible = ord_x >= exp_e
     f_part = diff.divexact_xpow(exp_e) if divisible else diff

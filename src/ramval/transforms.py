@@ -18,12 +18,18 @@ values on original keys follow an integer recursion across levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Fq, IndeterminateOrder, LocalElem, NotInField, Poly2
-from .genseq import GenSeq, SequenceTooShort, ValidityReport, residue_of_quotient
-from .values import ValueGroup, fmt_value, group_join, order_in_quotient
+from .algebra import DivisibleByX, IndeterminateOrder, LocalElem, NotInField, Poly2
+from .genseq import (
+    GenSeq,
+    Inconsistent,
+    SequenceTooShort,
+    ValidityReport,
+    residue_of_quotient,
+)
+from .values import ValueGroup, group_join, order_in_quotient, p_adic_split
 
 Value = Fraction
 
@@ -42,10 +48,6 @@ class NotMonomial(ArithmeticError):
 
 class NotPPower(ArithmeticError):
     """The residual order d is not a power of p (outside the stable range)."""
-
-
-class Inconsistent(ArithmeticError):
-    pass
 
 
 # -- stable forms -------------------------------------------------------------
@@ -81,14 +83,6 @@ class ExtensionInvariants:
     defect_exponent: int
 
 
-def _p_adic_split(a: int, p: int) -> tuple[int, int]:
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    return a, alpha
-
-
 def _as_elem(e) -> LocalElem:
     return e if isinstance(e, LocalElem) else LocalElem(e)
 
@@ -117,8 +111,8 @@ def stable_form(u_elem, v_elem, p: int) -> StableForm:
     d = f_part.y_order_mod_x()
     if d < 1:
         raise NotMonomial("second parameter is unit * x^b; no residual order")
-    a_bar, alpha = _p_adic_split(a, p)
-    d_bar, beta = _p_adic_split(d, p)
+    a_bar, alpha = p_adic_split(a, p)
+    d_bar, beta = p_adic_split(d, p)
     if d_bar != 1:
         raise NotPPower(f"residual order d = {d} is not a power of {p}")
     return StableForm(a, a_bar, alpha, b, d, beta, witness.residue_at_origin())
@@ -128,8 +122,8 @@ def stable_form_from_orders(a: int, b: int, d: int, p: int, unit_residue=1) -> S
     """Assemble a StableForm from already-computed composite orders."""
     if a < 1:
         raise NotMonomial(f"exceptional order of the first parameter is {a}")
-    a_bar, alpha = _p_adic_split(a, p)
-    d_bar, beta = _p_adic_split(d, p) if d >= 1 else (d, 0)
+    a_bar, alpha = p_adic_split(a, p)
+    d_bar, beta = p_adic_split(d, p) if d >= 1 else (d, 0)
     if d < 1 or d_bar != 1:
         raise NotPPower(f"residual order d = {d} is not a power of {p}")
     return StableForm(a, a_bar, alpha, b, d, beta, unit_residue)
@@ -143,16 +137,13 @@ def defect_from_stable(sf: StableForm, e: int, f: int, p: int, f_res: int = 1) -
     den = e * f
     if num % den:
         raise Inconsistent(f"a*d*f_res = {num} is not divisible by e*f = {den}")
-    q, delta = num // den, 0
-    while q % p == 0:
-        q //= p
-        delta += 1
+    q, delta = p_adic_split(num // den, p)
     if q != 1:
         raise Inconsistent(f"a*d*f_res/(e*f) = {num // den} is not a power of {p}")
     return delta
 
 
-# -- chart maps and transformed sequences -------------------------------------
+# -- chart maps and chart chains ----------------------------------------------
 
 
 @dataclass
@@ -171,9 +162,6 @@ class ChartMap:
         """Re-express an element of the old chart in the new chart."""
         return _as_elem(elem).compose(self.phi_x, self.phi_y)
 
-    def push_rational(self, num, den) -> tuple[LocalElem, LocalElem]:
-        return self.push(num), self.push(den)
-
     def describe(self) -> dict:
         xn, yn = self.chart_vars
         return {
@@ -185,297 +173,26 @@ class ChartMap:
 
 
 @dataclass
-class ChartSeq:
-    """Generating sequence in a transformed chart.
-
-    Keys are numerator / unit-denominator pairs; ``degrees`` holds the
-    distinguished (Weierstrass) y-degrees, which the constructor verifies
-    against the restrictions to x = 0.
-    """
-
-    field: Fq
-    keys: list[LocalElem]
-    values: list[Fraction]
-    degrees: list[int]
-    chart: tuple[str, str]
-    label: str = ""
-    level: int = 1
-    rel_residues: list = dc_field(default_factory=list)
-
-    def __len__(self):
-        return len(self.keys)
-
-    @property
-    def top(self):
-        return len(self.keys) - 1
-
-    def indices(self) -> list[int]:
-        grp = ValueGroup(Fraction(0))
-        out = [0]
-        grp = group_join(grp, self.values[0])
-        for i in range(1, len(self.values)):
-            out.append(order_in_quotient(self.values[i], grp))
-            grp = group_join(grp, self.values[i])
-        return out
-
-    def key_str(self, i: int) -> str:
-        return self.keys[i].to_str(*self.chart)
-
-    def describe(self) -> list[dict]:
-        idx = self.indices()
-        return [
-            {
-                "i": i,
-                "key": self.key_str(i),
-                "value": fmt_value(self.values[i]),
-                "index": idx[i] if i else "",
-            }
-            for i in range(len(self.keys))
-        ]
-
-
-def _first_key_linear_parts(seq) -> tuple[Poly2, Poly2]:
-    """(A, B) with key_1 = A(x)*y + B(x); requires an exactly y-linear
-    polynomial first key with A(0) != 0."""
-    k1 = seq.keys[1]
-    if isinstance(k1, LocalElem):
-        if not k1.is_polynomial():
-            raise NotApplicable("first key carries a non-constant denominator")
-        k1 = k1.as_poly()
-    if k1.deg_y() != 1:
-        raise NotApplicable("first key is not y-linear in this chart")
-    fld = k1.field
-    a_poly = Poly2(fld, {(i, 0): c for (i, j), c in k1.terms.items() if j == 1})
-    b_poly = Poly2(fld, {(i, 0): c for (i, j), c in k1.terms.items() if j == 0})
-    if a_poly.constant_term() == fld.zero:
-        raise NotApplicable("leading y-coefficient of the first key vanishes at 0")
-    return a_poly, b_poly
-
-
-def _seq_degrees(seq) -> list[int]:
-    if isinstance(seq, GenSeq):
-        return list(seq.ensure_valid().degrees)
-    return seq.degrees
-
-
-def _seq_keys(seq) -> list[LocalElem]:
-    return [_as_elem(k) for k in seq.keys]
-
-
-def _step_residue(seq, n1: int):
-    """Residue r of x / key_1^n1 (the chart translation constant)."""
-    fld = seq.field
-    if isinstance(seq, GenSeq):
-        try:
-            return residue_of_quotient(seq.keys[0], seq.keys[1] ** n1, seq)
-        except (NotInField, SequenceTooShort):
-            # underdetermined by the sequence data; normalize to 1
-            return fld.one
-    if seq.rel_residues:
-        return fld.inv(seq.rel_residues[0])
-    return fld.one
-
-
-def _compose_x_only(poly_x: Poly2, sub: Poly2) -> Poly2:
-    """poly_x(sub) for a polynomial in x alone."""
-    fld = poly_x.field
-    out = Poly2.zero(fld)
-    cache: dict[int, Poly2] = {0: Poly2.one(fld)}
-    for (i, j), c in poly_x.terms.items():
-        if j != 0:
-            raise ValueError("not a polynomial in x alone")
-        if i not in cache:
-            cache[i] = sub**i
-        out = out + cache[i].scale(c)
-    return out
-
-
-def composite_transform(seq) -> tuple[ChartMap, ChartSeq]:
-    """One composite transform along the valuation.
-
-    Requires value_0 = n_1 * value_1 (NotApplicable otherwise) and a y-linear
-    polynomial first key (the exact chart map exists in that case).  The
-    output sequence is verified: exact divisibility of each shifted key,
-    distinguished degrees of the restrictions, and the recursion shape with
-    unit factors evaluating to 1 at the new origin.
-    """
-    fld = seq.field
-    if len(seq.keys) < 2:
-        raise NotApplicable("need at least two keys to transform")
-    if isinstance(seq, GenSeq):
-        indices = seq.ensure_valid().indices
-        level = 1
-    else:
-        indices = seq.indices()
-        level = seq.level
-    values = list(seq.values)
-    degrees = _seq_degrees(seq)
-    n1 = indices[1]
-    if values[0] != n1 * values[1]:
-        raise NotApplicable(
-            f"ratio condition fails: value_0 = {fmt_value(values[0])} != "
-            f"{n1} * {fmt_value(values[1])}"
-        )
-    r = _step_residue(seq, n1)
-    a_poly, b_poly = _first_key_linear_parts(seq)
-
-    # chart map: x = r * X'^n1 * (Y'+1),  y = (X' - B(x-image)) / A(x-image)
-    xs = Poly2.x(fld)
-    ys = Poly2.y(fld)
-    phi_x_poly = (xs**n1 * (ys + Poly2.one(fld))).scale(r)
-    phi_x = LocalElem(phi_x_poly)
-    phi_y = LocalElem(xs - _compose_x_only(b_poly, phi_x_poly), _compose_x_only(a_poly, phi_x_poly))
-
-    label = seq.label or "chart"
-    target_label = f"{label}/T{level + 1}"
-    chart_vars = (f"x{level + 1}", f"y{level + 1}")
-    cmap = ChartMap(
-        source=label,
-        target=target_label,
-        n=n1,
-        residue=r,
-        phi_x=phi_x,
-        phi_y=phi_y,
-        chart_vars=chart_vars,
-    )
-
-    old_keys = _seq_keys(seq)
-    if cmap.push(old_keys[1]) != LocalElem(xs):
-        raise NonPolynomial("chart map does not send the first key to the new coordinate")
-    new_keys = [LocalElem(xs)]
-    new_values = [values[1]]
-    new_degrees = [0]
-    for j in range(2, len(old_keys)):
-        img = cmap.push(old_keys[j])
-        dj = degrees[j]
-        ordx = img.x_order()
-        if ordx != dj:
-            raise NonPolynomial(
-                f"shifted key {j} has exceptional order {ordx}, expected {dj}"
-            )
-        new_keys.append(img.divexact_xpow(dj))
-        new_values.append(values[j] - dj * values[1])
-        new_degrees.append(dj // n1)
-
-    out = ChartSeq(
-        field=fld,
-        keys=new_keys,
-        values=new_values,
-        degrees=new_degrees,
-        chart=chart_vars,
-        label=target_label,
-        level=level + 1,
-    )
-    report = validate_chart_seq(out)
-    if not report.ok:
-        raise NonPolynomial("transformed sequence failed validation:\n" + report.summary())
-    return cmap, out
-
-
-def _restriction_order_and_lead(elem: LocalElem) -> tuple[int, object]:
-    """(y-order, leading coefficient) of the restriction of elem to x = 0."""
-    fld = elem.field
-    num_r, den_r = elem.restrict_x0()
-    if not num_r:
-        raise NonPolynomial("restriction to x = 0 vanishes")
-    on, od = min(num_r), min(den_r)
-    return on - od, fld.div(num_r[on], den_r[od])
-
-
-def _bottom_row(elem: LocalElem) -> tuple[int, int, object]:
-    """Leading data of elem: (x-order, y-order of the lowest x-row, its
-    coefficient), the lowest term under a monomial order.  It is
-    multiplicative, because k[x, y] is a domain."""
-    fld = elem.field
-    onum = elem.num.x_order()
-    oden = elem.den.x_order()
-    num_row = elem.num.x_coefficient(onum)
-    den_row = elem.den.x_coefficient(oden)
-    tn, td = min(num_row), min(den_row)
-    return onum - oden, tn - td, fld.div(num_row[tn], den_row[td])
-
-
-def validate_chart_seq(seq: ChartSeq) -> ValidityReport:
-    """Validity of a transformed sequence: group/growth conditions, the
-    distinguished degrees of the key restrictions, and the recursion shape
-    key_{j+1} = key_j^e - delta x^a key_{j-1} with delta = 1 at the origin."""
-    fld = seq.field
-    rows = []
-    ok = True
-    idx = seq.indices()
-    grp = ValueGroup.generated_by([seq.values[0]])
-    groups = [grp]
-    for i in range(1, len(seq.values)):
-        grp = group_join(grp, seq.values[i])
-        groups.append(grp)
-
-    # distinguished degrees against prescribed products of indices
-    for i in range(1, len(seq.keys)):
-        row: dict = {"i": i}
-        expected = 1
-        for t in range(1, i):
-            expected *= idx[t]
-        try:
-            wdeg, _lead = _restriction_order_and_lead(seq.keys[i])
-        except (NonPolynomial, ArithmeticError):
-            wdeg = None
-        row["index_computed"] = idx[i]
-        row["order"] = idx[i]
-        degree_ok = wdeg == seq.degrees[i] == expected
-        row["degree"] = degree_ok
-        growth = True
-        if i + 1 < len(seq.keys):
-            growth = seq.values[i + 1] > idx[i] * seq.values[i]
-        row["growth"] = growth
-        row["monic"] = True  # distinguished up to a unit; degree check is the content
-        rows.append(row)
-        ok = ok and degree_ok and growth and seq.values[i] > 0
-
-    # recursion shapes; record the unit residues
-    seq.rel_residues = []
-    for j in range(1, len(seq.keys) - 1):
-        e_j = idx[j]
-        a_j = (e_j * seq.values[j] - seq.values[j - 1]) / seq.values[0]
-        if a_j.denominator != 1 or a_j < 0:
-            ok = False
-            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
-                             monic=False, degree=f"relation exponent {a_j} not integral"))
-            continue
-        a_j = int(a_j)
-        rem = seq.keys[j] ** e_j - seq.keys[j + 1]
-        try:
-            o_rem, t_rem, lead_rem = _bottom_row(rem)
-        except IndeterminateOrder:  # key_j^e_j == key_{j+1}: no lower term
-            ok = False
-            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
-                             monic=False, degree="recursion remainder is zero"))
-            continue
-        o_low, t_low, lead_low = _bottom_row(seq.keys[j - 1])
-        # key_0 = x carries its own x power; delta(0,0) is the ratio of the
-        # leading coefficients at matching y-order
-        shape_ok = o_rem == a_j + o_low and t_rem == t_low
-        res = fld.div(lead_rem, lead_low) if shape_ok else None
-        seq.rel_residues.append(res)
-        if not shape_ok or res != fld.one:
-            ok = False
-            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
-                             monic=False, degree=f"recursion unit residue {res}"))
-    return ValidityReport(seq.label, rows, ok)
-
-
-# -- chart chains and the composite-order calculus ----------------------------
-
-
-@dataclass
 class ChainLevel:
+    """One chart of a chain: values, indices and distinguished degrees of its
+    keys, the composite-order tables, and the exact keys (numerator /
+    unit-denominator pairs named by ``chart``) as long as the chart maps stay
+    exactly representable."""
+
     k: int
     values: list[Fraction]
     indices: list[int]
     degrees: list[int]  # distinguished degrees of the level keys
     vecs: list[tuple[int, ...]]  # level keys as monomials in the base keys
     crows: list[tuple[int, ...]]  # base keys as monomials in the level keys
-    seq: object | None = None  # GenSeq / ChartSeq with exact keys, if available
+    r: object  # residue of x / key_1^n_1: the translation constant of the next step
+    keys: list[LocalElem] | None = None
+    label: str = ""
+    chart: tuple[str, str] = ("x", "y")
     map_from_prev: ChartMap | None = None
+
+    def key_str(self, i: int) -> str:
+        return self.keys[i].to_str(*self.chart)
 
     def mu_base(self, i: int) -> tuple[int, int]:
         """(exceptional order, restriction order) of base key i at this level."""
@@ -492,12 +209,165 @@ class ChainLevel:
         return o, s
 
 
+def _first_key_linear_parts(k1: LocalElem) -> tuple[Poly2, Poly2]:
+    """(A, B) with key_1 = A(x)*y + B(x); requires an exactly y-linear
+    polynomial first key with A(0) != 0."""
+    if not k1.is_polynomial():
+        raise NotApplicable("first key carries a non-constant denominator")
+    k1 = k1.as_poly()
+    if k1.deg_y() != 1:
+        raise NotApplicable("first key is not y-linear in this chart")
+    fld = k1.field
+    a_poly = Poly2(fld, {(i, 0): c for (i, j), c in k1.terms.items() if j == 1})
+    b_poly = Poly2(fld, {(i, 0): c for (i, j), c in k1.terms.items() if j == 0})
+    if a_poly.constant_term() == fld.zero:
+        raise NotApplicable("leading y-coefficient of the first key vanishes at 0")
+    return a_poly, b_poly
+
+
+def _compose_x_only(poly_x: Poly2, sub: Poly2) -> Poly2:
+    """poly_x(sub) for a polynomial in x alone."""
+    fld = poly_x.field
+    out = Poly2.zero(fld)
+    cache: dict[int, Poly2] = {0: Poly2.one(fld)}
+    for (i, j), c in poly_x.terms.items():
+        if j != 0:
+            raise ValueError("not a polynomial in x alone")
+        if i not in cache:
+            cache[i] = sub**i
+        out = out + cache[i].scale(c)
+    return out
+
+
+def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
+    """One composite transform out of a chain level with exact keys: the
+    chart map and the shifted keys of the next level.
+
+    The caller has checked value_0 = n_1 * value_1.  The first key must be
+    y-linear and polynomial (NotApplicable otherwise: no exact chart map),
+    and every old key j >= 2 must push to exactly x'^(degree j) times a
+    regular element, which is the new key j - 1 (NonPolynomial otherwise).
+    """
+    keys = level.keys
+    n1 = level.indices[1]
+    a_poly, b_poly = _first_key_linear_parts(keys[1])
+    fld = a_poly.field
+
+    # chart map: x = r * X'^n1 * (Y'+1),  y = (X' - B(x-image)) / A(x-image)
+    xs = Poly2.x(fld)
+    ys = Poly2.y(fld)
+    phi_x_poly = (xs**n1 * (ys + Poly2.one(fld))).scale(level.r)
+    phi_x = LocalElem(phi_x_poly)
+    phi_y = LocalElem(xs - _compose_x_only(b_poly, phi_x_poly), _compose_x_only(a_poly, phi_x_poly))
+
+    k = level.k + 1
+    cmap = ChartMap(
+        source=level.label,
+        target=f"{level.label}/T{k}",
+        n=n1,
+        residue=level.r,
+        phi_x=phi_x,
+        phi_y=phi_y,
+        chart_vars=(f"x{k}", f"y{k}"),
+    )
+
+    if cmap.push(keys[1]) != LocalElem(xs):
+        raise NonPolynomial("chart map does not send the first key to the new coordinate")
+    new_keys = [LocalElem(xs)]
+    for j in range(2, len(keys)):
+        img = cmap.push(keys[j])
+        dj = level.degrees[j]
+        ordx = img.x_order()
+        if ordx != dj:
+            raise NonPolynomial(
+                f"shifted key {j} has exceptional order {ordx}, expected {dj}"
+            )
+        new_keys.append(img.divexact_xpow(dj))
+    return cmap, new_keys
+
+
+def _bottom_row(elem: LocalElem) -> tuple[int, int, object]:
+    """Leading data of elem: (x-order, y-order of the lowest x-row, its
+    coefficient), the lowest term under a monomial order.  It is
+    multiplicative, because k[x, y] is a domain."""
+    fld = elem.field
+    onum = elem.num.x_order()
+    oden = elem.den.x_order()
+    num_row = elem.num.x_coefficient(onum)
+    den_row = elem.den.x_coefficient(oden)
+    tn, td = min(num_row), min(den_row)
+    return onum - oden, tn - td, fld.div(num_row[tn], den_row[td])
+
+
+def validate_chart_seq(level: ChainLevel) -> ValidityReport:
+    """Validity of a transformed level's exact keys: growth, the
+    distinguished degrees of the key restrictions against the products of
+    the indices, and the recursion shape key_{j+1} = key_j^e - delta x^a
+    key_{j-1} with delta = 1 at the origin."""
+    keys, values, idx = level.keys, level.values, level.indices
+    fld = keys[0].field
+    rows = []
+    ok = True
+
+    # distinguished degrees against prescribed products of indices
+    for i in range(1, len(keys)):
+        row: dict = {"i": i}
+        expected = 1
+        for t in range(1, i):
+            expected *= idx[t]
+        try:
+            wdeg = keys[i].y_order_mod_x()
+        except DivisibleByX:
+            wdeg = None
+        row["index_computed"] = idx[i]
+        row["order"] = idx[i]
+        degree_ok = wdeg == level.degrees[i] == expected
+        row["degree"] = degree_ok
+        growth = True
+        if i + 1 < len(keys):
+            growth = values[i + 1] > idx[i] * values[i]
+        row["growth"] = growth
+        row["monic"] = True  # distinguished up to a unit; degree check is the content
+        rows.append(row)
+        ok = ok and degree_ok and growth and values[i] > 0
+
+    # recursion shapes with unit residue 1
+    for j in range(1, len(keys) - 1):
+        e_j = idx[j]
+        a_j = (e_j * values[j] - values[j - 1]) / values[0]
+        if a_j.denominator != 1 or a_j < 0:
+            ok = False
+            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
+                             monic=False, degree=f"relation exponent {a_j} not integral"))
+            continue
+        a_j = int(a_j)
+        rem = keys[j] ** e_j - keys[j + 1]
+        try:
+            o_rem, t_rem, lead_rem = _bottom_row(rem)
+        except IndeterminateOrder:  # key_j^e_j == key_{j+1}: no lower term
+            ok = False
+            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
+                             monic=False, degree="recursion remainder is zero"))
+            continue
+        o_low, t_low, lead_low = _bottom_row(keys[j - 1])
+        # key_0 = x carries its own x power; delta(0,0) is the ratio of the
+        # leading coefficients at matching y-order
+        shape_ok = o_rem == a_j + o_low and t_rem == t_low
+        res = fld.div(lead_rem, lead_low) if shape_ok else None
+        if not shape_ok or res != fld.one:
+            ok = False
+            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
+                             monic=False, degree=f"recursion unit residue {res}"))
+    return ValidityReport(level.label, rows, ok)
+
+
 class ChartChain:
     """Iterated composite transforms of one generating sequence.
 
-    Exact chart keys are carried as long as the chart map stays exactly
-    representable; the exponent-vector and composite-order bookkeeping is
-    exact at every level.
+    Each level's values, indices and degrees are computed once, in
+    ``extend``.  Exact chart keys are carried as long as the chart map stays
+    exactly representable; the exponent-vector and composite-order
+    bookkeeping is exact at every level.
     """
 
     def __init__(self, base: GenSeq):
@@ -505,6 +375,12 @@ class ChartChain:
         self.base = base
         nbase = len(base.keys)
         ident = [tuple(1 if t == i else 0 for t in range(nbase)) for i in range(nbase)]
+        r = base.field.one
+        if nbase > 1 and base.values[0] == lat.indices[1] * base.values[1]:
+            try:
+                r = residue_of_quotient(base.keys[0], base.keys[1] ** lat.indices[1], base)
+            except (NotInField, SequenceTooShort):
+                pass  # underdetermined by the sequence data; normalize to 1
         self.levels = [
             ChainLevel(
                 k=1,
@@ -513,7 +389,10 @@ class ChartChain:
                 degrees=[0] + [max(d, 1) for d in lat.degrees[1:]],
                 vecs=ident,
                 crows=ident,
-                seq=base,
+                r=r,
+                keys=[LocalElem(key) for key in base.keys],
+                label=base.label or "chart",
+                chart=base.chart,
             )
         ]
 
@@ -566,14 +445,6 @@ class ChartChain:
             first += sum(row[j] * cur.degrees[j] for j in range(2, len(row)))
             new_crows.append((first,) + tuple(row[j] for j in range(2, len(row))))
 
-        new_seq = None
-        new_map = None
-        if cur.seq is not None:
-            try:
-                new_map, new_seq = composite_transform(cur.seq)
-            except NotApplicable:
-                new_seq = None  # continue with the order calculus only
-
         nl = ChainLevel(
             k=cur.k + 1,
             values=new_values,
@@ -581,9 +452,22 @@ class ChartChain:
             degrees=new_degrees,
             vecs=new_vecs,
             crows=new_crows,
-            seq=new_seq,
-            map_from_prev=new_map,
+            # validation rejects every recursion unit but 1, so from here on
+            # x / key_1^n_1 has residue 1
+            r=self.base.field.one,
         )
+        if cur.keys is not None:
+            try:
+                nl.map_from_prev, nl.keys = composite_transform(cur)
+            except NotApplicable:
+                pass  # continue with the order calculus only
+            else:
+                nl.label, nl.chart = nl.map_from_prev.target, nl.map_from_prev.chart_vars
+                report = validate_chart_seq(nl)
+                if not report.ok:
+                    raise NonPolynomial(
+                        "transformed sequence failed validation:\n" + report.summary()
+                    )
         # cross-check: the two bookkeeping directions must be mutually inverse
         for j, vec in enumerate(nl.vecs):
             expected = (1, 0) if j == 0 else (0, nl.degrees[j])

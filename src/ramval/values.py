@@ -26,10 +26,6 @@ def fmt_value(v: Value) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def parse_value(s: str) -> Value:
-    return Fraction(s)
-
-
 def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     # gcd on Q: the generator of aZ + bZ.
     den = a.denominator * b.denominator
@@ -114,6 +110,17 @@ def order_in_quotient(v: Value, group: ValueGroup) -> int:
             raise NotSubgroup("no multiple of a nonzero value lies in the trivial group")
         return 1
     return (v / group.generator).denominator
+
+
+def p_adic_split(n: int, p: int) -> tuple[int, int]:
+    """(u, e) with n = u * p^e and p not dividing u, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise ValueError(f"p-adic split needs n >= 1 and p >= 2, got n = {n}, p = {p}")
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
 
 
 def tower_key_value(j: int, p: int) -> Value:

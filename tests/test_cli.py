@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ramval import towers
+from ramval import genseq, towers
 from ramval.algebra import Fq
 from ramval.cli import main
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -54,12 +57,27 @@ def test_validate_command(capsys):
     assert "pass" in out
 
 
+# full stdout of `transform`, pinned to the output before chain levels
+# carried the exact keys
+PINNED_TRANSFORMS = {
+    "transform_U_p2_c1.txt": ("--family", "U", "--p", "2", "--c", "1"),
+    "transform_Q_p3.txt": ("--family", "Q", "--p", "3"),
+    "transform_P_p2_levels6_length7.txt": ("--family", "P", "--p", "2", "--levels", "6",
+                                           "--length", "7"),
+    "transform_U_p2_c1_q4.txt": ("--family", "U", "--p", "2", "--c", "1", "--q", "4"),
+}
+
+
 def test_transform_command(capsys):
     code, out, _ = run(capsys, "transform", "--family", "U", "--p", "2", "--c", "1",
                        "--length", "5", "--levels", "3")
     assert code == 0
     assert "level 3" in out
     assert "chart map" in out
+    for name, argv in PINNED_TRANSFORMS.items():
+        code, out, _ = run(capsys, "transform", *argv)
+        assert code == 0
+        assert out == (DATA / name).read_text(), name
 
 
 def test_tower_command_verified(capsys):
@@ -120,8 +138,12 @@ def test_value_extension_field(capsys):
 
 
 def test_q_not_power_of_p_exit_2(capsys):
-    code, _, err = run(capsys, "value", "--family", "Q", "--p", "2", "--q", "6", "x")
-    assert code == 2
+    for q in ("6", "0", "-4", "1"):
+        code, _, err = run(capsys, "value", "--family", "Q", "--p", "2", "--q", q, "x")
+        assert code == 2
+        assert f"q = {q} is not a power of p = 2" in err
+    code, _, err = run(capsys, "value", "--family", "Q", "--p", "1", "--q", "4", "x")
+    assert code == 2  # no p-adic split for p = 1
 
 
 def test_report_honours_q(capsys, monkeypatch):
@@ -143,12 +165,6 @@ def test_report_honours_q(capsys, monkeypatch):
     links = [r for s in report["sections"] for r in s["rows"]
              if r.get("check", "").startswith("parameter links")]
     assert links[0]["residues"]["tau"] == "(1,0)"  # an F_4 element
-
-
-def test_report_prec_guard(capsys):
-    code, out, _ = run(capsys, "report", "--p", "2", "--c", "1", "--levels", "2",
-                       "--length", "5", "--samples", "5", "--prec", "2")
-    assert code == 2  # precision floor below what the identities need
 
 
 def test_report_json_deterministic(capsys):
@@ -179,7 +195,31 @@ def test_report_builds_tower_once(capsys, monkeypatch):
 
 
 def test_report_jobs_rejected(capsys):
-    with pytest.raises(SystemExit) as ex:
-        main(["report", "--p", "2", "--c", "1", "--levels", "2", "--jobs", "2"])
-    assert ex.value.code == 2
-    assert "--jobs" in capsys.readouterr().err
+    for flag in ("--jobs", "--prec"):
+        with pytest.raises(SystemExit) as ex:
+            main(["report", "--p", "2", "--c", "1", "--levels", "2", flag, "2"])
+        assert ex.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("levels", ["7", "6", "5"])
+def test_report_levels_beyond_length_exit_2(capsys, monkeypatch, levels):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(towers, "build_tower", no_build)
+    code, out, err = run(capsys, "report", "--p", "2", "--c", "1", "--levels", levels,
+                         "--length", "5", "--samples", "5")
+    assert code == 2
+    assert out == ""
+    assert f"--levels {levels}" in err and "--length 5" in err
+
+
+def test_failed_cross_check_exits_1(capsys, monkeypatch):
+    # a value recursion that disagrees with the keys is a verification
+    # failure, not bad input
+    monkeypatch.setattr(genseq, "tower_key_value", lambda j, p: 0)
+    code, out, err = run(capsys, "tower", "--p", "2")
+    assert code == 1
+    assert out == ""
+    assert "verification failed" in err and "alternating recursion" in err

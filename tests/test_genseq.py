@@ -436,7 +436,8 @@ def test_extension_field_sequence():
     f = Poly2.monomial(fld, 0, 4, omega) + Poly2.monomial(fld, 2, 1, fld.one)
     assert value_of(f, gs) == 1
     assert residue_of_quotient(f.scale(omega), f, gs) == omega
-    from ramval.transforms import composite_transform
+    from ramval.transforms import ChartChain
 
-    _, lvl2 = composite_transform(gs)
+    lvl2 = ChartChain(gs).level(2)
     assert lvl2.values[0] == F(1, 4)
+    assert lvl2.keys is not None  # the exact chart map exists over F_4

@@ -8,6 +8,7 @@ from ramval.towers import build_tower
 from ramval.transforms import (
     ChartChain,
     Inconsistent,
+    NonPolynomial,
     NotApplicable,
     NotMonomial,
     NotPPower,
@@ -16,6 +17,7 @@ from ramval.transforms import (
     defect_from_stable,
     run_tower_ladder,
     stable_form,
+    validate_chart_seq,
 )
 
 F2 = Fq(2)
@@ -78,7 +80,8 @@ def test_defect_inconsistent():
 
 def test_composite_transform_middle_level2_values():
     gs = build_tower_seq("U", 2, 1, 5)
-    cmap, lvl2 = composite_transform(gs)
+    lvl2 = ChartChain(gs).level(2)
+    cmap = lvl2.map_from_prev
     assert lvl2.values == [F(1, 2), F(1, 16), F(17, 32), F(273, 256), F(4369, 512)]
     assert cmap.n == 2
     assert cmap.residue == F2.one
@@ -92,7 +95,7 @@ def test_composite_transform_middle_level2_values():
 def test_composite_transform_top_level2_values():
     for p in (2, 3):
         gs = build_tower_seq("Q", p, None, 4)
-        _, lvl2 = composite_transform(gs)
+        lvl2 = ChartChain(gs).level(2)
         # declared: new key j = old key (j+1) / x^(p^(2(j-1)))
         for j in range(1, len(lvl2.values)):
             assert lvl2.values[j] == gs.values[j + 1] - p ** (2 * (j - 1))
@@ -100,7 +103,8 @@ def test_composite_transform_top_level2_values():
 
 def test_composite_transform_trivial_two_keys():
     gs = GenSeq(F2, [Poly2.x(F2), Poly2.y(F2)], [F(1), F(1)], label="blowup")
-    cmap, lvl2 = composite_transform(gs)
+    lvl2 = ChartChain(gs).level(2)
+    cmap = lvl2.map_from_prev
     assert cmap.n == 1
     assert len(lvl2.keys) == 1
     d = cmap.describe()
@@ -112,39 +116,68 @@ def test_composite_transform_ratio_failure():
     keys = [Poly2.x(F2), Poly2.y(F2), parse_poly("y^5 - x^2", F2)]
     gs = GenSeq(F2, keys, [F(1), F(2, 5), F(21, 10)], label="offratio")
     with pytest.raises(NotApplicable):
-        composite_transform(gs)
+        ChartChain(gs).level(2)
 
 
 def test_composite_transform_chart_map_pushes_keys():
     # pushing an old key through the map and dividing by the declared power of
     # the new coordinate reproduces the new key
     gs = build_tower_seq("U", 3, 2, 4)
-    cmap, lvl2 = composite_transform(gs)
+    chain = ChartChain(gs)
+    cmap, keys = composite_transform(chain.level(1))
     img = cmap.push(gs.keys[2])
     assert img.x_order() == gs.keys[2].deg_y()
-    assert img.divexact_xpow(gs.keys[2].deg_y()) == lvl2.keys[1]
+    assert img.divexact_xpow(gs.keys[2].deg_y()) == keys[1]
+    assert keys == chain.level(2).keys
 
 
 def test_transformed_recursion_residues_are_one():
+    # validation passes only when every recursion unit is 1 at the origin,
+    # which makes every later translation constant 1
     for fam, p, c in (("U", 2, 1), ("Q", 2, None), ("P", 2, None), ("U", 3, 2)):
         seq = build_tower_seq(fam, p, c, 5)
-        _, lvl2 = composite_transform(seq)
-        assert all(r == seq.field.one for r in lvl2.rel_residues)
-        _, lvl3 = composite_transform(lvl2)
-        assert all(r == seq.field.one for r in lvl3.rel_residues)
+        chain = ChartChain(seq)
+        for k in (2, 3):
+            lvl = chain.level(k)
+            assert validate_chart_seq(lvl).ok
+            assert lvl.r == seq.field.one
+        assert chain.level(3).map_from_prev.residue == seq.field.one
+
+
+def test_chart_validation_reports_unit_residue():
+    # doubling the recursion remainder over F_3 leaves the shape intact and
+    # makes the unit residue 2
+    seq = build_tower_seq("U", 3, 2, 5)
+    lvl2 = ChartChain(seq).level(2)
+    power = lvl2.keys[1] ** lvl2.indices[1]
+    lvl2.keys[2] = power - LocalElem(Poly2.const(F3, 2)) * (power - lvl2.keys[2])
+    report = validate_chart_seq(lvl2)
+    assert not report.ok
+    assert any(r["degree"] == "recursion unit residue 2" for r in report.rows)
+
+
+def test_chain_rejects_level_failing_validation():
+    # a doubled old key still pushes to the right exceptional order, but the
+    # shifted recursion loses its shape: extending the chain must fail
+    seq = build_tower_seq("U", 3, 2, 5)
+    chain = ChartChain(seq)
+    chain.levels[0].keys[3] = chain.levels[0].keys[3] * LocalElem(Poly2.const(F3, 2))
+    with pytest.raises(NonPolynomial, match="failed validation"):
+        chain.level(2)
 
 
 def test_chart_validation_detects_tampering():
     # corrupting a transformed key must not pass the validity checks
-    from ramval.transforms import validate_chart_seq
-
     seq = build_tower_seq("U", 2, 1, 5)
-    _, lvl2 = composite_transform(seq)
+    lvl2 = ChartChain(seq).level(2)
     good = validate_chart_seq(lvl2)
     assert good.ok
     lvl2.keys[2] = lvl2.keys[2] * LocalElem(Poly2.x(F2))  # wrong exceptional order
-    assert not validate_chart_seq(lvl2).ok
-    _, fresh = composite_transform(seq)
+    bad = validate_chart_seq(lvl2)
+    assert not bad.ok
+    assert bad.rows[1] == {"i": 2, "index_computed": 2, "order": 2, "degree": False,
+                           "growth": True, "monic": True}  # restriction to x = 0 vanishes
+    fresh = ChartChain(seq).level(2)
     fresh.values[2] += F(1, 64)  # breaks the relation exponent integrality
     assert not validate_chart_seq(fresh).ok
 
@@ -152,11 +185,9 @@ def test_chart_validation_detects_tampering():
 def test_chart_validation_reports_vanishing_remainder():
     # key_2 = key_1^e_1 exactly: the recursion has no lower term, which is a
     # diagnostic row, not a silent skip; any other error propagates
-    from ramval.transforms import validate_chart_seq
-
     seq = build_tower_seq("U", 2, 1, 5)
-    _, lvl2 = composite_transform(seq)
-    e1 = lvl2.indices()[1]
+    lvl2 = ChartChain(seq).level(2)
+    e1 = lvl2.indices[1]
     lvl2.keys[2] = lvl2.keys[1] ** e1
     report = validate_chart_seq(lvl2)
     assert not report.ok

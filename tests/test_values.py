@@ -9,6 +9,7 @@ from ramval.values import (
     group_index,
     group_join,
     order_in_quotient,
+    p_adic_split,
     tower_key_value,
     tower_key_value_closed,
 )
@@ -134,3 +135,21 @@ def test_growth_condition(p):
         n_i = order_in_quotient(vals[i], grp)
         assert vals[i + 1] > n_i * vals[i]
         grp = group_join(grp, vals[i])
+
+
+def test_p_adic_split():
+    assert p_adic_split(1, 2) == (1, 0)
+    assert p_adic_split(24, 2) == (3, 3)
+    assert p_adic_split(3**5 * 7, 3) == (7, 5)
+    assert p_adic_split(10, 5) == (2, 1)
+    for n in range(1, 200):
+        for p in (2, 3, 5):
+            u, e = p_adic_split(n, p)
+            assert u * p**e == n and u % p != 0
+
+
+@pytest.mark.parametrize("n,p", [(0, 2), (-8, 2), (4, 1), (4, 0)])
+def test_p_adic_split_rejects_bad_input(n, p):
+    # n = 0 has no split (it is divisible by every power of p)
+    with pytest.raises(ValueError):
+        p_adic_split(n, p)
