@@ -2,7 +2,7 @@
 local rings over finite fields, via generating sequences and quadratic
 transforms."""
 
-from .algebra import Fq, LocalElem, Poly2, XSeries, invert_unit, parse_poly
+from .algebra import Fq, LocalElem, Poly2, parse_poly
 from .genseq import (
     GenSeq,
     build_tower_seq,

@@ -1,10 +1,9 @@
-"""Coefficient fields, sparse bivariate polynomials, local-ring pairs, series."""
+"""Coefficient fields, sparse bivariate polynomials, local-ring pairs."""
 
 from .field import Fq, NotInField, is_prime
 from .local import LocalElem
 from .parse import ParseError, parse_poly
 from .poly import DivisibleByX, IndeterminateOrder, NotMonic, Poly2
-from .series import NotAUnit, PrecisionTooLow, XSeries, invert_unit
 
 __all__ = [
     "Fq",
@@ -17,8 +16,4 @@ __all__ = [
     "IndeterminateOrder",
     "NotMonic",
     "Poly2",
-    "NotAUnit",
-    "PrecisionTooLow",
-    "XSeries",
-    "invert_unit",
 ]

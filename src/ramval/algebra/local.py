@@ -1,15 +1,13 @@
 """Elements of the local ring at the origin as numerator / unit-denominator pairs.
 
 Localization at (x, y) is never materialized: the only denominators that
-occur are units (nonzero constant term).  Pairs multiply and divide exactly;
-a series normal form is produced on demand via invert_unit.
+occur are units (nonzero constant term).  Pairs multiply and divide exactly.
 """
 
 from __future__ import annotations
 
 from .field import Fq
 from .poly import Poly2
-from .series import XSeries, invert_unit
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -98,11 +96,6 @@ class LocalElem:
             raise DivisibleByX("restriction to x = 0 vanishes")
         return min(num_r) - min(den_r)
 
-    def residue_at_origin(self):
-        """Value of the element at the origin (denominator is a unit there)."""
-        fld = self.field
-        return fld.div(self.num.constant_term(), self.den.constant_term())
-
     def compose(self, sub_x: "LocalElem", sub_y: "LocalElem") -> "LocalElem":
         """Substitute x -> sub_x, y -> sub_y; the result is again a pair.
 
@@ -112,12 +105,6 @@ class LocalElem:
         num_img = _compose_poly_pair(self.num, sub_x, sub_y)
         den_img = _compose_poly_pair(self.den, sub_x, sub_y)
         return num_img.div_unit(den_img)
-
-    def series(self, prec: int) -> XSeries:
-        """Series normal form mod x^prec (expands the unit denominator)."""
-        num_s = XSeries(self.num, prec)
-        den_inv = invert_unit(self.den, prec)
-        return num_s * den_inv
 
     def to_str(self, xname="x", yname="y") -> str:
         n = self.num.to_str(xname, yname)

@@ -36,7 +36,7 @@ class DivisibleByX(ArithmeticError):
 
 
 class IndeterminateOrder(ArithmeticError):
-    """Order of the zero polynomial (or a series that is 0 to its precision)."""
+    """Order of the zero polynomial."""
 
 
 def _rows(terms: dict) -> dict:
@@ -110,11 +110,6 @@ class Poly2:
         if not self.terms:
             return -1
         return max(j for _, j in self.terms)
-
-    def deg_x(self) -> int:
-        if not self.terms:
-            return -1
-        return max(i for i, _ in self.terms)
 
     def constant_term(self):
         return self.terms.get((0, 0), self.field.zero)
@@ -358,8 +353,9 @@ class Poly2:
                 out = out + xpow_cache[i].scale(c)
             return out
 
-        result = Poly2(fld)
-        for j in range(max(by_y), -1, -1):
+        top = max(by_y)
+        result = xsub(by_y[top])
+        for j in range(top - 1, -1, -1):
             result = result * sub_y
             if j in by_y:
                 result = result + xsub(by_y[j])

@@ -14,11 +14,30 @@ from fractions import Fraction
 from . import monomial, towers, transforms
 from .algebra import Fq, ParseError, parse_poly
 from .genseq import BadParams, Inconsistent, build_tower_seq, expand, semigroup, validate
-from .reporting import Report, RunConfig, render_table
+from .reporting import Report, render_table
 from .values import fmt_value, p_adic_split
 
 class UsageError(ValueError):
     pass
+
+
+def _count(text: str) -> int:
+    """argparse type of a count option: an integer >= 1, checked before
+    anything is built."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return n
+
+
+def _config(args, *options) -> dict:
+    """The options a command parsed, in report-header order."""
+    cfg = {name: getattr(args, name) for name in ("p", "c", "q") + options}
+    cfg.update(fmt=args.format, seed=args.seed)
+    return cfg
 
 
 def _field_for(p: int, q: int | None) -> Fq:
@@ -126,9 +145,7 @@ def cmd_tower(args) -> int:
     tower = towers.build_tower(args.p, args.c, args.length, _field_for(args.p, args.q))
     report = transforms.run_tower_ladder(tower, args.levels)
     check = towers.check_ladder_report(report)
-    cfg = RunConfig(p=args.p, c=args.c, q=args.q, levels=args.levels,
-                    length=args.length, fmt=args.format, seed=args.seed)
-    rep = Report(cfg)
+    rep = Report(_config(args, "levels", "length"))
     rep.add("tower ladder (a, a_bar, alpha, b, d, beta, delta per extension)",
             _ladder_rows(report), True)
     rep.add("alternation / sums / defect multiplicativity",
@@ -158,8 +175,7 @@ def cmd_report(args) -> int:
     tower = towers.build_tower(p, args.c, args.length, _field_for(p, args.q))
     jmax_dev = min(args.length - 1, 4 if p == 2 else 3)
     jmax_val = min(args.length - 2, 4)
-    rep = Report(RunConfig(p=p, c=args.c, q=args.q, levels=args.levels, length=args.length,
-                           samples=args.samples, fmt=args.format, seed=args.seed))
+    rep = Report(_config(args, "levels", "length", "samples"))
     rep.add("sequence validity", *_validity_rows(tower))
     sections = {
         "deviation identities": [towers.verify_deviation_identity(tower, j)
@@ -217,12 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("transform", help="iterated composite transforms of a sequence")
     _add_common(s, family=True)
-    s.add_argument("--levels", type=int, default=3)
+    s.add_argument("--levels", type=_count, default=3)
     s.set_defaults(func=cmd_transform)
 
     s = sp.add_parser("tower", help="per-level stable-form ladder of the tower")
     _add_common(s)
-    s.add_argument("--levels", type=int, default=3)
+    s.add_argument("--levels", type=_count, default=3)
     s.set_defaults(func=cmd_tower)
 
     s = sp.add_parser("monomialize", help="rank-2 index, SNF oracle, exponent reduction")
@@ -231,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("report", help="full verification report of the tower scenario")
     _add_common(s)
-    s.add_argument("--levels", type=int, default=3)
-    s.add_argument("--samples", type=int, default=200)
+    s.add_argument("--levels", type=_count, default=3)
+    s.add_argument("--samples", type=_count, default=200)
     s.set_defaults(func=cmd_report)
 
     return ap

@@ -26,7 +26,7 @@ from .values import (
     fmt_value,
     group_index,
     group_join,
-    order_in_quotient,
+    stage_indices,
     tower_key_value,
 )
 
@@ -106,10 +106,7 @@ class GenSeq:
 
     def indices(self) -> list[int]:
         """n_i = order of value_i in the quotient by the previous stage (i >= 1)."""
-        grps = self.groups()
-        return [0] + [
-            order_in_quotient(self.values[i], grps[i - 1]) for i in range(1, len(self.values))
-        ]
+        return stage_indices(self.values)
 
     def degrees(self) -> list[int]:
         return [k.deg_y() if i else 0 for i, k in enumerate(self.keys)]
@@ -168,6 +165,7 @@ def validate(gs: GenSeq) -> ValidityReport:
     rows = []
     ok = True
     grps = gs.groups()
+    orders = stage_indices(gs.values)
     n = len(gs.keys)
 
     if gs.keys[0] != Poly2.x(gs.field):
@@ -183,7 +181,7 @@ def validate(gs: GenSeq) -> ValidityReport:
             idx = group_index(grps[i], grps[i - 1])
         except NotSubgroup:
             idx = None
-        order = order_in_quotient(gs.values[i], grps[i - 1])
+        order = orders[i]
         row["index_computed"] = idx
         row["order"] = order
         row_ok = idx == order and idx is not None and idx >= 1

@@ -1,32 +1,15 @@
 """Delimited / JSON / Markdown rendering of report tables.
 
-Reports are pure functions of the run configuration; the configuration and
-seed are embedded in every header so runs are reproducible.
+Reports are pure functions of the run configuration; the options a command
+parsed, seed included, are embedded in every header so runs are reproducible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
-
-
-@dataclass
-class RunConfig:
-    p: int = 2
-    c: int = 1
-    q: int | None = None  # field size; defaults to p
-    levels: int = 3
-    length: int = 6
-    samples: int = 200
-    fmt: str = "text"
-    seed: int = 0
-
-    def header(self) -> dict:
-        d = asdict(self)
-        d["schema"] = SCHEMA_VERSION
-        return d
 
 
 def _cell(v) -> str:
@@ -71,7 +54,7 @@ def render_table(rows: list[dict], fmt: str, title: str = "") -> str:
 
 @dataclass
 class Report:
-    config: RunConfig
+    config: dict  # the parsed options, header order; "fmt" is the output format
     sections: list = field(default_factory=list)  # (title, rows) pairs
     ok: bool = True
 
@@ -80,10 +63,11 @@ class Report:
         self.ok = self.ok and ok
 
     def render(self) -> str:
-        fmt = self.config.fmt
+        fmt = self.config["fmt"]
+        head = {**self.config, "schema": SCHEMA_VERSION}
         if fmt == "json":
             payload = {
-                "config": self.config.header(),
+                "config": head,
                 "ok": self.ok,
                 "sections": [
                     {"title": title, "rows": rows} for title, rows in self.sections
@@ -91,7 +75,6 @@ class Report:
             }
             return json.dumps(payload, indent=2, default=str) + "\n"
         parts = []
-        head = self.config.header()
         if fmt == "md":
             parts.append("## ramval report")
             parts.append("")

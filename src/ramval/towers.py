@@ -52,11 +52,8 @@ class Tower:
     seq_mid: GenSeq  # family U, chart (x, v)
     seq_base: GenSeq  # family P, chart (u, v)
     v_sub: Poly2  # v as an element of the top chart
-    u_elem: LocalElem  # u as an element of the x-charts (x-only)
     mid_keys_xy: list[Poly2]  # middle keys rewritten in (x, y)
     base_keys_xv: list[LocalElem]  # base keys rewritten in (x, v)
-    # scale of each chart's sequence values relative to the top valuation
-    value_scale: dict = dc_field(default_factory=dict)
     _chains: dict = dc_field(default_factory=dict, repr=False)
     _certs: dict = dc_field(default_factory=dict, repr=False)
     _pushed: dict = dc_field(default_factory=dict, repr=False)
@@ -160,10 +157,8 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         seq_mid=seq_mid,
         seq_base=seq_base,
         v_sub=v_sub,
-        u_elem=u_elem,
         mid_keys_xy=mid_keys_xy,
         base_keys_xv=base_keys_xv,
-        value_scale={"S": Fraction(1), "A": Fraction(1), "R": Fraction(p)},
     )
 
 
@@ -401,11 +396,12 @@ def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = N
     lvl_s = tower.chain("S").level(k)
     lvl_a = tower.chain("A").level(k)
     lvl_r = tower.chain("R").level(k)
-    scale_r = tower.value_scale["R"]
+    p = tower.p
     x_s, y_s = lvl_s.values[0], lvl_s.values[1]
     x_a, v_a = lvl_a.values[0], lvl_a.values[1]
-    u_r, v_r = scale_r * lvl_r.values[0], scale_r * lvl_r.values[1]
-    p = tower.p
+    # the base sequence is normalised to value(u) = 1, and u = x^p * unit
+    # has value p where x has value 1, so base-chart values scale by p
+    u_r, v_r = p * lvl_r.values[0], p * lvl_r.values[1]
     odd = j % 2 == 1
     checks = {
         "xA_vs_xS": x_a == (p * x_s if odd else x_s),

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .algebra import DivisibleByX, IndeterminateOrder, LocalElem, NotInField, Poly2
 from .genseq import (
@@ -29,7 +30,7 @@ from .genseq import (
     ValidityReport,
     residue_of_quotient,
 )
-from .values import ValueGroup, group_join, order_in_quotient, p_adic_split
+from .values import p_adic_split, stage_indices
 
 Value = Fraction
 
@@ -87,44 +88,48 @@ def _as_elem(e) -> LocalElem:
     return e if isinstance(e, LocalElem) else LocalElem(e)
 
 
+def _bottom_row(elem: LocalElem) -> tuple[int, int, object]:
+    """Leading data of elem: (x-order, y-order of the lowest x-row, its
+    coefficient), the lowest term under a monomial order.  It is
+    multiplicative, because k[x, y] is a domain."""
+    fld = elem.field
+    onum = elem.num.x_order()
+    oden = elem.den.x_order()
+    num_row = elem.num.x_coefficient(onum)
+    den_row = elem.den.x_coefficient(oden)
+    tn, td = min(num_row), min(den_row)
+    return onum - oden, tn - td, fld.div(num_row[tn], den_row[td])
+
+
 def stable_form(u_elem, v_elem, p: int) -> StableForm:
     """Extract (a, a_bar, alpha, b, d, beta) from chart elements.
 
     u_elem must be unit * x^a exactly; v_elem = x^b * f with d the y-order of
-    f mod x.  Elements are Poly2 or numerator/unit-denominator pairs in the
-    chart's coordinates.
+    f mod x.  Both are read off the lowest x-rows (``_bottom_row``), and the
+    unit residue is the value of u_elem / x^a at the origin.  Elements are
+    Poly2 or numerator/unit-denominator pairs in the chart's coordinates.
     """
     u = _as_elem(u_elem)
     v = _as_elem(v_elem)
     if u.is_zero() or v.is_zero():
         raise ValueError("parameters must be nonzero")
-    a = u.x_order()
-    if a < 1:
-        raise NotMonomial("first parameter must vanish on x = 0")
-    witness = LocalElem(u.num.divexact_xpow(u.num.x_order()), u.den)
-    if witness.y_order_mod_x() != 0:
+    a, t, unit_residue = _bottom_row(u)
+    if t != 0:
         raise NotMonomial("first parameter is not unit * x^a")
-    b = v.x_order()
-    if b < 0:
-        raise ValueError("second parameter is not in the local ring")
-    f_part = LocalElem(v.num.divexact_xpow(v.num.x_order()), v.den)
-    d = f_part.y_order_mod_x()
+    b, d, _ = _bottom_row(v)
+    return stable_form_from_orders(a, b, d, p, unit_residue)
+
+
+def stable_form_from_orders(a: int, b: int, d: int, p: int, unit_residue=1) -> StableForm:
+    """Assemble a StableForm from the composite orders (a, b, d): the one
+    place where the p-adic splits of a and d are taken."""
+    if a < 1:
+        raise NotMonomial(f"exceptional order of the first parameter is {a}")
     if d < 1:
         raise NotMonomial("second parameter is unit * x^b; no residual order")
     a_bar, alpha = p_adic_split(a, p)
     d_bar, beta = p_adic_split(d, p)
     if d_bar != 1:
-        raise NotPPower(f"residual order d = {d} is not a power of {p}")
-    return StableForm(a, a_bar, alpha, b, d, beta, witness.residue_at_origin())
-
-
-def stable_form_from_orders(a: int, b: int, d: int, p: int, unit_residue=1) -> StableForm:
-    """Assemble a StableForm from already-computed composite orders."""
-    if a < 1:
-        raise NotMonomial(f"exceptional order of the first parameter is {a}")
-    a_bar, alpha = p_adic_split(a, p)
-    d_bar, beta = p_adic_split(d, p) if d >= 1 else (d, 0)
-    if d < 1 or d_bar != 1:
         raise NotPPower(f"residual order d = {d} is not a power of {p}")
     return StableForm(a, a_bar, alpha, b, d, beta, unit_residue)
 
@@ -199,11 +204,14 @@ class ChainLevel:
         row = self.crows[i]
         return row[0], sum(row[j] * self.degrees[j] for j in range(1, len(row)))
 
-    def mu_vector(self, vec) -> tuple[int, int]:
+    def mu_vector(self, vec, mu_of=None) -> tuple[int, int]:
+        """Composite orders of the monomial prod key_i^vec[i]: the
+        vec-weighted sum of ``mu_of(i)``, by default ``mu_base``."""
+        mu_of = mu_of or self.mu_base
         o = s = 0
         for i, m in enumerate(vec):
             if m:
-                mo, ms = self.mu_base(i)
+                mo, ms = mu_of(i)
                 o += m * mo
                 s += m * ms
         return o, s
@@ -225,20 +233,6 @@ def _first_key_linear_parts(k1: LocalElem) -> tuple[Poly2, Poly2]:
     return a_poly, b_poly
 
 
-def _compose_x_only(poly_x: Poly2, sub: Poly2) -> Poly2:
-    """poly_x(sub) for a polynomial in x alone."""
-    fld = poly_x.field
-    out = Poly2.zero(fld)
-    cache: dict[int, Poly2] = {0: Poly2.one(fld)}
-    for (i, j), c in poly_x.terms.items():
-        if j != 0:
-            raise ValueError("not a polynomial in x alone")
-        if i not in cache:
-            cache[i] = sub**i
-        out = out + cache[i].scale(c)
-    return out
-
-
 def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
     """One composite transform out of a chain level with exact keys: the
     chart map and the shifted keys of the next level.
@@ -258,7 +252,7 @@ def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
     ys = Poly2.y(fld)
     phi_x_poly = (xs**n1 * (ys + Poly2.one(fld))).scale(level.r)
     phi_x = LocalElem(phi_x_poly)
-    phi_y = LocalElem(xs - _compose_x_only(b_poly, phi_x_poly), _compose_x_only(a_poly, phi_x_poly))
+    phi_y = LocalElem(xs - b_poly.compose(phi_x_poly, ys), a_poly.compose(phi_x_poly, ys))
 
     k = level.k + 1
     cmap = ChartMap(
@@ -284,19 +278,6 @@ def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
             )
         new_keys.append(img.divexact_xpow(dj))
     return cmap, new_keys
-
-
-def _bottom_row(elem: LocalElem) -> tuple[int, int, object]:
-    """Leading data of elem: (x-order, y-order of the lowest x-row, its
-    coefficient), the lowest term under a monomial order.  It is
-    multiplicative, because k[x, y] is a domain."""
-    fld = elem.field
-    onum = elem.num.x_order()
-    oden = elem.den.x_order()
-    num_row = elem.num.x_coefficient(onum)
-    den_row = elem.den.x_coefficient(oden)
-    tn, td = min(num_row), min(den_row)
-    return onum - oden, tn - td, fld.div(num_row[tn], den_row[td])
 
 
 def validate_chart_seq(level: ChainLevel) -> ValidityReport:
@@ -419,11 +400,7 @@ class ChartChain:
         new_values = [cur.values[1]] + [
             cur.values[j] - cur.degrees[j] * cur.values[1] for j in range(2, m + 1)
         ]
-        grp = ValueGroup.generated_by([new_values[0]])
-        new_indices = [0]
-        for i in range(1, m):
-            new_indices.append(order_in_quotient(new_values[i], grp))
-            grp = group_join(grp, new_values[i])
+        new_indices = stage_indices(new_values)
         new_degrees = [0]
         for i in range(1, m):
             new_degrees.append(new_degrees[i - 1] * new_indices[i - 1] if i > 1 else 1)
@@ -528,9 +505,6 @@ class LadderReport:
     f: int
     f_res: int
 
-    def rows_for(self, extension: str) -> list[LadderRow]:
-        return [r for r in self.rows if r.extension == extension]
-
 
 def _mu_with_certificate(level, certs, i: int, host_mu=None):
     """Composite order of a foreign key at a chain level, justified by its
@@ -548,16 +522,6 @@ def _mu_with_certificate(level, certs, i: int, host_mu=None):
                 f"{cert.t_order} * {w0} <= {mu[0]}"
             )
     return mu
-
-
-def _mu_vector_certified(level, certs, vec, host_mu=None):
-    o = s = 0
-    for i, m in enumerate(vec):
-        if m:
-            mo, ms = _mu_with_certificate(level, certs, i, host_mu)
-            o += m * mo
-            s += m * ms
-    return o, s
 
 
 def run_tower_ladder(tower, levels: int, e: int = 1, f: int = 1, f_res: int = 1) -> LadderReport:
@@ -581,43 +545,25 @@ def run_tower_ladder(tower, levels: int, e: int = 1, f: int = 1, f_res: int = 1)
     certs_base = tower.certificates("base-in-mid")
     rows: list[LadderRow] = []
     for k in range(1, levels + 1):
-        lvl_s = tower.chain("S").level(k)
-        lvl_a = tower.chain("A").level(k)
-        lvl_r = tower.chain("R").level(k)
-
-        def mu_mid_in_top(i, _lvl=lvl_s):
-            return _mu_with_certificate(_lvl, certs_mid, i)
-
-        # middle parameters inside the top chart
-        a_mu = _mu_vector_certified(lvl_s, certs_mid, lvl_a.vecs[0])
-        if a_mu[1] != 0:
-            raise NotMonomial(
-                f"level {k}: middle x-parameter is not unit * x^a in the top chart"
-            )
-        bd_mu = _mu_vector_certified(lvl_s, certs_mid, lvl_a.vecs[1])
-        sf_up = stable_form_from_orders(a_mu[0], bd_mu[0], bd_mu[1], p)
-        inv_up = ExtensionInvariants(e, f, defect_from_stable(sf_up, e, f, p, f_res))
-        rows.append(LadderRow(k, "S/A", sf_up, inv_up))
-
-        # base parameters inside the middle chart
-        a2_mu = _mu_vector_certified(lvl_a, certs_base, lvl_r.vecs[0])
-        if a2_mu[1] != 0:
-            raise NotMonomial(
-                f"level {k}: base u-parameter is not unit * x^a in the middle chart"
-            )
-        bd2_mu = _mu_vector_certified(lvl_a, certs_base, lvl_r.vecs[1])
-        sf_low = stable_form_from_orders(a2_mu[0], bd2_mu[0], bd2_mu[1], p)
-        inv_low = ExtensionInvariants(e, f, defect_from_stable(sf_low, e, f, p, f_res))
-        rows.append(LadderRow(k, "A/R", sf_low, inv_low))
-
-        # composite: base keys in the top chart via both certificates
-        at_mu = _mu_vector_certified(lvl_s, certs_base, lvl_r.vecs[0], host_mu=mu_mid_in_top)
-        if at_mu[1] != 0:
-            raise NotMonomial(
-                f"level {k}: base u-parameter is not unit * x^a in the top chart"
-            )
-        bdt_mu = _mu_vector_certified(lvl_s, certs_base, lvl_r.vecs[1], host_mu=mu_mid_in_top)
-        sf_tot = stable_form_from_orders(at_mu[0], bdt_mu[0], bdt_mu[1], p)
-        inv_tot = ExtensionInvariants(e, f, defect_from_stable(sf_tot, e, f, p, f_res))
-        rows.append(LadderRow(k, "S/R", sf_tot, inv_tot))
+        lvl_s, lvl_a, lvl_r = (tower.chain(which).level(k) for which in "SAR")
+        mid_in_top = partial(_mu_with_certificate, lvl_s, certs_mid)
+        # (extension, host level, certificates, foreign level, orders of the
+        # host keys, error text); the composite reads the base keys in the
+        # top chart through both certificates
+        for ext, host, certs, foreign, host_mu, not_monomial in (
+            ("S/A", lvl_s, certs_mid, lvl_a, None,
+             "middle x-parameter is not unit * x^a in the top chart"),
+            ("A/R", lvl_a, certs_base, lvl_r, None,
+             "base u-parameter is not unit * x^a in the middle chart"),
+            ("S/R", lvl_s, certs_base, lvl_r, mid_in_top,
+             "base u-parameter is not unit * x^a in the top chart"),
+        ):
+            mu_of = partial(_mu_with_certificate, host, certs, host_mu=host_mu)
+            a, t = host.mu_vector(foreign.vecs[0], mu_of)
+            if t != 0:
+                raise NotMonomial(f"level {k}: {not_monomial}")
+            b, d = host.mu_vector(foreign.vecs[1], mu_of)
+            sf = stable_form_from_orders(a, b, d, p)
+            inv = ExtensionInvariants(e, f, defect_from_stable(sf, e, f, p, f_res))
+            rows.append(LadderRow(k, ext, sf, inv))
     return LadderReport(p, tower.c, levels, rows, e, f, f_res)

@@ -112,6 +112,17 @@ def order_in_quotient(v: Value, group: ValueGroup) -> int:
     return (v / group.generator).denominator
 
 
+def stage_indices(values) -> list[int]:
+    """[0, n_1, n_2, ...] with n_i the order of values[i] in the quotient by
+    the stage group generated by values[0..i-1]."""
+    grp = ValueGroup.generated_by(values[:1])
+    out = [0]
+    for v in values[1:]:
+        out.append(order_in_quotient(v, grp))
+        grp = group_join(grp, v)
+    return out
+
+
 def p_adic_split(n: int, p: int) -> tuple[int, int]:
     """(u, e) with n = u * p^e and p not dividing u, for n >= 1 and p >= 2."""
     if n < 1 or p < 2:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from ramval import genseq, towers
+from ramval import cli, genseq, towers
 from ramval.algebra import Fq
 from ramval.cli import main
 
@@ -213,6 +213,27 @@ def test_report_levels_beyond_length_exit_2(capsys, monkeypatch, levels):
     assert code == 2
     assert out == ""
     assert f"--levels {levels}" in err and "--length 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "--p", "2", "--levels", "0"),
+    ("transform", "--family", "U", "--p", "2", "--c", "1", "--levels", "-2"),
+    ("report", "--p", "2", "--samples", "-3"),
+    ("report", "--p", "2", "--samples", "0"),
+    ("report", "--p", "2", "--levels", "0"),
+])
+def test_count_below_one_exit_2(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a tower or sequence was built")
+
+    monkeypatch.setattr(towers, "build_tower", no_build)
+    monkeypatch.setattr(cli, "build_tower_seq", no_build)
+    with pytest.raises(SystemExit) as ex:
+        main(list(argv))
+    assert ex.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: expected an integer >= 1, got '{argv[-1]}'" in captured.err
 
 
 def test_failed_cross_check_exits_1(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 
-from ramval.reporting import Report, RunConfig, render_table
+from ramval.cli import main
+from ramval.reporting import Report, render_table
 
 
 ROWS = [{"i": 1, "ok": True, "value": "1/2"}, {"i": 2, "ok": False, "value": "17/16"}]
@@ -35,10 +36,23 @@ def test_render_ragged_rows():
 
 
 def test_report_json_schema_and_ok_flag():
-    rep = Report(RunConfig(p=2, c=1, fmt="json"))
+    rep = Report({"p": 2, "c": 1, "fmt": "json"})
     rep.add("first", ROWS, ok=True)
     rep.add("second", ROWS, ok=False)
     payload = json.loads(rep.render())
     assert payload["config"]["schema"] == 1
     assert payload["ok"] is False
     assert [s["title"] for s in payload["sections"]] == ["first", "second"]
+
+
+def test_header_echoes_the_parsed_options(capsys):
+    assert main(["tower", "--p", "2", "--levels", "2", "--length", "4",
+                 "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert "samples" not in config  # tower samples nothing
+    assert list(config) == ["p", "c", "q", "levels", "length", "fmt", "seed", "schema"]
+    assert main(["report", "--p", "2", "--levels", "2", "--length", "4",
+                 "--samples", "3", "--format", "md"]) == 0
+    header = capsys.readouterr().out.splitlines()[2]
+    assert header == ('`{"p": 2, "c": 1, "q": null, "levels": 2, "length": 4, "samples": 3, '
+                      '"fmt": "md", "seed": 0, "schema": 1}`')

@@ -1,8 +1,11 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from ramval import towers
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
+from ramval.cli import main
 from ramval.genseq import GenSeq, build_tower_seq, monomial_residue
 from ramval.towers import build_tower
 from ramval.transforms import (
@@ -49,8 +52,17 @@ def test_stable_form_middle_to_top():
 
 
 def test_stable_form_not_monomial():
-    with pytest.raises(NotMonomial):
-        stable_form(parse_poly("x + y", F2), Poly2.y(F2), 2)
+    for u in ("x + y", "x*y + x^2", "1 + x"):  # "1 + x" is a unit: a = 0
+        with pytest.raises(NotMonomial):
+            stable_form(parse_poly(u, F2), Poly2.y(F2), 2)
+    with pytest.raises(NotMonomial):  # second parameter x * unit: d = 0
+        stable_form(Poly2.x(F2), parse_poly("x + x^2*y", F2), 2)
+
+
+def test_stable_form_unit_residue():
+    sf = stable_form(parse_poly("2*x", F3), Poly2.y(F3), 3)
+    assert (sf.a, sf.b, sf.d) == (1, 0, 1)
+    assert sf.unit_residue == F3.of_int(2)
 
 
 def test_stable_form_d_not_p_power():
@@ -391,3 +403,31 @@ def test_ladder_sums_and_defects(p, c):
         # multiplicativity of the defect
         assert rows["S/R"].defect == rows["S/A"].defect + rows["A/R"].defect == 2
         assert rows["S/A"].defect == rows["A/R"].defect == 1
+
+
+def _zero_deviation_orders(tower, which):
+    """Set every deviation x-order t of one certificate set to 0; 0 * ord(x)
+    never dominates a key's order, so the ladder must refuse them."""
+    tower._certs[which] = [
+        cert if cert.t_order is None else dataclasses.replace(cert, t_order=0)
+        for cert in tower.certificates(which)
+    ]
+
+
+@pytest.mark.parametrize("which", ["mid-in-top", "base-in-mid"])
+def test_ladder_rejects_undominated_certificates(capsys, monkeypatch, which):
+    tower = build_tower(2, 1, 5)
+    _zero_deviation_orders(tower, which)
+    with pytest.raises(Inconsistent, match="order dominance fails .* at level 1"):
+        run_tower_ladder(tower, 3)
+
+    def tampered(*args, **kwargs):
+        tower = build_tower(*args, **kwargs)
+        _zero_deviation_orders(tower, which)
+        return tower
+
+    monkeypatch.setattr(towers, "build_tower", tampered)
+    assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failed: order dominance fails" in captured.err

@@ -10,6 +10,7 @@ from ramval.values import (
     group_join,
     order_in_quotient,
     p_adic_split,
+    stage_indices,
     tower_key_value,
     tower_key_value_closed,
 )
@@ -153,3 +154,22 @@ def test_p_adic_split_rejects_bad_input(n, p):
     # n = 0 has no split (it is divisible by every power of p)
     with pytest.raises(ValueError):
         p_adic_split(n, p)
+
+
+def test_stage_indices():
+    assert stage_indices([F(1), F(1, 2), F(17, 16)]) == [0, 2, 8]
+    assert stage_indices([F(1), F(3), F(1, 6), F(5, 6)]) == [0, 1, 6, 1]
+    assert stage_indices([F(2), F(1), F(1, 3)]) == [0, 2, 3]
+    assert stage_indices([F(1)]) == [0]
+    with pytest.raises(NotSubgroup):
+        stage_indices([F(0), F(1)])
+    with pytest.raises(ValueError):
+        stage_indices([F(1), F(-1, 2)])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_stage_indices_match_gcd_oracle(p):
+    vals = [tower_key_value(j, p) for j in range(8)]
+    for i, n_i in enumerate(stage_indices(vals)[1:], start=1):
+        g = subgroup_generator_oracle(vals[:i])
+        assert n_i == min(n for n in range(1, p**4 + 1) if (n * vals[i] / g).denominator == 1)
