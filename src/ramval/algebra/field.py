@@ -101,6 +101,13 @@ class Fq:
             return n % self.p
         return (n % self.p,) + (0,) * (self.m - 1)
 
+    def of_index(self, n: int):
+        """Element number n, 0 <= n < q: the base-p digits of n, low first,
+        as polynomial-basis coefficients (n itself over a prime field)."""
+        if self.m == 1:
+            return n
+        return tuple(n // self.p**s % self.p for s in range(self.m))
+
     def elements(self):
         if self.m == 1:
             return list(range(self.p))

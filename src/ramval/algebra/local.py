@@ -7,7 +7,7 @@ occur are units (nonzero constant term).  Pairs multiply and divide exactly.
 from __future__ import annotations
 
 from .field import Fq
-from .poly import Poly2
+from .poly import DivisibleByX, Poly2
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -69,9 +69,6 @@ class LocalElem:
             raise NotAUnitDenominator("inverting a non-unit local element")
         return LocalElem(self.den, self.num)
 
-    def div_unit(self, other: "LocalElem") -> "LocalElem":
-        return self * other.invert()
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalElem):
             return NotImplemented
@@ -91,20 +88,26 @@ class LocalElem:
         """y-order of the restriction to x = 0 (denominator has order 0)."""
         num_r, den_r = self.restrict_x0()
         if not num_r:
-            from .poly import DivisibleByX
-
             raise DivisibleByX("restriction to x = 0 vanishes")
         return min(num_r) - min(den_r)
 
-    def compose(self, sub_x: "LocalElem", sub_y: "LocalElem") -> "LocalElem":
-        """Substitute x -> sub_x, y -> sub_y; the result is again a pair.
+    def truncate(self, prec: int) -> "LocalElem":
+        """The element modulo x^prec: both parts truncated, which keeps the
+        denominator a unit."""
+        return LocalElem(self.num.truncate(prec), self.den.truncate(prec))
+
+    def compose(self, sub_x: "LocalElem", sub_y: "LocalElem", prec: int | None = None) -> "LocalElem":
+        """Substitute x -> sub_x, y -> sub_y; the result is again a pair,
+        modulo x^prec when ``prec`` is given.
 
         The substituted denominator must remain a unit, which holds for
         substitutions fixing the origin.
         """
-        num_img = _compose_poly_pair(self.num, sub_x, sub_y)
-        den_img = _compose_poly_pair(self.den, sub_x, sub_y)
-        return num_img.div_unit(den_img)
+        num_img = _compose_poly_pair(self.num, sub_x, sub_y, prec)
+        den_img = _compose_poly_pair(self.den, sub_x, sub_y, prec)
+        # num_img / den_img; the constructor rejects a non-unit den_img.num
+        return LocalElem(num_img.num.__mul__(den_img.den, prec),
+                         num_img.den.__mul__(den_img.num, prec))
 
     def to_str(self, xname="x", yname="y") -> str:
         n = self.num.to_str(xname, yname)
@@ -116,9 +119,12 @@ class LocalElem:
         return f"LocalElem({self.to_str()})"
 
 
-def _compose_poly_pair(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem) -> LocalElem:
+def _compose_poly_pair(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem,
+                       prec: int | None = None) -> LocalElem:
     """poly(sub_x, sub_y) for pair-valued substitutions, homogenized over the
-    denominators so every intermediate stays polynomial."""
+    denominators so every intermediate stays polynomial; modulo x^prec when
+    ``prec`` is given, so a term whose numerator powers vanish there is
+    skipped."""
     fld = poly.field
     if poly.is_zero():
         return LocalElem(Poly2.zero(fld))
@@ -132,12 +138,15 @@ def _compose_poly_pair(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem) -> Local
 
     def pw(cache, base, e):
         if e not in cache:
-            cache[e] = base**e
+            cache[e] = pow(base, e, prec)
         return cache[e]
 
     for (i, j), c in poly.terms.items():
-        term = pw(xn_pows, sub_x.num, i) * pw(xd_pows, sub_x.den, dx - i)
-        term = term * pw(yn_pows, sub_y.num, j) * pw(yd_pows, sub_y.den, dy - j)
+        xn, yn = pw(xn_pows, sub_x.num, i), pw(yn_pows, sub_y.num, j)
+        if not xn or not yn:
+            continue
+        term = xn.__mul__(pw(xd_pows, sub_x.den, dx - i), prec)
+        term = term.__mul__(yn, prec).__mul__(pw(yd_pows, sub_y.den, dy - j), prec)
         num = num + term.scale(c)
-    den = pw(xd_pows, sub_x.den, dx) * pw(yd_pows, sub_y.den, dy)
+    den = pw(xd_pows, sub_x.den, dx).__mul__(pw(yd_pows, sub_y.den, dy), prec)
     return LocalElem(num, den)

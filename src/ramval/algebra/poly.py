@@ -22,7 +22,9 @@ skipped, never stepped through.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
+from itertools import islice
 
 from .field import Fq
 
@@ -32,7 +34,7 @@ class NotMonic(ArithmeticError):
 
 
 class DivisibleByX(ArithmeticError):
-    """y-order mod x requested for a polynomial divisible by x."""
+    """y-order mod x requested for an element divisible by x."""
 
 
 class IndeterminateOrder(ArithmeticError):
@@ -138,19 +140,27 @@ class Poly2:
     def __sub__(self, other: "Poly2") -> "Poly2":
         return self + (-other)
 
-    def __mul__(self, other: "Poly2") -> "Poly2":
+    def __mul__(self, other: "Poly2", prec: int | None = None) -> "Poly2":
+        """The product; with ``prec``, the product modulo x^prec, formed
+        without the term pairs whose x-exponents sum to prec or more."""
         fld = self.field
         a, b = self.terms, other.terms
         if not a or not b:
             return Poly2(fld)
         if len(a) > len(b):
             a, b = b, a
-        b_items = list(b.items())
+        if prec is None:
+            b_items = list(b.items())
+        else:
+            # the partners of an x^i1 term are a prefix of b sorted by x-exponent
+            b_items = sorted(b.items())
+            b_x = [i for (i, _), _ in b_items]
         acc: dict = {}
         if fld.m == 1:
             get = acc.get
             for (i1, j1), c1 in a.items():
-                for (i2, j2), c2 in b_items:
+                row = b_items if prec is None else islice(b_items, bisect_left(b_x, prec - i1))
+                for (i2, j2), c2 in row:
                     e = (i1 + i2, j1 + j2)
                     acc[e] = get(e, 0) + c1 * c2
             p = fld.p
@@ -158,7 +168,8 @@ class Poly2:
         width = 2 * fld.m - 1
         for (i1, j1), c1 in a.items():
             nz1 = [(s, u) for s, u in enumerate(c1) if u]
-            for (i2, j2), c2 in b_items:
+            row = b_items if prec is None else islice(b_items, bisect_left(b_x, prec - i1))
+            for (i2, j2), c2 in row:
                 e = (i1 + i2, j1 + j2)
                 raw = acc.get(e)
                 if raw is None:
@@ -193,12 +204,23 @@ class Poly2:
         p = fld.p
         return Poly2(fld, {(i * p, j * p): fld.frob(c) for (i, j), c in self.terms.items()})
 
-    def __pow__(self, e: int) -> "Poly2":
+    def truncate(self, prec: int) -> "Poly2":
+        """The polynomial modulo x^prec: its terms of x-degree below prec."""
+        return Poly2(self.field, {e: c for e, c in self.terms.items() if e[0] < prec})
+
+    def __pow__(self, e: int, prec: int | None = None) -> "Poly2":
+        """self^e; ``pow(f, e, K)`` is f^e modulo x^K, with every Frobenius
+        twist and product truncated."""
         if e < 0:
             raise ArithmeticError("negative polynomial power")
         fld = self.field
         if e == 0:
             return Poly2.one(fld)
+        base = self
+        if prec is not None:
+            base = self.truncate(prec)
+            if not base.terms or e * base.x_order() >= prec:
+                return Poly2(fld)
         # base-p digits: p-power parts are Frobenius twists.
         p = fld.p
         digits = []
@@ -207,15 +229,17 @@ class Poly2:
             digits.append(n % p)
             n //= p
         result = Poly2.one(fld)
-        frob_pow = self
+        frob_pow = base
         for k, d in enumerate(digits):
             if d:
                 piece = frob_pow
                 for _ in range(d - 1):
-                    piece = piece * frob_pow
-                result = result * piece
+                    piece = piece.__mul__(frob_pow, prec)
+                result = result.__mul__(piece, prec)
             if k < len(digits) - 1:
                 frob_pow = frob_pow.frobenius()
+                if prec is not None:
+                    frob_pow = frob_pow.truncate(prec)
         return result
 
     # -- orders and restrictions --------------------------------------------
@@ -229,13 +253,6 @@ class Poly2:
     def y_restrict_x0(self) -> dict:
         """The univariate restriction f(0, y) as dict {y-exponent: coeff}."""
         return {j: c for (i, j), c in self.terms.items() if i == 0}
-
-    def y_order_mod_x(self) -> int:
-        """y-adic order of f(0, y); requires f(0, y) != 0."""
-        rest = self.y_restrict_x0()
-        if not rest:
-            raise DivisibleByX("f(0, y) = 0; strip the x power first")
-        return min(rest)
 
     def x_coefficient(self, i: int) -> dict:
         """Coefficient of x^i as dict {y-exponent: coeff}."""

@@ -1,7 +1,8 @@
 """Command-line frontend: scenario execution and reproducible reports.
 
-Exit codes: 0 = success / verified, 1 = verification failure, 2 = usage or
-domain error.  All numeric output is exact fractions.
+Exit codes: 0 = success / verified, 1 = verification failure (``Inconsistent``
+and its subclasses, with the failing witness), 2 = usage or domain error.
+All numeric output is exact fractions.
 """
 
 from __future__ import annotations

@@ -511,17 +511,6 @@ class ValSemigroup:
     bound: Fraction
     elements: tuple[Fraction, ...]
 
-    def contains(self, v: Fraction) -> bool:
-        return v in self.elements
-
-    def closed_under_addition(self) -> bool:
-        s = set(self.elements)
-        for a in self.elements:
-            for b in self.elements:
-                if a + b <= self.bound and (a + b) not in s:
-                    return False
-        return True
-
 
 def semigroup(gs: GenSeq, bound: Fraction) -> ValSemigroup:
     """All values sum(m_i * value_i) <= bound with m_0 >= 0 and 0 <= m_i < n_i."""

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .algebra import Fq, LocalElem, Poly2
-from .genseq import BadParams, GenSeq, build_tower_seq, value_of
-from .transforms import ChartChain, NotApplicable, _bottom_row
+from .genseq import BadParams, GenSeq, Inconsistent, build_tower_seq, value_of
+from .transforms import ChartChain, NotApplicable, _bottom_row, _mu_with_certificate
 from .values import fmt_value, p_adic_split
 
 Value = Fraction
@@ -68,12 +68,36 @@ class Tower:
         """Leading data of foreign key i pushed through the exact maps of
         chain ``which`` into level k: (x-order, y-order of the lowest x-row,
         its coefficient).  Chain "S" hosts the middle keys (in the top chart),
-        chain "A" the base keys (in the middle chart).  Computed once per
-        (chain, key, level)."""
+        chain "A" the base keys (in the middle chart).
+
+        The composite-order calculus, backed by the comparison certificates,
+        predicts the two orders (o, s); the key is pushed modulo x'^(o + 1),
+        which holds the lowest row and nothing above it.  Inconsistent if
+        the truncated key vanishes (its order exceeds o) or its orders differ
+        from the prediction.  NotApplicable if no exact map reaches level k.
+        Computed once per (chain, key, level).
+        """
         slot = (which, i, k)
         if slot not in self._pushed:
-            foreign = {"S": self.mid_keys_xy, "A": self.base_keys_xv}[which]
-            self._pushed[slot] = _bottom_row(self.chain(which).push_exact(foreign[i], k))
+            foreign, certs = {
+                "S": (self.mid_keys_xy, "mid-in-top"),
+                "A": (self.base_keys_xv, "base-in-mid"),
+            }[which]
+            chain = self.chain(which)
+            o, s = _mu_with_certificate(chain.level(k), self.certificates(certs), i)
+            elem = chain.push_exact(foreign[i], k, o + 1)
+            if elem.is_zero():
+                raise Inconsistent(
+                    f"foreign key {i} of chain {which} has no row below x^{o + 1} at "
+                    f"level {k}: its x-order exceeds the predicted {o}"
+                )
+            data = _bottom_row(elem)
+            if data[:2] != (o, s):
+                raise Inconsistent(
+                    f"foreign key {i} of chain {which} has orders {data[:2]} at level "
+                    f"{k}, the order calculus predicts {(o, s)}"
+                )
+            self._pushed[slot] = data
         return self._pushed[slot]
 
     def certificates(self, which: str) -> list[CrossCert]:
@@ -280,7 +304,7 @@ def random_middle_poly(tower: Tower, rng: random.Random, max_terms: int = 6) -> 
     max_v = p**2 + p
     out = Poly2.zero(fld)
     for _ in range(rng.randint(1, max_terms)):
-        coeff = fld.of_int(rng.randrange(1, fld.q))
+        coeff = fld.of_index(rng.randrange(1, fld.q))
         out = out + Poly2.monomial(fld, rng.randrange(0, 7), rng.randrange(0, max_v + 1), coeff)
     if out.is_zero():
         out = Poly2.y(fld)
@@ -372,7 +396,7 @@ def _pushed_leading_data(tower: Tower, chain_label: str, vec, k: int):
     return (o, t), lead
 
 
-def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = None) -> CheckReport:
+def verify_parameter_links(tower: Tower, j: int) -> CheckReport:
     """Parameter links between the chart chains at level j+1.
 
     Value level: writing xA, vA for the middle chart's level-(j+1) parameters
@@ -384,13 +408,14 @@ def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = N
       value(vR) = p * value(vA) (j odd)  /  value(vA) (j even)
 
     Leading residues: the unit factors relating the parameters are read off
-    exact pushforwards of the keys and must be nonzero.  tau and sigma come
-    out 1; gamma and lambda come out -1 for odd p (printed 2 over F_3 and
-    F_9), which is 1 at p = 2.  By default they are computed up to level 4
-    for p = 2 and level 3 otherwise.  The cut-off is cost, not the lack of
-    an exact map: the pushed keys grow quickly with p and the level, and
-    past it they are too large to push in report time.  A level that the
-    exact maps do not reach (none do from level 5 on) is reported as skipped.
+    the keys pushed through the exact chart maps modulo the x'-power that
+    the composite-order calculus predicts (``Tower.pushed_key``), and must be
+    nonzero.  The pushed orders must equal the prediction, or the check
+    raises Inconsistent.  tau and sigma come out 1; gamma and lambda come
+    out -1 for odd p (printed 2 over F_3 and F_9), which is 1 at p = 2.
+    They are computed at every level the exact maps reach; a level they do
+    not reach (none do from level 5 on) is reported as skipped
+    (NotApplicable), and only then.
     """
     k = j + 1
     lvl_s = tower.chain("S").level(k)
@@ -419,18 +444,15 @@ def verify_parameter_links(tower: Tower, j: int, exact_residues: bool | None = N
             "vR": fmt_value(v_r),
         }
     }
-    if exact_residues is None:
-        exact_residues = k <= (4 if p == 2 else 3)
-    if exact_residues:
-        fld = tower.field
-        residues = {}
-        try:
-            _, residues["tau"] = _pushed_leading_data(tower, "S", lvl_a.vecs[0], k)
-            _, residues["gamma"] = _pushed_leading_data(tower, "S", lvl_a.vecs[1], k)
-            _, residues["sigma"] = _pushed_leading_data(tower, "A", lvl_r.vecs[0], k)
-            _, residues["lambda"] = _pushed_leading_data(tower, "A", lvl_r.vecs[1], k)
-            checks["unit_residues_nonzero"] = all(r != fld.zero for r in residues.values())
-            details["residues"] = {name: fld.to_str(r) for name, r in residues.items()}
-        except NotApplicable as ex:  # exact maps unavailable at this depth
-            details["residues"] = f"skipped ({type(ex).__name__})"
+    fld = tower.field
+    residues = {}
+    try:
+        _, residues["tau"] = _pushed_leading_data(tower, "S", lvl_a.vecs[0], k)
+        _, residues["gamma"] = _pushed_leading_data(tower, "S", lvl_a.vecs[1], k)
+        _, residues["sigma"] = _pushed_leading_data(tower, "A", lvl_r.vecs[0], k)
+        _, residues["lambda"] = _pushed_leading_data(tower, "A", lvl_r.vecs[1], k)
+        checks["unit_residues_nonzero"] = all(r != fld.zero for r in residues.values())
+        details["residues"] = {name: fld.to_str(r) for name, r in residues.items()}
+    except NotApplicable as ex:  # exact maps unavailable at this depth
+        details["residues"] = f"skipped ({type(ex).__name__})"
     return CheckReport(f"parameter links j={j}", all(checks.values()), {**checks, **details})

@@ -14,6 +14,12 @@ Invariants of deep levels are extracted through the composite-order calculus:
 every level-k key is an exact monomial in the original keys, the pair
 (exceptional order, restriction order) is additive on such monomials, and its
 values on original keys follow an integer recursion across levels.
+
+Where only leading data is needed, an element is pushed modulo x'^K: the old
+x maps into (x'^n), so each map reads its input modulo x^ceil(K / n), and
+every product past x'^K is skipped.  The parameter links push the foreign
+keys this way at every level the exact maps reach, with K one past the
+x-order the calculus predicts, and check the pushed orders against it.
 """
 
 from __future__ import annotations
@@ -39,15 +45,15 @@ class NotApplicable(ArithmeticError):
     """The composite step's ratio condition (or chart-map shape) fails."""
 
 
-class NonPolynomial(ArithmeticError):
+class NonPolynomial(Inconsistent):
     """A declared key quotient is not regular in the new chart."""
 
 
-class NotMonomial(ArithmeticError):
+class NotMonomial(Inconsistent):
     """An element expected to be unit * x^a is not."""
 
 
-class NotPPower(ArithmeticError):
+class NotPPower(Inconsistent):
     """The residual order d is not a power of p (outside the stable range)."""
 
 
@@ -163,9 +169,14 @@ class ChartMap:
     phi_y: LocalElem  # image of the old y
     chart_vars: tuple[str, str] = ("x'", "y'")
 
-    def push(self, elem) -> LocalElem:
-        """Re-express an element of the old chart in the new chart."""
-        return _as_elem(elem).compose(self.phi_x, self.phi_y)
+    def push(self, elem, prec: int | None = None) -> LocalElem:
+        """Re-express an element of the old chart in the new chart, modulo
+        x'^prec when ``prec`` is given.  The old x maps into (x'^n), so the
+        element is read only modulo x^ceil(prec / n)."""
+        elem = _as_elem(elem)
+        if prec is not None:
+            elem = elem.truncate(-(-prec // self.n))
+        return elem.compose(self.phi_x, self.phi_y, prec)
 
     def describe(self) -> dict:
         xn, yn = self.chart_vars
@@ -466,11 +477,19 @@ class ChartChain:
             maps.append(lvl.map_from_prev)
         return maps
 
-    def push_exact(self, elem, k: int) -> LocalElem:
-        """Push an element of the base chart into level k through exact maps."""
+    def push_exact(self, elem, k: int, prec: int | None = None) -> LocalElem:
+        """Push an element of the base chart into level k through exact maps,
+        modulo x_k^prec when ``prec`` is given: each map is entered with the
+        precision that the maps after it pull back to."""
+        maps = self.maps_to(k)
+        precs = [prec]  # output precision of each map, from the last one back
+        for cmap in reversed(maps[1:]):
+            precs.append(None if prec is None else -(-precs[-1] // cmap.n))
         out = _as_elem(elem)
-        for cmap in self.maps_to(k):
-            out = cmap.push(out)
+        if prec is not None and not maps:
+            out = out.truncate(prec)
+        for cmap, out_prec in zip(maps, reversed(precs)):
+            out = cmap.push(out, out_prec)
         return out
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramval.algebra import (
     DivisibleByX,
@@ -238,14 +239,16 @@ def test_x_order_additive():
 
 
 def test_y_order_mod_x_examples():
-    assert parse_poly("y^2 - x*y", F2).y_order_mod_x() == 2
-    assert parse_poly("1 + y", F2).y_order_mod_x() == 0
+    assert LocalElem(parse_poly("y^2 - x*y", F2)).y_order_mod_x() == 2
+    assert LocalElem(parse_poly("1 + y", F2)).y_order_mod_x() == 0
     # middle-chart second parameter rewritten in the top chart, p=2, c=1
     v = parse_poly("y^2 - x*y", F2)
     u2 = v * v - Poly2.x(F2)
-    assert u2.y_order_mod_x() == 4
+    assert LocalElem(u2).y_order_mod_x() == 4
+    # a unit denominator whose restriction has y-order 0 leaves it alone
+    assert LocalElem(u2, parse_poly("1 + y + x", F2)).y_order_mod_x() == 4
     with pytest.raises(DivisibleByX):
-        parse_poly("x*y", F2).y_order_mod_x()
+        LocalElem(parse_poly("x*y", F2)).y_order_mod_x()
 
 
 def test_local_elem_arithmetic():
@@ -283,3 +286,54 @@ def test_to_str_roundtrip():
     for _ in range(100):
         f = random_poly(F3, rng)
         assert parse_poly(f.to_str(), F3) == f
+
+
+# -- truncation modulo x^K -----------------------------------------------------
+
+
+def _poly_from(field, terms):
+    return Poly2(field, {e: field.of_index(n) for e, n in terms.items()})
+
+
+def _polys(field, min_x=0, max_deg=5, max_size=5):
+    """Random polynomials with x-exponents >= min_x, coefficients drawn from
+    every nonzero element of the field."""
+    exps = st.tuples(st.integers(min_x, max_deg), st.integers(0, max_deg))
+    return st.dictionaries(exps, st.integers(1, field.q - 1), max_size=max_size).map(
+        lambda terms: _poly_from(field, terms))
+
+
+def _congruent(a: LocalElem, b: LocalElem, prec: int) -> bool:
+    """a == b modulo x^prec, for pairs with unit denominators."""
+    return (a.num * b.den - b.num * a.den).truncate(prec).is_zero()
+
+
+@st.composite
+def _compose_case(draw):
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    elem = LocalElem(draw(_polys(field)), Poly2.one(field) + draw(_polys(field, min_x=1)))
+    # a chart-map shape: x -> r x^n (y + 1), y -> (x - B) / A with B(0) = 0, A(0) != 0
+    n = draw(st.integers(1, 3))
+    r = field.of_index(draw(st.integers(1, field.q - 1)))
+    sub_x = LocalElem((Poly2.x(field) ** n * (Poly2.y(field) + Poly2.one(field))).scale(r))
+    sub_y = LocalElem(Poly2.x(field) - draw(_polys(field, min_x=1, max_size=3)),
+                      Poly2.one(field) + draw(_polys(field, min_x=1, max_size=3)))
+    return elem, sub_x, sub_y, draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_compose_case())
+def test_truncated_compose_matches_exact(case):
+    elem, sub_x, sub_y, prec = case
+    truncated = elem.compose(sub_x, sub_y, prec)
+    assert all(i < prec for i, _ in truncated.num.terms)
+    assert _congruent(truncated, elem.compose(sub_x, sub_y), prec)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from((F2, F3, F4, F9)).flatmap(
+    lambda fld: st.tuples(_polys(fld), _polys(fld), st.integers(0, 30), st.integers(1, 12))))
+def test_truncated_mul_and_pow_match_exact(case):
+    f, g, e, prec = case
+    assert f.__mul__(g, prec) == (f * g).truncate(prec)
+    assert pow(f, e, prec) == (f**e).truncate(prec)

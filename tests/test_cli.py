@@ -3,9 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from ramval import cli, genseq, towers
+from ramval import cli, genseq, towers, transforms
 from ramval.algebra import Fq
 from ramval.cli import main
+from ramval.genseq import ValidityReport
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -244,3 +245,56 @@ def test_failed_cross_check_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed" in err and "alternating recursion" in err
+
+
+def _failed_validation(level):
+    return ValidityReport(level.label, [], False)
+
+
+@pytest.mark.parametrize("target,patch,witness", [
+    # a transformed chain level that fails validation: NonPolynomial
+    ("validate_chart_seq", _failed_validation, "transformed sequence failed validation"),
+    # a first parameter that is not unit * x^a: NotMonomial
+    ("ChainLevel.mu_vector", lambda self, vec, mu_of=None: (1, 1),
+     "middle x-parameter is not unit * x^a"),
+    # a residual order that is not a power of p: NotPPower
+    ("p_adic_split", lambda n, p: (3, 0), "residual order d = "),
+], ids=["NonPolynomial", "NotMonomial", "NotPPower"])
+def test_ladder_failures_exit_1(capsys, monkeypatch, target, patch, witness):
+    owner, _, name = target.rpartition(".")
+    monkeypatch.setattr(getattr(transforms, owner) if owner else transforms, name, patch)
+    code, out, err = run(capsys, "tower", "--p", "2", "--levels", "3", "--length", "5")
+    assert code == 1
+    assert out == ""
+    assert "verification failed" in err and witness in err
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_report_wrong_order_prediction_exits_1(capsys, monkeypatch, shift):
+    real = towers._mu_with_certificate
+
+    def tampered(level, certs, i, host_mu=None):
+        o, s = real(level, certs, i, host_mu)
+        return o + shift, s
+
+    monkeypatch.setattr(towers, "_mu_with_certificate", tampered)
+    code, out, err = run(capsys, "report", "--p", "2", "--levels", "2", "--length", "5",
+                         "--samples", "5")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: foreign key" in err
+
+
+@pytest.mark.parametrize("p,c,residues", [
+    (3, 2, {"tau": "1", "gamma": "2", "sigma": "1", "lambda": "2"}),
+    (5, 4, {"tau": "1", "gamma": "4", "sigma": "1", "lambda": "4"}),
+], ids=["p3", "p5"])
+def test_report_residues_at_level_4(capsys, p, c, residues):
+    code, out, _ = run(capsys, "report", "--p", str(p), "--c", str(c), "--levels", "4",
+                       "--length", "5", "--format", "json")
+    assert code == 0
+    links = [r for s in json.loads(out)["sections"] for r in s["rows"]
+             if r.get("check", "").startswith("parameter links")]
+    assert [r["check"] for r in links] == [f"parameter links j={j}" for j in (1, 2, 3)]
+    # tau = sigma = 1 and gamma = lambda = -1 at every level, j = 3 included
+    assert all(r["residues"] == residues for r in links)

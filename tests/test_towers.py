@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
@@ -8,12 +10,13 @@ from ramval.towers import (
     check_ladder_report,
     deviation_exponent,
     expected_alternation,
+    random_middle_poly,
     verify_deviation_identity,
     verify_parameter_links,
     verify_restriction,
     verify_value_comparison,
 )
-from ramval.transforms import ChartChain, run_tower_ladder
+from ramval.transforms import ChartChain, _bottom_row, run_tower_ladder
 
 F2 = Fq(2)
 
@@ -122,6 +125,33 @@ def test_restriction_sampled(p, c):
     assert rep.ok, rep.details
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_random_middle_poly_draws_every_nonzero_element(p):
+    fld = Fq(p, 2)  # F_4 and F_9
+    t = build_tower(p, p - 1, 3, fld)
+    drawn = []
+    of_index = fld.of_index
+
+    def recording(n):
+        drawn.append(of_index(n))
+        return drawn[-1]
+
+    fld.of_index = recording
+    rng = random.Random(3)
+    for _ in range(100):
+        random_middle_poly(t, rng)
+    assert fld.zero not in drawn
+    assert any(any(c[1:]) for c in drawn)  # some coefficient outside F_p
+    assert set(drawn) == set(fld.elements()) - {fld.zero}
+
+
+def test_random_middle_poly_prime_field_draws_unchanged():
+    # of_index is the identity on 1..p-1, so prime-field samples are those of of_int
+    for p in (2, 3, 5):
+        fld = Fq(p)
+        assert [fld.of_index(n) for n in range(1, p)] == [fld.of_int(n) for n in range(1, p)]
+
+
 @pytest.mark.parametrize("j", [1, 2, 3])
 def test_parameter_links(j):
     for p, c in ((2, 1), (3, 2)):
@@ -140,15 +170,28 @@ def test_parameter_links(j):
 
 def test_parameter_links_skip_only_without_exact_maps(monkeypatch):
     t = build_tower(2, 1, 6)
-    rep = verify_parameter_links(t, 4, exact_residues=True)  # level 5: no exact map
+    rep = verify_parameter_links(t, 4)  # level 5: no exact map
     assert rep.details["residues"] == "skipped (NotApplicable)"
 
-    def broken(self, elem, k):
+    def broken(self, elem, k, prec=None):
         raise ZeroDivisionError("kernel fault")
 
     monkeypatch.setattr(ChartChain, "push_exact", broken)
     with pytest.raises(ZeroDivisionError):
         verify_parameter_links(build_tower(2, 1, 5), 1)
+
+
+@pytest.mark.parametrize("p,c,m", [(2, 1, 1), (3, 2, 1), (3, 2, 2)])
+def test_truncated_pushed_key_matches_exact_push(p, c, m):
+    t = build_tower(p, c, 4, Fq(p, m))
+    foreign = {"S": t.mid_keys_xy, "A": t.base_keys_xv}
+    for k in range(1, 5):
+        for which, keys in foreign.items():
+            # at p = 3, level 4, the exact pushes of keys 3 and 4 run for minutes
+            top = len(keys) if p == 2 or k < 4 else 3
+            for i in range(top):
+                exact = _bottom_row(t.chain(which).push_exact(keys[i], k))
+                assert t.pushed_key(which, i, k) == exact, (which, i, k)
 
 
 def _whole_monomial_leading_data(tower, chain_label, foreign_keys, vec, k):
