@@ -1,9 +1,14 @@
 """Finite field contexts F_q, q = p^m.
 
-Elements are plain Python values interpreted against an Fq context: ints in
-0..p-1 for prime fields, and tuples of m ints (polynomial basis, low degree
-first) for proper extensions.  Keeping coefficients primitive keeps the
-sparse-polynomial layer fast.
+Every element is one non-negative int: its polynomial-basis coefficients
+(low degree first, each in 0..p-1) sit in fixed-width bit slots, so over a
+prime field an element is just its residue.  The integer product of two
+elements holds their unreduced coefficient convolution (Kronecker
+substitution), and so does a sum of such products while no slot overflows.
+``Fq.fold`` is the one reduction from such a raw int back to an element;
+every field operation is written once on top of it.  The slot width leaves
+room for ``Fq.capacity`` summed products; the polynomial kernels call
+``Fq.check_capacity`` before they fold, so a sum that could overflow raises.
 """
 
 from __future__ import annotations
@@ -40,33 +45,45 @@ def _poly_mod(num: list[int], mod: list[int], p: int) -> list[int]:
     return [c % p for c in num]
 
 
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree <= deg/2 over F_p."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            div = list(tail) + [1]
-            if _poly_divides(div, poly, p):
-                return False
-    return True
-
-
-def _poly_divides(div: list[int], poly: list[int], p: int) -> bool:
-    rem = _poly_mod(poly, div, p)
-    return rem == [0]
-
-
 def find_irreducible(p: int, m: int) -> list[int]:
-    """A monic irreducible polynomial of degree m over F_p (low degree first)."""
+    """A monic irreducible polynomial of degree m over F_p (low degree first):
+    the first with a nonzero constant term that no monic polynomial of
+    degree 1 .. m/2 divides."""
     for tail in product(range(p), repeat=m):
         cand = list(tail) + [1]
-        if cand[0] != 0 and _is_irreducible(cand, p):
+        if cand[0] and not any(_poly_mod(cand, list(div) + [1], p) == [0]
+                               for d in range(1, m // 2 + 1)
+                               for div in product(range(p), repeat=d)):
             return cand
     raise ArithmeticError(f"no irreducible polynomial of degree {m} over F_{p}")
 
 
+# Products of two elements a raw slot can hold summed, with room to spare
+# for the reduction; far more than any polynomial here has terms.
+CAPACITY = 1 << 20
+# Entries a memo keeps before it starts over.
+MEMO_LIMIT = 1 << 12
+
+
+class _Memo(dict):
+    """x -> fn(x), computed on a miss; cleared when full, so it stays small."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, x):
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        out = self[x] = self.fn(x)
+        return out
+
+
 class Fq:
     """Arithmetic context for F_q with q = p^m."""
+
+    capacity = CAPACITY
 
     def __init__(self, p: int, m: int = 1):
         if not is_prime(p):
@@ -77,85 +94,82 @@ class Fq:
         self.m = m
         self.q = p**m
         self.modulus = None if m == 1 else find_irreducible(p, m)
-        self.zero = 0 if m == 1 else (0,) * m
-        self.one = 1 if m == 1 else (1,) + (0,) * (m - 1)
-        # t^k mod the modulus for k = m .. 2m-2: the rows that fold an
-        # unreduced product of two elements back into degree < m
-        self._fold_rows = []
-        if m > 1:
-            for k in range(m, 2 * m - 1):
-                row = _poly_mod([0] * k + [1], self.modulus, p)
-                self._fold_rows.append(row + [0] * (m - len(row)))
+        self.zero = 0
+        self.one = 1
+        # A raw slot holds at most `capacity` products of m (p-1)^2 each, plus
+        # one element; reducing the m - 1 high slots multiplies that by at
+        # most 1 + (m-1)(p-1).  The width holds the result.
+        raw_slot = self.capacity * m * (p - 1) ** 2 + p - 1
+        w = (raw_slot * (1 + (m - 1) * (p - 1))).bit_length()
+        self._mask = (1 << w) - 1
+        self._shifts = tuple(range(0, w * m, w))
+        # (shift, mask below it, t^k mod the modulus) for the slots
+        # k = 2m-2 .. m of a raw product, top first: each folds its slot (and
+        # whatever is above it) into the slots below m
+        self._high = tuple(
+            (w * k, (1 << w * k) - 1, self._pack(_poly_mod([0] * k + [1], self.modulus, p)))
+            for k in range(2 * m - 2, m - 1, -1))
+        self.fold = _Memo(self._reduce).__getitem__
+        self._frobenius = _Memo(lambda a: self.pow_(a, p))
 
     def __repr__(self):
         return f"Fq({self.p})" if self.m == 1 else f"Fq({self.p}, {self.m})"
 
     def __eq__(self, other):
-        return isinstance(other, Fq) and (self.p, self.m) == (other.p, other.m)
+        return isinstance(other, Fq) and (self.p, self.q) == (other.p, other.q)
 
     def __hash__(self):
-        return hash((self.p, self.m))
+        return hash((self.p, self.q))
+
+    # -- packing --------------------------------------------------------------
+
+    def _pack(self, coeffs) -> int:
+        """The int with polynomial-basis coefficients ``coeffs``, low first."""
+        return sum(c << s for c, s in zip(coeffs, self._shifts))
+
+    def coeffs(self, a) -> list[int]:
+        """The polynomial-basis coefficients of an element, low degree first."""
+        return [(a >> s) & self._mask for s in self._shifts]
+
+    def _reduce(self, raw: int):
+        """``fold`` without the memo."""
+        for shift, below, row in self._high:
+            raw = (raw & below) + (raw >> shift) * row
+        return self._pack(c % self.p for c in self.coeffs(raw))
+
+    def check_capacity(self, n: int) -> None:
+        """Raise OverflowError unless a raw slot can hold n summed products."""
+        if n > self.capacity:
+            raise OverflowError(f"{n} summed products exceed the slot capacity of {self!r}")
+
+    # -- elements -------------------------------------------------------------
 
     def of_int(self, n: int):
-        if self.m == 1:
-            return n % self.p
-        return (n % self.p,) + (0,) * (self.m - 1)
+        return n % self.p
 
     def of_index(self, n: int):
         """Element number n, 0 <= n < q: the base-p digits of n, low first,
         as polynomial-basis coefficients (n itself over a prime field)."""
-        if self.m == 1:
-            return n
-        return tuple(n // self.p**s % self.p for s in range(self.m))
+        p = self.p
+        return self._pack(n // p**k % p for k in range(len(self._shifts)))
 
     def elements(self):
-        if self.m == 1:
-            return list(range(self.p))
-        return [tuple(t) for t in product(range(self.p), repeat=self.m)]
+        return [self._pack(t) for t in product(range(self.p), repeat=len(self._shifts))]
+
+    # -- arithmetic -----------------------------------------------------------
 
     def add(self, a, b):
-        if self.m == 1:
-            return (a + b) % self.p
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        if self.m == 1:
-            return (a - b) % self.p
-        return tuple((x - y) % self.p for x, y in zip(a, b))
+        return self.fold(a + b)
 
     def neg(self, a):
-        if self.m == 1:
-            return (-a) % self.p
-        return tuple((-x) % self.p for x in a)
+        return self.fold((self.p - 1) * a)
 
     def mul(self, a, b):
-        if self.m == 1:
-            return (a * b) % self.p
-        raw = [0] * (2 * self.m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    raw[j] += x * y
-        return self.fold(raw)
-
-    def fold(self, raw: list[int]):
-        """The element of a proper extension with unreduced polynomial-basis
-        coefficients ``raw`` (integers, degree <= 2m - 2)."""
-        m, p = self.m, self.p
-        out = raw[:m]
-        for k, row in enumerate(self._fold_rows, m):
-            c = raw[k]
-            if c:
-                for i, r in enumerate(row):
-                    out[i] += c * r
-        return tuple(c % p for c in out)
+        return self.fold(a * b)
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of 0")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        # a^(q-2) by square-and-multiply; q is tiny here.
         return self.pow_(a, self.q - 2)
 
     def div(self, a, b):
@@ -164,20 +178,20 @@ class Fq:
     def pow_(self, a, e: int):
         if e < 0:
             return self.pow_(self.inv(a), -e)
-        result = self.one
-        base = a
+        fold = self.fold
+        result = 1
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = fold(result * a)
+            a = fold(a * a)
             e >>= 1
         return result
 
     def frob(self, a):
         """The p-power Frobenius a -> a^p."""
-        return self.pow_(a, self.p)
+        return self._frobenius[a]
 
     def to_str(self, a) -> str:
         if self.m == 1:
             return str(a)
-        return "(" + ",".join(str(c) for c in a) + ")"
+        return "(" + ",".join(map(str, self.coeffs(a))) + ")"

@@ -130,23 +130,20 @@ def _compose_poly_pair(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem,
         return LocalElem(Poly2.zero(fld))
     dy = max(j for _, j in poly.terms)
     dx = max(i for i, _ in poly.terms)
-    num = Poly2.zero(fld)
-    xn_pows = {0: Poly2.one(fld)}
-    xd_pows = {0: Poly2.one(fld)}
-    yn_pows = {0: Poly2.one(fld)}
-    yd_pows = {0: Poly2.one(fld)}
+    xn_pows, xd_pows, yn_pows, yd_pows = {}, {}, {}, {}
 
     def pw(cache, base, e):
         if e not in cache:
             cache[e] = pow(base, e, prec)
         return cache[e]
 
-    for (i, j), c in poly.terms.items():
-        xn, yn = pw(xn_pows, sub_x.num, i), pw(yn_pows, sub_y.num, j)
-        if not xn or not yn:
-            continue
-        term = xn.__mul__(pw(xd_pows, sub_x.den, dx - i), prec)
-        term = term.__mul__(yn, prec).__mul__(pw(yd_pows, sub_y.den, dy - j), prec)
-        num = num + term.scale(c)
+    def terms():
+        for (i, j), c in poly.terms.items():
+            xn, yn = pw(xn_pows, sub_x.num, i), pw(yn_pows, sub_y.num, j)
+            if xn and yn:
+                term = xn.__mul__(pw(xd_pows, sub_x.den, dx - i), prec)
+                yield c, term.__mul__(yn, prec).__mul__(pw(yd_pows, sub_y.den, dy - j), prec)
+
+    num = Poly2.combination(fld, terms())
     den = pw(xd_pows, sub_x.den, dx).__mul__(pw(yd_pows, sub_y.den, dy), prec)
     return LocalElem(num, den)

@@ -9,15 +9,16 @@ Powers decompose into base-p digits so that p-power exponents reduce to
 Frobenius (coefficient-wise p-th power plus exponent scaling), which keeps
 the tower polynomials sparse in characteristic p.
 
-Products defer the field reduction: the raw products of a multiplication
-are summed per exponent (as integers over a prime field, as unreduced
-coefficient convolutions over F_q with q = p^m, m > 1) and each output
-coefficient is reduced once.  Division by a polynomial monic in y works on
-y-rows {j: {i: c}}: each step peels the top row of the remainder and
-subtracts the quotient row times every row of the divisor.  The next live
-row comes from a max-heap of row degrees, so the empty degrees of sparse
-operands (tower keys reach y-degree p^(2N) with a handful of terms) are
-skipped, never stepped through.
+Coefficients are the packed ints of ``Fq``, so the integer product of two
+coefficients is their unreduced convolution.  Products, substitutions and
+divisions sum such raw products per exponent and fold each output
+coefficient once (``Fq.fold``), after checking that the number of products
+a sum can collect fits the field's slot capacity.  Division by a polynomial
+monic in y works on y-rows {j: {i: c}}: each step peels the top row of the
+remainder and adds the quotient row times every row of the negated divisor.
+The next live row comes from a max-heap of row degrees, so the empty
+degrees of sparse operands (tower keys reach y-degree p^(2N) with a handful
+of terms) are skipped, never stepped through.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _rows(terms: dict) -> dict:
 
 
 class Poly2:
-    __slots__ = ("field", "terms")
+    __slots__ = ("field", "terms", "_as_divisor")
 
     def __init__(self, field: Fq, terms: dict | None = None):
         self.field = field
@@ -68,23 +69,17 @@ class Poly2:
 
     @classmethod
     def const(cls, field: Fq, c) -> "Poly2":
-        if isinstance(c, int):
-            c = field.of_int(c)
-        if c == field.zero:
-            return cls(field)
-        return cls(field, {(0, 0): c})
+        return cls.monomial(field, 0, 0, c)
 
     @classmethod
     def one(cls, field: Fq) -> "Poly2":
-        return cls.const(field, 1)
+        return cls(field, {(0, 0): field.one})
 
     @classmethod
     def monomial(cls, field: Fq, i: int, j: int, c=1) -> "Poly2":
-        if isinstance(c, int):
-            c = field.of_int(c)
-        if c == field.zero:
-            return cls(field)
-        return cls(field, {(i, j): c})
+        """c x^i y^j for a field element c (1, the default, is the unit of
+        every field; use ``field.of_int`` for an integer)."""
+        return cls(field, {(i, j): c} if c else None)
 
     @classmethod
     def x(cls, field: Fq) -> "Poly2":
@@ -126,11 +121,11 @@ class Poly2:
         fld = self.field
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = fld.add(out.get(e, fld.zero), c)
-            if s == fld.zero:
-                out.pop(e, None)
-            else:
+            s = fld.add(out.get(e, 0), c)
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
         return Poly2(fld, out)
 
     def __neg__(self) -> "Poly2":
@@ -155,38 +150,36 @@ class Poly2:
             # the partners of an x^i1 term are a prefix of b sorted by x-exponent
             b_items = sorted(b.items())
             b_x = [i for (i, _), _ in b_items]
+        # an exponent collects at most one product per term of a
+        fld.check_capacity(len(a))
         acc: dict = {}
-        if fld.m == 1:
-            get = acc.get
-            for (i1, j1), c1 in a.items():
-                row = b_items if prec is None else islice(b_items, bisect_left(b_x, prec - i1))
-                for (i2, j2), c2 in row:
-                    e = (i1 + i2, j1 + j2)
-                    acc[e] = get(e, 0) + c1 * c2
-            p = fld.p
-            return Poly2(fld, {e: c for e, s in acc.items() if (c := s % p)})
-        width = 2 * fld.m - 1
+        get = acc.get
         for (i1, j1), c1 in a.items():
-            nz1 = [(s, u) for s, u in enumerate(c1) if u]
             row = b_items if prec is None else islice(b_items, bisect_left(b_x, prec - i1))
             for (i2, j2), c2 in row:
                 e = (i1 + i2, j1 + j2)
-                raw = acc.get(e)
-                if raw is None:
-                    raw = acc[e] = [0] * width
-                for s, u in nz1:
-                    for t, w in enumerate(c2, s):
-                        raw[t] += u * w
-        zero, fold = fld.zero, fld.fold
-        return Poly2(fld, {e: c for e, raw in acc.items() if (c := fold(raw)) != zero})
+                acc[e] = get(e, 0) + c1 * c2
+        fold = fld.fold
+        return Poly2(fld, {e: c for e, s in acc.items() if (c := fold(s))})
+
+    @staticmethod
+    def combination(field: Fq, pairs) -> "Poly2":
+        """The sum of c * f over the (element c, Poly2 f) pairs, summed
+        unreduced in one accumulator and folded once per exponent."""
+        acc: dict = {}
+        get = acc.get
+        n = 0
+        for c, f in pairs:
+            n += 1
+            for e, v in f.terms.items():
+                acc[e] = get(e, 0) + c * v
+        field.check_capacity(n)
+        fold = field.fold
+        return Poly2(field, {e: c for e, s in acc.items() if (c := fold(s))})
 
     def scale(self, c) -> "Poly2":
-        fld = self.field
-        if isinstance(c, int):
-            c = fld.of_int(c)
-        if c == fld.zero:
-            return Poly2(fld)
-        return Poly2(fld, {e: fld.mul(v, c) for e, v in self.terms.items()})
+        """The polynomial times the field element c."""
+        return Poly2.combination(self.field, [(c, self)])
 
     def shift(self, dx: int, dy: int = 0) -> "Poly2":
         """Multiply by x^dx * y^dy (dx, dy may be negative if divisible)."""
@@ -258,15 +251,9 @@ class Poly2:
         """Coefficient of x^i as dict {y-exponent: coeff}."""
         return {j: c for (xi, j), c in self.terms.items() if xi == i}
 
-    def leading_y_coefficient(self) -> "Poly2":
-        d = self.deg_y()
-        if d < 0:
-            return Poly2(self.field)
-        return Poly2(self.field, {(i, 0): c for (i, j), c in self.terms.items() if j == d})
-
     def is_monic_y(self) -> bool:
-        lead = self.leading_y_coefficient()
-        return lead.terms == {(0, 0): self.field.one}
+        d = self.deg_y()
+        return {e: c for e, c in self.terms.items() if e[1] == d} == {(0, d): self.field.one}
 
     # -- division -----------------------------------------------------------
 
@@ -275,38 +262,26 @@ class Poly2:
 
         Works on y-rows {j: {i: c}}.  Each step takes the highest live row of
         the remainder, records it (over the leading unit) as a quotient row,
-        and subtracts the quotient row times every row of g, the leading one
-        included; the top row must then vanish.  Live degrees come from a
-        max-heap, so empty degrees are skipped.  Over a prime field the rows
-        hold unreduced integers, reduced when a row becomes the top and in
-        the final remainder.
+        and adds the quotient row times every row of -g, the leading one
+        included; the top row must then fold to zero.  Live degrees come
+        from a max-heap, so empty degrees are skipped.  The rows hold raw
+        sums of products, folded when a row becomes the top and in the final
+        remainder.
         """
         fld = self.field
-        g_rows = _rows(g.terms)
-        dg = max(g_rows, default=-1)
-        if dg < 1:
-            raise NotMonic("divisor must have y-degree >= 1")
-        lead = g_rows[dg]
-        if set(lead) != {0}:
-            raise NotMonic("divisor's leading y-coefficient must be a constant unit")
+        dg, lead_inv, g_items = g._divisor()
         rows = _rows(self.terms)
         heap = [-j for j in rows if j >= dg]
         if not heap:
             return Poly2(fld), self
         heapify(heap)
-        lead_inv = fld.inv(lead[0])
-        g_items = [(j - dg, list(row.items())) for j, row in g_rows.items()]
-        prime = fld.m == 1
-        p, zero, mul, sub = fld.p, fld.zero, fld.mul, fld.sub
+        fold = fld.fold
         q: dict = {}
         while heap:
             # rows below dr only are created from here on, so every degree
             # enters the heap once and its row is still present
             dr = -heappop(heap)
-            if prime:
-                top = {i: c * lead_inv % p for i, c in rows[dr].items() if c % p}
-            else:
-                top = {i: mul(c, lead_inv) for i, c in rows[dr].items() if c != zero}
+            top = {i: c for i, s in rows[dr].items() if (c := fold(fold(s) * lead_inv))}
             if not top:
                 del rows[dr]
                 continue
@@ -321,30 +296,41 @@ class Poly2:
                     if t >= dg:
                         heappush(heap, -t)
                 get = row.get
-                if prime:
-                    for i1, c1 in top.items():
-                        for i2, c2 in g_row:
-                            k = i1 + i2
-                            row[k] = get(k, 0) - c1 * c2
-                else:
-                    for i1, c1 in top.items():
-                        for i2, c2 in g_row:
-                            k = i1 + i2
-                            row[k] = sub(get(k, zero), mul(c1, c2))
-            left = rows.pop(dr).values()
-            if any(c % p for c in left) if prime else any(c != zero for c in left):
+                for i1, c1 in top.items():
+                    for i2, c2 in g_row:
+                        k = i1 + i2
+                        row[k] = get(k, 0) + c1 * c2
+            if any(map(fold, rows.pop(dr).values())):
                 raise ArithmeticError("division failed to reduce the y-degree")
-        if prime:
-            r = {(i, j): c for j, row in rows.items() for i, s in row.items() if (c := s % p)}
-        else:
-            r = {(i, j): c for j, row in rows.items() for i, c in row.items() if c != zero}
+        r = {(i, j): c for j, row in rows.items() for i, s in row.items() if (c := fold(s))}
         return Poly2(fld, q), Poly2(fld, r)
+
+    def _divisor(self) -> tuple:
+        """(y-degree, inverse of the leading unit, rows of -self as
+        (y-shift below the top, [(x-exponent, coefficient)])), the data of
+        self as a divisor in ``divrem_y``, computed once per polynomial."""
+        try:
+            return self._as_divisor
+        except AttributeError:
+            pass
+        fld = self.field
+        g_rows = _rows(self.terms)
+        dg = max(g_rows, default=-1)
+        if dg < 1:
+            raise NotMonic("divisor must have y-degree >= 1")
+        lead = g_rows[dg]
+        if set(lead) != {0}:
+            raise NotMonic("divisor's leading y-coefficient must be a constant unit")
+        # a remainder cell collects at most one product per term of the divisor
+        fld.check_capacity(len(self.terms))
+        neg = fld.neg
+        self._as_divisor = (dg, fld.inv(lead[0]),
+                            [(j - dg, [(i, neg(c)) for i, c in row.items()]) for j, row in g_rows.items()])
+        return self._as_divisor
 
     def divexact_xpow(self, m: int) -> "Poly2":
         """Exact division by x^m."""
-        if m == 0:
-            return self
-        if not self.terms:
+        if m == 0 or not self.terms:
             return self
         if self.x_order() < m:
             raise ArithmeticError(f"not divisible by x^{m}")
@@ -360,15 +346,12 @@ class Poly2:
             return Poly2(fld)
         # Horner in y; coefficients composed in x by direct powering (exponents
         # carry heavy p-power structure, so __pow__ keeps them sparse).
-        xpow_cache: dict[int, Poly2] = {0: Poly2.one(fld)}
+        xpows: dict[int, Poly2] = {}
 
         def xsub(row: dict) -> Poly2:
-            out = Poly2(fld)
-            for i, c in row.items():
-                if i not in xpow_cache:
-                    xpow_cache[i] = sub_x**i
-                out = out + xpow_cache[i].scale(c)
-            return out
+            for i in row.keys() - xpows.keys():
+                xpows[i] = sub_x**i
+            return Poly2.combination(fld, ((c, xpows[i]) for i, c in row.items()))
 
         top = max(by_y)
         result = xsub(by_y[top])

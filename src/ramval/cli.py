@@ -203,7 +203,6 @@ def _add_common(sub, family=False):
                      help="tower parameter c, a positive multiple of p-1")
     sub.add_argument("--q", type=int, default=None, help="field size (a power of p)")
     sub.add_argument("--length", type=int, default=6, help="number of keys beyond the first")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--format", choices=("text", "tsv", "json", "md"), default="text")
     if family:
         sub.add_argument("--family", choices=("Q", "P", "U"), required=True,
@@ -240,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("tower", help="per-level stable-form ladder of the tower")
     _add_common(s)
     s.add_argument("--levels", type=_count, default=3)
+    s.add_argument("--seed", type=int, default=0, help="echoed in the header; tower samples nothing")
     s.set_defaults(func=cmd_tower)
 
     s = sp.add_parser("monomialize", help="rank-2 index, SNF oracle, exponent reduction")
@@ -250,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--levels", type=_count, default=3)
     s.add_argument("--samples", type=_count, default=200)
+    s.add_argument("--seed", type=int, default=0, help="seed of the restriction sampling")
     s.set_defaults(func=cmd_report)
 
     return ap

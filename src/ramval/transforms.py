@@ -183,7 +183,7 @@ class ChartMap:
         return {
             "source": self.source,
             "target": self.target,
-            "old_x": f"{self.residue} * {xn}^{self.n} * ({yn} + 1)",
+            "old_x": f"{self.phi_x.field.to_str(self.residue)} * {xn}^{self.n} * ({yn} + 1)",
             "old_y": self.phi_y.to_str(xn, yn),
         }
 

@@ -2,6 +2,8 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from ramval.algebra import (
     DivisibleByX,
@@ -53,20 +55,21 @@ def random_sparse(field, rng, y_degrees, max_xdeg=4):
 
 
 def reference_field_mul(field, a, b):
-    """Schoolbook product reduced by long division by the modulus."""
-    p = field.p
-    if field.m == 1:
+    """Schoolbook product of the coefficient lists reduced by long division
+    by the modulus, independent of ``Fq.fold``."""
+    p, m = field.p, field.m
+    if m == 1:
         return a * b % p
-    prod = [0] * (2 * field.m - 1)
-    for i, u in enumerate(a):
-        for j, w in enumerate(b):
+    prod = [0] * (2 * m - 1)
+    for i, u in enumerate(field.coeffs(a)):
+        for j, w in enumerate(field.coeffs(b)):
             prod[i + j] += u * w
     mod = field.modulus
-    for k in range(len(prod) - 1, field.m - 1, -1):
+    for k in range(len(prod) - 1, m - 1, -1):
         lead = prod[k]
         for i, c in enumerate(mod):
-            prod[k - field.m + i] -= lead * c
-    return tuple(c % p for c in prod[: field.m])
+            prod[k - m + i] -= lead * c
+    return field.of_index(sum(c % p * p**s for s, c in enumerate(prod[:m])))
 
 
 def reference_mul(f, g):
@@ -111,6 +114,52 @@ def test_field_mul_matches_reference(p, m):
     for a in elems:
         for b in elems:
             assert fld.mul(a, b) == reference_field_mul(fld, a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_field_matches_galoistools(p, m):
+    # F_4, F_8, F_9, F_25, F_27 against sympy's dense F_p[t] arithmetic
+    # (coefficient lists high degree first)
+    fld = Fq(p, m)
+    mod = fld.modulus[::-1]
+    assert gf_irreducible_p(mod, p, ZZ)
+
+    def dense(a):
+        return [ZZ(c) for c in fld.coeffs(a)[::-1]]
+
+    def element(poly):
+        low = [int(c) % p for c in poly[::-1]]
+        return fld.of_index(sum(c * p**k for k, c in enumerate(low)))
+
+    elems = fld.elements()
+    for a in elems:
+        for b in elems:
+            assert fld.mul(a, b) == element(gf_rem(gf_mul(dense(a), dense(b), p, ZZ), mod, p, ZZ))
+        if a:
+            assert gf_rem(gf_mul(dense(a), dense(fld.inv(a)), p, ZZ), mod, p, ZZ) == [1]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (7, 1), (2, 2), (3, 2), (2, 3), (5, 2), (3, 3)])
+def test_fold_holds_capacity_sums(p, m):
+    # the largest raw slot a kernel may form: capacity products of the
+    # element with every coefficient p - 1 by itself, plus one element
+    fld = Fq(p, m)
+    top = fld.of_index(fld.q - 1)
+    raw = fld.capacity * top * top + top
+    assert fld.fold(raw) == fld.add(fld.mul(fld.of_int(fld.capacity), fld.mul(top, top)), top)
+
+
+def test_sums_past_capacity_raise():
+    fld = Fq(3, 2)
+    fld.capacity = 2
+    f = Poly2.one(fld) + Poly2.x(fld) + Poly2.y(fld)
+    with pytest.raises(OverflowError):
+        f * f
+    with pytest.raises(OverflowError):
+        Poly2.y(fld).divrem_y(f)
+    with pytest.raises(OverflowError):
+        Poly2.combination(fld, [(fld.one, f)] * 3)
+    assert (f * Poly2.x(fld)).x_order() == 1  # a one-term factor still fits
 
 
 def test_frobenius_fixes_prime_field():
@@ -219,6 +268,21 @@ def test_mul_matches_reference():
             f = random_sparse(fld, rng, rng.sample(range(0, 9 * GAP, GAP), 4))
             g = random_sparse(fld, rng, rng.sample(range(0, 9 * GAP, GAP), 4))
             assert f * g == reference_mul(f, g)
+    # dense over F_9: 144 terms each, so the central exponents sum 100 to 144
+    # raw products before their one fold
+    f = Poly2(F9, {(i, j): random_elem(F9, rng) or F9.one for i in range(12) for j in range(12)})
+    g = Poly2(F9, {(i, j): random_elem(F9, rng) or F9.one for i in range(12) for j in range(12)})
+    assert f * g == reference_mul(f, g)
+
+
+def test_monomial_and_scale_take_elements():
+    # an F_4 element is an int; monomial and scale must not read it mod p
+    t = F4.of_index(2)  # the generator t, with t^2 = t + 1
+    assert Poly2.monomial(F4, 1, 2, t).terms == {(1, 2): t}
+    assert F4.to_str(Poly2.monomial(F4, 1, 2, t).terms[(1, 2)]) == "(0,1)"
+    assert Poly2.x(F4).scale(t) == Poly2.monomial(F4, 1, 0, t)
+    assert Poly2.monomial(F4, 0, 1, t).scale(t) == Poly2.monomial(F4, 0, 1, F4.add(t, F4.one))
+    assert Poly2.const(F4, t).scale(F4.zero).is_zero()
 
 
 def test_x_order_examples():

@@ -195,6 +195,20 @@ def test_report_builds_tower_once(capsys, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("value", "--family", "Q", "--p", "2", "x"),
+    ("semigroup", "--family", "Q", "--p", "2"),
+    ("validate", "--family", "Q", "--p", "2"),
+    ("transform", "--family", "Q", "--p", "2"),
+])
+def test_seed_rejected_where_unused(capsys, argv):
+    # only report samples anything; the other commands would ignore a seed
+    with pytest.raises(SystemExit) as ex:
+        main([*argv, "--seed", "1"])
+    assert ex.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_report_jobs_rejected(capsys):
     for flag in ("--jobs", "--prec"):
         with pytest.raises(SystemExit) as ex:
