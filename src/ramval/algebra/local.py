@@ -7,7 +7,7 @@ occur are units (nonzero constant term).  Pairs multiply and divide exactly.
 from __future__ import annotations
 
 from .field import Fq
-from .poly import DivisibleByX, Poly2
+from .poly import DivisibleByX, Poly2, _rows
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -123,27 +123,38 @@ def _compose_poly_pair(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem,
                        prec: int | None = None) -> LocalElem:
     """poly(sub_x, sub_y) for pair-valued substitutions, homogenized over the
     denominators so every intermediate stays polynomial; modulo x^prec when
-    ``prec`` is given, so a term whose numerator powers vanish there is
-    skipped."""
+    ``prec`` is given.
+
+    The terms are grouped by y-row.  The x-image xn^i * xd^(dx-i) of each
+    x-exponent is formed once, each row is one combination of x-images, and
+    each row is multiplied once by its y-image yn^j * yd^(dy-j); the rows are
+    summed in one accumulator.  With ``prec``, a row whose x-part starts at
+    x^o takes its y-image modulo x^(prec - o), and an image that vanishes
+    drops its terms or its row."""
     fld = poly.field
     if poly.is_zero():
         return LocalElem(Poly2.zero(fld))
     dy = max(j for _, j in poly.terms)
     dx = max(i for i, _ in poly.terms)
-    xn_pows, xd_pows, yn_pows, yd_pows = {}, {}, {}, {}
+    x_images: dict = {}
 
-    def pw(cache, base, e):
-        if e not in cache:
-            cache[e] = pow(base, e, prec)
-        return cache[e]
+    def x_image(i):
+        if i not in x_images:
+            xn = pow(sub_x.num, i, prec)
+            x_images[i] = xn and xn.__mul__(pow(sub_x.den, dx - i, prec), prec)
+        return x_images[i]
 
-    def terms():
-        for (i, j), c in poly.terms.items():
-            xn, yn = pw(xn_pows, sub_x.num, i), pw(yn_pows, sub_y.num, j)
-            if xn and yn:
-                term = xn.__mul__(pw(xd_pows, sub_x.den, dx - i), prec)
-                yield c, term.__mul__(yn, prec).__mul__(pw(yd_pows, sub_y.den, dy - j), prec)
+    def rows():
+        for j, row in _rows(poly.terms).items():
+            x_part = Poly2.combination(fld, ((c, x_image(i)) for i, c in row.items() if x_image(i)))
+            if not x_part:
+                continue
+            y_prec = None if prec is None else prec - x_part.x_order()
+            yn = pow(sub_y.num, j, y_prec)
+            if yn:
+                y_image = yn.__mul__(pow(sub_y.den, dy - j, y_prec), y_prec)
+                yield fld.one, x_part.__mul__(y_image, prec)
 
-    num = Poly2.combination(fld, terms())
-    den = pw(xd_pows, sub_x.den, dx).__mul__(pw(yd_pows, sub_y.den, dy), prec)
+    num = Poly2.combination(fld, rows())
+    den = x_image(0).__mul__(pow(sub_y.den, dy, prec), prec)
     return LocalElem(num, den)

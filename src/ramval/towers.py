@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .algebra import Fq, LocalElem, Poly2
 from .genseq import BadParams, GenSeq, Inconsistent, build_tower_seq, value_of
@@ -59,10 +60,34 @@ class Tower:
     _pushed: dict = dc_field(default_factory=dict, repr=False)
 
     def chain(self, which: str) -> ChartChain:
+        """The chart chain of the top ("S"), middle ("A") or base ("R")
+        sequence, built once.
+
+        Families P and Q share their recursion and first keys, so the base
+        and top sequences differ only in chart names, and so would their
+        chains, level by level.  Chain R is therefore chain S, after a check
+        on first use that the two sequences agree in field, keys and values.
+        """
         if which not in self._chains:
-            seqs = {"S": self.seq_top, "A": self.seq_mid, "R": self.seq_base}
-            self._chains[which] = ChartChain(seqs[which])
+            if which == "R":
+                self._check_base_is_top()
+                self._chains["R"] = self.chain("S")
+            else:
+                seqs = {"S": self.seq_top, "A": self.seq_mid}
+                self._chains[which] = ChartChain(seqs[which])
         return self._chains[which]
+
+    def _check_base_is_top(self):
+        """Inconsistent, naming the first difference, unless the base and
+        top sequences agree in field, keys and values."""
+        base, top = self.seq_base, self.seq_top
+        items = [("field", base.field, top.field)]
+        for name in ("key", "value"):
+            pairs = zip_longest(getattr(base, name + "s"), getattr(top, name + "s"))
+            items += ((f"{name} {i}", b, t) for i, (b, t) in enumerate(pairs))
+        diff = next((what for what, b, t in items if b != t), None)
+        if diff is not None:
+            raise Inconsistent(f"base {diff} differs from top {diff}; chain R cannot share chain S")
 
     def pushed_key(self, which: str, i: int, k: int) -> tuple[int, int, object]:
         """Leading data of foreign key i pushed through the exact maps of

@@ -20,6 +20,14 @@ x maps into (x'^n), so each map reads its input modulo x^ceil(K / n), and
 every product past x'^K is skipped.  The parameter links push the foreign
 keys this way at every level the exact maps reach, with K one past the
 x-order the calculus predicts, and check the pushed orders against it.
+Every push, exact or truncated, substitutes y-row by y-row: one x-image per
+x-exponent, one product with its y-image per row (``LocalElem.compose``).
+
+The chart checks read leading data too.  ``validate_chart_seq`` forms each
+recursion remainder key_j^e - key_{j+1} modulo x^(a_j + o + 1), one past the
+x-order o + a_j that the recursion shape predicts, and forms it whole only
+when nothing is left below that power (zero, or too high an order: the two
+failures it reports apart).
 """
 
 from __future__ import annotations
@@ -291,6 +299,15 @@ def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
     return cmap, new_keys
 
 
+def _recursion_remainder(keys: list[LocalElem], j: int, e: int,
+                         prec: int | None = None) -> LocalElem:
+    """key_j^e - key_{j+1}, modulo x^prec when ``prec`` is given."""
+    kj, kn = keys[j], keys[j + 1]
+    den_pow = pow(kj.den, e, prec)
+    num = pow(kj.num, e, prec).__mul__(kn.den, prec) - kn.num.__mul__(den_pow, prec)
+    return LocalElem(num, den_pow.__mul__(kn.den, prec))
+
+
 def validate_chart_seq(level: ChainLevel) -> ValidityReport:
     """Validity of a transformed level's exact keys: growth, the
     distinguished degrees of the key restrictions against the products of
@@ -333,7 +350,12 @@ def validate_chart_seq(level: ChainLevel) -> ValidityReport:
                              monic=False, degree=f"relation exponent {a_j} not integral"))
             continue
         a_j = int(a_j)
-        rem = keys[j] ** e_j - keys[j + 1]
+        o_low, t_low, lead_low = _bottom_row(keys[j - 1])
+        # the row check reads x-orders up to a_j + o_low only; the whole
+        # remainder is formed just to tell zero from too high an order
+        rem = _recursion_remainder(keys, j, e_j, a_j + o_low + 1)
+        if rem.is_zero():
+            rem = _recursion_remainder(keys, j, e_j)
         try:
             o_rem, t_rem, lead_rem = _bottom_row(rem)
         except IndeterminateOrder:  # key_j^e_j == key_{j+1}: no lower term
@@ -341,7 +363,6 @@ def validate_chart_seq(level: ChainLevel) -> ValidityReport:
             rows.append(dict(i=j, index_computed="-", order="-", growth="-",
                              monic=False, degree="recursion remainder is zero"))
             continue
-        o_low, t_low, lead_low = _bottom_row(keys[j - 1])
         # key_0 = x carries its own x power; delta(0,0) is the ratio of the
         # leading coefficients at matching y-order
         shape_ok = o_rem == a_j + o_low and t_rem == t_low

@@ -15,6 +15,7 @@ from ramval.algebra import (
     Poly2,
     parse_poly,
 )
+from ramval.algebra.local import _compose_poly_pair
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -401,3 +402,77 @@ def test_truncated_mul_and_pow_match_exact(case):
     f, g, e, prec = case
     assert f.__mul__(g, prec) == (f * g).truncate(prec)
     assert pow(f, e, prec) == (f**e).truncate(prec)
+
+
+# -- substitution against a term-by-term oracle ---------------------------------
+
+
+def _oracle_compose(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem) -> LocalElem:
+    """poly(sub_x, sub_y) as the sum of c * sub_x^i * sub_y^j, one term at a
+    time in LocalElem ring operations (no row grouping, no shared images)."""
+    fld = poly.field
+    out = LocalElem(Poly2.zero(fld))
+    for (i, j), c in poly.terms.items():
+        out = out + LocalElem(Poly2.const(fld, c)) * sub_x**i * sub_y**j
+    return out
+
+
+def _gapped_polys(field):
+    """Polynomials with y-rows at 0, 1, p, p^2 and p^2 + 1, so consecutive
+    rows are p^k apart, and x-exponents up to 8, so that the x-images of a
+    whole row can vanish modulo a small x-power."""
+    p = field.p
+    exps = st.tuples(st.integers(0, 8), st.sampled_from((0, 1, p, p**2, p**2 + 1)))
+    return st.dictionaries(exps, st.integers(1, field.q - 1), min_size=1, max_size=6).map(
+        lambda terms: _poly_from(field, terms))
+
+
+@st.composite
+def _substitution_case(draw):
+    """(poly, sub_x, sub_y, prec): sub_x is either the chart-map shape
+    r x^n (y + 1), with denominator 1, or a pair with a non-constant unit
+    denominator; both substitutions vanish at the origin."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    one, x = Poly2.one(field), Poly2.x(field)
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        r = field.of_index(draw(st.integers(1, field.q - 1)))
+        sub_x = LocalElem((x**n * (Poly2.y(field) + one)).scale(r))
+    else:
+        sub_x = LocalElem(x * (one + draw(_polys(field, max_deg=2, max_size=2))),
+                          one + draw(_polys(field, min_x=1, max_deg=2, max_size=2)))
+    sub_y = LocalElem(x - draw(_polys(field, min_x=1, max_deg=2, max_size=2)),
+                      one + draw(_polys(field, min_x=1, max_deg=2, max_size=2)))
+    return draw(_gapped_polys(field)), sub_x, sub_y, draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_substitution_case())
+def test_compose_poly_pair_matches_term_oracle(case):
+    poly, sub_x, sub_y, prec = case
+    oracle = _oracle_compose(poly, sub_x, sub_y)
+    assert _compose_poly_pair(poly, sub_x, sub_y) == oracle
+    truncated = _compose_poly_pair(poly, sub_x, sub_y, prec)
+    assert all(i < prec for i, _ in truncated.num.terms)
+    assert _congruent(truncated, oracle, prec)
+    # the same kernel on numerator and denominator of a pair
+    elem = LocalElem(poly, Poly2.one(poly.field) + Poly2.x(poly.field))
+    quotient = oracle * (LocalElem(Poly2.one(poly.field)) + sub_x).invert()
+    assert elem.compose(sub_x, sub_y) == quotient
+    assert _congruent(elem.compose(sub_x, sub_y, prec), quotient, prec)
+
+
+def test_compose_poly_pair_drops_vanishing_rows():
+    # over F_3 with x -> x^3 (y + 1): modulo x^6 the x-images of x^2 and
+    # beyond vanish, so the row at y^9, made of x^2 and x^5, drops whole
+    for fld in (F3, F9):
+        x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
+        sub_x = LocalElem(x**3 * (y + one))
+        sub_y = LocalElem(x + x**2, one + x)
+        poly = parse_poly("1 + x*y + x^2*y^9 + x^5*y^9 + y^10", fld)
+        oracle = _oracle_compose(poly, sub_x, sub_y)
+        without_row = _oracle_compose(parse_poly("1 + x*y + y^10", fld), sub_x, sub_y)
+        truncated = _compose_poly_pair(poly, sub_x, sub_y, 6)
+        assert _congruent(truncated, oracle, 6)
+        assert _congruent(truncated, without_row, 6)
+        assert _compose_poly_pair(poly, sub_x, sub_y) == oracle

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import ramval.towers as towers_module
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
-from ramval.genseq import BadParams, value_of
+from ramval.cli import main
+from ramval.genseq import BadParams, Inconsistent, value_of
 from ramval.towers import (
     _pushed_leading_data,
     build_tower,
@@ -261,3 +263,67 @@ def test_certificates_multipliers_alternate():
     assert [c.mult for c in base] == [2, 1, 2, 1, 2, 1]
     for cert in mid + base:
         assert cert.t_order is None or cert.value_margin > 0
+
+
+# -- the shared base/top chain ----------------------------------------------------
+
+
+def test_base_chain_is_top_chain():
+    for first in "RS":
+        t = build_tower(2, 1, 5)
+        t.chain(first)
+        assert t.chain("R") is t.chain("S")
+
+
+@pytest.mark.parametrize("p,c", [(2, 1), (3, 2)])
+def test_shared_chain_matches_separate_base_chain(p, c):
+    # a chain built from the base sequence alone has the levels, keys and
+    # maps of the shared chain (only the labels and chart names differ)
+    t = build_tower(p, c, 6)
+    shared, separate = t.chain("R"), ChartChain(t.seq_base)
+
+    def pair(e):
+        return e.num, e.den
+
+    for k in range(1, 6):
+        a, b = shared.level(k), separate.level(k)
+        for name in ("k", "values", "indices", "degrees", "vecs", "crows", "r"):
+            assert getattr(a, name) == getattr(b, name), (k, name)
+        assert (a.keys is None) == (b.keys is None), k
+        if a.keys is not None:
+            assert [pair(key) for key in a.keys] == [pair(key) for key in b.keys], k
+        if a.map_from_prev is not None:
+            ma, mb = a.map_from_prev, b.map_from_prev
+            assert (ma.n, ma.residue, pair(ma.phi_x), pair(ma.phi_y)) == \
+                (mb.n, mb.residue, pair(mb.phi_x), pair(mb.phi_y)), k
+        else:
+            assert b.map_from_prev is None, k
+
+
+def test_shared_chain_requires_equal_sequences():
+    t = build_tower(2, 1, 5)
+    t.seq_base.values[2] += 1
+    with pytest.raises(Inconsistent, match="base value 2 differs from top value 2"):
+        t.chain("R")
+    t = build_tower(2, 1, 5)
+    t.seq_base.keys.append(t.seq_base.keys[-1])
+    with pytest.raises(Inconsistent, match="base key 6 differs from top key 6"):
+        t.chain("R")
+    t = build_tower(2, 1, 5)
+    t.seq_base.field = Fq(2, 2)
+    with pytest.raises(Inconsistent, match="base field differs from top field"):
+        t.chain("R")
+
+
+def test_tower_exits_1_when_base_key_differs(capsys, monkeypatch):
+    def tampered(*args, **kwargs):
+        t = build_tower(*args, **kwargs)
+        t.seq_base.keys[3] = t.seq_base.keys[3] + Poly2.monomial(t.field, 40, 0)
+        return t
+
+    monkeypatch.setattr(towers_module, "build_tower", tampered)
+    assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("verification failed: base key 3 differs from top key 3; "
+            "chain R cannot share chain S") in captured.err

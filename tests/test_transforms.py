@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ramval import towers
+from ramval import towers, transforms
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.cli import main
 from ramval.genseq import GenSeq, build_tower_seq, monomial_residue
@@ -16,6 +16,7 @@ from ramval.transforms import (
     NotMonomial,
     NotPPower,
     StableForm,
+    _bottom_row,
     composite_transform,
     defect_from_stable,
     run_tower_ladder,
@@ -205,6 +206,60 @@ def test_chart_validation_reports_vanishing_remainder():
     assert not report.ok
     assert any(r["degree"] == "recursion remainder is zero" for r in report.rows)
     assert "recursion remainder is zero" in report.summary()
+
+
+def _spy_remainders(monkeypatch):
+    """Record the precision of every recursion remainder formed; None marks
+    a whole (exact) remainder."""
+    precs = []
+    inner = transforms._recursion_remainder
+
+    def spy(keys, j, e, prec=None):
+        precs.append(prec)
+        return inner(keys, j, e, prec)
+
+    monkeypatch.setattr(transforms, "_recursion_remainder", spy)
+    return precs
+
+
+@pytest.mark.parametrize("p,c,q", [(2, 1, None), (3, 2, None), (3, 2, 9)])
+def test_chart_validation_never_forms_whole_remainder(monkeypatch, p, c, q):
+    # on valid chains every remainder has a row at the predicted order, so
+    # the exact fallback never runs
+    tower = build_tower(p, c, 6, Fq(p) if q is None else Fq(p, 2))
+    precs = _spy_remainders(monkeypatch)
+    exact_levels = 0
+    for which in "SA":
+        chain = tower.chain(which)
+        for k in range(1, tower.length + 1):
+            try:
+                lvl = chain.level(k)
+            except NotApplicable:  # chain exhausted
+                break
+            if lvl.keys is not None:
+                exact_levels += 1
+                assert validate_chart_seq(lvl).ok, (which, k)
+    assert exact_levels == 8  # levels 1-4 of both chains
+    assert precs and None not in precs
+
+
+def test_chart_validation_remainder_above_predicted_order(monkeypatch):
+    # key_2 = key_1^e_1 - x^(K + 2) y with K one past the predicted order of
+    # the remainder: the truncated remainder vanishes, the whole one is
+    # formed, and its order gives the row the whole remainder always gave
+    seq = build_tower_seq("U", 2, 1, 5)
+    lvl2 = ChartChain(seq).level(2)
+    e1 = lvl2.indices[1]
+    a1 = int((e1 * lvl2.values[1] - lvl2.values[0]) / lvl2.values[0])
+    prec = a1 + _bottom_row(lvl2.keys[0])[0] + 1
+    lvl2.keys[2] = lvl2.keys[1] ** e1 - LocalElem(Poly2.monomial(F2, prec + 2, 1))
+    precs = _spy_remainders(monkeypatch)
+    report = validate_chart_seq(lvl2)
+    assert not report.ok
+    assert precs[:2] == [prec, None]
+    residue_row = dict(index_computed="-", order="-", growth="-", monic=False,
+                       degree="recursion unit residue None")
+    assert report.rows[4:] == [dict(i=1, **residue_row), dict(i=2, **residue_row)]
 
 
 # -- chains ------------------------------------------------------------------------
