@@ -3,7 +3,7 @@
 from .field import Fq, NotInField, is_prime
 from .local import LocalElem
 from .parse import ParseError, parse_poly
-from .poly import DivisibleByX, IndeterminateOrder, NotMonic, Poly2
+from .poly import IndeterminateOrder, NotMonic, Poly2
 
 __all__ = [
     "Fq",
@@ -12,7 +12,6 @@ __all__ = [
     "LocalElem",
     "ParseError",
     "parse_poly",
-    "DivisibleByX",
     "IndeterminateOrder",
     "NotMonic",
     "Poly2",

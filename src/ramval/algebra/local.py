@@ -7,7 +7,7 @@ occur are units (nonzero constant term).  Pairs multiply and divide exactly.
 from __future__ import annotations
 
 from .field import Fq
-from .poly import DivisibleByX, Poly2, _rows
+from .poly import Poly2, _rows
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -79,17 +79,6 @@ class LocalElem:
 
     def divexact_xpow(self, m: int) -> "LocalElem":
         return LocalElem(self.num.divexact_xpow(m), self.den)
-
-    def restrict_x0(self) -> tuple[dict, dict]:
-        """(numerator, denominator) restrictions f(0, y) as y-coefficient dicts."""
-        return self.num.y_restrict_x0(), self.den.y_restrict_x0()
-
-    def y_order_mod_x(self) -> int:
-        """y-order of the restriction to x = 0 (denominator has order 0)."""
-        num_r, den_r = self.restrict_x0()
-        if not num_r:
-            raise DivisibleByX("restriction to x = 0 vanishes")
-        return min(num_r) - min(den_r)
 
     def truncate(self, prec: int) -> "LocalElem":
         """The element modulo x^prec: both parts truncated, which keeps the

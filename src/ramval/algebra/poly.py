@@ -34,10 +34,6 @@ class NotMonic(ArithmeticError):
     """Divisor is not monic (unit constant leading y-coefficient required)."""
 
 
-class DivisibleByX(ArithmeticError):
-    """y-order mod x requested for an element divisible by x."""
-
-
 class IndeterminateOrder(ArithmeticError):
     """Order of the zero polynomial."""
 
@@ -242,10 +238,6 @@ class Poly2:
         if not self.terms:
             raise IndeterminateOrder("x-order of the zero polynomial")
         return min(i for i, _ in self.terms)
-
-    def y_restrict_x0(self) -> dict:
-        """The univariate restriction f(0, y) as dict {y-exponent: coeff}."""
-        return {j: c for (i, j), c in self.terms.items() if i == 0}
 
     def x_coefficient(self, i: int) -> dict:
         """Coefficient of x^i as dict {y-exponent: coeff}."""

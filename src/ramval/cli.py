@@ -138,17 +138,17 @@ def cmd_monomialize(args) -> int:
     return 0 if all_ok else 1
 
 
-def _ladder_rows(report) -> list[dict]:
-    return [r.as_dict() for r in report.rows]
+def _ladder_rows(ladder) -> list[dict]:
+    return [r.as_dict() for r in ladder]
 
 
 def cmd_tower(args) -> int:
     tower = towers.build_tower(args.p, args.c, args.length, _field_for(args.p, args.q))
-    report = transforms.run_tower_ladder(tower, args.levels)
-    check = towers.check_ladder_report(report)
+    ladder = transforms.run_tower_ladder(tower, args.levels)
+    check = towers.check_ladder_report(ladder)
     rep = Report(_config(args, "levels", "length"))
     rep.add("tower ladder (a, a_bar, alpha, b, d, beta, delta per extension)",
-            _ladder_rows(report), True)
+            _ladder_rows(ladder), True)
     rep.add("alternation / sums / defect multiplicativity",
             [check.row()], check.ok)
     print(rep.render(), end="")

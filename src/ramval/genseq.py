@@ -213,7 +213,8 @@ def validate(gs: GenSeq) -> ValidityReport:
 
 
 def _tower_recursion(family: str, p: int, j: int) -> RecursionStep:
-    """Step producing key_{j+1} = key_j**e - x**E * key_{j-1} for each family."""
+    """Step producing key_{j+1} = key_j**e - x**E * key_{j-1} for each family:
+    the one place the families' exponent tables are written."""
     if family in ("Q", "P"):
         return RecursionStep(p**2, 0 if j == 1 else p ** (2 * j - 2))
     # middle-chart family: exponents alternate with the parity of j
@@ -222,6 +223,21 @@ def _tower_recursion(family: str, p: int, j: int) -> RecursionStep:
     if j % 2 == 1:
         return RecursionStep(p, p ** (2 * j - 2))
     return RecursionStep(p**3, p ** (2 * j - 1))
+
+
+def tower_keys(family: str, p: int, key0, key1, length: int) -> list:
+    """key_0, key_1 and key_{j+1} = key_j^e - key_0^E * key_{j-1} for
+    j = 1..length-1, with (e, E) from ``_tower_recursion``.
+
+    The recursion uses only ``**``, ``*`` and ``-``, so it runs on Poly2 and
+    LocalElem alike: (x, y) gives a family's own keys, and the images of
+    key_0 and key_1 under a chart substitution give the keys rewritten in
+    another chart, since substitution is a ring map."""
+    keys = [key0, key1]
+    for j in range(1, length):
+        step = _tower_recursion(family, p, j)
+        keys.append(keys[j] ** step.exponent - key0**step.x_exp * keys[j - 1])
+    return keys
 
 
 def build_tower_seq(
@@ -245,21 +261,13 @@ def build_tower_seq(
     if fld.p != p:
         raise BadParams("field characteristic does not match p")
 
-    x = Poly2.x(fld)
-    y = Poly2.y(fld)
-    keys = [x, y]
+    keys = tower_keys(family, p, Poly2.x(fld), Poly2.y(fld), length)
+    # the equality condition of step j pins value_j from value_{j-1}; the
+    # final key's value comes from the next (virtual) recursion step
+    steps = [_tower_recursion(family, p, j) for j in range(1, length + 1)]
     values = [Fraction(1)]
-    steps = []
-    for j in range(1, length):
-        step = _tower_recursion(family, p, j)
-        steps.append(step)
-        lower = keys[j - 1].shift(step.x_exp)
-        keys.append(keys[j] ** step.exponent - lower)
-        # equality condition pins value_j from value_{j-1}
-        values.append((Fraction(step.x_exp) + values[j - 1]) / step.exponent)
-    # the final key's value comes from the next (virtual) recursion step
-    step = _tower_recursion(family, p, length)
-    values.append((Fraction(step.x_exp) + values[length - 1]) / step.exponent)
+    for step in steps:
+        values.append((step.x_exp + values[-1]) / step.exponent)
 
     if family == "U":
         expected = [tower_key_value(j, p) for j in range(length + 1)]
@@ -272,7 +280,7 @@ def build_tower_seq(
         values=values,
         chart=FAMILY_CHARTS[family],
         label=f"{family}(p={p}" + (f",c={c}" if family == "U" else "") + f",N={length})",
-        recursion=steps,
+        recursion=steps[:-1],
     )
 
 

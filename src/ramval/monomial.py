@@ -1,5 +1,5 @@
 """Monomialization engine: exponent-lattice reductions, the rank-2 determinant
-index, graded-presentation data and the three-way case dispatch."""
+index and graded-presentation data."""
 
 from __future__ import annotations
 
@@ -17,10 +17,6 @@ class Singular(ArithmeticError):
 
 
 class OrderMismatch(ArithmeticError):
-    pass
-
-
-class AbhyankarViolation(ValueError):
     pass
 
 
@@ -169,7 +165,7 @@ class GradedPresentation:
     never materialized, only the relation exponents and the degree."""
 
     rank: int
-    relations: tuple  # rank 1: (e,); rank 2: ((a, b), (c, d))
+    relations: tuple  # ((a, b), (c, d)): the exponent rows of the two relations
     degree: int
     class_tokens: tuple[str, ...] = ()
 
@@ -180,18 +176,6 @@ class GradedPresentation:
             "degree": self.degree,
             "class_tokens": list(self.class_tokens),
         }
-
-
-def graded_presentation_rank1(e: int, f: int) -> GradedPresentation:
-    """Single relation Z^e = [unit]^(-1)[x1]; quotient-field degree e*f."""
-    if e < 1 or f < 1:
-        raise ValueError("e and f must be >= 1")
-    return GradedPresentation(
-        rank=1,
-        relations=(e,),
-        degree=e * f,
-        class_tokens=("Z^%d - [unit]^-1 [x1]" % e,),
-    )
 
 
 def graded_presentation_rank2(m: Matrix2, f: int) -> GradedPresentation:
@@ -247,27 +231,3 @@ def semigroup_decomposition(
         if len(hits) != 1:
             return False
     return True
-
-
-CASE_DVR = "dvr-case"
-CASE_RANK2 = "rank-2-monomial"
-CASE_RANK1 = "rank-1"
-
-
-@dataclass(frozen=True)
-class CaseLabel:
-    name: str
-    defectless: bool
-
-
-def classify_case(rational_rank: int, residue_transcendence: int) -> CaseLabel:
-    """Dispatch on the two Abhyankar invariants; their sum is at most 2."""
-    if rational_rank not in (1, 2) or residue_transcendence not in (0, 1):
-        raise ValueError("rational rank must be 1 or 2, transcendence 0 or 1")
-    if rational_rank + residue_transcendence > 2:
-        raise AbhyankarViolation("rational rank + residue transcendence exceeds 2")
-    if residue_transcendence == 1:
-        return CaseLabel(CASE_DVR, defectless=True)
-    if rational_rank == 2:
-        return CaseLabel(CASE_RANK2, defectless=True)
-    return CaseLabel(CASE_RANK1, defectless=False)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .algebra import Fq, LocalElem, Poly2
-from .genseq import BadParams, GenSeq, Inconsistent, build_tower_seq, value_of
+from .genseq import BadParams, GenSeq, Inconsistent, build_tower_seq, tower_keys, value_of
 from .transforms import ChartChain, NotApplicable, _bottom_row, _mu_with_certificate
 from .values import fmt_value, p_adic_split
 
@@ -146,10 +146,10 @@ class Tower:
             val_f = value_of(f_elem, host)
             ratio = val_f / vals[i]
             if ratio.denominator != 1:
-                raise ArithmeticError(f"key {i}: value ratio {ratio} is not integral")
+                raise Inconsistent(f"{which} key {i}: value ratio {ratio} is not integral")
             mult = int(ratio)
             if mult < 1 or p_adic_split(mult, self.p)[0] != 1:
-                raise ArithmeticError(f"key {i}: value ratio {mult} is not a p-power")
+                raise Inconsistent(f"{which} key {i}: value ratio {mult} is not a p-power")
             host_power = LocalElem(host.keys[i] ** mult)
             delta = f_elem - host_power
             if delta.is_zero():
@@ -157,8 +157,8 @@ class Tower:
                 continue
             margin = value_of(delta, host) - val_f
             if margin <= 0:
-                raise ArithmeticError(
-                    f"key {i}: deviation value does not dominate (margin {margin})"
+                raise Inconsistent(
+                    f"{which} key {i}: deviation value does not dominate (margin {margin})"
                 )
             certs.append(CrossCert(i, mult, delta.x_order(), margin))
         self._certs[which] = certs
@@ -167,6 +167,12 @@ class Tower:
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
     """Construct the three validated generating sequences and the glue data.
+
+    The middle keys in the top chart and the base keys in the middle chart
+    come from ``tower_keys``: the U recursion started from (x, v) with
+    v = y^p - x^c y, and the P recursion started from (u, v) with
+    u = x^p / (1 - x^(p-1)).  Substitution is a ring map, so this is the
+    substitution applied to every key.
 
     Key degrees grow like p^(2*length), so identities stay desk-scale for
     p <= 5 and length <= 8; larger parameters work but get a cost warning.
@@ -191,11 +197,10 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     x = Poly2.x(fld)
     y = Poly2.y(fld)
     v_sub = y**p - Poly2.monomial(fld, c, 1)
-    # u = x^p / (1 - x^(p-1))
     u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
 
-    mid_keys_xy = _middle_keys_in_top_chart(p, fld, v_sub, length)
-    base_keys_xv = _base_keys_in_middle_chart(p, fld, u_elem, length)
+    mid_keys_xy = tower_keys("U", p, x, v_sub, length)
+    base_keys_xv = tower_keys("P", p, u_elem, LocalElem(y), length)
 
     return Tower(
         p=p,
@@ -209,36 +214,6 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         mid_keys_xy=mid_keys_xy,
         base_keys_xv=base_keys_xv,
     )
-
-
-def _middle_keys_in_top_chart(p: int, fld: Fq, v_sub: Poly2, length: int) -> list[Poly2]:
-    """U_0 = x, U_1 = v, U_{j+1} = U_j^p - x^(p^(2j-2)) U_{j-1} (j odd),
-    U_j^(p^3) - x^(p^(2j-1)) U_{j-1} (j even), rewritten with v = y^p - x^c y."""
-    keys = [Poly2.x(fld), v_sub]
-    for j in range(1, length):
-        if j == 1:
-            nxt = keys[1] ** p - keys[0]
-        elif j % 2 == 1:
-            nxt = keys[j] ** p - keys[j - 1].shift(p ** (2 * j - 2))
-        else:
-            nxt = keys[j] ** (p**3) - keys[j - 1].shift(p ** (2 * j - 1))
-        keys.append(nxt)
-    return keys
-
-
-def _base_keys_in_middle_chart(
-    p: int, fld: Fq, u_elem: LocalElem, length: int
-) -> list[LocalElem]:
-    """P_0 = u, P_1 = v, P_2 = v^(p^2) - u, P_{i+1} = P_i^(p^2) - u^(p^(2i-2)) P_{i-1},
-    with u substituted by its x-expression (the chart's y slot is v)."""
-    keys = [u_elem, LocalElem(Poly2.y(fld))]
-    for i in range(1, length):
-        if i == 1:
-            nxt = keys[1] ** (p**2) - keys[0]
-        else:
-            nxt = keys[i] ** (p**2) - u_elem ** (p ** (2 * i - 2)) * keys[i - 1]
-        keys.append(nxt)
-    return keys
 
 
 # -- verification reports -----------------------------------------------------
@@ -367,12 +342,12 @@ def expected_alternation(j: int) -> dict:
     }
 
 
-def check_ladder_report(report) -> CheckReport:
-    """Compare a computed ladder against the alternation pattern, the
-    constant-sum rule and defect multiplicativity."""
+def check_ladder_report(ladder) -> CheckReport:
+    """Compare the rows of a computed ladder against the alternation
+    pattern, the constant-sum rule and defect multiplicativity."""
     failures = []
     by_level: dict[int, dict] = {}
-    for row in report.rows:
+    for row in ladder:
         by_level.setdefault(row.level, {})[row.extension] = row
     for j, rows in sorted(by_level.items()):
         expected = expected_alternation(j)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .algebra import DivisibleByX, IndeterminateOrder, LocalElem, NotInField, Poly2
+from .algebra import IndeterminateOrder, LocalElem, NotInField, Poly2
 from .genseq import (
     GenSeq,
     Inconsistent,
@@ -89,13 +89,6 @@ class StableForm:
             "d": self.d,
             "beta": self.beta,
         }
-
-
-@dataclass(frozen=True)
-class ExtensionInvariants:
-    e: int
-    f: int
-    defect_exponent: int
 
 
 def _as_elem(e) -> LocalElem:
@@ -324,10 +317,9 @@ def validate_chart_seq(level: ChainLevel) -> ValidityReport:
         expected = 1
         for t in range(1, i):
             expected *= idx[t]
-        try:
-            wdeg = keys[i].y_order_mod_x()
-        except DivisibleByX:
-            wdeg = None
+        # the y-order mod x: the bottom row's y-order when the x-order is 0
+        x_ord, y_ord, _ = _bottom_row(keys[i])
+        wdeg = y_ord if x_ord == 0 else None
         row["index_computed"] = idx[i]
         row["order"] = idx[i]
         degree_ok = wdeg == level.degrees[i] == expected
@@ -522,28 +514,13 @@ class LadderRow:
     level: int
     extension: str  # "S/A", "A/R" or "S/R"
     form: StableForm
-    invariants: ExtensionInvariants
-
-    @property
-    def defect(self) -> int:
-        return self.invariants.defect_exponent
+    defect: int
 
     def as_dict(self) -> dict:
         out = {"j": self.level, "extension": self.extension}
         out.update(self.form.as_dict())
         out["delta"] = self.defect
         return out
-
-
-@dataclass
-class LadderReport:
-    p: int
-    c: int
-    levels: int
-    rows: list[LadderRow]
-    e: int
-    f: int
-    f_res: int
 
 
 def _mu_with_certificate(level, certs, i: int, host_mu=None):
@@ -564,16 +541,15 @@ def _mu_with_certificate(level, certs, i: int, host_mu=None):
     return mu
 
 
-def run_tower_ladder(tower, levels: int, e: int = 1, f: int = 1, f_res: int = 1) -> LadderReport:
+def run_tower_ladder(tower, levels: int) -> list[LadderRow]:
     """Per-level stable forms of the two sub-extensions and their composite.
 
     All three chart chains advance in lockstep; the parameters of the coarser
     charts are exact monomials in their chain's original keys, and their
     stable-form orders in the finer chart come from the composite-order
-    calculus backed by the cross-chart comparison certificates.  e, f and the
-    residue degree f_res of the stage are supplied by the caller (all 1 for
-    the tower scenario: the value groups agree in the limit and the residue
-    fields are prime).
+    calculus backed by the cross-chart comparison certificates.  The defect
+    exponent of each row is read with e = f = f_res = 1: the value groups
+    agree in the limit and the residue fields are prime.
     """
     p = tower.p
     if levels > tower.length - 1:
@@ -604,6 +580,5 @@ def run_tower_ladder(tower, levels: int, e: int = 1, f: int = 1, f_res: int = 1)
                 raise NotMonomial(f"level {k}: {not_monomial}")
             b, d = host.mu_vector(foreign.vecs[1], mu_of)
             sf = stable_form_from_orders(a, b, d, p)
-            inv = ExtensionInvariants(e, f, defect_from_stable(sf, e, f, p, f_res))
-            rows.append(LadderRow(k, ext, sf, inv))
-    return LadderReport(p, tower.c, levels, rows, e, f, f_res)
+            rows.append(LadderRow(k, ext, sf, defect_from_stable(sf, 1, 1, p)))
+    return rows

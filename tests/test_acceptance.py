@@ -146,9 +146,9 @@ def test_criterion_08_ladder():
     ok = True
     for p, c in ((2, 1), (3, 2)):
         tower = build_tower(p, c, 6)
-        report = run_tower_ladder(tower, 4)
-        ok = ok and check_ladder_report(report).ok
-        for row in report.rows:
+        ladder = run_tower_ladder(tower, 4)
+        ok = ok and check_ladder_report(ladder).ok
+        for row in ladder:
             if row.extension == "S/R":
                 ok = ok and row.defect == 2
             else:

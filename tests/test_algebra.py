@@ -6,7 +6,6 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_mul, gf_rem
 
 from ramval.algebra import (
-    DivisibleByX,
     Fq,
     IndeterminateOrder,
     LocalElem,
@@ -16,6 +15,7 @@ from ramval.algebra import (
     parse_poly,
 )
 from ramval.algebra.local import _compose_poly_pair
+from ramval.transforms import _bottom_row
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -304,16 +304,17 @@ def test_x_order_additive():
 
 
 def test_y_order_mod_x_examples():
-    assert LocalElem(parse_poly("y^2 - x*y", F2)).y_order_mod_x() == 2
-    assert LocalElem(parse_poly("1 + y", F2)).y_order_mod_x() == 0
+    # the y-order mod x is the bottom row's y-order at x-order 0
+    assert _bottom_row(LocalElem(parse_poly("y^2 - x*y", F2)))[:2] == (0, 2)
+    assert _bottom_row(LocalElem(parse_poly("1 + y", F2)))[:2] == (0, 0)
     # middle-chart second parameter rewritten in the top chart, p=2, c=1
     v = parse_poly("y^2 - x*y", F2)
     u2 = v * v - Poly2.x(F2)
-    assert LocalElem(u2).y_order_mod_x() == 4
+    assert _bottom_row(LocalElem(u2))[:2] == (0, 4)
     # a unit denominator whose restriction has y-order 0 leaves it alone
-    assert LocalElem(u2, parse_poly("1 + y + x", F2)).y_order_mod_x() == 4
-    with pytest.raises(DivisibleByX):
-        LocalElem(parse_poly("x*y", F2)).y_order_mod_x()
+    assert _bottom_row(LocalElem(u2, parse_poly("1 + y + x", F2)))[:2] == (0, 4)
+    # an x-divisible element has no y-order mod x; its bottom row is at x^1
+    assert _bottom_row(LocalElem(parse_poly("x*y", F2)))[:2] == (1, 1)
 
 
 def test_local_elem_arithmetic():

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,22 @@ def test_failed_cross_check_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed" in err and "alternating recursion" in err
+
+
+@pytest.mark.parametrize("fake_value,witness", [
+    (lambda f, gs: Fraction(1, 7), "mid-in-top key 0: value ratio 1/7 is not integral"),
+    (lambda f, gs: 3 * gs.values[0], "mid-in-top key 0: value ratio 3 is not a p-power"),
+    # key 0 matches exactly; key 1 gets ratio 4 and a deviation of equal value
+    (lambda f, gs: gs.values[0],
+     "mid-in-top key 1: deviation value does not dominate (margin 0)"),
+], ids=["not-integral", "not-p-power", "not-dominant"])
+def test_failed_certificate_exits_1(capsys, monkeypatch, fake_value, witness):
+    # a comparison certificate that does not hold is a verification failure
+    monkeypatch.setattr(towers, "value_of", fake_value)
+    code, out, err = run(capsys, "tower", "--p", "2", "--levels", "2", "--length", "4")
+    assert code == 1
+    assert out == ""
+    assert f"verification failed: {witness}" in err
 
 
 def _failed_validation(level):

@@ -4,17 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from ramval.monomial import (
-    AbhyankarViolation,
-    CASE_DVR,
-    CASE_RANK1,
-    CASE_RANK2,
     OrderMismatch,
     Singular,
     check_min_formula,
-    classify_case,
     det_index,
     euclidean_reduce,
-    graded_presentation_rank1,
     graded_presentation_rank2,
     lattice_index_snf,
     semigroup_decomposition,
@@ -93,16 +87,6 @@ def test_euclidean_reduce_determinant_identity_random():
         assert r.determinant_value == abs(s1 * t2 - s2 * t1)
 
 
-def test_graded_presentation_rank1():
-    p = graded_presentation_rank1(1, 1)
-    assert p.degree == 1 and p.relations == (1,)
-    p2 = graded_presentation_rank1(3, 1)
-    assert p2.degree == 3 and p2.relations == (3,)
-    # defect does not enter the quotient-field degree
-    p3 = graded_presentation_rank1(1, 1)
-    assert p3.degree == 1
-
-
 def test_graded_presentation_rank2():
     m = ((2, 1), (1, 3))
     p = graded_presentation_rank2(m, f=2)
@@ -139,14 +123,3 @@ def test_semigroup_decomposition_wrong_order_fails():
     big = [F(k, 3) for k in range(10)]
     assert semigroup_decomposition(big, ValueGroup.integers(), F(1, 3), 3, F(3))
     assert not semigroup_decomposition(big, ValueGroup.integers(), F(1, 3), 2, F(3))
-
-
-def test_classify_case():
-    assert classify_case(2, 0) == classify_case(2, 0)
-    assert classify_case(2, 0).name == CASE_RANK2 and classify_case(2, 0).defectless
-    assert classify_case(1, 1).name == CASE_DVR and classify_case(1, 1).defectless
-    assert classify_case(1, 0).name == CASE_RANK1 and not classify_case(1, 0).defectless
-    with pytest.raises(AbhyankarViolation):
-        classify_case(2, 1)
-    with pytest.raises(ValueError):
-        classify_case(3, 0)

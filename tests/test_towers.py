@@ -66,6 +66,24 @@ def test_middle_keys_in_top_chart_first_identities():
         assert t.mid_keys_xy[2] == q2 - Poly2.monomial(fld, c * p, p)
 
 
+@pytest.mark.parametrize("p,m,length", [(2, 1, 5), (3, 1, 4), (3, 2, 4), (5, 1, 3)])
+def test_rewritten_keys_are_substituted_keys(p, m, length):
+    # independent oracle for the chart rewrites: substitution is a ring map,
+    # so the recursion run from the images of the first two keys must equal
+    # every key substituted on its own (Horner for the middle keys, the pair
+    # kernel for the base keys)
+    fld = Fq(p, m)
+    t = build_tower(p, p - 1, length, fld)
+    x, y = Poly2.x(fld), Poly2.y(fld)
+    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
+    assert len(t.mid_keys_xy) == len(t.seq_mid.keys) == length + 1
+    for rewritten, key in zip(t.mid_keys_xy, t.seq_mid.keys):
+        assert rewritten == key.compose(x, t.v_sub)
+    assert len(t.base_keys_xv) == len(t.seq_base.keys) == length + 1
+    for rewritten, key in zip(t.base_keys_xv, t.seq_base.keys):
+        assert rewritten == LocalElem(key).compose(u_elem, LocalElem(y))
+
+
 def test_deviation_j2_exact_shape():
     # U_3 - Q_3^p = -x^(cp^4) y^(p^4) + x^(p^3 + c) y; the first term's
     # y-exponent matches the stated degree p^(2j) of the correction

@@ -368,7 +368,7 @@ def test_chain_pushforward_matches_order_calculus():
         rep = run_tower_ladder(tower, kmax)
         for k in range(2, kmax + 1):
             lvl_a = ch_a.level(k)
-            row = next(r for r in rep.rows if r.level == k and r.extension == "S/A")
+            row = next(r for r in rep if r.level == k and r.extension == "S/A")
             got = _mu_exact_of_vector(tower.mid_keys_xy, lvl_a.vecs[1], ch_s, k)
             assert got == (row.form.b, row.form.d)
             got_a = _mu_exact_of_vector(tower.mid_keys_xy, lvl_a.vecs[0], ch_s, k)
@@ -389,12 +389,12 @@ def test_chain_pushforward_matches_order_calculus_base_side():
         ]
         for k in range(1, kmax + 1):
             lvl_r = tower.chain("R").level(k)
-            row = next(r for r in rep.rows if r.level == k and r.extension == "A/R")
+            row = next(r for r in rep if r.level == k and r.extension == "A/R")
             assert _mu_exact_of_vector(tower.base_keys_xv, lvl_r.vecs[0], ch_a, k) == (
                 row.form.a, 0)
             assert _mu_exact_of_vector(tower.base_keys_xv, lvl_r.vecs[1], ch_a, k) == (
                 row.form.b, row.form.d)
-            row_t = next(r for r in rep.rows if r.level == k and r.extension == "S/R")
+            row_t = next(r for r in rep if r.level == k and r.extension == "S/R")
             assert _mu_exact_of_vector(base_in_top, lvl_r.vecs[0], ch_s, k) == (
                 row_t.form.a, 0)
             assert _mu_exact_of_vector(base_in_top, lvl_r.vecs[1], ch_s, k) == (
@@ -413,13 +413,8 @@ def _mu_exact_of_vector(base_keys, vec, chain, k):
     num_p = chain.push_exact(num, k)
     den_p = chain.push_exact(den, k)
 
-    def mu(e):
-        o = e.x_order()
-        shifted = LocalElem(e.num.divexact_xpow(e.num.x_order()), e.den)
-        return o, shifted.y_order_mod_x()
-
-    a, b = mu(num_p)
-    c, d = mu(den_p)
+    a, b, _ = _bottom_row(num_p)
+    c, d, _ = _bottom_row(den_p)
     return a - c, b - d
 
 
@@ -430,7 +425,7 @@ def _mu_exact_of_vector(base_keys, vec, chain, k):
 def test_ladder_oscillation(p, c):
     tower = build_tower(p, c, 6)
     rep = run_tower_ladder(tower, 4)
-    for row in rep.rows:
+    for row in rep:
         odd = row.level % 2 == 1
         alpha, beta = row.form.alpha, row.form.beta
         if row.extension == "S/A":
@@ -447,7 +442,7 @@ def test_ladder_sums_and_defects(p, c):
     tower = build_tower(p, c, 6)
     rep = run_tower_ladder(tower, 4)
     by_level = {}
-    for row in rep.rows:
+    for row in rep:
         by_level.setdefault(row.level, {})[row.extension] = row
     for k, rows in by_level.items():
         assert rows["S/A"].form.alpha + rows["S/A"].form.beta == 1
