@@ -85,7 +85,6 @@ class GenSeq:
     values: list[Fraction]
     chart: tuple[str, str] = ("x", "y")
     label: str = ""
-    recursion: list[RecursionStep] | None = None
     _lattice: Lattice | None = dc_field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
@@ -280,7 +279,6 @@ def build_tower_seq(
         values=values,
         chart=FAMILY_CHARTS[family],
         label=f"{family}(p={p}" + (f",c={c}" if family == "U" else "") + f",N={length})",
-        recursion=steps[:-1],
     )
 
 

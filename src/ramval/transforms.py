@@ -23,11 +23,14 @@ x-order the calculus predicts, and check the pushed orders against it.
 Every push, exact or truncated, substitutes y-row by y-row: one x-image per
 x-exponent, one product with its y-image per row (``LocalElem.compose``).
 
-The chart checks read leading data too.  ``validate_chart_seq`` forms each
-recursion remainder key_j^e - key_{j+1} modulo x^(a_j + o + 1), one past the
-x-order o + a_j that the recursion shape predicts, and forms it whole only
-when nothing is left below that power (zero, or too high an order: the two
-failures it reports apart).
+The chain checks are split by what they read.  ``ChartChain.extend`` checks
+the conditions on values at every level: positive values, growth
+v_{i+1} > n_i * v_i, distinguished degrees equal to the index products, and
+integral relation exponents a_j >= 0.  ``validate_chart_seq`` checks what
+only exact keys show, at the levels that have them: each key's distinguished
+degree, and the lowest term of each recursion remainder key_j^e - key_{j+1},
+formed modulo x^(a_j + o + 1), one past the x-order o + a_j that the
+recursion shape predicts.
 """
 
 from __future__ import annotations
@@ -36,14 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .algebra import IndeterminateOrder, LocalElem, NotInField, Poly2
-from .genseq import (
-    GenSeq,
-    Inconsistent,
-    SequenceTooShort,
-    ValidityReport,
-    residue_of_quotient,
-)
+from .algebra import LocalElem, NotInField, Poly2
+from .genseq import GenSeq, Inconsistent, SequenceTooShort, residue_of_quotient
 from .values import p_adic_split, stage_indices
 
 Value = Fraction
@@ -292,78 +289,56 @@ def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
     return cmap, new_keys
 
 
-def _recursion_remainder(keys: list[LocalElem], j: int, e: int,
-                         prec: int | None = None) -> LocalElem:
-    """key_j^e - key_{j+1}, modulo x^prec when ``prec`` is given."""
+def _recursion_remainder(keys: list[LocalElem], j: int, e: int, prec: int) -> LocalElem:
+    """key_j^e - key_{j+1} modulo x^prec."""
     kj, kn = keys[j], keys[j + 1]
     den_pow = pow(kj.den, e, prec)
     num = pow(kj.num, e, prec).__mul__(kn.den, prec) - kn.num.__mul__(den_pow, prec)
     return LocalElem(num, den_pow.__mul__(kn.den, prec))
 
 
-def validate_chart_seq(level: ChainLevel) -> ValidityReport:
-    """Validity of a transformed level's exact keys: growth, the
-    distinguished degrees of the key restrictions against the products of
-    the indices, and the recursion shape key_{j+1} = key_j^e - delta x^a
-    key_{j-1} with delta = 1 at the origin."""
-    keys, values, idx = level.keys, level.values, level.indices
+def _relation_exponent(level: ChainLevel, j: int) -> int:
+    """a_j = (n_j * value_j - value_{j-1}) / value_0, the x-exponent of the
+    recursion key_{j+1} = key_j^n_j - delta x^a_j key_{j-1}; Inconsistent
+    unless it is a nonnegative integer."""
+    v = level.values
+    a = (level.indices[j] * v[j] - v[j - 1]) / v[0]
+    if a.denominator != 1 or a < 0:
+        raise Inconsistent(f"level {level.k}, key {j + 1}: relation exponent {a} "
+                           "is not a nonnegative integer")
+    return int(a)
+
+
+def validate_chart_seq(level: ChainLevel) -> None:
+    """Check what only a level's exact keys show: each key's distinguished
+    degree (the y-order mod x) against ``level.degrees``, and the lowest
+    term of each recursion key_{j+1} = key_j^e - delta x^a_j key_{j-1}, which
+    must lie at x-order a_j + o (o that of key_{j-1}) with delta = 1 at the
+    origin.  NonPolynomial names the label and the key that fails."""
+    keys = level.keys
     fld = keys[0].field
-    rows = []
-    ok = True
 
-    # distinguished degrees against prescribed products of indices
+    def fail(i, what):
+        raise NonPolynomial(
+            f"transformed sequence failed validation: {level.label}: key {i} {what}")
+
     for i in range(1, len(keys)):
-        row: dict = {"i": i}
-        expected = 1
-        for t in range(1, i):
-            expected *= idx[t]
-        # the y-order mod x: the bottom row's y-order when the x-order is 0
         x_ord, y_ord, _ = _bottom_row(keys[i])
-        wdeg = y_ord if x_ord == 0 else None
-        row["index_computed"] = idx[i]
-        row["order"] = idx[i]
-        degree_ok = wdeg == level.degrees[i] == expected
-        row["degree"] = degree_ok
-        growth = True
-        if i + 1 < len(keys):
-            growth = values[i + 1] > idx[i] * values[i]
-        row["growth"] = growth
-        row["monic"] = True  # distinguished up to a unit; degree check is the content
-        rows.append(row)
-        ok = ok and degree_ok and growth and values[i] > 0
+        if x_ord != 0 or y_ord != level.degrees[i]:
+            fail(i, f"has lowest term x^{x_ord} y^{y_ord}, not x^0 y^{level.degrees[i]}")
 
-    # recursion shapes with unit residue 1
     for j in range(1, len(keys) - 1):
-        e_j = idx[j]
-        a_j = (e_j * values[j] - values[j - 1]) / values[0]
-        if a_j.denominator != 1 or a_j < 0:
-            ok = False
-            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
-                             monic=False, degree=f"relation exponent {a_j} not integral"))
-            continue
-        a_j = int(a_j)
         o_low, t_low, lead_low = _bottom_row(keys[j - 1])
-        # the row check reads x-orders up to a_j + o_low only; the whole
-        # remainder is formed just to tell zero from too high an order
-        rem = _recursion_remainder(keys, j, e_j, a_j + o_low + 1)
-        if rem.is_zero():
-            rem = _recursion_remainder(keys, j, e_j)
-        try:
-            o_rem, t_rem, lead_rem = _bottom_row(rem)
-        except IndeterminateOrder:  # key_j^e_j == key_{j+1}: no lower term
-            ok = False
-            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
-                             monic=False, degree="recursion remainder is zero"))
-            continue
-        # key_0 = x carries its own x power; delta(0,0) is the ratio of the
-        # leading coefficients at matching y-order
-        shape_ok = o_rem == a_j + o_low and t_rem == t_low
-        res = fld.div(lead_rem, lead_low) if shape_ok else None
-        if not shape_ok or res != fld.one:
-            ok = False
-            rows.append(dict(i=j, index_computed="-", order="-", growth="-",
-                             monic=False, degree=f"recursion unit residue {res}"))
-    return ValidityReport(level.label, rows, ok)
+        o_pred = _relation_exponent(level, j) + o_low
+        rem = _recursion_remainder(keys, j, level.indices[j], o_pred + 1)
+        lowest = None if rem.is_zero() else _bottom_row(rem)
+        if lowest is None or lowest[:2] != (o_pred, t_low):
+            found = "none" if lowest is None else f"x^{lowest[0]} y^{lowest[1]}"
+            fail(j + 1, f"recursion remainder does not lead with x^{o_pred} y^{t_low} "
+                        f"(lowest term below x^{o_pred + 1}: {found})")
+        res = fld.div(lowest[2], lead_low)
+        if res != fld.one:
+            fail(j + 1, f"recursion unit residue {fld.to_str(res)}, not 1")
 
 
 class ChartChain:
@@ -413,6 +388,12 @@ class ChartChain:
         return self.levels[k - 1]
 
     def extend(self):
+        """Append the next level.  Its values, indices and degrees come from
+        the composite-order calculus and are checked here, at every level:
+        positive values, degrees equal to the index products, growth
+        v_{i+1} > n_i * v_i and integral relation exponents a_j >= 0
+        (Inconsistent otherwise).  While exact keys exist, the level gets
+        its chart map, and ``validate_chart_seq`` checks its keys."""
         cur = self.levels[-1]
         if len(cur.values) < 2:
             raise NotApplicable("chain exhausted: too few keys to transform")
@@ -420,18 +401,31 @@ class ChartChain:
         if cur.values[0] != n1 * cur.values[1]:
             raise NotApplicable("ratio condition fails along the chain")
         m = len(cur.values) - 1  # new key count
+        k = cur.k + 1
 
         new_values = [cur.values[1]] + [
             cur.values[j] - cur.degrees[j] * cur.values[1] for j in range(2, m + 1)
         ]
+        for i, v in enumerate(new_values):
+            if v <= 0:
+                raise Inconsistent(f"level {k}, key {i}: value {v} is not positive")
         new_indices = stage_indices(new_values)
         new_degrees = [0]
         for i in range(1, m):
             new_degrees.append(new_degrees[i - 1] * new_indices[i - 1] if i > 1 else 1)
-        # degrees must agree with the shifted old ones
-        for j in range(2, m + 1):
-            if cur.degrees[j] // n1 != new_degrees[j - 1]:
-                raise Inconsistent("distinguished degrees disagree with the index products")
+        # the shifted old degrees are n_1 times the new ones
+        for i in range(1, m):
+            if cur.degrees[i + 1] != n1 * new_degrees[i]:
+                raise Inconsistent(
+                    f"level {k}, key {i}: n_1 * distinguished degree = {n1} * "
+                    f"{new_degrees[i]} is not the shifted degree {cur.degrees[i + 1]}"
+                )
+        for i in range(1, m - 1):
+            if new_values[i + 1] <= new_indices[i] * new_values[i]:
+                raise Inconsistent(
+                    f"level {k}, key {i + 1}: value {new_values[i + 1]} does not exceed "
+                    f"{new_indices[i]} * {new_values[i]}"
+                )
 
         new_vecs = [cur.vecs[1]] + [
             tuple(
@@ -447,7 +441,7 @@ class ChartChain:
             new_crows.append((first,) + tuple(row[j] for j in range(2, len(row))))
 
         nl = ChainLevel(
-            k=cur.k + 1,
+            k=k,
             values=new_values,
             indices=new_indices,
             degrees=new_degrees,
@@ -457,6 +451,8 @@ class ChartChain:
             # x / key_1^n_1 has residue 1
             r=self.base.field.one,
         )
+        for j in range(1, m - 1):
+            _relation_exponent(nl, j)
         if cur.keys is not None:
             try:
                 nl.map_from_prev, nl.keys = composite_transform(cur)
@@ -464,11 +460,7 @@ class ChartChain:
                 pass  # continue with the order calculus only
             else:
                 nl.label, nl.chart = nl.map_from_prev.target, nl.map_from_prev.chart_vars
-                report = validate_chart_seq(nl)
-                if not report.ok:
-                    raise NonPolynomial(
-                        "transformed sequence failed validation:\n" + report.summary()
-                    )
+                validate_chart_seq(nl)
         # cross-check: the two bookkeeping directions must be mutually inverse
         for j, vec in enumerate(nl.vecs):
             expected = (1, 0) if j == 0 else (0, nl.degrees[j])

@@ -103,7 +103,7 @@ def test_criterion_04_valuation_oracle_equivalence():
                 )
             if f.is_zero():
                 continue
-            if value_of(f, seq) != rewrite_oracle_value(f, seq):
+            if value_of(f, seq) != rewrite_oracle_value(f, seq, "Q"):
                 mismatches += 1
             checked += 1
     ok = mismatches == 0 and checked >= 500

@@ -7,7 +7,7 @@ import pytest
 from ramval import cli, genseq, towers, transforms
 from ramval.algebra import Fq
 from ramval.cli import main
-from ramval.genseq import ValidityReport
+from test_transforms import ORDER_CALCULUS_TAMPERS
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -279,12 +279,14 @@ def test_failed_certificate_exits_1(capsys, monkeypatch, fake_value, witness):
 
 
 def _failed_validation(level):
-    return ValidityReport(level.label, [], False)
+    raise transforms.NonPolynomial(
+        f"transformed sequence failed validation: {level.label}: key 1 tampered")
 
 
 @pytest.mark.parametrize("target,patch,witness", [
     # a transformed chain level that fails validation: NonPolynomial
-    ("validate_chart_seq", _failed_validation, "transformed sequence failed validation"),
+    ("validate_chart_seq", _failed_validation,
+     "transformed sequence failed validation: Q(p=2,N=5)/T2: key 1 tampered"),
     # a first parameter that is not unit * x^a: NotMonomial
     ("ChainLevel.mu_vector", lambda self, vec, mu_of=None: (1, 1),
      "middle x-parameter is not unit * x^a"),
@@ -298,6 +300,25 @@ def test_ladder_failures_exit_1(capsys, monkeypatch, target, patch, witness):
     assert code == 1
     assert out == ""
     assert "verification failed" in err and witness in err
+
+
+@pytest.mark.parametrize("tamper,witness", ORDER_CALCULUS_TAMPERS.values(),
+                         ids=ORDER_CALCULUS_TAMPERS.keys())
+def test_tower_checks_values_without_exact_keys(capsys, monkeypatch, tamper, witness):
+    # chain S level 5 has no exact keys: its values and degrees are checked
+    # while level 6 is built, and a failure exits 1 with its witness
+    real = towers.build_tower
+
+    def tampered(*args):
+        tower = real(*args)
+        level5 = tower.chain("S").level(5)
+        assert level5.keys is None
+        tamper(level5)
+        return tower
+
+    monkeypatch.setattr(towers, "build_tower", tampered)
+    code, out, err = run(capsys, "tower", "--p", "2", "--levels", "7", "--length", "8")
+    assert (code, out, err) == (1, "", f"verification failed: {witness}\n")
 
 
 @pytest.mark.parametrize("shift", [1, -1])

@@ -56,6 +56,33 @@ def test_det_equals_snf_index_random():
         assert det_index(m) == lattice_index_snf([list(m[0]), list(m[1])])
 
 
+def test_smith_normal_form_matches_sympy():
+    # second oracle: sympy's Smith normal form over ZZ, on seeded random
+    # matrices from 2x2 to 4x4, non-square and singular ones included
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(11)
+    singular = 0
+    for n in range(400):
+        rows, cols = rng.randint(2, 4), rng.randint(2, 4)
+        m = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        if n % 3 == 0:  # rank below min(rows, cols): copy or clear a line
+            s = rng.choice((-1, 0, 1))
+            if rows <= cols:
+                m[-1] = [s * a for a in m[0]]
+            else:
+                for row in m:
+                    row[-1] = s * row[0]
+        d = smith_normal_form(m)
+        ref = sympy_snf(Matrix(m), domain=ZZ)
+        k = min(rows, cols)
+        assert [abs(d[i][i]) for i in range(k)] == [abs(ref[i, i]) for i in range(k)], m
+        assert all(d[i][j] == 0 for i in range(rows) for j in range(cols) if i != j), m
+        singular += Matrix(m).rank() < k
+    assert singular >= 100
+
+
 def test_euclidean_reduce_equal_first_exponents():
     r = euclidean_reduce((2, 0), (2, 1))
     assert r.s == 2 and r.steps == ""

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -152,7 +153,7 @@ def test_transformed_recursion_residues_are_one():
         chain = ChartChain(seq)
         for k in (2, 3):
             lvl = chain.level(k)
-            assert validate_chart_seq(lvl).ok
+            assert validate_chart_seq(lvl) is None
             assert lvl.r == seq.field.one
         assert chain.level(3).map_from_prev.residue == seq.field.one
 
@@ -164,9 +165,10 @@ def test_chart_validation_reports_unit_residue():
     lvl2 = ChartChain(seq).level(2)
     power = lvl2.keys[1] ** lvl2.indices[1]
     lvl2.keys[2] = power - LocalElem(Poly2.const(F3, 2)) * (power - lvl2.keys[2])
-    report = validate_chart_seq(lvl2)
-    assert not report.ok
-    assert any(r["degree"] == "recursion unit residue 2" for r in report.rows)
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == ("transformed sequence failed validation: U(p=3,c=2,N=5)/T2: "
+                             "key 2 recursion unit residue 2, not 1")
 
 
 def test_chain_rejects_level_failing_validation():
@@ -183,51 +185,49 @@ def test_chart_validation_detects_tampering():
     # corrupting a transformed key must not pass the validity checks
     seq = build_tower_seq("U", 2, 1, 5)
     lvl2 = ChartChain(seq).level(2)
-    good = validate_chart_seq(lvl2)
-    assert good.ok
+    assert validate_chart_seq(lvl2) is None
     lvl2.keys[2] = lvl2.keys[2] * LocalElem(Poly2.x(F2))  # wrong exceptional order
-    bad = validate_chart_seq(lvl2)
-    assert not bad.ok
-    assert bad.rows[1] == {"i": 2, "index_computed": 2, "order": 2, "degree": False,
-                           "growth": True, "monic": True}  # restriction to x = 0 vanishes
+    with pytest.raises(NonPolynomial) as ex:  # restriction to x = 0 vanishes
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == ("transformed sequence failed validation: U(p=2,c=1,N=5)/T2: "
+                             "key 2 has lowest term x^1 y^8, not x^0 y^8")
     fresh = ChartChain(seq).level(2)
     fresh.values[2] += F(1, 64)  # breaks the relation exponent integrality
-    assert not validate_chart_seq(fresh).ok
+    with pytest.raises(Inconsistent) as ex:
+        validate_chart_seq(fresh)
+    assert str(ex.value) == "level 2, key 3: relation exponent 33/16 is not a nonnegative integer"
+
+
+def _remainder_witness(lvl, j, lowest):
+    """The failure text for a recursion remainder with no term at the
+    predicted order x^(a_j + o) y^t of key j + 1."""
+    e = lvl.indices[j]
+    a = (e * lvl.values[j] - lvl.values[j - 1]) / lvl.values[0]
+    o, t, _ = _bottom_row(lvl.keys[j - 1])
+    return (f"transformed sequence failed validation: {lvl.label}: key {j + 1} recursion "
+            f"remainder does not lead with x^{a + o} y^{t} (lowest term below "
+            f"x^{a + o + 1}: {lowest})")
 
 
 def test_chart_validation_reports_vanishing_remainder():
     # key_2 = key_1^e_1 exactly: the recursion has no lower term, which is a
-    # diagnostic row, not a silent skip; any other error propagates
+    # failure naming the key, not a silent skip
     seq = build_tower_seq("U", 2, 1, 5)
     lvl2 = ChartChain(seq).level(2)
-    e1 = lvl2.indices[1]
-    lvl2.keys[2] = lvl2.keys[1] ** e1
-    report = validate_chart_seq(lvl2)
-    assert not report.ok
-    assert any(r["degree"] == "recursion remainder is zero" for r in report.rows)
-    assert "recursion remainder is zero" in report.summary()
-
-
-def _spy_remainders(monkeypatch):
-    """Record the precision of every recursion remainder formed; None marks
-    a whole (exact) remainder."""
-    precs = []
-    inner = transforms._recursion_remainder
-
-    def spy(keys, j, e, prec=None):
-        precs.append(prec)
-        return inner(keys, j, e, prec)
-
-    monkeypatch.setattr(transforms, "_recursion_remainder", spy)
-    return precs
+    lvl2.keys[2] = lvl2.keys[1] ** lvl2.indices[1]
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == _remainder_witness(lvl2, 1, "none")
 
 
 @pytest.mark.parametrize("p,c,q", [(2, 1, None), (3, 2, None), (3, 2, 9)])
-def test_chart_validation_never_forms_whole_remainder(monkeypatch, p, c, q):
-    # on valid chains every remainder has a row at the predicted order, so
-    # the exact fallback never runs
+def test_chart_validation_never_forms_whole_remainder(p, c, q):
+    # every recursion remainder is formed modulo a power of x (the precision
+    # has no default), and on valid chains every one leads at the predicted
+    # order
+    prec = inspect.signature(transforms._recursion_remainder).parameters["prec"]
+    assert prec.default is inspect.Parameter.empty
     tower = build_tower(p, c, 6, Fq(p) if q is None else Fq(p, 2))
-    precs = _spy_remainders(monkeypatch)
     exact_levels = 0
     for which in "SA":
         chain = tower.chain(which)
@@ -238,28 +238,70 @@ def test_chart_validation_never_forms_whole_remainder(monkeypatch, p, c, q):
                 break
             if lvl.keys is not None:
                 exact_levels += 1
-                assert validate_chart_seq(lvl).ok, (which, k)
+                assert validate_chart_seq(lvl) is None, (which, k)
     assert exact_levels == 8  # levels 1-4 of both chains
-    assert precs and None not in precs
 
 
-def test_chart_validation_remainder_above_predicted_order(monkeypatch):
+def test_chart_validation_remainder_above_predicted_order():
     # key_2 = key_1^e_1 - x^(K + 2) y with K one past the predicted order of
-    # the remainder: the truncated remainder vanishes, the whole one is
-    # formed, and its order gives the row the whole remainder always gave
+    # the remainder: below x^K the remainder vanishes, the same failure as a
+    # zero remainder, and nothing past x^K is formed
     seq = build_tower_seq("U", 2, 1, 5)
     lvl2 = ChartChain(seq).level(2)
     e1 = lvl2.indices[1]
     a1 = int((e1 * lvl2.values[1] - lvl2.values[0]) / lvl2.values[0])
     prec = a1 + _bottom_row(lvl2.keys[0])[0] + 1
     lvl2.keys[2] = lvl2.keys[1] ** e1 - LocalElem(Poly2.monomial(F2, prec + 2, 1))
-    precs = _spy_remainders(monkeypatch)
-    report = validate_chart_seq(lvl2)
-    assert not report.ok
-    assert precs[:2] == [prec, None]
-    residue_row = dict(index_computed="-", order="-", growth="-", monic=False,
-                       degree="recursion unit residue None")
-    assert report.rows[4:] == [dict(i=1, **residue_row), dict(i=2, **residue_row)]
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == _remainder_witness(lvl2, 1, "none")
+
+
+def test_chart_validation_remainder_below_predicted_order():
+    # key_3 - x y keeps its distinguished degree, but the remainder of its
+    # recursion now leads at x^1 y, below the predicted x^2 y
+    seq = build_tower_seq("U", 2, 1, 5)
+    lvl2 = ChartChain(seq).level(2)
+    lvl2.keys[3] = lvl2.keys[3] - LocalElem(Poly2.monomial(F2, 1, 1))
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == _remainder_witness(lvl2, 2, "x^1 y^1")
+    assert "lead with x^2 y^1" in str(ex.value)
+
+
+# Tampers of a chain level with no exact keys (level 5 of the Q chain at
+# p = 2), each caught while the next level is built, with its witness.
+ORDER_CALCULUS_TAMPERS = {
+    # a shifted degree one too large drives a level-6 value below 0, caught
+    # before any index of it is taken
+    "positivity": (lambda lvl: lvl.degrees.__setitem__(2, lvl.degrees[2] + 1),
+                   "level 6, key 1: value -3/4096 is not positive"),
+    # shifted degree 17 where the index products give 4 * 4 (17 // 4 == 4)
+    "degree": (lambda lvl: lvl.degrees.__setitem__(3, lvl.degrees[3] + 1),
+               "level 6, key 2: n_1 * distinguished degree = 4 * 4 is not the shifted "
+               "degree 17"),
+    # level-6 value 1/16384 of key 2 keeps its index 4 but not the growth
+    "growth": (lambda lvl: lvl.values.__setitem__(3, lvl.values[3] - F(1, 1024)),
+               "level 6, key 2: value 1/16384 does not exceed 4 * 1/4096"),
+    # level-6 values 19/16384 and 305/65536 of keys 2 and 3 keep their
+    # indices and the growth, but a_2 = (4 * 19/16384 - 1/4096) * 1024 = 9/2
+    "relation-exponent": (lambda lvl: lvl.values.__setitem__(
+                              slice(3, 5), [lvl.values[3] + F(1, 8192),
+                                            lvl.values[4] + F(1, 2048)]),
+                          "level 6, key 3: relation exponent 9/2 is not a nonnegative integer"),
+}
+
+
+@pytest.mark.parametrize("tamper,witness", ORDER_CALCULUS_TAMPERS.values(),
+                         ids=ORDER_CALCULUS_TAMPERS.keys())
+def test_chain_checks_values_without_exact_keys(tamper, witness):
+    chain = ChartChain(build_tower_seq("Q", 2, None, 8))
+    lvl5 = chain.level(5)
+    assert lvl5.keys is None  # only the order calculus reaches level 5
+    tamper(lvl5)
+    with pytest.raises(Inconsistent) as ex:
+        chain.level(6)
+    assert str(ex.value) == witness
 
 
 # -- chains ------------------------------------------------------------------------
