@@ -405,6 +405,34 @@ def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
     return StandardExpansion(gs, [ExpTerm(c, e) for e, c in sorted(terms.items())])
 
 
+def expand_from_powers(g: Poly2, powers: list[StandardExpansion]) -> StandardExpansion:
+    """Standard expansion of g(x, w) = sum c * x^a * w^b, given powers[b],
+    the expansion of w^b in one sequence, for every b that g reaches.
+
+    The standard expansion over a validated sequence is unique, so it is
+    F_q-linear and commutes with multiplication by x: x^a times a standard
+    term is the standard term with m_0 + a (MacLane, "A construction for
+    prime ideals as absolute values of an algebraic field", Duke Math. J. 2,
+    1936).  The expansion of g is the sum of c * powers[b] shifted by a,
+    with the raw products summed per exponent vector and folded once; its
+    terms come in the order ``expand`` gives them."""
+    gs = powers[0].gs
+    fld = gs.field
+    acc: dict = {}
+    get = acc.get
+    for (a, b), c in g.terms.items():
+        for t in powers[b].terms:
+            e = (t.exps[0] + a, *t.exps[1:])
+            acc[e] = get(e, 0) + c * t.coeff
+    # an exponent vector collects at most one product per term of g
+    fld.check_capacity(len(g.terms))
+    fold = fld.fold
+    terms = [ExpTerm(c, e) for e, s in sorted(acc.items()) if (c := fold(s))]
+    if not terms:
+        raise ArithmeticError("cannot expand the zero element")
+    return StandardExpansion(gs, terms)
+
+
 def value_of(f: Poly2 | LocalElem, gs: GenSeq) -> Fraction:
     """The valuation of f: minimum value over the standard expansion terms."""
     v, _ = expand(f, gs).minimal_term()

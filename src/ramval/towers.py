@@ -21,7 +21,17 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from .algebra import Fq, LocalElem, Poly2
-from .genseq import BadParams, GenSeq, Inconsistent, build_tower_seq, tower_keys, value_of
+from .genseq import (
+    BadParams,
+    GenSeq,
+    Inconsistent,
+    StandardExpansion,
+    build_tower_seq,
+    expand,
+    expand_from_powers,
+    tower_keys,
+    value_of,
+)
 from .transforms import ChartChain, NotApplicable, _bottom_row, _mu_with_certificate
 from .values import fmt_value, p_adic_split
 
@@ -297,30 +307,75 @@ def verify_value_comparison(tower: Tower, j: int) -> CheckReport:
     )
 
 
+def _sample_v_degree(p: int) -> int:
+    """Largest v-degree of a restriction sample: p^2 + p."""
+    return p**2 + p
+
+
 def random_middle_poly(tower: Tower, rng: random.Random, max_terms: int = 6) -> Poly2:
-    """Random nonzero polynomial in the middle chart within the expansion span."""
+    """Random nonzero polynomial in the middle chart within the expansion span:
+    up to ``max_terms`` terms c * x^a * v^b with a <= 6, b <= p^2 + p and c a
+    nonzero element of F_q, coefficients on one exponent added (v when they
+    cancel)."""
     fld = tower.field
-    p = tower.p
-    max_v = p**2 + p
-    out = Poly2.zero(fld)
+    max_v = _sample_v_degree(tower.p)
+    terms: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         coeff = fld.of_index(rng.randrange(1, fld.q))
-        out = out + Poly2.monomial(fld, rng.randrange(0, 7), rng.randrange(0, max_v + 1), coeff)
-    if out.is_zero():
-        out = Poly2.y(fld)
-    return out
+        e = (rng.randrange(0, 7), rng.randrange(0, max_v + 1))
+        s = fld.add(terms.get(e, 0), coeff)
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return Poly2(fld, terms) if terms else Poly2.y(fld)
+
+
+# samples 0, DIRECT_EVERY, 2 * DIRECT_EVERY, ... are also valued directly
+DIRECT_EVERY = 50
+
+
+def restriction_tables(tower: Tower) -> tuple[list[StandardExpansion], list[StandardExpansion]]:
+    """The expansions of v^b in the middle sequence and of v(x, y)^b =
+    (y^p - x^c y)^b in the top sequence, for b = 0 .. p^2 + p: every power a
+    restriction sample reaches."""
+    fld = tower.field
+    span = range(_sample_v_degree(tower.p) + 1)
+    return (
+        [expand(Poly2.monomial(fld, 0, b), tower.seq_mid) for b in span],
+        [expand(tower.v_sub**b, tower.seq_top) for b in span],
+    )
 
 
 def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> CheckReport:
     """The middle-chart valuation is the restriction of the top one: for
     sampled g(x, v), value(g) in the middle chart equals value(g(x, v(x, y)))
-    in the top chart."""
+    in the top chart.
+
+    Both values come from ``StandardExpansion.minimal_term`` over expansions
+    summed from ``restriction_tables`` (``expand_from_powers``): each side
+    keeps its own sequence and its own table, so the two stay independent
+    computations.  Sample 0 and every DIRECT_EVERY-th sample are also valued
+    by dividing from scratch, g in the middle sequence and its substitution
+    g(x, v(x, y)) in the top one; Inconsistent, naming the sample and both
+    value pairs, if the two paths disagree."""
     rng = random.Random(seed)
+    mid_powers, top_powers = restriction_tables(tower)
+    x = Poly2.x(tower.field)
     mismatches = []
-    for _ in range(samples):
+    for n in range(samples):
         g = random_middle_poly(tower, rng)
-        mid_val = value_of(g, tower.seq_mid)
-        top_val = value_of(g.compose(Poly2.x(tower.field), tower.v_sub), tower.seq_top)
+        mid_val, _ = expand_from_powers(g, mid_powers).minimal_term()
+        top_val, _ = expand_from_powers(g, top_powers).minimal_term()
+        if n % DIRECT_EVERY == 0:
+            mid_direct = value_of(g, tower.seq_mid)
+            top_direct = value_of(g.compose(x, tower.v_sub), tower.seq_top)
+            if (mid_direct, top_direct) != (mid_val, top_val):
+                raise Inconsistent(
+                    f"restriction sample {n} ({g.to_str('x', 'v')}): (middle, top) values "
+                    f"({fmt_value(mid_val)}, {fmt_value(top_val)}) from the cached expansions, "
+                    f"({fmt_value(mid_direct)}, {fmt_value(top_direct)}) by direct division"
+                )
         if mid_val != top_val:
             mismatches.append((g.to_str("x", "v"), fmt_value(mid_val), fmt_value(top_val)))
     return CheckReport(

@@ -1,11 +1,13 @@
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ramval.towers as towers_module
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.cli import main
-from ramval.genseq import BadParams, Inconsistent, value_of
+from ramval.genseq import BadParams, ExpTerm, Inconsistent, expand, expand_from_powers, value_of
 from ramval.towers import (
     _pushed_leading_data,
     build_tower,
@@ -13,6 +15,7 @@ from ramval.towers import (
     deviation_exponent,
     expected_alternation,
     random_middle_poly,
+    restriction_tables,
     verify_deviation_identity,
     verify_parameter_links,
     verify_restriction,
@@ -170,6 +173,123 @@ def test_random_middle_poly_prime_field_draws_unchanged():
     for p in (2, 3, 5):
         fld = Fq(p)
         assert [fld.of_index(n) for n in range(1, p)] == [fld.of_int(n) for n in range(1, p)]
+
+
+def _sum_of_monomials(tower, rng, max_terms=6):
+    """The sampler as a chain of Poly2 additions: the reference for
+    ``random_middle_poly``."""
+    fld = tower.field
+    max_v = tower.p**2 + tower.p
+    out = Poly2.zero(fld)
+    for _ in range(rng.randint(1, max_terms)):
+        coeff = fld.of_index(rng.randrange(1, fld.q))
+        out = out + Poly2.monomial(fld, rng.randrange(0, 7), rng.randrange(0, max_v + 1), coeff)
+    return out if out else Poly2.y(fld)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_random_middle_poly_matches_sum_of_monomials(p, m):
+    t = build_tower(p, p - 1, 3, Fq(p, m))
+    rng, ref_rng = random.Random(11), random.Random(11)
+    for _ in range(2000):
+        g, ref = random_middle_poly(t, rng), _sum_of_monomials(t, ref_rng)
+        assert list(g.terms.items()) == list(ref.terms.items())
+    assert rng.random() == ref_rng.random()  # the same draws, in the same order
+
+
+@lru_cache(maxsize=None)
+def _tower_with_tables(p, m, length):
+    t = build_tower(p, p - 1, length, Fq(p, m))
+    return t, restriction_tables(t)
+
+
+@st.composite
+def _restriction_case(draw):
+    """A tower over F_2, F_3, F_4 or F_9 of length 3..5 and a nonzero g in the
+    sampling span (x-degree <= 6, v-degree <= p^2 + p)."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    t, tables = _tower_with_tables(p, m, draw(st.integers(3, 5)))
+    fld = t.field
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, p**2 + p)),
+        st.integers(1, fld.q - 1).map(fld.of_index), min_size=1, max_size=6))
+    return t, tables, Poly2(fld, terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_restriction_case())
+def test_linear_expansions_match_direct_expansions(case):
+    t, (mid_powers, top_powers), g = case
+    composed = g.compose(Poly2.x(t.field), t.v_sub)
+    assert expand_from_powers(g, mid_powers).terms == expand(g, t.seq_mid).terms
+    assert expand_from_powers(g, top_powers).terms == expand(composed, t.seq_top).terms
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_restriction_case(), st.integers(0, 40))
+def test_expansion_shift_law(case, a):
+    # the expansion of x^a * f is the expansion of f with m_0 + a
+    t, _, g = case
+    for f, gs in ((g, t.seq_mid), (g.compose(Poly2.x(t.field), t.v_sub), t.seq_top)):
+        shifted = [ExpTerm(e.coeff, (e.exps[0] + a, *e.exps[1:])) for e in expand(f, gs).terms]
+        assert expand(f.shift(a), gs).terms == shifted
+
+
+def _tamper_sample_zero(monkeypatch, side):
+    """Replace the table entry of one power b of sample 0 (seed 0, p = 2,
+    length 6) by the expansion of x^1000 times that power.  Sample 0's value
+    is the least among the values of its v^b-columns, attained by one
+    column; the tampered column is that one, so the sample's value changes
+    on the tampered side."""
+    t = build_tower(2, 1, 6)
+    g = random_middle_poly(t, random.Random(0))
+    columns: dict = {}
+    for (a, b), c in g.terms.items():
+        columns.setdefault(b, {})[(a, b)] = c
+    col_values = {b: value_of(Poly2(t.field, terms), t.seq_mid) for b, terms in columns.items()}
+    b_min = min(col_values, key=col_values.get)
+    assert list(col_values.values()).count(col_values[b_min]) == 1
+    real = towers_module.restriction_tables
+
+    def tampered(tower):
+        mid_powers, top_powers = real(tower)
+        if side == "mid":
+            mid_powers[b_min] = expand(Poly2.monomial(tower.field, 1000, b_min), tower.seq_mid)
+        else:
+            top_powers[b_min] = expand(tower.v_sub**b_min * Poly2.monomial(tower.field, 1000, 0),
+                                       tower.seq_top)
+        return mid_powers, top_powers
+
+    monkeypatch.setattr(towers_module, "restriction_tables", tampered)
+    return t, g
+
+
+@pytest.mark.parametrize("side", ["mid", "top"])
+def test_restriction_tampered_table_raises(monkeypatch, capsys, side):
+    t, g = _tamper_sample_zero(monkeypatch, side)
+    with pytest.raises(Inconsistent, match=r"restriction sample 0 \(") as ex:
+        verify_restriction(t, samples=3, seed=0)
+    assert g.to_str("x", "v") in str(ex.value)
+    # the report exits 1 with the witness and prints no report at all
+    assert main(["report", "--p", "2", "--c", "1", "--levels", "2", "--samples", "3",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failed: restriction sample 0 (" in captured.err
+
+
+def test_restriction_direct_path_on_every_50th_sample(monkeypatch):
+    t = build_tower(2, 1, 5)
+    valued = []
+
+    def recording(f, gs):
+        valued.append(gs.label)
+        return value_of(f, gs)
+
+    monkeypatch.setattr(towers_module, "value_of", recording)
+    assert verify_restriction(t, samples=101, seed=3).ok
+    # samples 0, 50 and 100, each in both charts
+    assert valued == [t.seq_mid.label, t.seq_top.label] * 3
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
