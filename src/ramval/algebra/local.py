@@ -2,12 +2,14 @@
 
 Localization at (x, y) is never materialized: the only denominators that
 occur are units (nonzero constant term).  Pairs multiply and divide exactly.
+Substituting pairs for x and y runs ``Poly2.compose``, the one substitution
+kernel, on the numerator and on the denominator.
 """
 
 from __future__ import annotations
 
 from .field import Fq
-from .poly import Poly2, _rows
+from .poly import Poly2, _degrees, _times_power
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -89,14 +91,21 @@ class LocalElem:
         """Substitute x -> sub_x, y -> sub_y; the result is again a pair,
         modulo x^prec when ``prec`` is given.
 
-        The substituted denominator must remain a unit, which holds for
-        substitutions fixing the origin.
+        ``Poly2.compose`` clears the substituted denominators from the
+        numerator and from the denominator, each up to its own x- and
+        y-degree; the part with the lower degree then takes the missing
+        denominator powers, so the quotient is unchanged.  The substituted
+        denominator must remain a unit, which holds for substitutions
+        fixing the origin.
         """
-        num_img = _compose_poly_pair(self.num, sub_x, sub_y, prec)
-        den_img = _compose_poly_pair(self.den, sub_x, sub_y, prec)
-        # num_img / den_img; the constructor rejects a non-unit den_img.num
-        return LocalElem(num_img.num.__mul__(den_img.den, prec),
-                         num_img.den.__mul__(den_img.num, prec))
+        xn, xd, yn, yd = sub_x.num, sub_x.den, sub_y.num, sub_y.den
+        num = self.num.compose(xn, yn, xd, yd, prec)
+        den = self.den.compose(xn, yn, xd, yd, prec)
+        (nx, ny), (dx, dy) = _degrees(self.num), _degrees(self.den)
+        num = _times_power(_times_power(num, xd, max(dx - nx, 0), prec), yd, max(dy - ny, 0), prec)
+        den = _times_power(_times_power(den, xd, max(nx - dx, 0), prec), yd, max(ny - dy, 0), prec)
+        # the constructor rejects a non-unit denominator image
+        return LocalElem(num, den)
 
     def to_str(self, xname="x", yname="y") -> str:
         n = self.num.to_str(xname, yname)
@@ -107,43 +116,3 @@ class LocalElem:
     def __repr__(self):
         return f"LocalElem({self.to_str()})"
 
-
-def _compose_poly_pair(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem,
-                       prec: int | None = None) -> LocalElem:
-    """poly(sub_x, sub_y) for pair-valued substitutions, homogenized over the
-    denominators so every intermediate stays polynomial; modulo x^prec when
-    ``prec`` is given.
-
-    The terms are grouped by y-row.  The x-image xn^i * xd^(dx-i) of each
-    x-exponent is formed once, each row is one combination of x-images, and
-    each row is multiplied once by its y-image yn^j * yd^(dy-j); the rows are
-    summed in one accumulator.  With ``prec``, a row whose x-part starts at
-    x^o takes its y-image modulo x^(prec - o), and an image that vanishes
-    drops its terms or its row."""
-    fld = poly.field
-    if poly.is_zero():
-        return LocalElem(Poly2.zero(fld))
-    dy = max(j for _, j in poly.terms)
-    dx = max(i for i, _ in poly.terms)
-    x_images: dict = {}
-
-    def x_image(i):
-        if i not in x_images:
-            xn = pow(sub_x.num, i, prec)
-            x_images[i] = xn and xn.__mul__(pow(sub_x.den, dx - i, prec), prec)
-        return x_images[i]
-
-    def rows():
-        for j, row in _rows(poly.terms).items():
-            x_part = Poly2.combination(fld, ((c, x_image(i)) for i, c in row.items() if x_image(i)))
-            if not x_part:
-                continue
-            y_prec = None if prec is None else prec - x_part.x_order()
-            yn = pow(sub_y.num, j, y_prec)
-            if yn:
-                y_image = yn.__mul__(pow(sub_y.den, dy - j, y_prec), y_prec)
-                yield fld.one, x_part.__mul__(y_image, prec)
-
-    num = Poly2.combination(fld, rows())
-    den = x_image(0).__mul__(pow(sub_y.den, dy, prec), prec)
-    return LocalElem(num, den)

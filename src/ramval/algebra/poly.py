@@ -19,6 +19,13 @@ remainder and adds the quotient row times every row of the negated divisor.
 The next live row comes from a max-heap of row degrees, so the empty
 degrees of sparse operands (tower keys reach y-degree p^(2N) with a handful
 of terms) are skipped, never stepped through.
+
+Substitution has one kernel, ``compose``, which works on y-rows as well: one
+x-image per x-exponent, one product per row with its y-image.  It takes
+optional denominators for the two substituted variables and clears them
+with powers, spending no product on a denominator that is exactly 1, so
+polynomial substitutions and the numerator / denominator pairs of
+``LocalElem.compose`` run the same code.
 """
 
 from __future__ import annotations
@@ -48,6 +55,19 @@ def _rows(terms: dict) -> dict:
         else:
             row[i] = c
     return rows
+
+
+def _degrees(poly: "Poly2") -> tuple[int, int]:
+    """(x-degree, y-degree) of a polynomial, (0, 0) for zero."""
+    return max((i for i, _ in poly.terms), default=0), max((j for _, j in poly.terms), default=0)
+
+
+def _times_power(f: "Poly2", den: "Poly2 | None", e: int, prec: int | None = None) -> "Poly2":
+    """f * den^e, modulo x^prec when ``prec`` is given; no product is formed
+    when f is zero, e is 0, or den is None or exactly 1."""
+    if not f or not e or den is None or den.terms == {(0, 0): den.field.one}:
+        return f
+    return f.__mul__(pow(den, e, prec), prec)
 
 
 class Poly2:
@@ -330,28 +350,43 @@ class Poly2:
 
     # -- substitution --------------------------------------------------------
 
-    def compose(self, sub_x: "Poly2", sub_y: "Poly2") -> "Poly2":
-        """Evaluate at x = sub_x, y = sub_y (both polynomials)."""
+    def compose(self, sub_x: "Poly2", sub_y: "Poly2", x_den: "Poly2 | None" = None,
+                y_den: "Poly2 | None" = None, prec: int | None = None) -> "Poly2":
+        """Evaluate at x = sub_x / x_den, y = sub_y / y_den and clear the
+        denominators: the sum of c * sub_x^i * x_den^(dx-i) * sub_y^j *
+        y_den^(dy-j) over the terms c x^i y^j, with dx and dy the x- and
+        y-degrees of self; modulo x^prec when ``prec`` is given.  Without
+        denominators this is self(sub_x, sub_y).
+
+        The terms are grouped by y-row.  The x-image of each x-exponent is
+        formed once, each row is one combination of x-images, and each row
+        is multiplied once by its y-image; the rows are summed in one
+        accumulator.  With ``prec``, a row whose x-part starts at x^o takes
+        its y-image modulo x^(prec - o), and an image that vanishes drops
+        its terms or its row.  A denominator that is None or exactly 1
+        costs no product."""
         fld = self.field
-        by_y = _rows(self.terms)
-        if not by_y:
+        if not self.terms:
             return Poly2(fld)
-        # Horner in y; coefficients composed in x by direct powering (exponents
-        # carry heavy p-power structure, so __pow__ keeps them sparse).
-        xpows: dict[int, Poly2] = {}
+        dx, dy = _degrees(self)
+        x_images: dict = {}
 
-        def xsub(row: dict) -> Poly2:
-            for i in row.keys() - xpows.keys():
-                xpows[i] = sub_x**i
-            return Poly2.combination(fld, ((c, xpows[i]) for i, c in row.items()))
+        def x_image(i):
+            if i not in x_images:
+                x_images[i] = _times_power(pow(sub_x, i, prec), x_den, dx - i, prec)
+            return x_images[i]
 
-        top = max(by_y)
-        result = xsub(by_y[top])
-        for j in range(top - 1, -1, -1):
-            result = result * sub_y
-            if j in by_y:
-                result = result + xsub(by_y[j])
-        return result
+        def rows():
+            for j, row in _rows(self.terms).items():
+                x_part = Poly2.combination(fld, ((c, x_image(i)) for i, c in row.items() if x_image(i)))
+                if not x_part:
+                    continue
+                y_prec = None if prec is None else prec - x_part.x_order()
+                y_image = _times_power(pow(sub_y, j, y_prec), y_den, dy - j, y_prec)
+                if y_image:
+                    yield fld.one, x_part.__mul__(y_image, prec)
+
+        return Poly2.combination(fld, rows())
 
     # -- display ------------------------------------------------------------
 

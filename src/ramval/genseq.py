@@ -160,12 +160,18 @@ class ValidityReport:
 
 
 def validate(gs: GenSeq) -> ValidityReport:
-    """Check the group-index, growth, monicity and degree conditions."""
+    """Check the positivity, group-index, growth, monicity and degree
+    conditions."""
+    n = len(gs.keys)
+    if min(gs.values) <= 0:
+        # stage groups and indices are defined for positive values only
+        rows = [dict(i=i, index_computed=None, order=None, growth="-", monic="-", degree="-")
+                for i in range(1, n)]
+        return ValidityReport(gs.label, rows, False)
     rows = []
     ok = True
     grps = gs.groups()
     orders = stage_indices(gs.values)
-    n = len(gs.keys)
 
     if gs.keys[0] != Poly2.x(gs.field):
         ok = False
@@ -201,13 +207,11 @@ def validate(gs: GenSeq) -> ValidityReport:
         else:
             degree_ok = degs[i] >= 1
         row["degree"] = degree_ok
-        row_ok = row_ok and degree_ok and gs.values[i] > 0
+        row_ok = row_ok and degree_ok
 
         rows.append(row)
         ok = ok and row_ok
 
-    if gs.values[0] <= 0:
-        ok = False
     return ValidityReport(gs.label, rows, ok)
 
 
@@ -376,27 +380,17 @@ def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
         raise SequenceTooShort(f"deg_y {f.deg_y()} >= {span}; extend the sequence")
 
     terms: dict[tuple[int, ...], object] = {}
-    fld = gs.field
-
-    def emit(xpoly: Poly2, tail: tuple[int, ...]):
-        for (a, b), cf in xpoly.terms.items():
-            if b != 0:
-                raise SequenceTooShort("leftover y-degree below the first key")
-            key_ = (a,) + tail
-            if key_ in terms:
-                s = fld.add(terms[key_], cf)
-                if s == fld.zero:
-                    del terms[key_]
-                else:
-                    terms[key_] = s
-            else:
-                terms[key_] = cf
 
     def rec(g: Poly2, i: int, tail: tuple[int, ...]):
         if g.is_zero():
             return
         if i == 0:
-            emit(g, tail)
+            # each division branch has its own tail, so every exponent
+            # vector is reached once
+            for (a, b), cf in g.terms.items():
+                if b != 0:
+                    raise SequenceTooShort("leftover y-degree below the first key")
+                terms[(a,) + tail] = cf
             return
         for k, coeff in enumerate(_expand_in_key(g, gs.keys[i], lat.degrees[i])):
             rec(coeff, i - 1, (k,) + tail)

@@ -17,11 +17,12 @@ values on original keys follow an integer recursion across levels.
 
 Where only leading data is needed, an element is pushed modulo x'^K: the old
 x maps into (x'^n), so each map reads its input modulo x^ceil(K / n), and
-every product past x'^K is skipped.  The parameter links push the foreign
-keys this way at every level the exact maps reach, with K one past the
-x-order the calculus predicts, and check the pushed orders against it.
-Every push, exact or truncated, substitutes y-row by y-row: one x-image per
-x-exponent, one product with its y-image per row (``LocalElem.compose``).
+every product past x'^K is skipped.  ``ChartChain.push_exact`` is the one
+place that pulls a precision back through the maps.  The parameter links
+push the foreign keys this way at every level the exact maps reach, with K
+one past the x-order the calculus predicts, and check the pushed orders
+against it.  Every push, exact or truncated, runs the one substitution
+kernel, ``Poly2.compose`` (through ``LocalElem.compose``).
 
 The chain checks are split by what they read.  ``ChartChain.extend`` checks
 the conditions on values at every level: positive values, growth
@@ -169,12 +170,8 @@ class ChartMap:
 
     def push(self, elem, prec: int | None = None) -> LocalElem:
         """Re-express an element of the old chart in the new chart, modulo
-        x'^prec when ``prec`` is given.  The old x maps into (x'^n), so the
-        element is read only modulo x^ceil(prec / n)."""
-        elem = _as_elem(elem)
-        if prec is not None:
-            elem = elem.truncate(-(-prec // self.n))
-        return elem.compose(self.phi_x, self.phi_y, prec)
+        x'^prec when ``prec`` is given."""
+        return _as_elem(elem).compose(self.phi_x, self.phi_y, prec)
 
     def describe(self) -> dict:
         xn, yn = self.chart_vars
@@ -366,7 +363,7 @@ class ChartChain:
                 k=1,
                 values=list(base.values),
                 indices=list(lat.indices),
-                degrees=[0] + [max(d, 1) for d in lat.degrees[1:]],
+                degrees=list(lat.degrees),
                 vecs=ident,
                 crows=ident,
                 r=r,
@@ -472,28 +469,24 @@ class ChartChain:
                 )
         self.levels.append(nl)
 
-    def maps_to(self, k: int) -> list[ChartMap]:
-        """Chart maps for levels 1 -> k (requires exact keys throughout)."""
-        self.level(k)
-        maps = []
-        for lvl in self.levels[1:k]:
-            if lvl.map_from_prev is None:
-                raise NotApplicable(f"no exact chart map into level {lvl.k}")
-            maps.append(lvl.map_from_prev)
-        return maps
-
     def push_exact(self, elem, k: int, prec: int | None = None) -> LocalElem:
         """Push an element of the base chart into level k through exact maps,
         modulo x_k^prec when ``prec`` is given: each map is entered with the
         precision that the maps after it pull back to."""
-        maps = self.maps_to(k)
-        precs = [prec]  # output precision of each map, from the last one back
-        for cmap in reversed(maps[1:]):
-            precs.append(None if prec is None else -(-precs[-1] // cmap.n))
+        self.level(k)
+        steps = []  # (map, its output precision), from level k back to level 2
+        for lvl in reversed(self.levels[1:k]):
+            if lvl.map_from_prev is None:
+                raise NotApplicable(f"no exact chart map into level {lvl.k}")
+            steps.append((lvl.map_from_prev, prec))
+            if prec is not None:
+                # the old x maps into (x'^n), so the map reads its input
+                # modulo x^ceil(prec / n)
+                prec = -(-prec // lvl.map_from_prev.n)
         out = _as_elem(elem)
-        if prec is not None and not maps:
+        if prec is not None:
             out = out.truncate(prec)
-        for cmap, out_prec in zip(maps, reversed(precs)):
+        for cmap, out_prec in reversed(steps):
             out = cmap.push(out, out_prec)
         return out
 

@@ -14,7 +14,6 @@ from ramval.algebra import (
     Poly2,
     parse_poly,
 )
-from ramval.algebra.local import _compose_poly_pair
 from ramval.transforms import _bottom_row
 
 F2 = Fq(2)
@@ -428,11 +427,23 @@ def _gapped_polys(field):
         lambda terms: _poly_from(field, terms))
 
 
+def _unit_dens(field):
+    """Unit denominators of three kinds: exactly 1, a constant other than 1
+    (2, drawn over F_3 and F_9), or non-constant."""
+    one = Poly2.one(field)
+    kinds = [st.just(one),
+             _polys(field, min_x=1, max_deg=2, max_size=2).filter(bool).map(lambda f: one + f)]
+    if field.p > 2:
+        kinds.append(st.just(Poly2.const(field, field.of_int(2))))
+    return st.one_of(kinds)
+
+
 @st.composite
 def _substitution_case(draw):
     """(poly, sub_x, sub_y, prec): sub_x is either the chart-map shape
-    r x^n (y + 1), with denominator 1, or a pair with a non-constant unit
-    denominator; both substitutions vanish at the origin."""
+    r x^n (y + 1), with denominator 1, or a pair with a drawn unit
+    denominator; sub_y has a drawn unit denominator; both substitutions
+    vanish at the origin."""
     field = draw(st.sampled_from((F2, F3, F4, F9)))
     one, x = Poly2.one(field), Poly2.x(field)
     if draw(st.booleans()):
@@ -441,9 +452,9 @@ def _substitution_case(draw):
         sub_x = LocalElem((x**n * (Poly2.y(field) + one)).scale(r))
     else:
         sub_x = LocalElem(x * (one + draw(_polys(field, max_deg=2, max_size=2))),
-                          one + draw(_polys(field, min_x=1, max_deg=2, max_size=2)))
+                          draw(_unit_dens(field)))
     sub_y = LocalElem(x - draw(_polys(field, min_x=1, max_deg=2, max_size=2)),
-                      one + draw(_polys(field, min_x=1, max_deg=2, max_size=2)))
+                      draw(_unit_dens(field)))
     return draw(_gapped_polys(field)), sub_x, sub_y, draw(st.integers(1, 12))
 
 
@@ -451,16 +462,38 @@ def _substitution_case(draw):
 @given(_substitution_case())
 def test_compose_poly_pair_matches_term_oracle(case):
     poly, sub_x, sub_y, prec = case
+    fld = poly.field
+    one, x = Poly2.one(fld), Poly2.x(fld)
     oracle = _oracle_compose(poly, sub_x, sub_y)
-    assert _compose_poly_pair(poly, sub_x, sub_y) == oracle
-    truncated = _compose_poly_pair(poly, sub_x, sub_y, prec)
+    # the kernel clears the denominators up to the degrees of poly
+    dx, dy = max(i for i, _ in poly.terms), max(j for _, j in poly.terms)
+    cleared = poly.compose(sub_x.num, sub_y.num, sub_x.den, sub_y.den)
+    assert LocalElem(cleared, sub_x.den**dx * sub_y.den**dy) == oracle
+    assert LocalElem(poly).compose(sub_x, sub_y) == oracle
+    truncated = LocalElem(poly).compose(sub_x, sub_y, prec)
     assert all(i < prec for i, _ in truncated.num.terms)
     assert _congruent(truncated, oracle, prec)
-    # the same kernel on numerator and denominator of a pair
-    elem = LocalElem(poly, Poly2.one(poly.field) + Poly2.x(poly.field))
-    quotient = oracle * (LocalElem(Poly2.one(poly.field)) + sub_x).invert()
+    # pairs whose numerator, then whose denominator, has the higher degree
+    elem = LocalElem(poly, one + x)
+    quotient = oracle * (LocalElem(one) + sub_x).invert()
     assert elem.compose(sub_x, sub_y) == quotient
     assert _congruent(elem.compose(sub_x, sub_y, prec), quotient, prec)
+    elem = LocalElem(x, one + x * poly)
+    quotient = sub_x * (LocalElem(one) + sub_x * oracle).invert()
+    assert elem.compose(sub_x, sub_y) == quotient
+    assert _congruent(elem.compose(sub_x, sub_y, prec), quotient, prec)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.sampled_from((F2, F3, F4, F9)).flatmap(lambda fld: st.tuples(
+    _gapped_polys(fld), _polys(fld, min_x=1, max_deg=3, max_size=3),
+    _polys(fld, max_deg=3, max_size=3), st.integers(1, 12))))
+def test_poly_compose_matches_term_oracle(case):
+    # Poly2.compose without denominators, exact and modulo x^prec
+    poly, sub_x, sub_y, prec = case
+    oracle = _oracle_compose(poly, LocalElem(sub_x), LocalElem(sub_y)).as_poly()
+    assert poly.compose(sub_x, sub_y) == oracle
+    assert poly.compose(sub_x, sub_y, prec=prec) == oracle.truncate(prec)
 
 
 def test_compose_poly_pair_drops_vanishing_rows():
@@ -470,10 +503,10 @@ def test_compose_poly_pair_drops_vanishing_rows():
         x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
         sub_x = LocalElem(x**3 * (y + one))
         sub_y = LocalElem(x + x**2, one + x)
-        poly = parse_poly("1 + x*y + x^2*y^9 + x^5*y^9 + y^10", fld)
-        oracle = _oracle_compose(poly, sub_x, sub_y)
+        poly = LocalElem(parse_poly("1 + x*y + x^2*y^9 + x^5*y^9 + y^10", fld))
+        oracle = _oracle_compose(poly.num, sub_x, sub_y)
         without_row = _oracle_compose(parse_poly("1 + x*y + y^10", fld), sub_x, sub_y)
-        truncated = _compose_poly_pair(poly, sub_x, sub_y, 6)
+        truncated = poly.compose(sub_x, sub_y, 6)
         assert _congruent(truncated, oracle, 6)
         assert _congruent(truncated, without_row, 6)
-        assert _compose_poly_pair(poly, sub_x, sub_y) == oracle
+        assert poly.compose(sub_x, sub_y) == oracle

@@ -133,10 +133,15 @@ def test_validate_non_monic_fails():
 
 
 def test_validate_trivial_value_group_fails():
-    # value_0 = 0 makes the stage groups trivial: no index, a failed row
-    report = validate(GenSeq(F2, [Poly2.x(F2), Poly2.y(F2)], [F(0), F(0)]))
-    assert not report.ok
-    assert report.rows[0]["index_computed"] is None
+    # a zero or negative value leaves the stage groups or indices undefined:
+    # no index, a failed row, and ensure_valid rejects the sequence
+    for values in ((0, 0), (0, F(1, 2)), (1, F(-1, 2)), (-1, 1)):
+        gs = GenSeq(F2, [Poly2.x(F2), Poly2.y(F2)], [F(v) for v in values])
+        report = validate(gs)
+        assert not report.ok
+        assert report.rows[0]["index_computed"] is None
+        with pytest.raises(InvalidSequence):
+            gs.ensure_valid()
 
 
 # -- expansion -------------------------------------------------------------------

@@ -443,6 +443,23 @@ def test_chain_pushforward_matches_order_calculus_base_side():
                 row_t.form.b, row_t.form.d)
 
 
+@pytest.mark.parametrize("p,c,kmax", [(2, 1, 4), (3, 2, 3)])
+def test_truncated_push_matches_exact_push(p, c, kmax):
+    # each map reads its input modulo x^ceil(K / n), so a push modulo x_k^K
+    # is the exact push modulo x_k^K, at K on both sides of the multiples of n
+    tower = build_tower(p, c, kmax + 1)
+    chain = tower.chain("S")
+    for k in range(1, kmax + 1):
+        for key in tower.mid_keys_xy[:3]:
+            exact = chain.push_exact(key, k)
+            o = exact.x_order()
+            for prec in sorted(set(range(1, 8)) | {o + 1, o + 2, o + 3}):
+                trunc = chain.push_exact(key, k, prec)
+                assert all(i < prec for i, _ in trunc.num.terms)
+                assert (trunc.num * exact.den - exact.num * trunc.den).truncate(prec).is_zero(), \
+                    (k, prec)
+
+
 def _mu_exact_of_vector(base_keys, vec, chain, k):
     fld = base_keys[0].field
     num = LocalElem(Poly2.one(fld))
