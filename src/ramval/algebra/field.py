@@ -16,10 +16,6 @@ from __future__ import annotations
 from itertools import product
 
 
-class NotInField(ArithmeticError):
-    """A required element (root, residue) does not lie in the coefficient field."""
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -19,7 +19,7 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|(\^)|(\*)|(\+)|(-)|(\()|(\)))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|(\^)|(\*)|(\+)|(-))")
 
 # variable aliases -> abstract slot
 _SLOTS = {"x": 0, "y": 1, "u": 0, "v": 1}
@@ -32,14 +32,13 @@ def parse_poly(text: str, field: Fq) -> Poly2:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+            rest = text[pos:].lstrip()
+            if rest:
+                raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
             break
-        groups = m.groups()
-        for kind, val in enumerate(groups):
-            if val is not None:
-                tokens.append((kind, val, m.start()))
-                break
+        # (kind, text, index of its first character): kind is the group number - 1
+        g = m.lastindex
+        tokens.append((g - 1, m.group(g), m.start(g)))
         pos = m.end()
 
     result = Poly2.zero(field)

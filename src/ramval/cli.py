@@ -51,6 +51,8 @@ def _field_for(p: int, q: int | None) -> Fq:
 
 
 def _build_seq(args):
+    if args.family != "U" and args.c is not None:
+        raise UsageError(f"--c applies to family U only; family {args.family} takes no c")
     fld = _field_for(args.p, args.q)
     return build_tower_seq(args.family, args.p, args.c, args.length, fld)
 
@@ -200,7 +202,8 @@ def cmd_report(args) -> int:
 def _add_common(sub, family=False):
     sub.add_argument("--p", type=int, required=True, help="characteristic (prime)")
     sub.add_argument("--c", type=int, default=None,
-                     help="tower parameter c, a positive multiple of p-1")
+                     help="tower parameter c, a positive multiple of p-1 (default p-1)"
+                     + ("; family U only" if family else ""))
     sub.add_argument("--q", type=int, default=None, help="field size (a power of p)")
     sub.add_argument("--length", type=int, default=6, help="number of keys beyond the first")
     sub.add_argument("--format", choices=("text", "tsv", "json", "md"), default="text")
@@ -259,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "c", None) is None and getattr(args, "p", None) is not None:
-        args.c = args.p - 1  # minimal admissible tower parameter
+    # the minimal admissible tower parameter; families Q and P take no c
+    if getattr(args, "c", 0) is None and getattr(args, "family", "U") == "U":
+        args.c = args.p - 1
     try:
         return args.func(args)
     except Inconsistent as ex:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .algebra import Fq, LocalElem, NotInField, Poly2
+from .algebra import Fq, LocalElem, Poly2
 from .values import (
     NotSubgroup,
     ValueGroup,
@@ -433,105 +433,26 @@ def value_of(f: Poly2 | LocalElem, gs: GenSeq) -> Fraction:
     return v
 
 
-def _relation_data(gs: GenSeq, i: int) -> tuple:
-    """Initial-form relation of key_i: key_i**n_i has a unique minimal standard
-    term; returns (lattice vector n_i*e_i - exps, coefficient)."""
-    idx = gs.ensure_valid().indices
-    power = gs.keys[i] ** idx[i]
-    _, term = expand(power, gs).minimal_term()
-    vec = [0] * len(gs.keys)
-    vec[i] = idx[i]
-    vec = tuple(a - b for a, b in zip(vec, term.exps))
-    return vec, term.coeff
+def residue_of_quotient(f: Poly2, g: Poly2, gs: GenSeq):
+    """Residue in k of f/g at the valuation; ValueMismatch unless value(f)
+    == value(g).
 
-
-def _solve_integer_combination(columns: list[tuple], target: tuple) -> list[int] | None:
-    """Solve sum t_i * columns[i] = target over the integers (None if impossible)."""
-    rows = len(target)
-    ncols = len(columns)
-    aug = [[Fraction(columns[c][r]) for c in range(ncols)] + [Fraction(target[r])] for r in range(rows)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, rows) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [v / pivot for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    # consistency
-    for i in range(r, rows):
-        if aug[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for row_i, c in enumerate(pivots):
-        sol[c] = aug[row_i][ncols]
-    if any(s.denominator != 1 for s in sol):
-        return None
-    return [int(s) for s in sol]
-
-
-def monomial_residue(gs: GenSeq, delta):
-    """Residue of the value-0 key monomial with exponent vector ``delta``
-    (entries may be negative), resolved through the initial-form relations
-    key_i**n_i -> c_i * (lower monomial).  NotInField when the vector is not
-    generated by the relations."""
-    weights = gs.ensure_valid().weights
-    fld = gs.field
-    delta = tuple(delta)
-    if sum(map(mul, delta, weights)) != 0:
-        raise ValueMismatch("monomial does not have value 0")
-    columns, consts = [], []
-    for i in range(1, gs.top):
-        vec, coeff = _relation_data(gs, i)
-        columns.append(vec)
-        consts.append(coeff)
-    sol = _solve_integer_combination(columns, delta)
-    if sol is None:
-        raise NotInField(
-            "residue is not determined by the generating sequence's graded relations"
-        )
-    res = fld.one
-    for t, coeff in zip(sol, consts):
-        if t:
-            res = fld.mul(res, fld.pow_(coeff, t))
-    return res
-
-
-def residue_of_quotient(f, g, gs: GenSeq):
-    """Residue in k of f/g at the valuation (requires value(f) == value(g)).
-
-    Equal values force equal minimal exponent vectors within one sequence, so
-    the residue is the ratio of the minimal coefficients (times unit
-    denominators); the monomial-residue fallback covers externally supplied
-    initial forms.
+    Distinct standard monomials x^m_0 * Q_1^m_1 * ... * Q_N^m_N, with
+    m_0 >= 0 and 0 <= m_i < n_i (the bounds ``expand`` keeps), have distinct
+    values.  If two had equal values, let i be the last index where they
+    differ: (m_i - m'_i) * value_i would lie in the group of value_0 ..
+    value_(i-1), with 0 < |m_i - m'_i| < n_i, against n_i being the order of
+    value_i modulo that group (for i = 0, value_0 != 0).  This is the
+    uniqueness ``minimal_term`` relies on (MacLane, "A construction for
+    absolute values in polynomial rings", Trans. AMS 40, 1936).  So equal
+    values put the minimal terms of f and g on one exponent vector, and the
+    residue is the ratio of their coefficients.
     """
-    fld = gs.field
-    unit_adjust = fld.one
-    if isinstance(f, LocalElem):
-        unit_adjust = fld.mul(unit_adjust, fld.inv(f.den.constant_term()))
-        f = f.num
-    if isinstance(g, LocalElem):
-        unit_adjust = fld.mul(unit_adjust, g.den.constant_term())
-        g = g.num
-
     vf, tf = expand(f, gs).minimal_term()
     vg, tg = expand(g, gs).minimal_term()
     if vf != vg:
         raise ValueMismatch(f"value {fmt_value(vf)} != {fmt_value(vg)}")
-    res = fld.mul(fld.div(tf.coeff, tg.coeff), unit_adjust)
-    if tf.exps == tg.exps:
-        return res
-    delta = tuple(a - b for a, b in zip(tf.exps, tg.exps))
-    return fld.mul(res, monomial_residue(gs, delta))
+    return gs.field.div(tf.coeff, tg.coeff)
 
 
 @dataclass

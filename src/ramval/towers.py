@@ -42,15 +42,14 @@ Value = Fraction
 class CrossCert:
     """Comparison of a foreign element F against a host key K: F = K^mult * u
     with u a 1-unit, certified by the split F - K^mult = x^t_order * (rest)
-    and the value margin value(F - K^mult) > value(K^mult).
+    and, checked before the certificate is made, the value margin
+    value(F - K^mult) > value(K^mult).
 
     ``t_order`` is None when F equals K^mult exactly.
     """
 
-    index: int
     mult: int
     t_order: int | None
-    value_margin: Fraction  # value(F - K^mult) - value(K^mult); > 0 required
 
 
 @dataclass
@@ -163,14 +162,14 @@ class Tower:
             host_power = LocalElem(host.keys[i] ** mult)
             delta = f_elem - host_power
             if delta.is_zero():
-                certs.append(CrossCert(i, mult, None, Fraction(0)))
+                certs.append(CrossCert(mult, None))
                 continue
             margin = value_of(delta, host) - val_f
             if margin <= 0:
                 raise Inconsistent(
                     f"{which} key {i}: deviation value does not dominate (margin {margin})"
                 )
-            certs.append(CrossCert(i, mult, delta.x_order(), margin))
+            certs.append(CrossCert(mult, delta.x_order()))
         self._certs[which] = certs
         return certs
 
@@ -307,20 +306,26 @@ def verify_value_comparison(tower: Tower, j: int) -> CheckReport:
     )
 
 
+# a restriction sample has 1 .. SAMPLE_TERMS terms; samples 0, DIRECT_EVERY,
+# 2 * DIRECT_EVERY, ... are also valued directly
+SAMPLE_TERMS = 6
+DIRECT_EVERY = 50
+
+
 def _sample_v_degree(p: int) -> int:
     """Largest v-degree of a restriction sample: p^2 + p."""
     return p**2 + p
 
 
-def random_middle_poly(tower: Tower, rng: random.Random, max_terms: int = 6) -> Poly2:
+def random_middle_poly(tower: Tower, rng: random.Random) -> Poly2:
     """Random nonzero polynomial in the middle chart within the expansion span:
-    up to ``max_terms`` terms c * x^a * v^b with a <= 6, b <= p^2 + p and c a
+    up to SAMPLE_TERMS terms c * x^a * v^b with a <= 6, b <= p^2 + p and c a
     nonzero element of F_q, coefficients on one exponent added (v when they
     cancel)."""
     fld = tower.field
     max_v = _sample_v_degree(tower.p)
     terms: dict = {}
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, SAMPLE_TERMS)):
         coeff = fld.of_index(rng.randrange(1, fld.q))
         e = (rng.randrange(0, 7), rng.randrange(0, max_v + 1))
         s = fld.add(terms.get(e, 0), coeff)
@@ -329,10 +334,6 @@ def random_middle_poly(tower: Tower, rng: random.Random, max_terms: int = 6) -> 
         else:
             terms.pop(e, None)
     return Poly2(fld, terms) if terms else Poly2.y(fld)
-
-
-# samples 0, DIRECT_EVERY, 2 * DIRECT_EVERY, ... are also valued directly
-DIRECT_EVERY = 50
 
 
 def restriction_tables(tower: Tower) -> tuple[list[StandardExpansion], list[StandardExpansion]]:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
-from .algebra import LocalElem, NotInField, Poly2
+from .algebra import LocalElem, Poly2
 from .genseq import GenSeq, Inconsistent, SequenceTooShort, residue_of_quotient
 from .values import p_adic_split, stage_indices
 
@@ -356,8 +356,8 @@ class ChartChain:
         if nbase > 1 and base.values[0] == lat.indices[1] * base.values[1]:
             try:
                 r = residue_of_quotient(base.keys[0], base.keys[1] ** lat.indices[1], base)
-            except (NotInField, SequenceTooShort):
-                pass  # underdetermined by the sequence data; normalize to 1
+            except SequenceTooShort:
+                pass  # expanding key_1^n_1 needs a key past key_1; normalize r to 1
         self.levels = [
             ChainLevel(
                 k=1,

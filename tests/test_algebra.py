@@ -335,9 +335,20 @@ def test_local_elem_compose_keeps_unit_denominator():
 
 
 def test_parse_error_position():
-    with pytest.raises(ParseError) as err:
-        parse_poly("y^2 + $", F2)
-    assert "position" in str(err.value)
+    # errors point at the offending character or token, not at the blanks
+    # before it; the grammar has no parentheses
+    for text, message, pos in (
+        ("y^2 + $", "unexpected character '$'", 6),
+        ("x % y", "unexpected character '%'", 2),
+        ("(x+y)", "unexpected character '('", 0),
+        ("x +  ", "dangling operator", 2),
+        ("x + 2  ^3", "expected + or - between terms", 7),
+        ("x +  ^2", "empty term", 5),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, F2)
+        assert err.value.pos == pos
+        assert str(err.value) == f"{message} (at position {pos})"
 
 
 def test_parse_aliases_and_coefficients():

@@ -59,6 +59,19 @@ def test_validate_command(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize("command", ["value", "semigroup", "validate", "transform"])
+@pytest.mark.parametrize("family", ["Q", "P"])
+def test_c_rejected_for_families_q_and_p(capsys, command, family):
+    # c is a parameter of the middle-chart family only: Q and P never read it,
+    # even an inadmissible one
+    extra = ["x"] if command == "value" else []
+    code, out, err = run(capsys, command, "--family", family, "--p", "3", "--c", "7", *extra)
+    assert (code, out) == (2, "")
+    assert err == f"error: --c applies to family U only; family {family} takes no c\n"
+    code, out, _ = run(capsys, command, "--family", family, "--p", "3", *extra)
+    assert code == 0 and out
+
+
 # full stdout of `transform`, pinned to the output before chain levels
 # carried the exact keys
 PINNED_TRANSFORMS = {

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ramval.algebra import Fq, LocalElem, NotInField, Poly2, parse_poly
+from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.genseq import (
-    monomial_residue,
     BadParams,
     ExpTerm,
     GenSeq,
@@ -394,22 +396,57 @@ def test_residue_value_mismatch():
         residue_of_quotient(Poly2.x(F2), Poly2.y(F2), gs)
 
 
-def test_monomial_residue_relation_vectors():
-    gs = build_tower_seq("Q", 2, None, 3)
-    # key_1^4 -> x: vector (-1, 4, 0, 0) has residue 1
-    assert monomial_residue(gs, (-1, 4, 0, 0)) == F2.one
-    assert monomial_residue(gs, (-2, 8, 0, 0)) == F2.one
-    # key_2^4 -> x^4 * key_1: vector (-4, -1, 4, 0)
-    assert monomial_residue(gs, (-4, -1, 4, 0)) == F2.one
-    with pytest.raises(ValueMismatch):
-        monomial_residue(gs, (1, 0, 0, 0))
+@lru_cache(maxsize=None)
+def _family_seq(family, p, m=1, length=3):
+    return build_tower_seq(family, p, p - 1 if family == "U" else None, length, Fq(p, m))
 
 
-def test_monomial_residue_not_determined():
-    # two keys with independent values carry no graded relation
-    gs = GenSeq(F2, [Poly2.x(F2), Poly2.y(F2)], [F(1), F(1)], label="bare")
-    with pytest.raises(NotInField):
-        monomial_residue(gs, (1, -1))
+@st.composite
+def _standard_tails(draw):
+    """A family's lattice at p = 2, 3 or 5 and two key-exponent tails
+    (m_1, ..., m_N) with 0 <= m_i < n_i."""
+    lat = _family_seq(draw(st.sampled_from("QUP")), draw(st.sampled_from((2, 3, 5))),
+                      length=4).ensure_valid()
+    tails = st.tuples(*(st.integers(0, n - 1) for n in lat.indices[1:]))
+    return lat, draw(tails), draw(tails)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_standard_tails())
+def test_distinct_standard_vectors_have_distinct_values(case):
+    # the uniqueness residue_of_quotient and minimal_term rest on: x-exponents
+    # m_0, m'_0 >= 0 can make two standard vectors' values equal exactly when
+    # their key parts differ by a multiple of value_0, so that must happen
+    # only for equal tails
+    lat, tail, other = case
+    w0, w = lat.weights[0], lat.weights[1:]
+    diff = sum(map(mul, tail, w)) - sum(map(mul, other, w))
+    assert (diff % w0 == 0) == (tail == other)
+
+
+@st.composite
+def _residue_case(draw):
+    """A family sequence over F_2, F_3, F_4, F_5 or F_9, a nonzero f, a
+    nonzero constant c and a nonzero h of value above value(f)."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]))
+    gs = _family_seq(draw(st.sampled_from("QUP")), p, m)
+    fld = gs.field
+    polys = st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, p**2 + p)),
+        st.integers(1, fld.q - 1).map(fld.of_index), min_size=1, max_size=6,
+    ).map(lambda terms: Poly2(fld, terms))
+    f, h = draw(polys), draw(polys)
+    # x has value 1, so x^k lifts h above f
+    h = h.shift(max(0, int(value_of(f, gs) - value_of(h, gs)) + 1))
+    return gs, f, fld.of_index(draw(st.integers(1, fld.q - 1))), h
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_residue_case())
+def test_residue_of_constant_multiple_plus_higher_terms(case):
+    gs, f, c, h = case
+    assert value_of(h, gs) > value_of(f, gs)
+    assert residue_of_quotient(f.scale(c) + h, f, gs) == c
 
 
 # -- semigroups --------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from ramval import towers, transforms
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.cli import main
-from ramval.genseq import GenSeq, build_tower_seq, monomial_residue
+from ramval.genseq import GenSeq, build_tower_seq, residue_of_quotient
 from ramval.towers import build_tower
 from ramval.transforms import (
     ChartChain,
@@ -384,10 +384,19 @@ def test_chain_values_match_declared_quotients_top_base(fam, p):
 
 def test_chain_vectors_differ_from_declared_by_unit_monomials():
     # the chain's own key monomials and the declared quotients differ by
-    # value-0 monomials whose graded residue is 1
+    # value-0 monomials whose residue is 1: the residue of the delta
+    # monomial's positive part over its negative part
     base = build_tower_seq("Q", 2, None, 6)
     chain = ChartChain(base)
     nkeys = len(base.keys)
+
+    def monomial(exps):
+        out = Poly2.one(F2)
+        for key, e in zip(base.keys, exps):
+            out = out * key**e
+        return out
+
+    checked = 0
     for k in (2, 3):
         lvl = chain.level(k)
         for j in range(len(lvl.values)):
@@ -397,7 +406,11 @@ def test_chain_vectors_differ_from_declared_by_unit_monomials():
                 declared = top_declared_vector(2, k, j, nkeys)
             delta = tuple(a - b for a, b in zip(lvl.vecs[j], declared))
             if any(delta):
-                assert monomial_residue(base, delta) == F2.one
+                pos = monomial(max(d, 0) for d in delta)
+                neg = monomial(max(-d, 0) for d in delta)
+                assert residue_of_quotient(pos, neg, base) == F2.one, (k, j, delta)
+                checked += 1
+    assert checked == 10
 
 
 def test_chain_pushforward_matches_order_calculus():
