@@ -188,6 +188,10 @@ class Fq:
         return self._frobenius[a]
 
     def to_str(self, a) -> str:
-        if self.m == 1:
+        """An element of the prime subfield F_p (one with only its slot 0
+        set) as the integer the polynomial grammar reads; any other element
+        as its coefficient tuple, low degree first, which the grammar has
+        no syntax for."""
+        if a < self.p:
             return str(a)
         return "(" + ",".join(map(str, self.coeffs(a))) + ")"

@@ -56,14 +56,16 @@ class LocalElem:
     def __neg__(self) -> "LocalElem":
         return LocalElem(-self.num, self.den)
 
-    def __mul__(self, other: "LocalElem") -> "LocalElem":
-        return LocalElem(self.num * other.num, self.den * other.den)
+    def __mul__(self, other: "LocalElem", prec: int | None = None) -> "LocalElem":
+        """The product; with ``prec``, modulo x^prec (both parts truncated,
+        as in ``truncate``)."""
+        return LocalElem(self.num.__mul__(other.num, prec), self.den.__mul__(other.den, prec))
 
-    def __pow__(self, e: int) -> "LocalElem":
-        if e >= 0:
-            return LocalElem(self.num**e, self.den**e)
-        inv = self.invert()
-        return LocalElem(inv.num ** (-e), inv.den ** (-e))
+    def __pow__(self, e: int, prec: int | None = None) -> "LocalElem":
+        """self^e, where e < 0 needs a unit; ``pow(f, e, K)`` is f^e modulo
+        x^K, each part raised with ``Poly2``'s truncated power."""
+        base = self if e >= 0 else self.invert()
+        return LocalElem(pow(base.num, abs(e), prec), pow(base.den, abs(e), prec))
 
     def invert(self) -> "LocalElem":
         """Inverse, defined only for units."""

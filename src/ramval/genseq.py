@@ -228,18 +228,23 @@ def _tower_recursion(family: str, p: int, j: int) -> RecursionStep:
     return RecursionStep(p**3, p ** (2 * j - 1))
 
 
-def tower_keys(family: str, p: int, key0, key1, length: int) -> list:
+def tower_keys(family: str, p: int, key0, key1, length: int, prec: int | None = None) -> list:
     """key_0, key_1 and key_{j+1} = key_j^e - key_0^E * key_{j-1} for
-    j = 1..length-1, with (e, E) from ``_tower_recursion``.
+    j = 1..length-1, with (e, E) from ``_tower_recursion``; with ``prec``,
+    every key modulo x^prec.
 
-    The recursion uses only ``**``, ``*`` and ``-``, so it runs on Poly2 and
+    The recursion uses only ``pow``, ``*`` and ``-``, so it runs on Poly2 and
     LocalElem alike: (x, y) gives a family's own keys, and the images of
     key_0 and key_1 under a chart substitution give the keys rewritten in
-    another chart, since substitution is a ring map."""
-    keys = [key0, key1]
+    another chart, since substitution is a ring map.  Reduction modulo x^prec
+    is a ring map too, so with ``prec`` the powers and the product are taken
+    truncated and each difference is truncated once more."""
+    keys = [key0, key1] if prec is None else [key0.truncate(prec), key1.truncate(prec)]
     for j in range(1, length):
         step = _tower_recursion(family, p, j)
-        keys.append(keys[j] ** step.exponent - key0**step.x_exp * keys[j - 1])
+        tail = pow(keys[0], step.x_exp, prec).__mul__(keys[j - 1], prec)
+        key = pow(keys[j], step.exponent, prec) - tail
+        keys.append(key if prec is None else key.truncate(prec))
     return keys
 
 

@@ -45,7 +45,11 @@ class CrossCert:
     and, checked before the certificate is made, the value margin
     value(F - K^mult) > value(K^mult).
 
-    ``t_order`` is None when F equals K^mult exactly.
+    "mid-in-top" certificates are read off exact keys, and ``t_order`` is
+    None when F equals K^mult exactly.  "base-in-mid" certificates are read
+    modulo x^N (``Tower.base_prec``): ``t_order`` is the x-order of the
+    deviation, or N when the deviation vanishes modulo x^N, so that x^t_order
+    divides it in both cases; it is never None.
     """
 
     mult: int
@@ -63,7 +67,8 @@ class Tower:
     seq_base: GenSeq  # family P, chart (u, v)
     v_sub: Poly2  # v as an element of the top chart
     mid_keys_xy: list[Poly2]  # middle keys rewritten in (x, y)
-    base_keys_xv: list[LocalElem]  # base keys rewritten in (x, v)
+    base_keys_xv: list[LocalElem]  # base keys rewritten in (x, v), modulo x^base_prec
+    base_prec: int  # N of ``base_key_precision``
     _chains: dict = dc_field(default_factory=dict, repr=False)
     _certs: dict = dc_field(default_factory=dict, repr=False)
     _pushed: dict = dc_field(default_factory=dict, repr=False)
@@ -108,17 +113,25 @@ class Tower:
         predicts the two orders (o, s); the key is pushed modulo x'^(o + 1),
         which holds the lowest row and nothing above it.  Inconsistent if
         the truncated key vanishes (its order exceeds o) or its orders differ
-        from the prediction.  NotApplicable if no exact map reaches level k.
-        Computed once per (chain, key, level).
+        from the prediction, and for chain "A" if the push reads the base key
+        past x^base_prec, the precision it is known to.  NotApplicable if no
+        exact map reaches level k.  Computed once per (chain, key, level).
         """
         slot = (which, i, k)
         if slot not in self._pushed:
-            foreign, certs = {
-                "S": (self.mid_keys_xy, "mid-in-top"),
-                "A": (self.base_keys_xv, "base-in-mid"),
+            foreign, certs, known = {
+                "S": (self.mid_keys_xy, "mid-in-top", None),
+                "A": (self.base_keys_xv, "base-in-mid", self.base_prec),
             }[which]
             chain = self.chain(which)
             o, s = _mu_with_certificate(chain.level(k), self.certificates(certs), i)
+            if known is not None:
+                _, read = chain.pull_back(k, o + 1)
+                if read > known:
+                    raise Inconsistent(
+                        f"foreign key {i} of chain {which} pushed into level {k} modulo "
+                        f"x'^{o + 1} is read modulo x^{read}, past the x^{known} it is known to"
+                    )
             elem = chain.push_exact(foreign[i], k, o + 1)
             if elem.is_zero():
                 raise Inconsistent(
@@ -137,34 +150,60 @@ class Tower:
     def certificates(self, which: str) -> list[CrossCert]:
         """Cross-chart comparison certificates.
 
-        "mid-in-top": middle keys against top keys in the top chart;
-        "base-in-mid": base keys against middle keys in the middle chart.
+        "mid-in-top": exact middle keys against top keys in the top chart;
+        "base-in-mid": base keys against middle keys in the middle chart,
+        the keys and their deviations read modulo x^N, N = ``base_prec``.
+
+        For f with a unit denominator, f = (f mod x^N) + x^N * g with g in
+        the local ring, and value(x^N * g) >= N * value(x).  So a truncated
+        value below N * value(x) is the value of f, and a nonzero truncation
+        has the x-order of f.  A key that vanishes modulo x^N, or a key or
+        deviation whose truncated value is N * value(x) or more, is a failed
+        prediction of N: Inconsistent, naming the key, N and the value.  A
+        deviation that vanishes modulo x^N is divisible by x^N, so its value
+        exceeds the key's.
         """
         if which in self._certs:
             return self._certs[which]
         if which == "mid-in-top":
-            host, vals = self.seq_top, self.seq_top.values
+            host, prec = self.seq_top, None
             foreign = [LocalElem(k) for k in self.mid_keys_xy]
         elif which == "base-in-mid":
-            host, vals = self.seq_mid, self.seq_mid.values
-            foreign = self.base_keys_xv
+            host, prec = self.seq_mid, self.base_prec
+            foreign = [k.truncate(prec) for k in self.base_keys_xv]
         else:
             raise ValueError(which)
+        vals = host.values
+
+        def read_value(elem: LocalElem, what: str) -> Value:
+            if prec is None:
+                return value_of(elem, host)
+            if elem.is_zero():
+                raise Inconsistent(f"{what} vanishes modulo x^{prec} (N = {prec})")
+            val = value_of(elem, host)
+            if val >= prec * vals[0]:
+                raise Inconsistent(
+                    f"{what} has value {fmt_value(val)} modulo x^{prec}, not below "
+                    f"N * value(x) = {fmt_value(prec * vals[0])} (N = {prec})"
+                )
+            return val
+
         certs = []
         for i, f_elem in enumerate(foreign):
-            val_f = value_of(f_elem, host)
+            val_f = read_value(f_elem, f"{which} key {i}")
             ratio = val_f / vals[i]
             if ratio.denominator != 1:
                 raise Inconsistent(f"{which} key {i}: value ratio {ratio} is not integral")
             mult = int(ratio)
             if mult < 1 or p_adic_split(mult, self.p)[0] != 1:
                 raise Inconsistent(f"{which} key {i}: value ratio {mult} is not a p-power")
-            host_power = LocalElem(host.keys[i] ** mult)
-            delta = f_elem - host_power
+            delta = f_elem - LocalElem(pow(host.keys[i], mult, prec))
+            if prec is not None:
+                delta = delta.truncate(prec)
             if delta.is_zero():
-                certs.append(CrossCert(mult, None))
+                certs.append(CrossCert(mult, prec))
                 continue
-            margin = value_of(delta, host) - val_f
+            margin = read_value(delta, f"{which} key {i}: deviation") - val_f
             if margin <= 0:
                 raise Inconsistent(
                     f"{which} key {i}: deviation value does not dominate (margin {margin})"
@@ -174,6 +213,20 @@ class Tower:
         return certs
 
 
+def base_key_precision(seq_mid: GenSeq, p: int) -> int:
+    """N such that the base-in-mid certificates read every value below
+    N * value(x): floor(p * value(mid key L) / value(x)) + 2p, L the last
+    key.
+
+    Base key i has value mult * value(mid key i) with mult 1 or p, so at
+    most p * value(mid key L).  The largest deviation value exceeds that by
+    less than 2p: by at most 0.87, 1.97, 3.99 and 6.0 at p = 2, 3, 5 and 7,
+    measured on exact keys for (p, c) = (2, 1), (2, 2), (3, 2), (3, 4),
+    (5, 4) and (7, 6) at lengths 4-8.  A miss raises Inconsistent in
+    ``Tower.certificates``; it is never retried."""
+    return int(p * seq_mid.values[-1] / seq_mid.values[0]) + 2 * p
+
+
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
     """Construct the three validated generating sequences and the glue data.
 
@@ -181,10 +234,13 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     come from ``tower_keys``: the U recursion started from (x, v) with
     v = y^p - x^c y, and the P recursion started from (u, v) with
     u = x^p / (1 - x^(p-1)).  Substitution is a ring map, so this is the
-    substitution applied to every key.
+    substitution applied to every key.  The base keys are built modulo
+    x^N, N = ``base_key_precision``, which is all that their certificates
+    and pushes read.
 
-    Key degrees grow like p^(2*length), so identities stay desk-scale for
-    p <= 5 and length <= 8; larger parameters work but get a cost warning.
+    Key degrees grow like p^(2*length).  Truncation bounds the base keys'
+    x-degrees by N, but the sequences, the middle keys and the chain keys
+    stay exact, so p > 5 or length > 8 gets a cost warning.
     """
     if length < 2:
         raise BadParams("length must be >= 2")
@@ -194,8 +250,9 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         import warnings
 
         warnings.warn(
-            f"tower with p = {p}, length = {length}: key degrees reach "
-            f"p^(2*length-2) = {p ** (2 * length - 2)}; expect slow identity checks",
+            f"tower with p = {p}, length = {length}: exact key degrees reach "
+            f"p^(2*length-2) = {p ** (2 * length - 2)}; only the base keys are "
+            "truncated, so expect slow chain and identity checks",
             stacklevel=2,
         )
     fld = field if field is not None else Fq(p)
@@ -208,8 +265,9 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     v_sub = y**p - Poly2.monomial(fld, c, 1)
     u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
 
+    base_prec = base_key_precision(seq_mid, p)
     mid_keys_xy = tower_keys("U", p, x, v_sub, length)
-    base_keys_xv = tower_keys("P", p, u_elem, LocalElem(y), length)
+    base_keys_xv = tower_keys("P", p, u_elem, LocalElem(y), length, base_prec)
 
     return Tower(
         p=p,
@@ -222,6 +280,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         v_sub=v_sub,
         mid_keys_xy=mid_keys_xy,
         base_keys_xv=base_keys_xv,
+        base_prec=base_prec,
     )
 
 

@@ -17,7 +17,7 @@ values on original keys follow an integer recursion across levels.
 
 Where only leading data is needed, an element is pushed modulo x'^K: the old
 x maps into (x'^n), so each map reads its input modulo x^ceil(K / n), and
-every product past x'^K is skipped.  ``ChartChain.push_exact`` is the one
+every product past x'^K is skipped.  ``ChartChain.pull_back`` is the one
 place that pulls a precision back through the maps.  The parameter links
 push the foreign keys this way at every level the exact maps reach, with K
 one past the x-order the calculus predicts, and check the pushed orders
@@ -469,10 +469,11 @@ class ChartChain:
                 )
         self.levels.append(nl)
 
-    def push_exact(self, elem, k: int, prec: int | None = None) -> LocalElem:
-        """Push an element of the base chart into level k through exact maps,
-        modulo x_k^prec when ``prec`` is given: each map is entered with the
-        precision that the maps after it pull back to."""
+    def pull_back(self, k: int, prec: int | None) -> tuple[list, int | None]:
+        """(map, output precision) for the exact chart maps into levels
+        2..k, in order, when the push into level k is read modulo x_k^prec;
+        and the precision this pulls back to at level 1.
+        NotApplicable if no exact map reaches level k."""
         self.level(k)
         steps = []  # (map, its output precision), from level k back to level 2
         for lvl in reversed(self.levels[1:k]):
@@ -483,10 +484,17 @@ class ChartChain:
                 # the old x maps into (x'^n), so the map reads its input
                 # modulo x^ceil(prec / n)
                 prec = -(-prec // lvl.map_from_prev.n)
+        return steps[::-1], prec
+
+    def push_exact(self, elem, k: int, prec: int | None = None) -> LocalElem:
+        """Push an element of the base chart into level k through exact maps,
+        modulo x_k^prec when ``prec`` is given: each map is entered with the
+        precision that the maps after it pull back to (``pull_back``)."""
+        steps, prec = self.pull_back(k, prec)
         out = _as_elem(elem)
         if prec is not None:
             out = out.truncate(prec)
-        for cmap, out_prec in reversed(steps):
+        for cmap, out_prec in steps:
             out = cmap.push(out, out_prec)
         return out
 

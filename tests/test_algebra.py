@@ -364,6 +364,22 @@ def test_to_str_roundtrip():
         assert parse_poly(f.to_str(), F3) == f
 
 
+@pytest.mark.parametrize("p,m", [(2, 2), (3, 2), (5, 2)])
+def test_prime_subfield_elements_print_in_the_grammar(p, m):
+    # over F_4, F_9 and F_25 the elements of F_p print as integers, which
+    # parse back to themselves; the others print as tuples the grammar rejects
+    fld = Fq(p, m)
+    x = Poly2.x(fld)
+    for n in range(p):
+        c = fld.of_int(n)
+        assert fld.to_str(c) == str(n)
+        assert parse_poly(fld.to_str(c) + "*x", fld) == x.scale(c)
+    t = fld.of_index(p)  # the generator of F_q over F_p
+    assert fld.to_str(t) == "(0,1)"
+    with pytest.raises(ParseError):
+        parse_poly(fld.to_str(t) + "*x", fld)
+
+
 # -- truncation modulo x^K -----------------------------------------------------
 
 
@@ -413,6 +429,26 @@ def test_truncated_mul_and_pow_match_exact(case):
     f, g, e, prec = case
     assert f.__mul__(g, prec) == (f * g).truncate(prec)
     assert pow(f, e, prec) == (f**e).truncate(prec)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from((F2, F3, F4, F9)).flatmap(
+    lambda fld: st.tuples(_polys(fld), _polys(fld), _polys(fld), st.integers(0, 30),
+                          st.integers(1, 12))))
+def test_truncated_local_mul_and_pow_match_exact(case):
+    # a pair times a pair, and a power, modulo x^K: both parts are the exact
+    # ones truncated, and a unit's negative power is its inverse's power
+    f, g, h, e, prec = case
+    one = Poly2.one(f.field)
+    a, b = LocalElem(f, one + g.shift(1)), LocalElem(h, one + f.shift(2))
+
+    def parts(elem):
+        return elem.num, elem.den
+
+    assert parts(a.__mul__(b, prec)) == parts((a * b).truncate(prec))
+    assert parts(pow(a, e, prec)) == parts((a**e).truncate(prec))
+    unit = LocalElem(one + h.shift(1), one + g.shift(1))
+    assert parts(pow(unit, -e, prec)) == parts((unit.invert() ** e).truncate(prec))
 
 
 # -- substitution against a term-by-term oracle ---------------------------------

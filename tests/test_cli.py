@@ -179,7 +179,8 @@ def test_report_honours_q(capsys, monkeypatch):
     assert report["config"]["q"] == 4
     links = [r for s in report["sections"] for r in s["rows"]
              if r.get("check", "").startswith("parameter links")]
-    assert links[0]["residues"]["tau"] == "(1,0)"  # an F_4 element
+    # tau = 1 lies in the prime subfield of F_4, so it prints as the grammar reads it
+    assert links[0]["residues"]["tau"] == "1"
 
 
 def test_report_json_deterministic(capsys):

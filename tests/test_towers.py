@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -7,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 import ramval.towers as towers_module
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.cli import main
-from ramval.genseq import BadParams, ExpTerm, Inconsistent, expand, expand_from_powers, value_of
+from ramval.genseq import (
+    BadParams,
+    ExpTerm,
+    Inconsistent,
+    expand,
+    expand_from_powers,
+    tower_keys,
+    value_of,
+)
 from ramval.towers import (
     _pushed_leading_data,
     build_tower,
@@ -69,12 +79,19 @@ def test_middle_keys_in_top_chart_first_identities():
         assert t.mid_keys_xy[2] == q2 - Poly2.monomial(fld, c * p, p)
 
 
+def _equal_mod_xpow(a: LocalElem, b: LocalElem, n: int) -> bool:
+    """a == b modulo x^n, by cross-multiplication (the denominators are
+    units)."""
+    return not (a.num * b.den - b.num * a.den).truncate(n)
+
+
 @pytest.mark.parametrize("p,m,length", [(2, 1, 5), (3, 1, 4), (3, 2, 4), (5, 1, 3)])
 def test_rewritten_keys_are_substituted_keys(p, m, length):
     # independent oracle for the chart rewrites: substitution is a ring map,
     # so the recursion run from the images of the first two keys must equal
     # every key substituted on its own (Horner for the middle keys, the pair
-    # kernel for the base keys)
+    # kernel for the base keys); the base keys are built modulo x^N, so they
+    # are compared modulo x^N
     fld = Fq(p, m)
     t = build_tower(p, p - 1, length, fld)
     x, y = Poly2.x(fld), Poly2.y(fld)
@@ -84,7 +101,7 @@ def test_rewritten_keys_are_substituted_keys(p, m, length):
         assert rewritten == key.compose(x, t.v_sub)
     assert len(t.base_keys_xv) == len(t.seq_base.keys) == length + 1
     for rewritten, key in zip(t.base_keys_xv, t.seq_base.keys):
-        assert rewritten == LocalElem(key).compose(u_elem, LocalElem(y))
+        assert _equal_mod_xpow(rewritten, LocalElem(key).compose(u_elem, LocalElem(y)), t.base_prec)
 
 
 def test_deviation_j2_exact_shape():
@@ -463,3 +480,105 @@ def test_tower_exits_1_when_base_key_differs(capsys, monkeypatch):
     assert captured.out == ""
     assert ("verification failed: base key 3 differs from top key 3; "
             "chain R cannot share chain S") in captured.err
+
+
+# -- base keys and base-in-mid certificates modulo x^N ---------------------------
+
+TRUNCATION_CASES = [(p, 1, length) for p in (2, 3) for length in range(4, 8)] + [
+    (2, 2, 5), (3, 2, 5)]
+
+
+@lru_cache(maxsize=None)
+def _truncation_case(p, m, length):
+    """A tower with its base keys modulo x^N, and the base keys built by the
+    exact recursion."""
+    fld = Fq(p, m)
+    t = build_tower(p, p - 1, length, fld)
+    x, y = Poly2.x(fld), Poly2.y(fld)
+    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
+    return t, tower_keys("P", p, u_elem, LocalElem(y), length)
+
+
+def _with_base_keys(t, keys):
+    """A copy of the tower with other base keys and no cached results."""
+    return dataclasses.replace(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={})
+
+
+@pytest.mark.parametrize("p,m,length", TRUNCATION_CASES)
+def test_truncated_base_keys_equal_exact_keys_mod_xN(p, m, length):
+    t, exact = _truncation_case(p, m, length)
+    assert len(t.base_keys_xv) == len(exact)
+    for i, (key, ex) in enumerate(zip(t.base_keys_xv, exact)):
+        assert max(e[0] for e in key.num.terms) < t.base_prec, i
+        assert _equal_mod_xpow(key, ex, t.base_prec), i
+
+
+@pytest.mark.parametrize("p,m,length", TRUNCATION_CASES)
+def test_truncated_certificates_equal_exact_certificates(p, m, length):
+    # the certificates read modulo x^N against the same comparison made
+    # exactly, on the exact keys: equal multiplier, and t equal to the exact
+    # deviation's x-order, or N where the deviation is exactly zero
+    t, exact = _truncation_case(p, m, length)
+    host = t.seq_mid
+    certs = t.certificates("base-in-mid")
+    assert len(certs) == len(exact)
+    for i, (cert, key) in enumerate(zip(certs, exact)):
+        val = value_of(key, host)
+        assert val == cert.mult * host.values[i], i
+        delta = key - LocalElem(host.keys[i] ** cert.mult)
+        if delta.is_zero():
+            assert cert.t_order == t.base_prec, i
+        else:
+            assert value_of(delta, host) > val, i
+            assert cert.t_order == delta.x_order(), i
+
+
+@pytest.mark.parametrize("p,length", [(2, 5), (3, 4)])
+def test_base_key_terms_from_xN_on_change_no_certificate(p, length):
+    t, _ = _truncation_case(p, 1, length)
+    n = t.base_prec
+    tail = LocalElem(Poly2(t.field, {(n, 0): 1, (n + 3, p): 1, (2 * n, 1): 1}))
+    tampered = _with_base_keys(t, [key + tail for key in t.base_keys_xv])
+    assert tampered.certificates("base-in-mid") == t.certificates("base-in-mid")
+
+
+@pytest.mark.parametrize("p,length", [(2, 5), (3, 4)])
+def test_base_key_term_below_deviation_order_is_seen(p, length):
+    # x^(t-1) added to key i: its deviation is no longer divisible by x^t, so
+    # the certificate's t changes, or the key's value does and it raises
+    t, _ = _truncation_case(p, 1, length)
+    certs = t.certificates("base-in-mid")
+    for i, cert in enumerate(certs):
+        if cert.t_order < 1:
+            continue
+        keys = list(t.base_keys_xv)
+        keys[i] = keys[i] + LocalElem(Poly2.monomial(t.field, cert.t_order - 1, 0))
+        try:
+            got = _with_base_keys(t, keys).certificates("base-in-mid")[i]
+        except Inconsistent:
+            continue
+        assert got.t_order != cert.t_order, i
+
+
+def test_tower_exits_1_when_base_precision_is_too_small(capsys, monkeypatch):
+    monkeypatch.setattr(towers_module, "base_key_precision", lambda seq_mid, p: 20)
+    assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"verification failed: base-in-mid key \d+.* modulo x\^20.*\(N = 20\)",
+                     captured.err), captured.err
+
+
+def test_pushed_key_rejects_a_read_past_base_precision():
+    t = build_tower(2, 1, 5)
+    t.certificates("base-in-mid")
+    chain = t.chain("A")
+    o, _, _ = t.pushed_key("A", 2, 3)
+    _, read = chain.pull_back(3, o + 1)
+    for n, ok in ((read, True), (read - 1, False)):
+        t2 = dataclasses.replace(t, base_prec=n, _pushed={})
+        if ok:
+            assert t2.pushed_key("A", 2, 3) == t.pushed_key("A", 2, 3)
+        else:
+            with pytest.raises(Inconsistent, match=f"read modulo x\\^{read}, past the x\\^{n}"):
+                t2.pushed_key("A", 2, 3)
