@@ -50,8 +50,10 @@ class LocalElem:
     def __add__(self, other: "LocalElem") -> "LocalElem":
         return LocalElem(self.num * other.den + other.num * self.den, self.den * other.den)
 
-    def __sub__(self, other: "LocalElem") -> "LocalElem":
-        return LocalElem(self.num * other.den - other.num * self.den, self.den * other.den)
+    def __sub__(self, other: "LocalElem", prec: int | None = None) -> "LocalElem":
+        """The difference; with ``prec``, modulo x^prec (as in ``__mul__``)."""
+        return LocalElem(self.num.__mul__(other.den, prec) - other.num.__mul__(self.den, prec),
+                         self.den.__mul__(other.den, prec))
 
     def __neg__(self) -> "LocalElem":
         return LocalElem(-self.num, self.den)
@@ -84,9 +86,11 @@ class LocalElem:
     def divexact_xpow(self, m: int) -> "LocalElem":
         return LocalElem(self.num.divexact_xpow(m), self.den)
 
-    def truncate(self, prec: int) -> "LocalElem":
-        """The element modulo x^prec: both parts truncated, which keeps the
-        denominator a unit."""
+    def truncate(self, prec: int | None) -> "LocalElem":
+        """The element modulo x^prec, both parts truncated (the denominator
+        stays a unit for prec >= 1); the element itself for None."""
+        if prec is None:
+            return self
         return LocalElem(self.num.truncate(prec), self.den.truncate(prec))
 
     def compose(self, sub_x: "LocalElem", sub_y: "LocalElem", prec: int | None = None) -> "LocalElem":

@@ -148,8 +148,8 @@ class Poly2:
         fld = self.field
         return Poly2(fld, {e: fld.neg(c) for e, c in self.terms.items()})
 
-    def __sub__(self, other: "Poly2") -> "Poly2":
-        return self + (-other)
+    def __sub__(self, other: "Poly2", prec: int | None = None) -> "Poly2":
+        return (self + -other).truncate(prec)
 
     def __mul__(self, other: "Poly2", prec: int | None = None) -> "Poly2":
         """The product; with ``prec``, the product modulo x^prec, formed
@@ -213,8 +213,11 @@ class Poly2:
         p = fld.p
         return Poly2(fld, {(i * p, j * p): fld.frob(c) for (i, j), c in self.terms.items()})
 
-    def truncate(self, prec: int) -> "Poly2":
-        """The polynomial modulo x^prec: its terms of x-degree below prec."""
+    def truncate(self, prec: int | None) -> "Poly2":
+        """The polynomial modulo x^prec: its terms of x-degree below prec;
+        itself for None (a Poly2 is never changed in place, so it is shared)."""
+        if prec is None:
+            return self
         return Poly2(self.field, {e: c for e, c in self.terms.items() if e[0] < prec})
 
     def __pow__(self, e: int, prec: int | None = None) -> "Poly2":
@@ -224,12 +227,10 @@ class Poly2:
             raise ArithmeticError("negative polynomial power")
         fld = self.field
         if e == 0:
-            return Poly2.one(fld)
-        base = self
-        if prec is not None:
-            base = self.truncate(prec)
-            if not base.terms or e * base.x_order() >= prec:
-                return Poly2(fld)
+            return Poly2.one(fld).truncate(prec)
+        base = self.truncate(prec)
+        if not base or prec is not None and e * base.x_order() >= prec:
+            return Poly2(fld)
         # base-p digits: p-power parts are Frobenius twists.
         p = fld.p
         digits = []
@@ -246,9 +247,7 @@ class Poly2:
                     piece = piece.__mul__(frob_pow, prec)
                 result = result.__mul__(piece, prec)
             if k < len(digits) - 1:
-                frob_pow = frob_pow.frobenius()
-                if prec is not None:
-                    frob_pow = frob_pow.truncate(prec)
+                frob_pow = frob_pow.frobenius().truncate(prec)
         return result
 
     # -- orders and restrictions --------------------------------------------

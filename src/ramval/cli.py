@@ -1,8 +1,8 @@
 """Command-line frontend: scenario execution and reproducible reports.
 
 Exit codes: 0 = success / verified, 1 = verification failure (``Inconsistent``
-and its subclasses, with the failing witness), 2 = usage or domain error.
-All numeric output is exact fractions.
+and its subclasses, an invalid sequence among them, with the failing
+witness), 2 = usage or domain error.  All numeric output is exact fractions.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import monomial, towers, transforms
@@ -199,14 +200,15 @@ def cmd_report(args) -> int:
     return 0 if rep.ok else 1
 
 
-def _add_common(sub, family=False):
+def _add_common(sub, family=False, formats=("text", "tsv", "md")):
     sub.add_argument("--p", type=int, required=True, help="characteristic (prime)")
     sub.add_argument("--c", type=int, default=None,
                      help="tower parameter c, a positive multiple of p-1 (default p-1)"
                      + ("; family U only" if family else ""))
     sub.add_argument("--q", type=int, default=None, help="field size (a power of p)")
     sub.add_argument("--length", type=int, default=6, help="number of keys beyond the first")
-    sub.add_argument("--format", choices=("text", "tsv", "json", "md"), default="text")
+    if formats:
+        sub.add_argument("--format", choices=formats, default="text")
     if family:
         sub.add_argument("--family", choices=("Q", "P", "U"), required=True,
                          help="Q: top chart, P: base chart, U: middle chart")
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = ap.add_subparsers(dest="command", required=True)
 
     s = sp.add_parser("value", help="valuation of a polynomial")
-    _add_common(s, family=True)
+    _add_common(s, family=True, formats=())
     s.add_argument("poly", help="polynomial, e.g. 'y^2 + x*y + x^7'")
     s.set_defaults(func=cmd_value)
 
@@ -240,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_transform)
 
     s = sp.add_parser("tower", help="per-level stable-form ladder of the tower")
-    _add_common(s)
+    _add_common(s, formats=("text", "tsv", "json", "md"))
     s.add_argument("--levels", type=_count, default=3)
     s.add_argument("--seed", type=int, default=0, help="echoed in the header; tower samples nothing")
     s.set_defaults(func=cmd_tower)
@@ -250,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_monomialize)
 
     s = sp.add_parser("report", help="full verification report of the tower scenario")
-    _add_common(s)
+    _add_common(s, formats=("text", "tsv", "json", "md"))
     s.add_argument("--levels", type=_count, default=3)
     s.add_argument("--samples", type=_count, default=200)
     s.add_argument("--seed", type=int, default=0, help="seed of the restriction sampling")
@@ -265,20 +267,23 @@ def main(argv=None) -> int:
     # the minimal admissible tower parameter; families Q and P take no c
     if getattr(args, "c", 0) is None and getattr(args, "family", "U") == "U":
         args.c = args.p - 1
-    try:
-        return args.func(args)
-    except Inconsistent as ex:
-        print(f"verification failed: {ex}", file=sys.stderr)
-        return 1
-    except ParseError as ex:
-        print(f"parse error: {ex}", file=sys.stderr)
-        return 2
-    except (UsageError, BadParams, ValueError) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return 2
-    except ArithmeticError as ex:
-        print(f"domain error: {ex}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        # a warning is one stderr line, without its source location
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except Inconsistent as ex:
+            print(f"verification failed: {ex}", file=sys.stderr)
+            return 1
+        except ParseError as ex:
+            print(f"parse error: {ex}", file=sys.stderr)
+            return 2
+        except (UsageError, BadParams, ValueError) as ex:
+            print(f"error: {ex}", file=sys.stderr)
+            return 2
+        except ArithmeticError as ex:
+            print(f"domain error: {ex}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -45,13 +45,13 @@ class ValueMismatch(ArithmeticError):
     """Residue of f/g requested with value(f) != value(g)."""
 
 
-class InvalidSequence(ArithmeticError):
-    """Operation on a sequence that fails its own validity conditions."""
-
-
 class Inconsistent(ArithmeticError):
     """Two independent computations of the same quantity disagree: a
     verification failure."""
+
+
+class InvalidSequence(Inconsistent):
+    """Operation on a sequence that fails its own validity conditions."""
 
 
 # recursion step: key_{j+1} = key_j**exponent - x**x_exp * key_{j-1}
@@ -237,14 +237,12 @@ def tower_keys(family: str, p: int, key0, key1, length: int, prec: int | None = 
     LocalElem alike: (x, y) gives a family's own keys, and the images of
     key_0 and key_1 under a chart substitution give the keys rewritten in
     another chart, since substitution is a ring map.  Reduction modulo x^prec
-    is a ring map too, so with ``prec`` the powers and the product are taken
-    truncated and each difference is truncated once more."""
-    keys = [key0, key1] if prec is None else [key0.truncate(prec), key1.truncate(prec)]
+    is a ring map too, so each operation takes ``prec``."""
+    keys = [key0.truncate(prec), key1.truncate(prec)]
     for j in range(1, length):
         step = _tower_recursion(family, p, j)
         tail = pow(keys[0], step.x_exp, prec).__mul__(keys[j - 1], prec)
-        key = pow(keys[j], step.exponent, prec) - tail
-        keys.append(key if prec is None else key.truncate(prec))
+        keys.append(pow(keys[j], step.exponent, prec).__sub__(tail, prec))
     return keys
 
 

@@ -170,7 +170,7 @@ class Tower:
             foreign = [LocalElem(k) for k in self.mid_keys_xy]
         elif which == "base-in-mid":
             host, prec = self.seq_mid, self.base_prec
-            foreign = [k.truncate(prec) for k in self.base_keys_xv]
+            foreign = self.base_keys_xv
         else:
             raise ValueError(which)
         vals = host.values
@@ -197,9 +197,7 @@ class Tower:
             mult = int(ratio)
             if mult < 1 or p_adic_split(mult, self.p)[0] != 1:
                 raise Inconsistent(f"{which} key {i}: value ratio {mult} is not a p-power")
-            delta = f_elem - LocalElem(pow(host.keys[i], mult, prec))
-            if prec is not None:
-                delta = delta.truncate(prec)
+            delta = f_elem.__sub__(LocalElem(pow(host.keys[i], mult, prec)), prec)
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue

@@ -288,10 +288,7 @@ def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
 
 def _recursion_remainder(keys: list[LocalElem], j: int, e: int, prec: int) -> LocalElem:
     """key_j^e - key_{j+1} modulo x^prec."""
-    kj, kn = keys[j], keys[j + 1]
-    den_pow = pow(kj.den, e, prec)
-    num = pow(kj.num, e, prec).__mul__(kn.den, prec) - kn.num.__mul__(den_pow, prec)
-    return LocalElem(num, den_pow.__mul__(kn.den, prec))
+    return pow(keys[j], e, prec).__sub__(keys[j + 1], prec)
 
 
 def _relation_exponent(level: ChainLevel, j: int) -> int:
@@ -491,9 +488,7 @@ class ChartChain:
         modulo x_k^prec when ``prec`` is given: each map is entered with the
         precision that the maps after it pull back to (``pull_back``)."""
         steps, prec = self.pull_back(k, prec)
-        out = _as_elem(elem)
-        if prec is not None:
-            out = out.truncate(prec)
+        out = _as_elem(elem).truncate(prec)
         for cmap, out_prec in steps:
             out = cmap.push(out, out_prec)
         return out

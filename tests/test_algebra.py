@@ -451,6 +451,42 @@ def test_truncated_local_mul_and_pow_match_exact(case):
     assert parts(pow(unit, -e, prec)) == parts((unit.invert() ** e).truncate(prec))
 
 
+def _outcome(op):
+    """The parts of op()'s result, or the type of the error it raises."""
+    try:
+        out = op()
+    except ArithmeticError as ex:
+        return type(ex)
+    return (out.num, out.den) if isinstance(out, LocalElem) else out
+
+
+@st.composite
+def _protocol_case(draw):
+    """(f, g, e, prec): two polynomials or two pairs with unit denominators,
+    an exponent and a precision in {None, 0..8}."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    f, g = draw(_polys(field)), draw(_polys(field))
+    if draw(st.booleans()):
+        f, g = LocalElem(f, draw(_unit_dens(field))), LocalElem(g, draw(_unit_dens(field)))
+    return f, g, draw(st.integers(0, 12)), draw(st.sampled_from((None, *range(9))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_protocol_case())
+def test_precision_protocol_is_exact_then_truncate(case):
+    # each operation with prec equals the exact one followed by truncate,
+    # part for part; None is exact and shares the element, and modulo x^0 a
+    # pair has no unit denominator, so both sides raise
+    f, g, e, prec = case
+    assert f.truncate(None) is f
+    for part in (f.num, f.den) if isinstance(f, LocalElem) else (f,):
+        kept = {t: c for t, c in part.terms.items() if prec is None or t[0] < prec}
+        assert part.truncate(prec).terms == kept
+    for op in (lambda k: f.truncate(k), lambda k: f.__mul__(g, k), lambda k: f.__sub__(g, k),
+               lambda k: pow(f, e, k), lambda k: pow(f, -e, k)):
+        assert _outcome(lambda: op(prec)) == _outcome(lambda: op(None).truncate(prec))
+
+
 # -- substitution against a term-by-term oracle ---------------------------------
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ramval import cli, genseq, towers, transforms
-from ramval.algebra import Fq
+from ramval.algebra import Fq, Poly2
 from ramval.cli import main
 from test_transforms import ORDER_CALCULUS_TAMPERS
 
@@ -224,6 +225,44 @@ def test_seed_rejected_where_unused(capsys, argv):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("value", "--family", "Q", "--p", "2", "x"), "unrecognized arguments: --format"),
+    (("semigroup", "--family", "Q", "--p", "2"), "invalid choice: 'json'"),
+    (("validate", "--family", "Q", "--p", "2"), "invalid choice: 'json'"),
+    (("transform", "--family", "Q", "--p", "2"), "invalid choice: 'json'"),
+])
+def test_format_rejected_where_it_takes_no_effect(capsys, argv, message):
+    # value prints two fixed lines, and the table commands have no json
+    # rendering; only tower and report write json
+    with pytest.raises(SystemExit) as ex:
+        main([*argv, "--format", "json"])
+    assert ex.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["semigroup", "validate", "transform"])
+def test_table_formats_take_effect(capsys, command):
+    outs = set()
+    for fmt in ("text", "tsv", "md"):
+        code, out, _ = run(capsys, command, "--family", "Q", "--p", "2", "--length", "4",
+                           "--format", fmt)
+        assert code == 0
+        outs.add(out)
+    assert len(outs) == 3
+
+
+def test_tower_cost_warning_is_one_line(capsys):
+    # p > 5 draws the cost warning: one line, no source path or line number
+    code, out, err = run(capsys, "tower", "--p", "7", "--c", "6", "--levels", "2",
+                         "--length", "4")
+    assert code == 0 and out
+    assert err == ("warning: tower with p = 7, length = 4: exact key degrees reach "
+                   "p^(2*length-2) = 117649; only the base keys are truncated, so "
+                   "expect slow chain and identity checks\n")
+
+
 def test_report_jobs_rejected(capsys):
     for flag in ("--jobs", "--prec"):
         with pytest.raises(SystemExit) as ex:
@@ -274,6 +313,27 @@ def test_failed_cross_check_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert "verification failed" in err and "alternating recursion" in err
+
+
+@pytest.mark.parametrize("command", ["tower", "report"])
+def test_invalid_tower_sequence_exits_1(capsys, monkeypatch, command):
+    # a tower sequence that fails its own validity conditions is a
+    # verification failure, reported with the failed validity rows
+    real = towers.build_tower_seq
+
+    def tampered(family, p, c=None, length=5, field=None):
+        seq = real(family, p, c, length, field)
+        if family != "Q":
+            return seq
+        keys = list(seq.keys)
+        keys[2] = keys[2] + Poly2.monomial(seq.field, 0, keys[2].deg_y())
+        return dataclasses.replace(seq, keys=keys)
+
+    monkeypatch.setattr(towers, "build_tower_seq", tampered)
+    code, out, err = run(capsys, command, "--p", "2", "--levels", "3", "--length", "5")
+    assert (code, out) == (1, "")
+    assert err.startswith("verification failed: sequence Q(p=2,N=5): FAIL\n")
+    assert "i=2: index computed=4 declared-order=4 growth=True monic=False" in err
 
 
 @pytest.mark.parametrize("fake_value,witness", [
