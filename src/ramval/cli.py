@@ -23,16 +23,32 @@ class UsageError(ValueError):
     pass
 
 
-def _count(text: str) -> int:
-    """argparse type of a count option: an integer >= 1, checked before
-    anything is built."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return n
+def _at_least(parse, low, what: str):
+    """argparse type of a numeric option: ``parse(text)``, at least
+    ``low``, checked before anything is built."""
+
+    def check(text: str):
+        try:
+            n = parse(text)
+        except (ValueError, ZeroDivisionError):
+            n = None
+        if n is None or n < low:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return n
+
+    return check
+
+
+_count = _at_least(int, 1, "an integer >= 1")
+_bound = _at_least(Fraction, 0, "a fraction >= 0")
+
+
+def _check_levels(args) -> None:
+    """A ladder to level k needs keys up to k + 1: a usage error, checked
+    before the tower is built."""
+    if args.levels > args.length - 1:
+        raise UsageError(f"--levels {args.levels} needs --length >= {args.levels + 1}, "
+                         f"got --length {args.length}")
 
 
 def _config(args, *options) -> dict:
@@ -70,7 +86,7 @@ def cmd_value(args) -> int:
 
 def cmd_semigroup(args) -> int:
     seq = _build_seq(args)
-    sg = semigroup(seq, Fraction(args.bound))
+    sg = semigroup(seq, args.bound)
     rows = [{"value": fmt_value(v)} for v in sg.elements]
     print(render_table(rows, args.format, f"semigroup values <= {args.bound}"), end="")
     return 0
@@ -146,6 +162,7 @@ def _ladder_rows(ladder) -> list[dict]:
 
 
 def cmd_tower(args) -> int:
+    _check_levels(args)
     tower = towers.build_tower(args.p, args.c, args.length, _field_for(args.p, args.q))
     ladder = transforms.run_tower_ladder(tower, args.levels)
     check = towers.check_ladder_report(ladder)
@@ -173,9 +190,7 @@ def _validity_rows(tower) -> tuple[list[dict], bool]:
 def cmd_report(args) -> int:
     """Build the tower once and run every check against it, in a fixed order."""
     p = args.p
-    if args.levels > args.length - 1:
-        raise UsageError(f"--levels {args.levels} needs --length >= {args.levels + 1}, "
-                         f"got --length {args.length}")
+    _check_levels(args)
     tower = towers.build_tower(p, args.c, args.length, _field_for(p, args.q))
     jmax_dev = min(args.length - 1, 4 if p == 2 else 3)
     jmax_val = min(args.length - 2, 4)
@@ -229,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sp.add_parser("semigroup", help="value semigroup up to a bound")
     _add_common(s, family=True)
-    s.add_argument("--bound", default="2", help="upper bound (fraction)")
+    s.add_argument("--bound", type=_bound, default="2",
+                   help="upper bound (a fraction >= 0)")
     s.set_defaults(func=cmd_semigroup)
 
     s = sp.add_parser("validate", help="validity report of a generating sequence")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from itertools import zip_longest
 
 from .algebra import Fq, LocalElem, Poly2
@@ -32,10 +31,8 @@ from .genseq import (
     tower_keys,
     value_of,
 )
-from .transforms import ChartChain, NotApplicable, _bottom_row, _mu_with_certificate
+from .transforms import ChartChain, NotApplicable, _as_elem, _bottom_row, _mu_with_certificate
 from .values import fmt_value, p_adic_split
-
-Value = Fraction
 
 
 @dataclass(frozen=True)
@@ -45,15 +42,13 @@ class CrossCert:
     and, checked before the certificate is made, the value margin
     value(F - K^mult) > value(K^mult).
 
-    "mid-in-top" certificates are read off exact keys, and ``t_order`` is
-    None when F equals K^mult exactly.  "base-in-mid" certificates are read
-    modulo x^N (``Tower.base_prec``): ``t_order`` is the x-order of the
-    deviation, or N when the deviation vanishes modulo x^N, so that x^t_order
-    divides it in both cases; it is never None.
+    Both links are read modulo x^N (``certificate_precision``): ``t_order``
+    is the x-order of the deviation, or N when the deviation vanishes modulo
+    x^N, so that x^t_order divides it in both cases.
     """
 
     mult: int
-    t_order: int | None
+    t_order: int
 
 
 @dataclass
@@ -68,7 +63,7 @@ class Tower:
     v_sub: Poly2  # v as an element of the top chart
     mid_keys_xy: list[Poly2]  # middle keys rewritten in (x, y)
     base_keys_xv: list[LocalElem]  # base keys rewritten in (x, v), modulo x^base_prec
-    base_prec: int  # N of ``base_key_precision``
+    base_prec: int  # N of ``certificate_precision`` of the middle sequence
     _chains: dict = dc_field(default_factory=dict, repr=False)
     _certs: dict = dc_field(default_factory=dict, repr=False)
     _pushed: dict = dc_field(default_factory=dict, repr=False)
@@ -148,49 +143,42 @@ class Tower:
         return self._pushed[slot]
 
     def certificates(self, which: str) -> list[CrossCert]:
-        """Cross-chart comparison certificates.
+        """Cross-chart comparison certificates: "mid-in-top" compares the
+        middle keys with the top keys in the top chart, "base-in-mid" the
+        base keys with the middle keys in the middle chart.  Both links read
+        the foreign keys and their deviations modulo x^N, N =
+        ``certificate_precision`` of the host (``base_prec`` for the base
+        keys, which are built to it).
 
-        "mid-in-top": exact middle keys against top keys in the top chart;
-        "base-in-mid": base keys against middle keys in the middle chart,
-        the keys and their deviations read modulo x^N, N = ``base_prec``.
-
-        For f with a unit denominator, f = (f mod x^N) + x^N * g with g in
-        the local ring, and value(x^N * g) >= N * value(x).  So a truncated
-        value below N * value(x) is the value of f, and a nonzero truncation
-        has the x-order of f.  A key that vanishes modulo x^N, or a key or
-        deviation whose truncated value is N * value(x) or more, is a failed
-        prediction of N: Inconsistent, naming the key, N and the value.  A
-        deviation that vanishes modulo x^N is divisible by x^N, so its value
-        exceeds the key's.
+        f and f mod x^N differ by x^N * (ring element), of value at least
+        N * value(x).  A key's value is below N * value(x), so it is read
+        exactly; a key that vanishes modulo x^N, or reads N * value(x) or
+        more, is Inconsistent, naming the key and N.  A deviation dominates
+        its key once its truncated value exceeds the key's: that value is
+        exact below N * value(x), and at or above it the deviation's value
+        is at least N * value(x).  A deviation that vanishes modulo x^N gets
+        t_order = N.
         """
         if which in self._certs:
             return self._certs[which]
-        if which == "mid-in-top":
-            host, prec = self.seq_top, None
-            foreign = [LocalElem(k) for k in self.mid_keys_xy]
-        elif which == "base-in-mid":
-            host, prec = self.seq_mid, self.base_prec
-            foreign = self.base_keys_xv
-        else:
-            raise ValueError(which)
+        host, foreign, prec = {
+            "mid-in-top": (
+                self.seq_top, self.mid_keys_xy, certificate_precision(self.seq_top, self.p)
+            ),
+            "base-in-mid": (self.seq_mid, self.base_keys_xv, self.base_prec),
+        }[which]
         vals = host.values
-
-        def read_value(elem: LocalElem, what: str) -> Value:
-            if prec is None:
-                return value_of(elem, host)
-            if elem.is_zero():
-                raise Inconsistent(f"{what} vanishes modulo x^{prec} (N = {prec})")
-            val = value_of(elem, host)
-            if val >= prec * vals[0]:
+        certs = []
+        for i, key in enumerate(foreign):
+            f_elem = _as_elem(key).truncate(prec)
+            if f_elem.is_zero():
+                raise Inconsistent(f"{which} key {i} vanishes modulo x^{prec} (N = {prec})")
+            val_f = value_of(f_elem, host)
+            if val_f >= prec * vals[0]:
                 raise Inconsistent(
-                    f"{what} has value {fmt_value(val)} modulo x^{prec}, not below "
+                    f"{which} key {i} has value {fmt_value(val_f)} modulo x^{prec}, not below "
                     f"N * value(x) = {fmt_value(prec * vals[0])} (N = {prec})"
                 )
-            return val
-
-        certs = []
-        for i, f_elem in enumerate(foreign):
-            val_f = read_value(f_elem, f"{which} key {i}")
             ratio = val_f / vals[i]
             if ratio.denominator != 1:
                 raise Inconsistent(f"{which} key {i}: value ratio {ratio} is not integral")
@@ -201,7 +189,7 @@ class Tower:
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue
-            margin = read_value(delta, f"{which} key {i}: deviation") - val_f
+            margin = value_of(delta, host) - val_f
             if margin <= 0:
                 raise Inconsistent(
                     f"{which} key {i}: deviation value does not dominate (margin {margin})"
@@ -211,18 +199,15 @@ class Tower:
         return certs
 
 
-def base_key_precision(seq_mid: GenSeq, p: int) -> int:
-    """N such that the base-in-mid certificates read every value below
-    N * value(x): floor(p * value(mid key L) / value(x)) + 2p, L the last
-    key.
+def certificate_precision(host: GenSeq, p: int) -> int:
+    """N = floor(p * value(host key L) / value(x)) + 1, L the last key: the
+    least N with N * value(x) > p * value(host key L).
 
-    Base key i has value mult * value(mid key i) with mult 1 or p, so at
-    most p * value(mid key L).  The largest deviation value exceeds that by
-    less than 2p: by at most 0.87, 1.97, 3.99 and 6.0 at p = 2, 3, 5 and 7,
-    measured on exact keys for (p, c) = (2, 1), (2, 2), (3, 2), (3, 4),
-    (5, 4) and (7, 6) at lengths 4-8.  A miss raises Inconsistent in
-    ``Tower.certificates``; it is never retried."""
-    return int(p * seq_mid.values[-1] / seq_mid.values[0]) + 2 * p
+    A foreign key has value mult * value(host key i) with mult 1 or p, so
+    at most p * value(host key L): modulo x^N its value is read exactly, and
+    a deviation that reads N * value(x) or more has at least that value,
+    above the key's (``Tower.certificates``)."""
+    return int(p * host.values[-1] / host.values[0]) + 1
 
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
@@ -233,12 +218,13 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     v = y^p - x^c y, and the P recursion started from (u, v) with
     u = x^p / (1 - x^(p-1)).  Substitution is a ring map, so this is the
     substitution applied to every key.  The base keys are built modulo
-    x^N, N = ``base_key_precision``, which is all that their certificates
-    and pushes read.
+    x^N, N = ``certificate_precision`` of the middle sequence, which is all
+    that their certificates and pushes read.
 
     Key degrees grow like p^(2*length).  Truncation bounds the base keys'
     x-degrees by N, but the sequences, the middle keys and the chain keys
-    stay exact, so p > 5 or length > 8 gets a cost warning.
+    stay exact (the middle keys are read modulo x^N only by their
+    certificates), so p > 5 or length > 8 gets a cost warning.
     """
     if length < 2:
         raise BadParams("length must be >= 2")
@@ -263,7 +249,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     v_sub = y**p - Poly2.monomial(fld, c, 1)
     u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
 
-    base_prec = base_key_precision(seq_mid, p)
+    base_prec = certificate_precision(seq_mid, p)
     mid_keys_xy = tower_keys("U", p, x, v_sub, length)
     base_keys_xv = tower_keys("P", p, u_elem, LocalElem(y), length, base_prec)
 
@@ -488,25 +474,21 @@ def check_ladder_report(ladder) -> CheckReport:
 
 
 def _pushed_leading_data(tower: Tower, chain_label: str, vec, k: int):
-    """((exceptional order, restriction order), leading residue) of the
-    monomial prod key_i^vec[i] in the foreign keys of chain ``chain_label``,
-    pushed through the exact chart maps into level k.
+    """Leading residue of the monomial prod key_i^vec[i] in the foreign keys
+    of chain ``chain_label``, pushed through the exact chart maps into
+    level k.
 
     Leading data is multiplicative (see ``_bottom_row``), so each key is
-    pushed once per level: the orders are the vec-weighted sums of the keys'
-    orders and the residue is the product of their coefficients to the
-    powers vec[i], negative ones included.
+    pushed once per level, and the residue is the product of their
+    coefficients to the powers vec[i], negative ones included.  The pushed
+    orders are checked per key in ``Tower.pushed_key``.
     """
     fld = tower.field
-    o = t = 0
     lead = fld.one
     for i, m in enumerate(vec):
         if m:
-            oi, ti, li = tower.pushed_key(chain_label, i, k)
-            o += m * oi
-            t += m * ti
-            lead = fld.mul(lead, fld.pow_(li, m))
-    return (o, t), lead
+            lead = fld.mul(lead, fld.pow_(tower.pushed_key(chain_label, i, k)[2], m))
+    return lead
 
 
 def verify_parameter_links(tower: Tower, j: int) -> CheckReport:
@@ -560,10 +542,10 @@ def verify_parameter_links(tower: Tower, j: int) -> CheckReport:
     fld = tower.field
     residues = {}
     try:
-        _, residues["tau"] = _pushed_leading_data(tower, "S", lvl_a.vecs[0], k)
-        _, residues["gamma"] = _pushed_leading_data(tower, "S", lvl_a.vecs[1], k)
-        _, residues["sigma"] = _pushed_leading_data(tower, "A", lvl_r.vecs[0], k)
-        _, residues["lambda"] = _pushed_leading_data(tower, "A", lvl_r.vecs[1], k)
+        residues["tau"] = _pushed_leading_data(tower, "S", lvl_a.vecs[0], k)
+        residues["gamma"] = _pushed_leading_data(tower, "S", lvl_a.vecs[1], k)
+        residues["sigma"] = _pushed_leading_data(tower, "A", lvl_r.vecs[0], k)
+        residues["lambda"] = _pushed_leading_data(tower, "A", lvl_r.vecs[1], k)
         checks["unit_residues_nonzero"] = all(r != fld.zero for r in residues.values())
         details["residues"] = {name: fld.to_str(r) for name, r in residues.items()}
     except NotApplicable as ex:  # exact maps unavailable at this depth

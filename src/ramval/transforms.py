@@ -518,14 +518,13 @@ def _mu_with_certificate(level, certs, i: int, host_mu=None):
     cert = certs[i]
     base = level.mu_base(i) if host_mu is None else host_mu(i)
     mu = (cert.mult * base[0], cert.mult * base[1])
-    if cert.t_order is not None:
-        w0 = level.mu_base(0)[0]
-        # the deviation is x^t * (ring element), so its order is >= t * ord(x)
-        if cert.t_order * w0 <= mu[0]:
-            raise Inconsistent(
-                f"order dominance fails for foreign key {i} at level {level.k}: "
-                f"{cert.t_order} * {w0} <= {mu[0]}"
-            )
+    w0 = level.mu_base(0)[0]
+    # the deviation is x^t * (ring element), so its order is >= t * ord(x)
+    if cert.t_order * w0 <= mu[0]:
+        raise Inconsistent(
+            f"order dominance fails for foreign key {i} at level {level.k}: "
+            f"{cert.t_order} * {w0} <= {mu[0]}"
+        )
     return mu
 
 

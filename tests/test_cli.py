@@ -284,6 +284,35 @@ def test_report_levels_beyond_length_exit_2(capsys, monkeypatch, levels):
     assert f"--levels {levels}" in err and "--length 5" in err
 
 
+@pytest.mark.parametrize("command", ["tower", "report"])
+def test_levels_beyond_length_exit_2_before_build(capsys, monkeypatch, command):
+    # both commands reject the ladder depth as bad input before a tower is
+    # built, so no cost warning or domain error precedes the usage error
+    def no_build(*args, **kwargs):
+        raise AssertionError("a tower was built")
+
+    monkeypatch.setattr(towers, "build_tower", no_build)
+    code, out, err = run(capsys, command, "--p", "3", "--c", "2", "--levels", "9",
+                         "--length", "9")
+    assert (code, out) == (2, "")
+    assert err == "error: --levels 9 needs --length >= 10, got --length 9\n"
+
+
+@pytest.mark.parametrize("bound", ["1/0", "abc", "-1"])
+def test_semigroup_bound_rejected_by_argparse(capsys, monkeypatch, bound):
+    # --bound is a fraction >= 0, checked before the sequence is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("a sequence was built")
+
+    monkeypatch.setattr(cli, "build_tower_seq", no_build)
+    with pytest.raises(SystemExit) as ex:
+        main(["semigroup", "--family", "Q", "--p", "2", "--bound", bound])
+    assert ex.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --bound: expected a fraction >= 0, got '{bound}'" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ("tower", "--p", "2", "--levels", "0"),
     ("transform", "--family", "U", "--p", "2", "--c", "1", "--levels", "-2"),

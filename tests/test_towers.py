@@ -21,6 +21,7 @@ from ramval.genseq import (
 from ramval.towers import (
     _pushed_leading_data,
     build_tower,
+    certificate_precision,
     check_ladder_report,
     deviation_exponent,
     expected_alternation,
@@ -31,7 +32,7 @@ from ramval.towers import (
     verify_restriction,
     verify_value_comparison,
 )
-from ramval.transforms import ChartChain, _bottom_row, run_tower_ladder
+from ramval.transforms import ChartChain, _as_elem, _bottom_row, run_tower_ladder
 
 F2 = Fq(2)
 
@@ -351,28 +352,26 @@ def test_truncated_pushed_key_matches_exact_push(p, c, m):
                 assert t.pushed_key(which, i, k) == exact, (which, i, k)
 
 
-def _whole_monomial_leading_data(tower, chain_label, foreign_keys, vec, k):
+def _whole_monomial_residue(tower, chain_label, foreign_keys, vec, k):
     """Reference: push the numerator and the denominator of the whole key
-    monomial through the chart maps, then read off their leading data."""
+    monomial through the chart maps, then divide their leading
+    coefficients."""
     fld = tower.field
     num = den = LocalElem(Poly2.one(fld))
     for i, m in enumerate(vec):
-        factor = LocalElem(foreign_keys[i]) if isinstance(foreign_keys[i], Poly2) else foreign_keys[i]
+        factor = _as_elem(foreign_keys[i])
         if m > 0:
             num = num * factor**m
         elif m < 0:
             den = den * factor ** (-m)
     chain = tower.chain(chain_label)
 
-    def data(e):
+    def lead(e):
         nrow = e.num.x_coefficient(e.num.x_order())
         drow = e.den.x_coefficient(e.den.x_order())
-        return (e.num.x_order() - e.den.x_order(), min(nrow) - min(drow),
-                fld.div(nrow[min(nrow)], drow[min(drow)]))
+        return fld.div(nrow[min(nrow)], drow[min(drow)])
 
-    on, tn, ln = data(chain.push_exact(num, k))
-    od, td, ld = data(chain.push_exact(den, k))
-    return (on - od, tn - td), fld.div(ln, ld)
+    return fld.div(lead(chain.push_exact(num, k)), lead(chain.push_exact(den, k)))
 
 
 @pytest.mark.parametrize("p,c,q,kmax", [(2, 1, None, 4), (3, 2, None, 3), (3, 2, 9, 3)])
@@ -385,17 +384,17 @@ def test_pushed_leading_data_matches_whole_monomial(p, c, q, kmax):
         for label in ("S", "A"):
             for vec in vecs[label]:
                 assert _pushed_leading_data(t, label, vec, k) == \
-                    _whole_monomial_leading_data(t, label, foreign[label], vec, k)
+                    _whole_monomial_residue(t, label, foreign[label], vec, k)
 
 
 def test_pushed_leading_data_combines_key_data():
-    # orders add with the exponents, leading coefficients multiply, and a
-    # negative exponent takes the inverse (2^2 * 3^-1 = 3 in F_5)
+    # leading coefficients multiply, and a negative exponent takes the
+    # inverse (2^2 * 3^-1 = 3 in F_5)
     from types import SimpleNamespace
 
     data = {0: (4, 0, 2), 1: (2, 1, 3)}
     tower = SimpleNamespace(field=Fq(5), pushed_key=lambda which, i, k: data[i])
-    assert _pushed_leading_data(tower, "S", (2, -1, 0), 3) == ((6, -1), 3)
+    assert _pushed_leading_data(tower, "S", (2, -1, 0), 3) == 3
 
 
 def test_expected_alternation_shape():
@@ -513,24 +512,61 @@ def test_truncated_base_keys_equal_exact_keys_mod_xN(p, m, length):
         assert _equal_mod_xpow(key, ex, t.base_prec), i
 
 
+def _exact_link(t, which, exact_base):
+    """(host sequence, foreign keys built exactly, N) of one link."""
+    if which == "mid-in-top":
+        return t.seq_top, t.mid_keys_xy, certificate_precision(t.seq_top, t.p)
+    return t.seq_mid, exact_base, t.base_prec
+
+
 @pytest.mark.parametrize("p,m,length", TRUNCATION_CASES)
 def test_truncated_certificates_equal_exact_certificates(p, m, length):
-    # the certificates read modulo x^N against the same comparison made
-    # exactly, on the exact keys: equal multiplier, and t equal to the exact
-    # deviation's x-order, or N where the deviation is exactly zero
-    t, exact = _truncation_case(p, m, length)
-    host = t.seq_mid
-    certs = t.certificates("base-in-mid")
-    assert len(certs) == len(exact)
-    for i, (cert, key) in enumerate(zip(certs, exact)):
-        val = value_of(key, host)
-        assert val == cert.mult * host.values[i], i
-        delta = key - LocalElem(host.keys[i] ** cert.mult)
-        if delta.is_zero():
-            assert cert.t_order == t.base_prec, i
-        else:
-            assert value_of(delta, host) > val, i
-            assert cert.t_order == delta.x_order(), i
+    # the certificates of both links, read modulo x^N, against the same
+    # comparison made exactly, on the exact keys: equal multiplier, and t the
+    # exact deviation's x-order capped at N, or N where the deviation is zero
+    t, exact_base = _truncation_case(p, m, length)
+    for which in ("mid-in-top", "base-in-mid"):
+        host, exact, n = _exact_link(t, which, exact_base)
+        certs = t.certificates(which)
+        assert len(certs) == len(exact)
+        for i, (cert, key) in enumerate(zip(certs, exact)):
+            val = value_of(key, host)
+            assert val == cert.mult * host.values[i], (which, i)
+            delta = _as_elem(key) - LocalElem(host.keys[i] ** cert.mult)
+            if delta.is_zero():
+                assert cert.t_order == n, (which, i)
+            else:
+                assert value_of(delta, host) > val, (which, i)
+                assert cert.t_order == min(delta.x_order(), n), (which, i)
+
+
+@pytest.mark.parametrize("length", [4, 8])
+def test_mid_in_top_deviation_read_as_lower_bound(length):
+    # at p = 2 the last middle key's deviation reads N * value(x) or more
+    # modulo x^N: that reading only bounds its value from below, which is
+    # enough for dominance, and the ladder still alternates
+    t = build_tower(2, 1, length)
+    host = t.seq_top
+    n = certificate_precision(host, 2)
+    certs = t.certificates("mid-in-top")
+    lower_bound_reads = []
+    for i, (cert, key) in enumerate(zip(certs, t.mid_keys_xy)):
+        delta = LocalElem(key).__sub__(LocalElem(host.keys[i] ** cert.mult), n)
+        if not delta.is_zero() and value_of(delta, host) >= n * host.values[0]:
+            lower_bound_reads.append(i)
+    assert lower_bound_reads == [length]
+    assert check_ladder_report(run_tower_ladder(t, length - 1)).ok
+
+
+@pytest.mark.parametrize("p,c,length", [(2, 1, 4), (2, 1, 5), (3, 2, 5), (5, 4, 4)])
+def test_certificate_precision_is_minimal(p, c, length):
+    # N is the least precision with N * value(x) > p * value(host key L),
+    # for both hosts, and the base keys are built to the middle host's N
+    t = build_tower(p, c, length)
+    assert t.base_prec == certificate_precision(t.seq_mid, p)
+    for host in (t.seq_top, t.seq_mid):
+        n = certificate_precision(host, p)
+        assert n * host.values[0] > p * host.values[-1] >= (n - 1) * host.values[0]
 
 
 @pytest.mark.parametrize("p,length", [(2, 5), (3, 4)])
@@ -560,12 +596,28 @@ def test_base_key_term_below_deviation_order_is_seen(p, length):
         assert got.t_order != cert.t_order, i
 
 
+def _small_precision(monkeypatch, family):
+    """certificate_precision returning 20 for the host of one family."""
+    real = towers_module.certificate_precision
+    monkeypatch.setattr(towers_module, "certificate_precision",
+                        lambda host, p: 20 if host.label.startswith(family) else real(host, p))
+
+
 def test_tower_exits_1_when_base_precision_is_too_small(capsys, monkeypatch):
-    monkeypatch.setattr(towers_module, "base_key_precision", lambda seq_mid, p: 20)
+    _small_precision(monkeypatch, "U")
     assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.search(r"verification failed: base-in-mid key \d+.* modulo x\^20.*\(N = 20\)",
+                     captured.err), captured.err
+
+
+def test_tower_exits_1_when_top_precision_is_too_small(capsys, monkeypatch):
+    _small_precision(monkeypatch, "Q")
+    assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"verification failed: mid-in-top key \d+.* modulo x\^20.*\(N = 20\)",
                      captured.err), captured.err
 
 

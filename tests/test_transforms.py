@@ -531,8 +531,7 @@ def _zero_deviation_orders(tower, which):
     """Set every deviation x-order t of one certificate set to 0; 0 * ord(x)
     never dominates a key's order, so the ladder must refuse them."""
     tower._certs[which] = [
-        cert if cert.t_order is None else dataclasses.replace(cert, t_order=0)
-        for cert in tower.certificates(which)
+        dataclasses.replace(cert, t_order=0) for cert in tower.certificates(which)
     ]
 
 
