@@ -43,11 +43,14 @@ _count = _at_least(int, 1, "an integer >= 1")
 _bound = _at_least(Fraction, 0, "a fraction >= 0")
 
 
-def _check_levels(args) -> None:
-    """A ladder to level k needs keys up to k + 1: a usage error, checked
-    before the tower is built."""
-    if args.levels > args.length - 1:
-        raise UsageError(f"--levels {args.levels} needs --length >= {args.levels + 1}, "
+def _check_levels(args, spare: int = 1) -> None:
+    """``--levels k`` needs ``--length >= k + spare``: a usage error, checked
+    before anything is built or printed.  A ladder to level k reads keys up
+    to k + 1 (spare 1); a chart chain over --length L has L + 1 levels
+    (spare -1)."""
+    need = args.levels + spare
+    if args.length < need:
+        raise UsageError(f"--levels {args.levels} needs --length >= {need}, "
                          f"got --length {args.length}")
 
 
@@ -78,16 +81,15 @@ def cmd_value(args) -> int:
     seq = _build_seq(args)
     f = parse_poly(args.poly, seq.field)
     exp = expand(f, seq)
-    val, term = exp.minimal_term()
+    val, exps = exp.minimal_term()
     print(f"value = {fmt_value(val)}")
-    print(f"minimal standard term: {exp.term_str(term)}")
+    print(f"minimal standard term: {exp.term_str(exps)}")
     return 0
 
 
 def cmd_semigroup(args) -> int:
     seq = _build_seq(args)
-    sg = semigroup(seq, args.bound)
-    rows = [{"value": fmt_value(v)} for v in sg.elements]
+    rows = [{"value": fmt_value(v)} for v in semigroup(seq, args.bound)]
     print(render_table(rows, args.format, f"semigroup values <= {args.bound}"), end="")
     return 0
 
@@ -103,6 +105,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _check_levels(args, spare=-1)
     seq = _build_seq(args)
     chain = transforms.ChartChain(seq)
     for k in range(1, args.levels + 1):

@@ -30,8 +30,6 @@ from .values import (
     tower_key_value,
 )
 
-Value = Fraction
-
 
 class BadParams(ValueError):
     pass
@@ -293,54 +291,54 @@ def build_tower_seq(
 
 
 @dataclass
-class ExpTerm:
-    coeff: object
-    exps: tuple[int, ...]  # (m_0, m_1, ..., m_N)
-
-
-@dataclass
 class StandardExpansion:
+    """``terms`` maps each exponent vector (m_0, ..., m_N) to its nonzero
+    coefficient, unordered: distinct standard monomials have distinct values
+    (``residue_of_quotient``), so no reading depends on the entry order."""
+
     gs: GenSeq
-    terms: list[ExpTerm]
+    terms: dict[tuple[int, ...], object]
 
     def as_poly(self) -> Poly2:
         """Reassemble the element (round-trip identity check)."""
         out = Poly2.zero(self.gs.field)
-        for t in self.terms:
-            piece = Poly2.const(self.gs.field, t.coeff).shift(t.exps[0])
-            for i in range(1, len(t.exps)):
-                if t.exps[i]:
-                    piece = piece * self.gs.keys[i] ** t.exps[i]
+        for exps, cf in self.terms.items():
+            piece = Poly2.const(self.gs.field, cf).shift(exps[0])
+            for i in range(1, len(exps)):
+                if exps[i]:
+                    piece = piece * self.gs.keys[i] ** exps[i]
             out = out + piece
         return out
 
-    def minimal_term(self) -> tuple[Fraction, ExpTerm]:
-        """The unique term of least value, found in one pass over the integer
-        dot products with the lattice weights."""
+    def minimal_term(self) -> tuple[Fraction, tuple[int, ...]]:
+        """(value, exponent vector) of the unique term of least value, found
+        in one pass over the integer dot products with the lattice weights;
+        InvalidSequence if two terms share the least value."""
         lat = self.gs.ensure_valid()
         weights = lat.weights
-        best, best_term, tied = None, None, False
-        for t in self.terms:
-            v = sum(map(mul, t.exps, weights))
+        best, best_exps, tied = None, None, False
+        for exps in self.terms:
+            v = sum(map(mul, exps, weights))
             if best is None or v < best:
-                best, best_term, tied = v, t, False
+                best, best_exps, tied = v, exps, False
             elif v == best:
                 tied = True
         if tied:
             raise InvalidSequence("minimal value attained by more than one standard term")
-        return Fraction(best, lat.denom), best_term
+        return Fraction(best, lat.denom), best_exps
 
-    def term_str(self, t: ExpTerm) -> str:
+    def term_str(self, exps: tuple[int, ...]) -> str:
         gs = self.gs
+        coeff = self.terms[exps]
         parts = []
-        if t.coeff != gs.field.one or all(m == 0 for m in t.exps):
-            parts.append(gs.field.to_str(t.coeff))
-        if t.exps[0]:
+        if coeff != gs.field.one or not any(exps):
+            parts.append(gs.field.to_str(coeff))
+        if exps[0]:
             xn = gs.chart[0]
-            parts.append(xn if t.exps[0] == 1 else f"{xn}^{t.exps[0]}")
-        for i in range(1, len(t.exps)):
-            if t.exps[i]:
-                parts.append(f"K{i}" if t.exps[i] == 1 else f"K{i}^{t.exps[i]}")
+            parts.append(xn if exps[0] == 1 else f"{xn}^{exps[0]}")
+        for i in range(1, len(exps)):
+            if exps[i]:
+                parts.append(f"K{i}" if exps[i] == 1 else f"K{i}^{exps[i]}")
         return "*".join(parts)
 
 
@@ -366,15 +364,15 @@ def _expand_in_key(g: Poly2, key: Poly2, deg: int) -> list[Poly2]:
     return out
 
 
-def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
-    """Standard expansion by recursive y-division, highest applicable key first.
+def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
+    """Standard expansion of the polynomial f by recursive y-division,
+    highest applicable key first; each division branch has its own exponent
+    tail, so every exponent vector is reached once.
 
     Exponents of key i stay below n_i for i < N automatically; the top
     exponent is bounded by the SequenceTooShort precondition.
     """
     lat = gs.ensure_valid()
-    if isinstance(f, LocalElem):
-        f = f.num  # unit denominators never affect the expansion support
     if f.is_zero():
         raise ArithmeticError("cannot expand the zero element")
     top = gs.top
@@ -388,8 +386,6 @@ def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
         if g.is_zero():
             return
         if i == 0:
-            # each division branch has its own tail, so every exponent
-            # vector is reached once
             for (a, b), cf in g.terms.items():
                 if b != 0:
                     raise SequenceTooShort("leftover y-degree below the first key")
@@ -399,7 +395,7 @@ def expand(f: Poly2 | LocalElem, gs: GenSeq) -> StandardExpansion:
             rec(coeff, i - 1, (k,) + tail)
 
     rec(f, top, ())
-    return StandardExpansion(gs, [ExpTerm(c, e) for e, c in sorted(terms.items())])
+    return StandardExpansion(gs, terms)
 
 
 def expand_from_powers(g: Poly2, powers: list[StandardExpansion]) -> StandardExpansion:
@@ -411,27 +407,30 @@ def expand_from_powers(g: Poly2, powers: list[StandardExpansion]) -> StandardExp
     term is the standard term with m_0 + a (MacLane, "A construction for
     prime ideals as absolute values of an algebraic field", Duke Math. J. 2,
     1936).  The expansion of g is the sum of c * powers[b] shifted by a,
-    with the raw products summed per exponent vector and folded once; its
-    terms come in the order ``expand`` gives them."""
+    with the raw products summed per exponent vector and folded once; a
+    vector whose sum folds to zero is dropped."""
     gs = powers[0].gs
     fld = gs.field
     acc: dict = {}
     get = acc.get
     for (a, b), c in g.terms.items():
-        for t in powers[b].terms:
-            e = (t.exps[0] + a, *t.exps[1:])
-            acc[e] = get(e, 0) + c * t.coeff
+        for e, cf in powers[b].terms.items():
+            e = (e[0] + a, *e[1:])
+            acc[e] = get(e, 0) + c * cf
     # an exponent vector collects at most one product per term of g
     fld.check_capacity(len(g.terms))
     fold = fld.fold
-    terms = [ExpTerm(c, e) for e, s in sorted(acc.items()) if (c := fold(s))]
+    terms = {e: c for e, s in acc.items() if (c := fold(s))}
     if not terms:
         raise ArithmeticError("cannot expand the zero element")
     return StandardExpansion(gs, terms)
 
 
 def value_of(f: Poly2 | LocalElem, gs: GenSeq) -> Fraction:
-    """The valuation of f: minimum value over the standard expansion terms."""
+    """The valuation of f: minimum value over the standard expansion terms.
+    A pair num/den has the value of num, as a unit denominator has value 0."""
+    if isinstance(f, LocalElem):
+        f = f.num
     v, _ = expand(f, gs).minimal_term()
     return v
 
@@ -451,21 +450,16 @@ def residue_of_quotient(f: Poly2, g: Poly2, gs: GenSeq):
     values put the minimal terms of f and g on one exponent vector, and the
     residue is the ratio of their coefficients.
     """
-    vf, tf = expand(f, gs).minimal_term()
-    vg, tg = expand(g, gs).minimal_term()
+    ef, eg = expand(f, gs), expand(g, gs)
+    (vf, mf), (vg, mg) = ef.minimal_term(), eg.minimal_term()
     if vf != vg:
         raise ValueMismatch(f"value {fmt_value(vf)} != {fmt_value(vg)}")
-    return gs.field.div(tf.coeff, tg.coeff)
+    return gs.field.div(ef.terms[mf], eg.terms[mg])
 
 
-@dataclass
-class ValSemigroup:
-    bound: Fraction
-    elements: tuple[Fraction, ...]
-
-
-def semigroup(gs: GenSeq, bound: Fraction) -> ValSemigroup:
-    """All values sum(m_i * value_i) <= bound with m_0 >= 0 and 0 <= m_i < n_i."""
+def semigroup(gs: GenSeq, bound: Fraction) -> tuple[Fraction, ...]:
+    """All values sum(m_i * value_i) <= bound with m_0 >= 0 and 0 <= m_i < n_i,
+    in increasing order."""
     lat = gs.ensure_valid()
     bound = Fraction(bound)
     if bound < 0:
@@ -487,4 +481,4 @@ def semigroup(gs: GenSeq, bound: Fraction) -> ValSemigroup:
             rec(i - 1, nxt)
 
     rec(gs.top, 0)
-    return ValSemigroup(bound, tuple(Fraction(v, lat.denom) for v in sorted(found)))
+    return tuple(Fraction(v, lat.denom) for v in sorted(found))

@@ -298,6 +298,20 @@ def test_levels_beyond_length_exit_2_before_build(capsys, monkeypatch, command):
     assert err == "error: --levels 9 needs --length >= 10, got --length 9\n"
 
 
+@pytest.mark.parametrize("levels, code", [("5", 0), ("6", 2)])
+def test_transform_levels_past_the_chain(capsys, levels, code):
+    # a chain over --length 4 has 5 levels; asking for a sixth is bad input,
+    # rejected before the first level table is printed
+    got, out, err = run(capsys, "transform", "--family", "P", "--p", "5", "--levels", levels,
+                        "--length", "4")
+    assert got == code
+    if code:
+        assert out == ""
+        assert err == "error: --levels 6 needs --length >= 5, got --length 4\n"
+    else:
+        assert "level 5" in out and out.endswith("pass\n")
+
+
 @pytest.mark.parametrize("bound", ["1/0", "abc", "-1"])
 def test_semigroup_bound_rejected_by_argparse(capsys, monkeypatch, bound):
     # --bound is a fraction >= 0, checked before the sequence is built

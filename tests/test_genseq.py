@@ -4,12 +4,11 @@ from functools import lru_cache
 from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.genseq import (
     BadParams,
-    ExpTerm,
     GenSeq,
     InvalidSequence,
     SequenceTooShort,
@@ -19,6 +18,7 @@ from ramval.genseq import (
     _tower_recursion,
     build_tower_seq,
     expand,
+    expand_from_powers,
     residue_of_quotient,
     semigroup,
     validate,
@@ -152,21 +152,20 @@ def test_validate_trivial_value_group_fails():
 def test_expand_pure_x_power():
     gs = build_tower_seq("Q", 2, None, 3)
     e = expand(parse_poly("x^3", F2), gs)
-    assert len(e.terms) == 1
-    assert e.terms[0].exps == (3, 0, 0, 0)
+    assert e.terms == {(3, 0, 0, 0): 1}
 
 
 def test_expand_key_power_example():
     gs = build_tower_seq("Q", 2, None, 3)
     e = expand(parse_poly("y^4", F2), gs)  # = K2 + x
-    assert sorted(t.exps for t in e.terms) == [(0, 0, 1, 0), (1, 0, 0, 0)]
+    assert e.terms == {(0, 0, 1, 0): 1, (1, 0, 0, 0): 1}
 
 
 def test_expand_already_standard():
     gs = build_tower_seq("Q", 2, None, 3)
     f = gs.keys[2] * Poly2.y(F2)
     e = expand(f, gs)
-    assert [t.exps for t in e.terms] == [(0, 1, 1, 0)]
+    assert e.terms == {(0, 1, 1, 0): 1}
 
 
 def test_expand_roundtrip_random():
@@ -184,9 +183,9 @@ def test_expand_roundtrip_random():
             e = expand(f, gs)
             assert e.as_poly() == f
             idx = gs.indices()
-            for t in e.terms:
+            for exps in e.terms:
                 for i in range(1, gs.top + 1):
-                    assert 0 <= t.exps[i] < idx[i]
+                    assert 0 <= exps[i] < idx[i]
 
 
 def _expand_by_division(g: Poly2, key: Poly2, deg: int) -> list[Poly2]:
@@ -263,6 +262,10 @@ def test_value_unit_denominator_is_ignored():
     gsU = build_tower_seq("U", 2, 1, 3)
     elem = LocalElem(parse_poly("x^2", F2), parse_poly("1 - x", F2))
     assert value_of(elem, gsU) == 2
+    # a denominator with constant term 2 is a unit too
+    gsQ = build_tower_seq("Q", 3, None, 3)
+    num = parse_poly("y^3 + x*y", F3)
+    assert value_of(LocalElem(num, parse_poly("2 + x*y", F3)), gsQ) == value_of(num, gsQ)
 
 
 def test_value_oracle_equivalence():
@@ -329,23 +332,23 @@ def test_minimal_term_lattice_matches_fraction_sum():
                 if f.is_zero():
                     continue
                 e = expand(f, gs)
-                vals = [sum((m * v for m, v in zip(t.exps, gs.values)), F(0)) for t in e.terms]
-                best = min(vals)
-                assert vals.count(best) == 1
-                v, term = e.minimal_term()
+                vals = {exps: sum((m * v for m, v in zip(exps, gs.values)), F(0))
+                        for exps in e.terms}
+                best = min(vals.values())
+                assert list(vals.values()).count(best) == 1
+                v, exps = e.minimal_term()
                 assert type(v) is F
-                assert v == best == value_of(f, gs)
-                assert term is e.terms[vals.index(best)]
+                assert v == best == vals[exps] == value_of(f, gs)
 
 
 def test_minimal_term_tie_raises():
     gs = build_tower_seq("Q", 2, None, 3)
     # x and key_1^4 both have value 1
-    tie = StandardExpansion(gs, [ExpTerm(1, (1, 0, 0, 0)), ExpTerm(1, (0, 4, 0, 0))])
+    tie = StandardExpansion(gs, {(1, 0, 0, 0): 1, (0, 4, 0, 0): 1})
     with pytest.raises(InvalidSequence):
         tie.minimal_term()
-    lower = StandardExpansion(gs, tie.terms + [ExpTerm(1, (0, 1, 0, 0))])
-    assert lower.minimal_term() == (F(1, 4), lower.terms[2])
+    lower = StandardExpansion(gs, {**tie.terms, (0, 1, 0, 0): 1})
+    assert lower.minimal_term() == (F(1, 4), (0, 1, 0, 0))
 
 
 def test_lattice_cached_on_validation():
@@ -449,31 +452,74 @@ def test_residue_of_constant_multiple_plus_higher_terms(case):
     assert residue_of_quotient(f.scale(c) + h, f, gs) == c
 
 
+@st.composite
+def _expansion_case(draw):
+    """A Q or U sequence over F_2, F_3, F_4 or F_9, two nonzero polynomials
+    in its span and a seeded Random."""
+    p, m = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    gs = _family_seq(draw(st.sampled_from("QU")), p, m)
+    fld = gs.field
+    polys = st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, p**2 + p)),
+        st.integers(1, fld.q - 1).map(fld.of_index), min_size=1, max_size=6,
+    ).map(lambda terms: Poly2(fld, terms))
+    return gs, draw(polys), draw(polys), draw(st.randoms(use_true_random=False))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_expansion_case())
+def test_term_order_carries_no_meaning(case):
+    # an expansion rebuilt in reversed or shuffled order reads the same
+    gs, f, _, rng = case
+    e = expand(f, gs)
+    value, exps = e.minimal_term()
+    items = list(e.terms.items())
+    shuffled = rng.sample(items, len(items))
+    for order in (items[::-1], shuffled):
+        other = StandardExpansion(gs, dict(order))
+        assert other.minimal_term() == (value, exps)
+        assert other.term_str(exps) == e.term_str(exps)
+        assert other.as_poly() == e.as_poly() == f
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_expansion_case())
+def test_expand_from_powers_keeps_no_zero_coefficient(case):
+    # g(x, w) = w - 1 over the expansions of f and f + h sums to the
+    # expansion of h: every vector of f's expansion that h's lacks folds to
+    # zero and must be dropped
+    gs, f, h, _ = case
+    assume(not (f + h).is_zero())
+    fld = gs.field
+    g = Poly2(fld, {(0, 1): fld.one, (0, 0): fld.neg(fld.one)})
+    e = expand_from_powers(g, [expand(f, gs), expand(f + h, gs)])
+    assert fld.zero not in e.terms.values()
+    assert e.terms == expand(h, gs).terms
+
+
 # -- semigroups --------------------------------------------------------------------
 
 
 def test_semigroup_top_family_example():
     gs = build_tower_seq("Q", 2, None, 3)
-    sg = semigroup(gs, F(1))
-    assert sg.elements == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    assert semigroup(gs, F(1)) == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
 
 
 def test_semigroup_zero_bound():
     gs = build_tower_seq("Q", 2, None, 3)
-    assert semigroup(gs, F(0)).elements == (F(0),)
+    assert semigroup(gs, F(0)) == (F(0),)
 
 
 def test_semigroup_middle_family_small_bound():
     gs = build_tower_seq("U", 2, 1, 3)
-    assert semigroup(gs, F(1, 2)).elements == (F(0), F(1, 2))
+    assert semigroup(gs, F(1, 2)) == (F(0), F(1, 2))
 
 
 def test_semigroup_closed_under_addition():
     for p, c in ((2, 1), (3, 2)):
         gs = build_tower_seq("U", p, c, 4)
-        sg = semigroup(gs, F(3))
-        found = set(sg.elements)
-        assert all(a + b in found for a in found for b in found if a + b <= sg.bound)
+        found = set(semigroup(gs, F(3)))
+        assert all(a + b in found for a in found for b in found if a + b <= 3)
 
 
 def test_extension_field_sequence():

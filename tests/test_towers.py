@@ -11,7 +11,6 @@ from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.cli import main
 from ramval.genseq import (
     BadParams,
-    ExpTerm,
     Inconsistent,
     expand,
     expand_from_powers,
@@ -249,7 +248,7 @@ def test_expansion_shift_law(case, a):
     # the expansion of x^a * f is the expansion of f with m_0 + a
     t, _, g = case
     for f, gs in ((g, t.seq_mid), (g.compose(Poly2.x(t.field), t.v_sub), t.seq_top)):
-        shifted = [ExpTerm(e.coeff, (e.exps[0] + a, *e.exps[1:])) for e in expand(f, gs).terms]
+        shifted = {(e[0] + a, *e[1:]): c for e, c in expand(f, gs).terms.items()}
         assert expand(f.shift(a), gs).terms == shifted
 
 
