@@ -107,7 +107,7 @@ def cmd_validate(args) -> int:
 def cmd_transform(args) -> int:
     _check_levels(args, spare=-1)
     seq = _build_seq(args)
-    chain = transforms.ChartChain(seq)
+    chain = transforms.ChartChain(seq, exact=True)
     for k in range(1, args.levels + 1):
         lvl = chain.level(k)
         rows = []

@@ -221,22 +221,25 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     x^N, N = ``certificate_precision`` of the middle sequence, which is all
     that their certificates and pushes read.
 
-    Key degrees grow like p^(2*length).  Truncation bounds the base keys'
-    x-degrees by N, but the sequences, the middle keys and the chain keys
-    stay exact (the middle keys are read modulo x^N only by their
-    certificates), so p > 5 or length > 8 gets a cost warning.
+    Key degrees grow like p^(2*length).  Truncation bounds the x-degrees of
+    the base keys by N and those of the chain keys past each chain's spine
+    by the precision their checks read, but the three sequences, the middle
+    keys and the chain spines stay exact (the middle keys are read modulo
+    x^N only by their certificates), so p > 5 or length > 10 gets a cost
+    warning.
     """
     if length < 2:
         raise BadParams("length must be >= 2")
     if c < 1 or c % (p - 1) != 0:
         raise BadParams(f"c = {c} must be a positive multiple of p - 1 = {p - 1}")
-    if p > 5 or length > 8:
+    if p > 5 or length > 10:
         import warnings
 
         warnings.warn(
             f"tower with p = {p}, length = {length}: exact key degrees reach "
-            f"p^(2*length-2) = {p ** (2 * length - 2)}; only the base keys are "
-            "truncated, so expect slow chain and identity checks",
+            f"p^(2*length-2) = {p ** (2 * length - 2)}; the sequences, the middle "
+            "keys and the chain spines stay exact, so expect slow certificate, "
+            "identity and parameter-link checks",
             stacklevel=2,
         )
     fld = field if field is not None else Fq(p)

@@ -5,9 +5,9 @@ A composite transform step sends the chart of a sequence with keys K_0 = x,
 K_1, ... to the next chart along the valuation: the new coordinate is
 X' = K_1, the old coordinate satisfies x = r * X'^n * (Y' + 1) where n is the
 first index and r the residue of x / K_1^n, and the shifted keys are
-K'_{j-1} = K_{j+1} / K_1^{deg K_{j+1}} re-expressed in the new chart.  The
-new keys are computed exactly as numerator / unit-denominator pairs as long
-as the first key is y-linear with polynomial coefficients, which covers the
+K'_{j-1} = K_{j+1} / K_1^{deg K_{j+1}} re-expressed in the new chart, as
+numerator / unit-denominator pairs.  The chart map is exact as long as the
+level's first key is y-linear with polynomial coefficients, which covers the
 whole acceptance range of the tower scenarios.
 
 Invariants of deep levels are extracted through the composite-order calculus:
@@ -24,11 +24,19 @@ one past the x-order the calculus predicts, and check the pushed orders
 against it.  Every push, exact or truncated, runs the one substitution
 kernel, ``Poly2.compose`` (through ``LocalElem.compose``).
 
+The chain keys themselves are carried modulo the precision their readers
+need.  The spine stays exact: key 0 and every key that later becomes a
+level's first key, which the chart maps are built from.  Every other key
+is read only by the chain checks at its level and by the push into the next
+level, so it is pushed modulo the larger of the two precisions, computed
+backward from the last level an exact map reaches (``ChartChain``).  A
+chain built with ``exact=True`` carries every key exactly, for display.
+
 The chain checks are split by what they read.  ``ChartChain.extend`` checks
 the conditions on values at every level: positive values, growth
 v_{i+1} > n_i * v_i, distinguished degrees equal to the index products, and
 integral relation exponents a_j >= 0.  ``validate_chart_seq`` checks what
-only exact keys show, at the levels that have them: each key's distinguished
+only the keys show, at the levels that have them: each key's distinguished
 degree, and the lowest term of each recursion remainder key_j^e - key_{j+1},
 formed modulo x^(a_j + o + 1), one past the x-order o + a_j that the
 recursion shape predicts.
@@ -43,8 +51,6 @@ from functools import partial
 from .algebra import LocalElem, Poly2
 from .genseq import GenSeq, Inconsistent, SequenceTooShort, residue_of_quotient
 from .values import p_adic_split, stage_indices
-
-Value = Fraction
 
 
 class NotApplicable(ArithmeticError):
@@ -186,9 +192,10 @@ class ChartMap:
 @dataclass
 class ChainLevel:
     """One chart of a chain: values, indices and distinguished degrees of its
-    keys, the composite-order tables, and the exact keys (numerator /
-    unit-denominator pairs named by ``chart``) as long as the chart maps stay
-    exactly representable."""
+    keys, the composite-order tables, and, at the levels the exact chart maps
+    reach, the keys (numerator / unit-denominator pairs named by ``chart``)
+    with their precisions: key i is known modulo x^precs[i], and exactly
+    where precs[i] is None (see ``ChartChain``)."""
 
     k: int
     values: list[Fraction]
@@ -198,6 +205,7 @@ class ChainLevel:
     crows: list[tuple[int, ...]]  # base keys as monomials in the level keys
     r: object  # residue of x / key_1^n_1: the translation constant of the next step
     keys: list[LocalElem] | None = None
+    precs: list[int | None] | None = None
     label: str = ""
     chart: tuple[str, str] = ("x", "y")
     map_from_prev: ChartMap | None = None
@@ -239,51 +247,60 @@ def _first_key_linear_parts(k1: LocalElem) -> tuple[Poly2, Poly2]:
     return a_poly, b_poly
 
 
-def composite_transform(level: ChainLevel) -> tuple[ChartMap, list[LocalElem]]:
-    """One composite transform out of a chain level with exact keys: the
-    chart map and the shifted keys of the next level.
-
-    The caller has checked value_0 = n_1 * value_1.  The first key must be
-    y-linear and polynomial (NotApplicable otherwise: no exact chart map),
-    and every old key j >= 2 must push to exactly x'^(degree j) times a
-    regular element, which is the new key j - 1 (NonPolynomial otherwise).
-    """
-    keys = level.keys
+def _chart_map(level: ChainLevel) -> ChartMap:
+    """The exact chart map out of a level, built from its exact first key,
+    which must be y-linear and polynomial (NotApplicable otherwise) and must
+    push to the new coordinate (NonPolynomial otherwise)."""
     n1 = level.indices[1]
-    a_poly, b_poly = _first_key_linear_parts(keys[1])
+    a_poly, b_poly = _first_key_linear_parts(level.keys[1])
     fld = a_poly.field
 
     # chart map: x = r * X'^n1 * (Y'+1),  y = (X' - B(x-image)) / A(x-image)
     xs = Poly2.x(fld)
     ys = Poly2.y(fld)
     phi_x_poly = (xs**n1 * (ys + Poly2.one(fld))).scale(level.r)
-    phi_x = LocalElem(phi_x_poly)
-    phi_y = LocalElem(xs - b_poly.compose(phi_x_poly, ys), a_poly.compose(phi_x_poly, ys))
-
     k = level.k + 1
     cmap = ChartMap(
         source=level.label,
         target=f"{level.label}/T{k}",
         n=n1,
         residue=level.r,
-        phi_x=phi_x,
-        phi_y=phi_y,
+        phi_x=LocalElem(phi_x_poly),
+        phi_y=LocalElem(xs - b_poly.compose(phi_x_poly, ys), a_poly.compose(phi_x_poly, ys)),
         chart_vars=(f"x{k}", f"y{k}"),
     )
-
-    if cmap.push(keys[1]) != LocalElem(xs):
+    if cmap.push(level.keys[1]) != LocalElem(xs):
         raise NonPolynomial("chart map does not send the first key to the new coordinate")
-    new_keys = [LocalElem(xs)]
-    for j in range(2, len(keys)):
-        img = cmap.push(keys[j])
-        dj = level.degrees[j]
-        ordx = img.x_order()
-        if ordx != dj:
-            raise NonPolynomial(
-                f"shifted key {j} has exceptional order {ordx}, expected {dj}"
-            )
-        new_keys.append(img.divexact_xpow(dj))
-    return cmap, new_keys
+    return cmap
+
+
+def _shifted_key(cmap: ChartMap, level: ChainLevel, j: int, prec: int | None) -> LocalElem:
+    """Old key j >= 2 pushed through ``cmap`` and divided by x'^(degree j):
+    the new key j - 1, modulo x'^prec (exact for None).  The push must have
+    exceptional order exactly degree j; NonPolynomial otherwise, naming the
+    label and the key, and the precision x'^(degree j + prec) when the
+    image vanishes modulo it."""
+    dj = level.degrees[j]
+    img = cmap.push(level.keys[j], None if prec is None else dj + prec)
+    if img.is_zero():
+        modulo = "" if prec is None else f" modulo {cmap.chart_vars[0]}^{dj + prec}"
+        raise NonPolynomial(f"{cmap.target}: shifted key {j} vanishes{modulo}: "
+                            f"its exceptional order exceeds {dj}")
+    ordx = img.x_order()
+    if ordx != dj:
+        raise NonPolynomial(f"{cmap.target}: shifted key {j} has exceptional order {ordx}, "
+                            f"expected {dj}")
+    return img.divexact_xpow(dj)
+
+
+def composite_transform(level: ChainLevel, nxt: ChainLevel) -> None:
+    """Complete one composite transform out of ``level``: ``nxt``, the level
+    after it, holds the chart map, the exact spine keys and the precision
+    of every key (``ChartChain._walk_spine``); each old key j >= 2 past the
+    spine is pushed into its new key j - 1 modulo x'^nxt.precs[j - 1]
+    (exactly where that is None), with the checks of ``_shifted_key``."""
+    for j in range(len(nxt.keys) + 1, len(level.keys)):
+        nxt.keys.append(_shifted_key(nxt.map_from_prev, level, j, nxt.precs[j - 1]))
 
 
 def _recursion_remainder(keys: list[LocalElem], j: int, e: int, prec: int) -> LocalElem:
@@ -303,20 +320,38 @@ def _relation_exponent(level: ChainLevel, j: int) -> int:
     return int(a)
 
 
+def _validation_reads(level: ChainLevel) -> list[int]:
+    """The x-precision at which ``validate_chart_seq`` reads each key of a
+    level that passes it: 1 for the x^0 row, and a_j + o + 1 for both keys
+    of the recursion remainder j, where o is the x-order of key j - 1: 1 for
+    key 0 = x, 0 for every other key."""
+    reads = [1] * len(level.values)
+    for j in range(1, len(reads) - 1):
+        prec = _relation_exponent(level, j) + (j == 1) + 1
+        reads[j] = max(reads[j], prec)
+        reads[j + 1] = max(reads[j + 1], prec)
+    return reads
+
+
 def validate_chart_seq(level: ChainLevel) -> None:
-    """Check what only a level's exact keys show: each key's distinguished
+    """Check what only a level's keys show: each key's distinguished
     degree (the y-order mod x) against ``level.degrees``, and the lowest
     term of each recursion key_{j+1} = key_j^e - delta x^a_j key_{j-1}, which
     must lie at x-order a_j + o (o that of key_{j-1}) with delta = 1 at the
-    origin.  NonPolynomial names the label and the key that fails."""
-    keys = level.keys
+    origin.  Every read must lie below the precision its key is known to.
+    NonPolynomial names the label and the key that fails."""
+    keys, precs = level.keys, level.precs
     fld = keys[0].field
+    xname = level.chart[0]
 
     def fail(i, what):
         raise NonPolynomial(
             f"transformed sequence failed validation: {level.label}: key {i} {what}")
 
     for i in range(1, len(keys)):
+        if keys[i].is_zero():
+            fail(i, "is zero" if precs[i] is None else
+                 f"vanishes modulo {xname}^{precs[i]}, the precision it is known to")
         x_ord, y_ord, _ = _bottom_row(keys[i])
         if x_ord != 0 or y_ord != level.degrees[i]:
             fail(i, f"has lowest term x^{x_ord} y^{y_ord}, not x^0 y^{level.degrees[i]}")
@@ -324,6 +359,10 @@ def validate_chart_seq(level: ChainLevel) -> None:
     for j in range(1, len(keys) - 1):
         o_low, t_low, lead_low = _bottom_row(keys[j - 1])
         o_pred = _relation_exponent(level, j) + o_low
+        for i in (j, j + 1):
+            if precs[i] is not None and o_pred + 1 > precs[i]:
+                fail(i, f"is read modulo {xname}^{o_pred + 1}, past the "
+                        f"{xname}^{precs[i]} it is known to")
         rem = _recursion_remainder(keys, j, level.indices[j], o_pred + 1)
         lowest = None if rem.is_zero() else _bottom_row(rem)
         if lowest is None or lowest[:2] != (o_pred, t_low):
@@ -339,14 +378,27 @@ class ChartChain:
     """Iterated composite transforms of one generating sequence.
 
     Each level's values, indices and degrees are computed once, in
-    ``extend``.  Exact chart keys are carried as long as the chart map stays
-    exactly representable; the exponent-vector and composite-order
-    bookkeeping is exact at every level.
+    ``extend``; the exponent-vector and composite-order bookkeeping is exact
+    at every level.  Keys are carried at the levels 1..K that exact chart
+    maps reach, and each at the precision its readers need.
+
+    The spine stays exact: key 0 and every key j of level k with
+    k + j - 1 <= K, that is, each key that becomes a first key by level K.
+    K is found by walking the spine ahead (``_walk_spine``).  Any other key
+    j of level k is read by ``validate_chart_seq`` (``_validation_reads``)
+    and, below level K, by the push into level k + 1, whose new key j - 1
+    must be known modulo x'^R_{k+1}(j - 1).  So it is carried modulo
+    x^R_k(j), the larger of its validation read and
+    ceil((degree j + R_{k+1}(j - 1)) / n_1), computed backward from level K;
+    the base keys of level 1 are exact.  With ``exact=True`` every
+    precision is None and every key exact; the code path is the same.
     """
 
-    def __init__(self, base: GenSeq):
+    def __init__(self, base: GenSeq, exact: bool = False):
         lat = base.ensure_valid()
         self.base = base
+        self.exact = exact
+        self._walked = None  # levels 2..K, from ``_walk_spine``
         nbase = len(base.keys)
         ident = [tuple(1 if t == i else 0 for t in range(nbase)) for i in range(nbase)]
         r = base.field.one
@@ -365,6 +417,7 @@ class ChartChain:
                 crows=ident,
                 r=r,
                 keys=[LocalElem(key) for key in base.keys],
+                precs=[None] * nbase,
                 label=base.label or "chart",
                 chart=base.chart,
             )
@@ -381,14 +434,10 @@ class ChartChain:
             self.extend()
         return self.levels[k - 1]
 
-    def extend(self):
-        """Append the next level.  Its values, indices and degrees come from
-        the composite-order calculus and are checked here, at every level:
-        positive values, degrees equal to the index products, growth
-        v_{i+1} > n_i * v_i and integral relation exponents a_j >= 0
-        (Inconsistent otherwise).  While exact keys exist, the level gets
-        its chart map, and ``validate_chart_seq`` checks its keys."""
-        cur = self.levels[-1]
+    def _next_orders(self, cur: ChainLevel) -> ChainLevel:
+        """The level after ``cur``, without keys: its values, indices and
+        degrees from the composite-order calculus, checked (see
+        ``extend``), and its exponent-vector tables."""
         if len(cur.values) < 2:
             raise NotApplicable("chain exhausted: too few keys to transform")
         n1 = cur.indices[1]
@@ -447,14 +496,71 @@ class ChartChain:
         )
         for j in range(1, m - 1):
             _relation_exponent(nl, j)
-        if cur.keys is not None:
+        return nl
+
+    def _walk_spine(self) -> list[ChainLevel]:
+        """Levels 2..K, K the last level an exact chart map reaches, each
+        with its order data, the chart map into it, its spine keys (exact)
+        and the precision of every key; computed on first use.
+
+        Level t's first key is base key t pushed through the maps into
+        levels 2..t, and the map out of level t is built from it.  So the
+        walk adds one anti-diagonal at a time: it pushes base key t through
+        the maps it has, each image the spine key of its level, and stops at
+        the first level with no exact map out of it (NotApplicable), or with
+        key 0 alone.  The precisions then follow backward from level K (see
+        the class docstring)."""
+        if self._walked is not None:
+            return self._walked
+        first = self.levels[0]
+        lvls = [first]
+        while True:
+            cur = lvls[-1]
             try:
-                nl.map_from_prev, nl.keys = composite_transform(cur)
+                nl = self._next_orders(cur)
+                nl.map_from_prev = _chart_map(cur)
             except NotApplicable:
-                pass  # continue with the order calculus only
-            else:
-                nl.label, nl.chart = nl.map_from_prev.target, nl.map_from_prev.chart_vars
-                validate_chart_seq(nl)
+                break
+            nl.label, nl.chart = nl.map_from_prev.target, nl.map_from_prev.chart_vars
+            nl.keys = [LocalElem(Poly2.x(self.base.field))]
+            lvls.append(nl)
+            t = len(lvls)
+            if t < len(first.keys):
+                for k in range(1, t):  # key t - k + 1 of level k -> key t - k of level k + 1
+                    prev, lvl = lvls[k - 1], lvls[k]
+                    lvl.keys.append(_shifted_key(lvl.map_from_prev, prev, t - k + 1, None))
+        top = len(lvls)  # K
+        for k in range(top, 1, -1):
+            lvl = lvls[k - 1]
+            lvl.precs = []
+            for j, read in enumerate(_validation_reads(lvl)):
+                if self.exact or k + j - 1 <= top:
+                    lvl.precs.append(None)
+                elif k == top:
+                    lvl.precs.append(read)
+                else:
+                    pushed = lvl.degrees[j] + lvls[k].precs[j - 1]
+                    lvl.precs.append(max(read, -(-pushed // lvl.indices[1])))
+        self._walked = lvls[1:]
+        return self._walked
+
+    def extend(self):
+        """Append the next level.  Its values, indices and degrees come from
+        the composite-order calculus and are checked at every level:
+        positive values, degrees equal to the index products, growth
+        v_{i+1} > n_i * v_i and integral relation exponents a_j >= 0
+        (Inconsistent otherwise).  The levels that exact maps reach come
+        from ``_walk_spine`` with their chart maps and spine keys; here they
+        get their other keys (``composite_transform``), and
+        ``validate_chart_seq`` checks them."""
+        cur = self.levels[-1]
+        walked = self._walk_spine()
+        if cur.k <= len(walked):
+            nl = walked[cur.k - 1]
+            composite_transform(cur, nl)
+            validate_chart_seq(nl)
+        else:
+            nl = self._next_orders(cur)
         # cross-check: the two bookkeeping directions must be mutually inverse
         for j, vec in enumerate(nl.vecs):
             expected = (1, 0) if j == 0 else (0, nl.degrees[j])

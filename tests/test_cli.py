@@ -259,8 +259,16 @@ def test_tower_cost_warning_is_one_line(capsys):
                          "--length", "4")
     assert code == 0 and out
     assert err == ("warning: tower with p = 7, length = 4: exact key degrees reach "
-                   "p^(2*length-2) = 117649; only the base keys are truncated, so "
-                   "expect slow chain and identity checks\n")
+                   "p^(2*length-2) = 117649; the sequences, the middle keys and the "
+                   "chain spines stay exact, so expect slow certificate, identity and "
+                   "parameter-link checks\n")
+
+
+def test_tower_at_length_10_draws_no_cost_warning(capsys):
+    # only the chain spines stay exact, so length 10 at p = 2 or 3 takes
+    # about a second and draws no warning; the warning starts past length 10
+    code, out, err = run(capsys, "tower", "--p", "2", "--levels", "3", "--length", "10")
+    assert (code, err) == (0, "") and out
 
 
 def test_report_jobs_rejected(capsys):

@@ -18,7 +18,6 @@ from ramval.transforms import (
     NotPPower,
     StableForm,
     _bottom_row,
-    composite_transform,
     defect_from_stable,
     run_tower_ladder,
     stable_form,
@@ -135,14 +134,22 @@ def test_composite_transform_ratio_failure():
 
 def test_composite_transform_chart_map_pushes_keys():
     # pushing an old key through the map and dividing by the declared power of
-    # the new coordinate reproduces the new key
-    gs = build_tower_seq("U", 3, 2, 4)
-    chain = ChartChain(gs)
-    cmap, keys = composite_transform(chain.level(1))
-    img = cmap.push(gs.keys[2])
-    assert img.x_order() == gs.keys[2].deg_y()
-    assert img.divexact_xpow(gs.keys[2].deg_y()) == keys[1]
-    assert keys == chain.level(2).keys
+    # the new coordinate reproduces the new key: exactly in the exact chain
+    # and on the spine, modulo the key's precision elsewhere
+    gs = build_tower_seq("U", 3, 2, 6)
+    exact, truncated = (ChartChain(gs, exact=e).level(2) for e in (True, False))
+    assert exact.map_from_prev == truncated.map_from_prev
+    assert exact.precs == [None] * len(exact.keys)
+    assert truncated.precs == [None] * 4 + [244, 247]  # keys 0-3 are the spine
+    cmap = exact.map_from_prev
+    for j in range(2, len(gs.keys)):
+        img = cmap.push(gs.keys[j])
+        assert img.x_order() == gs.keys[j].deg_y()
+        new = img.divexact_xpow(gs.keys[j].deg_y())
+        assert new == exact.keys[j - 1]
+        key, prec = truncated.keys[j - 1], truncated.precs[j - 1]
+        assert all(i < prec for i, _ in key.num.terms) if prec else key == new
+        assert (new.num * key.den - key.num * new.den).truncate(prec).is_zero()
 
 
 def test_transformed_recursion_residues_are_one():
@@ -196,6 +203,95 @@ def test_chart_validation_detects_tampering():
     with pytest.raises(Inconsistent) as ex:
         validate_chart_seq(fresh)
     assert str(ex.value) == "level 2, key 3: relation exponent 33/16 is not a nonnegative integer"
+    # the same corruption of a key carried modulo x2^33 (past the spine)
+    lvl2 = ChartChain(build_tower_seq("U", 2, 1, 6)).level(2)
+    assert lvl2.precs[4] == 33
+    lvl2.keys[4] = lvl2.keys[4] * LocalElem(Poly2.x(F2))
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == ("transformed sequence failed validation: U(p=2,c=1,N=6)/T2: "
+                             "key 4 has lowest term x^1 y^128, not x^0 y^128")
+
+
+# Key 4 of level 2 of the U chain at p = 2, length 6 lies past the spine and
+# is carried modulo x2^33; pushed into level 3, it is read modulo x2^33.
+TRUNCATED = ("U", 2, 1, 6)
+
+
+def _tamper_in_tower(monkeypatch, tamper):
+    """Make ``build_tower`` apply ``tamper`` to the middle chain, and run
+    ``tower`` on it."""
+    def tampered(*args, **kwargs):
+        tower = build_tower(*args, **kwargs)
+        tamper(tower.chain("A"))
+        return tower
+
+    monkeypatch.setattr(towers, "build_tower", tampered)
+    return main(["tower", "--p", "2", "--levels", "4", "--length", "6"])
+
+
+def test_truncated_image_that_vanishes_is_a_verification_failure(capsys, monkeypatch):
+    # key 4 times x2^33 vanishes modulo the x2^33 it is known to: its image
+    # vanishes modulo x3^(128 + 17), 128 its degree and 17 the precision of
+    # new key 3, and that is a failed check, not a domain error
+    def tamper(chain):
+        lvl2 = chain.level(2)
+        lvl2.keys[4] = lvl2.keys[4] * LocalElem(Poly2.monomial(F2, lvl2.precs[4], 0))
+
+    chain = ChartChain(build_tower_seq(*TRUNCATED))
+    tamper(chain)
+    witness = ("U(p=2,c=1,N=6)/T2/T3: shifted key 4 vanishes modulo x3^145: its exceptional "
+               "order exceeds 128")
+    with pytest.raises(NonPolynomial) as ex:
+        chain.level(3)
+    assert str(ex.value) == witness
+    assert _tamper_in_tower(monkeypatch, tamper) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failed: {witness}\n"
+
+
+def test_truncated_key_with_no_x0_row_is_a_verification_failure(capsys, monkeypatch):
+    # a truncated key that vanishes modulo its precision has no x^0 row to
+    # read: a failed check naming the key and the precision
+    lvl3 = ChartChain(build_tower_seq(*TRUNCATED)).level(3)
+    assert lvl3.precs[3] == 17
+    lvl3.keys[3] = LocalElem(Poly2.zero(F2))
+    witness = ("transformed sequence failed validation: U(p=2,c=1,N=6)/T2/T3: key 3 "
+               "vanishes modulo x3^17, the precision it is known to")
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl3)
+    assert str(ex.value) == witness
+
+    def tamper(chain):
+        # level 3 of the middle chain gets its keys inside the ladder
+        original = transforms.composite_transform
+
+        def zero_key(level, nxt):
+            original(level, nxt)
+            if nxt.label == lvl3.label:
+                nxt.keys[3] = LocalElem(Poly2.zero(F2))
+
+        monkeypatch.setattr(transforms, "composite_transform", zero_key)
+
+    assert _tamper_in_tower(monkeypatch, tamper) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"verification failed: {witness}\n"
+
+
+def test_chart_validation_reads_below_each_precision():
+    # a key whose recorded precision is below what the recursion check reads
+    # fails before the remainder is formed
+    lvl2 = ChartChain(build_tower_seq(*TRUNCATED)).level(2)
+    reads = transforms._validation_reads(lvl2)
+    assert all(p is None or p >= r for p, r in zip(lvl2.precs, reads))
+    assert reads[4] == 33  # a_4 + 1 = 32 + 1: key 4 in the remainder key_4^2 - key_5
+    lvl2.precs[4] = 32
+    with pytest.raises(NonPolynomial) as ex:
+        validate_chart_seq(lvl2)
+    assert str(ex.value) == ("transformed sequence failed validation: U(p=2,c=1,N=6)/T2: "
+                             "key 4 is read modulo x2^33, past the x2^32 it is known to")
 
 
 def _remainder_witness(lvl, j, lowest):
@@ -471,6 +567,51 @@ def test_truncated_push_matches_exact_push(p, c, kmax):
                 assert all(i < prec for i, _ in trunc.num.terms)
                 assert (trunc.num * exact.den - exact.num * trunc.den).truncate(prec).is_zero(), \
                     (k, prec)
+
+
+@pytest.mark.parametrize("p,c,q,length", [(2, 1, None, 7), (3, 2, None, 7), (5, 4, None, 5),
+                                          (2, 1, 4, 7), (3, 2, 9, 6)])
+def test_truncated_chain_matches_exact_chain(p, c, q, length):
+    # the chains of the tower carry their keys modulo the precisions their
+    # checks read; the exact chains of `transform` agree with them modulo
+    # every precision, on the spine and in the chart maps exactly, and the
+    # parameter links read the same residues off both
+    fld = Fq(p) if q is None else Fq(p, 2)
+    tower, exact_tower = build_tower(p, c, length, fld), build_tower(p, c, length, fld)
+    truncated = 0
+    for which, seq in (("S", exact_tower.seq_top), ("A", exact_tower.seq_mid)):
+        chain = tower.chain(which)
+        exact = exact_tower._chains[which] = ChartChain(seq, exact=True)
+        top = len(chain._walk_spine()) + 1  # K, the last level with keys
+        assert top == 4
+        for k in range(1, length + 2):
+            lvl, ref = chain.level(k), exact.level(k)
+            assert (lvl.values, lvl.vecs) == (ref.values, ref.vecs)
+            if k > top:
+                assert lvl.keys is ref.keys is None
+                continue
+            assert ref.precs == [None] * len(ref.keys)
+            assert len(lvl.keys) == len(ref.keys) == len(lvl.precs)
+            if k > 1:
+                m, m_ref = lvl.map_from_prev, ref.map_from_prev
+                for got, want in ((m.phi_x, m_ref.phi_x), (m.phi_y, m_ref.phi_y)):
+                    assert (got.num, got.den) == (want.num, want.den), (which, k)
+            for j, (key, want, prec) in enumerate(zip(lvl.keys, ref.keys, lvl.precs)):
+                # the base keys, key 0 and the keys that become first keys by
+                # level K are exact
+                assert (prec is None) == (k == 1 or j == 0 or k + j - 1 <= top), (which, k, j)
+                if prec is None:
+                    assert (key.num, key.den) == (want.num, want.den), (which, k, j)
+                    continue
+                truncated += 1
+                assert all(i < prec for i, _ in key.num.terms), (which, k, j)
+                assert (key.num * want.den - want.num * key.den).truncate(prec).is_zero(), \
+                    (which, k, j)
+    assert truncated > 0
+    for j in range(1, top):
+        assert (towers.verify_parameter_links(tower, j).row()
+                == towers.verify_parameter_links(exact_tower, j).row())
+    assert tower._pushed == exact_tower._pushed and tower._pushed
 
 
 def _mu_exact_of_vector(base_keys, vec, chain, k):
