@@ -106,6 +106,7 @@ class Fq:
             (w * k, (1 << w * k) - 1, self._pack(_poly_mod([0] * k + [1], self.modulus, p)))
             for k in range(2 * m - 2, m - 1, -1))
         self.fold = _Memo(self._reduce).__getitem__
+        self.of_index = _Memo(self._index).__getitem__
         self._frobenius = _Memo(lambda a: self.pow_(a, p))
 
     def __repr__(self):
@@ -143,9 +144,10 @@ class Fq:
     def of_int(self, n: int):
         return n % self.p
 
-    def of_index(self, n: int):
-        """Element number n, 0 <= n < q: the base-p digits of n, low first,
-        as polynomial-basis coefficients (n itself over a prime field)."""
+    def _index(self, n: int):
+        """``of_index`` without the memo: element number n, 0 <= n < q, the
+        base-p digits of n, low first, as polynomial-basis coefficients (n
+        itself over a prime field)."""
         p = self.p
         return self._pack(n // p**k % p for k in range(len(self._shifts)))
 

@@ -12,6 +12,7 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from functools import cache
 
 from . import monomial, towers, transforms
 from .algebra import Fq, ParseError, parse_poly
@@ -232,7 +233,11 @@ def _add_common(sub, family=False, formats=("text", "tsv", "md")):
                          help="Q: top chart, P: base chart, U: middle chart")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.
+    It binds no command function: ``main`` runs ``cmd_<command>``, looked up
+    when it runs."""
     ap = argparse.ArgumentParser(
         prog="ramval",
         description="Exact valuations via generating sequences: values, "
@@ -243,39 +248,32 @@ def build_parser() -> argparse.ArgumentParser:
     s = sp.add_parser("value", help="valuation of a polynomial")
     _add_common(s, family=True, formats=())
     s.add_argument("poly", help="polynomial, e.g. 'y^2 + x*y + x^7'")
-    s.set_defaults(func=cmd_value)
 
     s = sp.add_parser("semigroup", help="value semigroup up to a bound")
     _add_common(s, family=True)
     s.add_argument("--bound", type=_bound, default="2",
                    help="upper bound (a fraction >= 0)")
-    s.set_defaults(func=cmd_semigroup)
 
     s = sp.add_parser("validate", help="validity report of a generating sequence")
     _add_common(s, family=True)
-    s.set_defaults(func=cmd_validate)
 
     s = sp.add_parser("transform", help="iterated composite transforms of a sequence")
     _add_common(s, family=True)
     s.add_argument("--levels", type=_count, default=3)
-    s.set_defaults(func=cmd_transform)
 
     s = sp.add_parser("tower", help="per-level stable-form ladder of the tower")
     _add_common(s, formats=("text", "tsv", "json", "md"))
     s.add_argument("--levels", type=_count, default=3)
     s.add_argument("--seed", type=int, default=0, help="echoed in the header; tower samples nothing")
-    s.set_defaults(func=cmd_tower)
 
     s = sp.add_parser("monomialize", help="rank-2 index, SNF oracle, exponent reduction")
     s.add_argument("--matrix", required=True, help="a,b,c,d")
-    s.set_defaults(func=cmd_monomialize)
 
     s = sp.add_parser("report", help="full verification report of the tower scenario")
     _add_common(s, formats=("text", "tsv", "json", "md"))
     s.add_argument("--levels", type=_count, default=3)
     s.add_argument("--samples", type=_count, default=200)
     s.add_argument("--seed", type=int, default=0, help="seed of the restriction sampling")
-    s.set_defaults(func=cmd_report)
 
     return ap
 
@@ -290,7 +288,7 @@ def main(argv=None) -> int:
         # a warning is one stderr line, without its source location
         warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
         try:
-            return args.func(args)
+            return globals()[f"cmd_{args.command}"](args)
         except Inconsistent as ex:
             print(f"verification failed: {ex}", file=sys.stderr)
             return 1

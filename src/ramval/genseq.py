@@ -398,32 +398,80 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
     return StandardExpansion(gs, terms)
 
 
-def expand_from_powers(g: Poly2, powers: list[StandardExpansion]) -> StandardExpansion:
-    """Standard expansion of g(x, w) = sum c * x^a * w^b, given powers[b],
-    the expansion of w^b in one sequence, for every b that g reaches.
+class ValueTable:
+    """The expansions of w^b in one sequence, each read as its (value, coefficient)
+    pairs, values in units of 1/D (``value_table``).  A plain class: building
+    a dataclass would add about a millisecond to every import."""
 
-    The standard expansion over a validated sequence is unique, so it is
-    F_q-linear and commutes with multiplication by x: x^a times a standard
-    term is the standard term with m_0 + a (MacLane, "A construction for
-    prime ideals as absolute values of an algebraic field", Duke Math. J. 2,
-    1936).  The expansion of g is the sum of c * powers[b] shifted by a,
-    with the raw products summed per exponent vector and folded once; a
-    vector whose sum folds to zero is dropped."""
+    __slots__ = ("field", "denom", "x_weight", "rows")
+
+    def __init__(self, field: Fq, denom: int, x_weight: int,
+                 rows: list[list[tuple[int, object]]]):
+        self.field, self.denom, self.x_weight, self.rows = field, denom, x_weight, rows
+
+    def sums(self, g: Poly2) -> dict[int, object]:
+        """The expansion of g(x, w) = sum c * x^a * w^b keyed by value: {value
+        in units of 1/D: nonzero coefficient}, for every b that g reaches.
+
+        The standard expansion over a validated sequence is unique, so it is
+        F_q-linear and commutes with multiplication by x: x^a times a standard
+        term is the standard term with m_0 + a, whose value is a * value(x)
+        more (MacLane, "A construction for prime ideals as absolute values of
+        an algebraic field", Duke Math. J. 2, 1936).  The raw products are
+        summed per value and folded once; a value whose sum folds to zero is
+        dropped.  ``value_table`` has checked that a value names one exponent
+        vector, so this is the expansion with each vector replaced by its
+        value."""
+        rows, w0 = self.rows, self.x_weight
+        acc: dict = {}
+        get = acc.get
+        for (a, b), c in g.terms.items():
+            shift = a * w0
+            for v, cf in rows[b]:
+                v += shift
+                acc[v] = get(v, 0) + c * cf
+        # a value collects at most one product per term of g
+        self.field.check_capacity(len(g.terms))
+        fold = self.field.fold
+        return {v: c for v, s in acc.items() if (c := fold(s))}
+
+    def value(self, g: Poly2) -> Fraction:
+        """The valuation of g(x, w): the least value of ``sums``."""
+        sums = self.sums(g)
+        if not sums:
+            raise ArithmeticError("cannot expand the zero element")
+        return Fraction(min(sums), self.denom)
+
+
+def value_table(powers: list[StandardExpansion]) -> ValueTable:
+    """The value table of powers[b], the expansion of w^b in one sequence.
+
+    Summing by value is summing by exponent vector only if distinct vectors
+    that samples reach have distinct values.  Such a vector is (m_0 + a,
+    m_1, ..., m_N) for a tail (m_1, ..., m_N) in the table and any a >= 0;
+    vectors with one tail differ in m_0, so in value, and vectors with
+    distinct tails can share a value only if the tails' values agree
+    modulo value(x).  That never happens for standard monomials
+    (``residue_of_quotient``); it is checked here once per table,
+    InvalidSequence naming both tails if it fails."""
     gs = powers[0].gs
-    fld = gs.field
-    acc: dict = {}
-    get = acc.get
-    for (a, b), c in g.terms.items():
-        for e, cf in powers[b].terms.items():
-            e = (e[0] + a, *e[1:])
-            acc[e] = get(e, 0) + c * cf
-    # an exponent vector collects at most one product per term of g
-    fld.check_capacity(len(g.terms))
-    fold = fld.fold
-    terms = {e: c for e, s in acc.items() if (c := fold(s))}
-    if not terms:
-        raise ArithmeticError("cannot expand the zero element")
-    return StandardExpansion(gs, terms)
+    lat = gs.ensure_valid()
+    w0, weights = lat.weights[0], lat.weights[1:]
+    by_residue: dict[int, tuple[int, ...]] = {}
+    rows = []
+    for power in powers:
+        row = []
+        for exps, cf in power.terms.items():
+            tail = exps[1:]
+            v = sum(map(mul, tail, weights))
+            other = by_residue.setdefault(v % w0, tail)
+            if other != tail:
+                raise InvalidSequence(
+                    f"value table of {gs.label or 'a sequence'}: exponent tails {other} and "
+                    f"{tail} have values congruent modulo value(x)")
+            row.append((exps[0] * w0 + v, cf))
+        rows.append(row)
+    return ValueTable(gs.field, lat.denom, w0, rows)
 
 
 def value_of(f: Poly2 | LocalElem, gs: GenSeq) -> Fraction:
@@ -445,10 +493,12 @@ def residue_of_quotient(f: Poly2, g: Poly2, gs: GenSeq):
     differ: (m_i - m'_i) * value_i would lie in the group of value_0 ..
     value_(i-1), with 0 < |m_i - m'_i| < n_i, against n_i being the order of
     value_i modulo that group (for i = 0, value_0 != 0).  This is the
-    uniqueness ``minimal_term`` relies on (MacLane, "A construction for
-    absolute values in polynomial rings", Trans. AMS 40, 1936).  So equal
-    values put the minimal terms of f and g on one exponent vector, and the
-    residue is the ratio of their coefficients.
+    uniqueness ``minimal_term`` relies on, and the one that lets a
+    ``ValueTable`` key its sums by value instead of by exponent vector
+    (MacLane, "A construction for absolute values in polynomial rings",
+    Trans. AMS 40, 1936).  So equal values put the minimal terms of f and g
+    on one exponent vector, and the residue is the ratio of their
+    coefficients.
     """
     ef, eg = expand(f, gs), expand(g, gs)
     (vf, mf), (vg, mg) = ef.minimal_term(), eg.minimal_term()

@@ -27,9 +27,9 @@ from .genseq import (
     StandardExpansion,
     build_tower_seq,
     expand,
-    expand_from_powers,
     tower_keys,
     value_of,
+    value_table,
 )
 from .transforms import ChartChain, NotApplicable, _as_elem, _bottom_row, _mu_with_certificate
 from .values import fmt_value, p_adic_split
@@ -385,7 +385,8 @@ def random_middle_poly(tower: Tower, rng: random.Random) -> Poly2:
 def restriction_tables(tower: Tower) -> tuple[list[StandardExpansion], list[StandardExpansion]]:
     """The expansions of v^b in the middle sequence and of v(x, y)^b =
     (y^p - x^c y)^b in the top sequence, for b = 0 .. p^2 + p: every power a
-    restriction sample reaches."""
+    restriction sample reaches.  ``verify_restriction`` reads each list
+    through its ``value_table``."""
     fld = tower.field
     span = range(_sample_v_degree(tower.p) + 1)
     return (
@@ -399,21 +400,24 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     sampled g(x, v), value(g) in the middle chart equals value(g(x, v(x, y)))
     in the top chart.
 
-    Both values come from ``StandardExpansion.minimal_term`` over expansions
-    summed from ``restriction_tables`` (``expand_from_powers``): each side
-    keeps its own sequence and its own table, so the two stay independent
-    computations.  Sample 0 and every DIRECT_EVERY-th sample are also valued
-    by dividing from scratch, g in the middle sequence and its substitution
-    g(x, v(x, y)) in the top one; Inconsistent, naming the sample and both
-    value pairs, if the two paths disagree."""
+    Both values are the least values of sums over the ``value_table`` of
+    each side's ``restriction_tables``: each sample's expansion, summed from
+    the cached expansions of the powers of v and keyed by value, which
+    ``value_table`` checks once per table to name one exponent vector.  Each
+    side keeps its own sequence and its own table, so the two stay
+    independent computations.  Sample 0 and every DIRECT_EVERY-th sample are
+    also valued by dividing from scratch (``value_of``, with its own tie
+    check), g in the middle sequence and its substitution g(x, v(x, y)) in
+    the top one; Inconsistent, naming the sample and both value pairs, if
+    the two paths disagree."""
     rng = random.Random(seed)
     mid_powers, top_powers = restriction_tables(tower)
+    mid_table, top_table = value_table(mid_powers), value_table(top_powers)
     x = Poly2.x(tower.field)
     mismatches = []
     for n in range(samples):
         g = random_middle_poly(tower, rng)
-        mid_val, _ = expand_from_powers(g, mid_powers).minimal_term()
-        top_val, _ = expand_from_powers(g, top_powers).minimal_term()
+        mid_val, top_val = mid_table.value(g), top_table.value(g)
         if n % DIRECT_EVERY == 0:
             mid_direct = value_of(g, tower.seq_mid)
             top_direct = value_of(g.compose(x, tower.v_sub), tower.seq_top)

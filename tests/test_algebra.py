@@ -14,6 +14,7 @@ from ramval.algebra import (
     Poly2,
     parse_poly,
 )
+from ramval.algebra.field import MEMO_LIMIT
 from ramval.transforms import _bottom_row
 
 F2 = Fq(2)
@@ -170,6 +171,27 @@ def test_frobenius_fixes_prime_field():
         for _ in range(fld.m):
             b = fld.frob(b)
         assert b == a
+
+
+def _digits(n, p, m):
+    return [n // p**k % p for k in range(m)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)])
+def test_of_index_is_base_p_digits(p, m):
+    fld = Fq(p, m)
+    for _ in range(2):  # computed, then read from the memo
+        assert [fld.coeffs(fld.of_index(n)) for n in range(fld.q)] == [
+            _digits(n, p, m) for n in range(fld.q)]
+
+
+def test_of_index_right_across_a_memo_clear():
+    # F_2^13 has more elements than the memo keeps, so the memo starts over
+    # at element MEMO_LIMIT, and again on the second pass
+    fld = Fq(2, 13)
+    assert fld.q > MEMO_LIMIT
+    for n in [*range(fld.q), *range(fld.q - 1, -1, -3)]:
+        assert fld.coeffs(fld.of_index(n)) == _digits(n, 2, 13)
 
 
 # -- polynomial arithmetic ----------------------------------------------------

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import ramval
 from ramval import cli, genseq, towers, transforms
 from ramval.algebra import Fq, Poly2
 from ramval.cli import main
@@ -193,6 +197,44 @@ def test_report_json_deterministic(capsys):
     assert out1 == out2
     assert json.loads(out1)["config"]["seed"] == 7
     assert "jobs" not in json.loads(out1)["config"]
+
+
+# each command differs from the one before in subcommand or options; the bad
+# parses (exit 2) follow good calls, and good calls follow them
+SEQUENCE = [
+    ("report", "--p", "2", "--c", "1", "--levels", "2", "--length", "4", "--samples", "20",
+     "--seed", "3", "--format", "json"),
+    ("report", "--p", "3", "--c", "2", "--levels", "2", "--length", "4", "--samples", "20"),
+    ("report", "--p", "2", "--samples", "0"),
+    ("value", "--family", "Q", "--p", "2", "y^4 + x*y^2 + x^3"),
+    ("value", "--family", "U", "--p", "3", "--q", "9", "v"),
+    ("semigroup", "--family", "Q", "--p", "2", "--bound", "1"),
+    ("semigroup", "--family", "Q", "--p", "2", "--bound", "abc"),
+    ("semigroup", "--family", "U", "--p", "2", "--length", "3"),
+    ("tower", "--p", "2", "--c", "1", "--levels", "2", "--length", "4", "--format", "tsv"),
+    ("transform", "--family", "Q", "--p", "2", "--levels", "2", "--length", "3"),
+    ("monomialize", "--matrix", "2,1,1,3"),
+]
+
+
+def test_consecutive_main_calls_match_separate_processes(capsys):
+    # the parser is built once per process and shared by every main call
+    in_process = []
+    for argv in SEQUENCE:
+        try:
+            code = main(list(argv))
+        except SystemExit as ex:
+            code = ex.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    env = dict(os.environ, PYTHONPATH=str(Path(ramval.__file__).resolve().parents[1]))
+    separate = [
+        (proc.returncode, proc.stdout, proc.stderr)
+        for proc in (subprocess.run([sys.executable, "-m", "ramval.cli", *argv], env=env,
+                                    capture_output=True, text=True) for argv in SEQUENCE)]
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 0, 2, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_report_builds_tower_once(capsys, monkeypatch):

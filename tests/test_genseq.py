@@ -18,11 +18,11 @@ from ramval.genseq import (
     _tower_recursion,
     build_tower_seq,
     expand,
-    expand_from_powers,
     residue_of_quotient,
     semigroup,
     validate,
     value_of,
+    value_table,
 )
 
 F2 = Fq(2)
@@ -484,17 +484,18 @@ def test_term_order_carries_no_meaning(case):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_expansion_case())
-def test_expand_from_powers_keeps_no_zero_coefficient(case):
+def test_value_table_keeps_no_zero_coefficient(case):
     # g(x, w) = w - 1 over the expansions of f and f + h sums to the
-    # expansion of h: every vector of f's expansion that h's lacks folds to
-    # zero and must be dropped
+    # expansion of h, keyed by value: every value of f's expansion that h's
+    # lacks folds to zero and must be dropped
     gs, f, h, _ = case
     assume(not (f + h).is_zero())
     fld = gs.field
+    weights = gs.ensure_valid().weights
     g = Poly2(fld, {(0, 1): fld.one, (0, 0): fld.neg(fld.one)})
-    e = expand_from_powers(g, [expand(f, gs), expand(f + h, gs)])
-    assert fld.zero not in e.terms.values()
-    assert e.terms == expand(h, gs).terms
+    sums = value_table([expand(f, gs), expand(f + h, gs)]).sums(g)
+    assert fld.zero not in sums.values()
+    assert sums == {sum(map(mul, e, weights)): c for e, c in expand(h, gs).terms.items()}
 
 
 # -- semigroups --------------------------------------------------------------------

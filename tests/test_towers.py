@@ -2,6 +2,7 @@ import dataclasses
 import random
 import re
 from functools import lru_cache
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +13,12 @@ from ramval.cli import main
 from ramval.genseq import (
     BadParams,
     Inconsistent,
+    InvalidSequence,
+    StandardExpansion,
     expand,
-    expand_from_powers,
     tower_keys,
     value_of,
+    value_table,
 )
 from ramval.towers import (
     _pushed_leading_data,
@@ -217,7 +220,16 @@ def test_random_middle_poly_matches_sum_of_monomials(p, m):
 @lru_cache(maxsize=None)
 def _tower_with_tables(p, m, length):
     t = build_tower(p, p - 1, length, Fq(p, m))
-    return t, restriction_tables(t)
+    return t, tuple(map(value_table, restriction_tables(t)))
+
+
+def _by_value(e):
+    """An expansion as {value in units of 1/D: coefficient}; no two of its
+    exponent vectors may share a value."""
+    weights = e.gs.ensure_valid().weights
+    out = {sum(map(mul, exps, weights)): c for exps, c in e.terms.items()}
+    assert len(out) == len(e.terms)
+    return out
 
 
 @st.composite
@@ -236,10 +248,13 @@ def _restriction_case(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_restriction_case())
 def test_linear_expansions_match_direct_expansions(case):
-    t, (mid_powers, top_powers), g = case
+    # the value-keyed sums are the whole direct expansions, each vector
+    # replaced by its value, and their least keys are the direct values
+    t, (mid_table, top_table), g = case
     composed = g.compose(Poly2.x(t.field), t.v_sub)
-    assert expand_from_powers(g, mid_powers).terms == expand(g, t.seq_mid).terms
-    assert expand_from_powers(g, top_powers).terms == expand(composed, t.seq_top).terms
+    for table, f, gs in ((mid_table, g, t.seq_mid), (top_table, composed, t.seq_top)):
+        assert table.sums(g) == _by_value(expand(f, gs))
+        assert table.value(g) == value_of(f, gs)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -307,6 +322,78 @@ def test_restriction_direct_path_on_every_50th_sample(monkeypatch):
     assert verify_restriction(t, samples=101, seed=3).ok
     # samples 0, 50 and 100, each in both charts
     assert valued == [t.seq_mid.label, t.seq_top.label] * 3
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_value_table_least_value_cancels(p):
+    # g = v^p - x is the middle key U_2 = v^p - x: the value(x) entries of
+    # the v^p row and of the x row cancel, so the value is the next one,
+    # value(U_2), on both sides
+    t = build_tower(p, p - 1, 4)
+    mid_table, top_table = map(value_table, restriction_tables(t))
+    g = Poly2.monomial(t.field, 0, p) - Poly2.x(t.field)
+    assert g == t.seq_mid.keys[2]
+    expected = value_of(g, t.seq_mid)
+    assert expected > 1
+    for table in (mid_table, top_table):
+        assert table.x_weight not in table.sums(g)
+        assert table.value(g) == expected
+
+
+def _congruent_tails(gs):
+    """Exponent vectors (0, ..., 0) and (0, n_1, 0, ..., 0): their tails differ
+    and their values differ by n_1 * value_1, a multiple of value(x)."""
+    zero = (0,) * len(gs.keys)
+    return zero, (0, gs.ensure_valid().indices[1]) + zero[2:]
+
+
+def test_value_table_rejects_congruent_tails():
+    t = build_tower(2, 1, 4)
+    gs = t.seq_mid
+    zero, other = _congruent_tails(gs)
+    powers = [StandardExpansion(gs, {zero: 1}), StandardExpansion(gs, {other: 1})]
+    with pytest.raises(InvalidSequence, match="congruent modulo value\\(x\\)") as ex:
+        value_table(powers)
+    assert str(zero[1:]) in str(ex.value) and str(other[1:]) in str(ex.value)
+    # a table of one row, or of two rows whose tails are equal, passes
+    value_table(powers[:1])
+    value_table([powers[0], StandardExpansion(gs, {(3,) + zero[1:]: 1})])
+
+
+def test_restriction_congruent_tails_exit_1(monkeypatch, capsys):
+    real_tables, real_sampler = towers_module.restriction_tables, towers_module.random_middle_poly
+    calls = []
+
+    def tampered(tower):
+        mid_powers, top_powers = real_tables(tower)
+        gs = tower.seq_mid
+        _, other = _congruent_tails(gs)
+        mid_powers[1] = StandardExpansion(gs, {**mid_powers[1].terms, other: 1})
+        return mid_powers, top_powers
+
+    def counting_table(powers):
+        calls.append("table")
+        return value_table(powers)
+
+    def counting_sampler(tower, rng):
+        calls.append("sample")
+        return real_sampler(tower, rng)
+
+    monkeypatch.setattr(towers_module, "value_table", counting_table)
+    monkeypatch.setattr(towers_module, "random_middle_poly", counting_sampler)
+    # one table per side, built before the first sample
+    assert verify_restriction(build_tower(2, 1, 4), samples=3, seed=0).ok
+    assert calls == ["table", "table", "sample", "sample", "sample"]
+    calls.clear()
+    monkeypatch.setattr(towers_module, "restriction_tables", tampered)
+    assert main(["report", "--p", "2", "--c", "1", "--levels", "2", "--samples", "300",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "verification failed: value table of U(p=2,c=1,N=6): exponent tails "
+        "(0, 0, 0, 0, 0, 0) and (2, 0, 0, 0, 0, 0) have values congruent modulo value(x)\n")
+    assert calls == ["table"]
 
 
 @pytest.mark.parametrize("j", [1, 2, 3])
