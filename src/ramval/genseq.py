@@ -370,7 +370,10 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
     tail, so every exponent vector is reached once.
 
     Exponents of key i stay below n_i for i < N automatically; the top
-    exponent is bounded by the SequenceTooShort precondition.
+    exponent is bounded by the SequenceTooShort precondition.  The branches
+    run off an explicit stack: a nested function calling itself would make
+    a reference cycle per call, holding the terms until the cyclic collector
+    runs.
     """
     lat = gs.ensure_valid()
     if f.is_zero():
@@ -381,20 +384,22 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
         raise SequenceTooShort(f"deg_y {f.deg_y()} >= {span}; extend the sequence")
 
     terms: dict[tuple[int, ...], object] = {}
-
-    def rec(g: Poly2, i: int, tail: tuple[int, ...]):
+    # (element, key index, exponent tail) still to divide, last entry next;
+    # the coefficients go on in reverse, so the terms come out in the order
+    # of a depth-first recursion
+    stack = [(f, top, ())]
+    while stack:
+        g, i, tail = stack.pop()
         if g.is_zero():
-            return
+            continue
         if i == 0:
             for (a, b), cf in g.terms.items():
                 if b != 0:
                     raise SequenceTooShort("leftover y-degree below the first key")
                 terms[(a,) + tail] = cf
-            return
-        for k, coeff in enumerate(_expand_in_key(g, gs.keys[i], lat.degrees[i])):
-            rec(coeff, i - 1, (k,) + tail)
-
-    rec(f, top, ())
+            continue
+        coeffs = _expand_in_key(g, gs.keys[i], lat.degrees[i])
+        stack.extend((coeffs[k], i - 1, (k,) + tail) for k in reversed(range(len(coeffs))))
     return StandardExpansion(gs, terms)
 
 
@@ -517,18 +522,13 @@ def semigroup(gs: GenSeq, bound: Fraction) -> tuple[Fraction, ...]:
     # in units of 1/D: lattice points up to floor(bound * D)
     top = bound * lat.denom // 1
     w = lat.weights
+    # the sums over keys 1..N with 0 <= m_i < n_i that stay within bound
+    partial = [0]
+    for i in range(1, gs.top + 1):
+        partial = [s + m * w[i] for s in partial for m in range(lat.indices[i])
+                   if s + m * w[i] <= top]
     found: set[int] = set()
-
-    def rec(i: int, acc: int):
-        if i == 0:
-            # x-exponent free: acc + m*w[0] <= top
-            found.update(range(acc, top + 1, w[0]))
-            return
-        for m in range(lat.indices[i]):
-            nxt = acc + m * w[i]
-            if nxt > top:
-                break
-            rec(i - 1, nxt)
-
-    rec(gs.top, 0)
+    for s in partial:
+        # x-exponent free: s + m*w[0] <= top
+        found.update(range(s, top + 1, w[0]))
     return tuple(Fraction(v, lat.denom) for v in sorted(found))

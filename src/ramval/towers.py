@@ -40,7 +40,9 @@ class CrossCert:
     """Comparison of a foreign element F against a host key K: F = K^mult * u
     with u a 1-unit, certified by the split F - K^mult = x^t_order * (rest)
     and, checked before the certificate is made, the value margin
-    value(F - K^mult) > value(K^mult).
+    value(F - K^mult) > value(K^mult) = mult * value(K).  By the strict
+    triangle inequality the margin gives value(F) = mult * value(K), so F
+    itself is never valued.
 
     Both links are read modulo x^N (``certificate_precision``): ``t_order``
     is the x-order of the deviation, or N when the deviation vanishes modulo
@@ -150,14 +152,24 @@ class Tower:
         ``certificate_precision`` of the host (``base_prec`` for the base
         keys, which are built to it).
 
+        The foreign key F is never expanded.  Its multiplier is read off
+        degrees modulo x^N: deg_y F = mult * deg_y K_i for i >= 1, and the
+        x-order of F for K_0 = x; a ratio that is not a p-power (at least 1)
+        is Inconsistent, naming the key and both degrees.  The degrees only
+        propose mult, and only the deviation F - K_i^mult is valued: if its
+        value exceeds mult * value(K_i), the strict triangle inequality gives
+        value(F) = mult * value(K_i).  For a given mult this is the test
+        value(F - K_i^mult) > value(F), so a wrong proposal fails it and
+        cannot certify anything.
+
         f and f mod x^N differ by x^N * (ring element), of value at least
-        N * value(x).  A key's value is below N * value(x), so it is read
-        exactly; a key that vanishes modulo x^N, or reads N * value(x) or
-        more, is Inconsistent, naming the key and N.  A deviation dominates
-        its key once its truncated value exceeds the key's: that value is
-        exact below N * value(x), and at or above it the deviation's value
-        is at least N * value(x).  A deviation that vanishes modulo x^N gets
-        t_order = N.
+        N * value(x).  A key's value mult * value(K_i) must be below
+        N * value(x); a key that vanishes modulo x^N, or whose value is
+        N * value(x) or more, is Inconsistent, naming the key and N.  A
+        deviation dominates its key once its truncated value exceeds the
+        key's: that value is exact below N * value(x), and at or above it the
+        deviation's value is at least N * value(x).  A deviation that
+        vanishes modulo x^N gets t_order = N.
         """
         if which in self._certs:
             return self._certs[which]
@@ -173,18 +185,22 @@ class Tower:
             f_elem = _as_elem(key).truncate(prec)
             if f_elem.is_zero():
                 raise Inconsistent(f"{which} key {i} vanishes modulo x^{prec} (N = {prec})")
-            val_f = value_of(f_elem, host)
+            if i:
+                what, deg_f, deg_k = "deg_y", f_elem.num.deg_y(), host.keys[i].deg_y()
+            else:
+                what, deg_f, deg_k = "x-order", f_elem.x_order(), host.keys[0].x_order()
+            mult, rest = divmod(deg_f, deg_k)
+            if rest or mult < 1 or p_adic_split(mult, self.p)[0] != 1:
+                raise Inconsistent(
+                    f"{which} key {i}: {what} {deg_f} modulo x^{prec} is not a p-power times "
+                    f"the {what} {deg_k} of host key {i} (N = {prec})"
+                )
+            val_f = mult * vals[i]
             if val_f >= prec * vals[0]:
                 raise Inconsistent(
                     f"{which} key {i} has value {fmt_value(val_f)} modulo x^{prec}, not below "
                     f"N * value(x) = {fmt_value(prec * vals[0])} (N = {prec})"
                 )
-            ratio = val_f / vals[i]
-            if ratio.denominator != 1:
-                raise Inconsistent(f"{which} key {i}: value ratio {ratio} is not integral")
-            mult = int(ratio)
-            if mult < 1 or p_adic_split(mult, self.p)[0] != 1:
-                raise Inconsistent(f"{which} key {i}: value ratio {mult} is not a p-power")
             delta = f_elem.__sub__(LocalElem(pow(host.keys[i], mult, prec)), prec)
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
@@ -204,8 +220,9 @@ def certificate_precision(host: GenSeq, p: int) -> int:
     least N with N * value(x) > p * value(host key L).
 
     A foreign key has value mult * value(host key i) with mult 1 or p, so
-    at most p * value(host key L): modulo x^N its value is read exactly, and
-    a deviation that reads N * value(x) or more has at least that value,
+    at most p * value(host key L), below N * value(x): modulo x^N the
+    deviation's value is read exactly wherever it can matter, since a
+    deviation that reads N * value(x) or more has at least that value,
     above the key's (``Tower.certificates``)."""
     return int(p * host.values[-1] / host.values[0]) + 1
 

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -429,20 +428,57 @@ def test_invalid_tower_sequence_exits_1(capsys, monkeypatch, command):
     assert "i=2: index computed=4 declared-order=4 growth=True monic=False" in err
 
 
-@pytest.mark.parametrize("fake_value,witness", [
-    (lambda f, gs: Fraction(1, 7), "mid-in-top key 0: value ratio 1/7 is not integral"),
-    (lambda f, gs: 3 * gs.values[0], "mid-in-top key 0: value ratio 3 is not a p-power"),
-    # key 0 matches exactly; key 1 gets ratio 4 and a deviation of equal value
-    (lambda f, gs: gs.values[0],
-     "mid-in-top key 1: deviation value does not dominate (margin 0)"),
-], ids=["not-integral", "not-p-power", "not-dominant"])
-def test_failed_certificate_exits_1(capsys, monkeypatch, fake_value, witness):
-    # a comparison certificate that does not hold is a verification failure
-    monkeypatch.setattr(towers, "value_of", fake_value)
+def _foreign_key(i, make):
+    """A tamper that sets middle key i, in the top chart, to make(tower)."""
+    def tamper(monkeypatch):
+        real = towers.build_tower
+
+        def tampered(*args):
+            tower = real(*args)
+            tower.mid_keys_xy[i] = make(tower)
+            return tower
+
+        monkeypatch.setattr(towers, "build_tower", tampered)
+    return tamper
+
+
+def _deviations_valued_as_key_1(monkeypatch):
+    """Every deviation valued 2 * value(y), the value of middle key 1."""
+    monkeypatch.setattr(towers, "value_of", lambda f, gs: 2 * gs.values[1])
+
+
+# at p = 2, length 4, N = 35 for the top host
+CERTIFICATE_TAMPERS = {
+    # key 2 has y-degree 4 as top key 2 has; times y it has 5
+    "not-integral": (_foreign_key(2, lambda t: t.mid_keys_xy[2] * Poly2.y(t.field)),
+                     "mid-in-top key 2: deg_y 5 modulo x^35 is not a p-power times the "
+                     "deg_y 4 of host key 2 (N = 35)"),
+    "not-p-power": (_foreign_key(1, lambda t: t.seq_top.keys[1] ** 3),
+                    "mid-in-top key 1: deg_y 3 modulo x^35 is not a p-power times the "
+                    "deg_y 1 of host key 1 (N = 35)"),
+    "below-1": (_foreign_key(1, lambda t: Poly2.one(t.field) + Poly2.x(t.field)),
+                "mid-in-top key 1: deg_y 0 modulo x^35 is not a p-power times the "
+                "deg_y 1 of host key 1 (N = 35)"),
+    "key-0": (_foreign_key(0, lambda t: Poly2.x(t.field) ** 3),
+              "mid-in-top key 0: x-order 3 modulo x^35 is not a p-power times the "
+              "x-order 1 of host key 0 (N = 35)"),
+    # key 0 (x) matches exactly, so the first deviation valued is key 1's
+    # (x*y), and valued as its key it does not dominate
+    "not-dominant": (_deviations_valued_as_key_1,
+                     "mid-in-top key 1: deviation value does not dominate (margin 0)"),
+}
+
+
+@pytest.mark.parametrize("tamper,witness", CERTIFICATE_TAMPERS.values(),
+                         ids=CERTIFICATE_TAMPERS.keys())
+def test_failed_certificate_exits_1(capsys, monkeypatch, tamper, witness):
+    # a comparison certificate that does not hold is a verification failure:
+    # degrees that propose no p-power multiplier, named with both degrees,
+    # or a deviation that does not dominate
+    assert towers.certificate_precision(towers.build_tower(2, 1, 4).seq_top, 2) == 35
+    tamper(monkeypatch)
     code, out, err = run(capsys, "tower", "--p", "2", "--levels", "2", "--length", "4")
-    assert code == 1
-    assert out == ""
-    assert f"verification failed: {witness}" in err
+    assert (code, out, err) == (1, "", f"verification failed: {witness}\n")
 
 
 def _failed_validation(level):

@@ -1,6 +1,8 @@
+import gc
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from itertools import product
 from operator import mul
 
 import pytest
@@ -20,6 +22,7 @@ from ramval.genseq import (
     expand,
     residue_of_quotient,
     semigroup,
+    tower_keys,
     validate,
     value_of,
     value_table,
@@ -521,6 +524,37 @@ def test_semigroup_closed_under_addition():
         gs = build_tower_seq("U", p, c, 4)
         found = set(semigroup(gs, F(3)))
         assert all(a + b in found for a in found for b in found if a + b <= 3)
+
+
+def test_semigroup_is_every_standard_value_in_bound():
+    # against the values of all exponent vectors with 0 <= m_i < n_i
+    for family, p, c, bound in (("Q", 2, None, F(7, 2)), ("U", 3, 2, F(5, 2))):
+        gs = build_tower_seq(family, p, c, 4)
+        lat = gs.ensure_valid()
+        found = set()
+        for tail in product(*(range(n) for n in lat.indices[1:])):
+            v = sum(m * w for m, w in zip(tail, gs.values[1:]))
+            found.update(v + m0 for m0 in range(int(bound - v) + 1) if v + m0 <= bound)
+        assert semigroup(gs, bound) == tuple(sorted(found))
+
+
+def test_expand_and_semigroup_leave_no_cyclic_garbage():
+    # with the collector off, expanding a tower key (the last middle key in
+    # the top chart) and listing a semigroup free everything by reference
+    # counting: nothing is left for the cyclic collector
+    p = 3
+    gs = build_tower_seq("Q", p, None, 5)
+    x, y = Poly2.x(gs.field), Poly2.y(gs.field)
+    key = tower_keys("U", p, x, y**p - Poly2.monomial(gs.field, 2, 1), 5)[-1]
+    gs.ensure_valid()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(expand(key, gs).terms) == 6
+        assert semigroup(gs, F(3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_extension_field_sequence():

@@ -626,6 +626,54 @@ def test_truncated_certificates_equal_exact_certificates(p, m, length):
                 assert cert.t_order == min(delta.x_order(), n), (which, i)
 
 
+# TRUNCATION_CASES hold c = p - 1 at p = 2 and 3, over F_p, F_4 and F_9
+DEGREE_RULE_CASES = [(5, 1, 4, 4)] + [
+    (p, 1, 2 * (p - 1), length) for p, length in ((2, 6), (3, 5), (5, 4))]
+
+
+@pytest.mark.parametrize("p,m,c,length", DEGREE_RULE_CASES)
+def test_certificate_multiplier_is_the_value_ratio(p, m, c, length):
+    # the multiplier read off degrees is value(F) / value(K_i), F the exact
+    # foreign key valued directly, on both links (as in
+    # test_truncated_certificates_equal_exact_certificates)
+    fld = Fq(p, m)
+    t = build_tower(p, c, length, fld)
+    x, y = Poly2.x(fld), Poly2.y(fld)
+    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
+    exact_base = tower_keys("P", p, u_elem, LocalElem(y), length)
+    for which, host, exact in (("mid-in-top", t.seq_top, t.mid_keys_xy),
+                               ("base-in-mid", t.seq_mid, exact_base)):
+        certs = t.certificates(which)
+        assert [cert.mult for cert in certs] == [
+            value_of(key, host) / host.values[i] for i, key in enumerate(exact)], which
+
+
+@pytest.mark.parametrize("p,c,length", [(2, 1, 6), (3, 2, 5), (3, 4, 5)])
+def test_certificates_value_each_nonzero_deviation_once(monkeypatch, p, c, length):
+    # value_of sees the nonzero deviations F - K_i^mult modulo x^N, each
+    # once and in key order, and never a foreign key
+    t = build_tower(p, c, length)
+    calls = []
+
+    def recording(f, gs):
+        calls.append((f, gs))
+        return value_of(f, gs)
+
+    monkeypatch.setattr(towers_module, "value_of", recording)
+    for which, host, foreign, n in (
+            ("mid-in-top", t.seq_top, t.mid_keys_xy, certificate_precision(t.seq_top, p)),
+            ("base-in-mid", t.seq_mid, t.base_keys_xv, t.base_prec)):
+        calls.clear()
+        certs = t.certificates(which)
+        keys = [_as_elem(key).truncate(n) for key in foreign]
+        deltas = [key.__sub__(LocalElem(pow(host.keys[i], cert.mult, n)), n)
+                  for i, (key, cert) in enumerate(zip(keys, certs))]
+        nonzero = [delta.num for delta in deltas if not delta.is_zero()]
+        assert nonzero, which
+        assert [(f.num, gs) for f, gs in calls] == [(num, host) for num in nonzero], which
+        assert not {f.num for f, _ in calls} & {key.num for key in keys}, which
+
+
 @pytest.mark.parametrize("length", [4, 8])
 def test_mid_in_top_deviation_read_as_lower_bound(length):
     # at p = 2 the last middle key's deviation reads N * value(x) or more
