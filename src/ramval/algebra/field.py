@@ -13,6 +13,7 @@ room for ``Fq.capacity`` summed products; the polynomial kernels call
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 
@@ -76,8 +77,44 @@ class _Memo(dict):
         return out
 
 
+def _reducer(high: tuple, shifts: tuple, mask: int, p: int):
+    """``Fq.fold`` without the memo: fold the high slots of a raw product
+    into the low m (``high``, top first), then reduce each slot mod p."""
+
+    def reduce(raw: int):
+        for shift, below, row in high:
+            raw = (raw & below) + (raw >> shift) * row
+        return sum((raw >> s & mask) % p << s for s in shifts)
+
+    return reduce
+
+
+def _indexer(shifts: tuple, p: int):
+    """``Fq.of_index`` without the memo: element number n, 0 <= n < q, the
+    base-p digits of n, low first, as polynomial-basis coefficients (n
+    itself over a prime field)."""
+
+    def index(n: int):
+        return sum(n // p**k % p << s for k, s in enumerate(shifts))
+
+    return index
+
+
+def _power(fold, a, e: int):
+    """a^e for e >= 0 by squaring, each product reduced by ``fold``: the
+    body of ``Fq.pow_`` and, with e = p, of the Frobenius ``Fq.frob``."""
+    result = 1
+    while e:
+        if e & 1:
+            result = fold(result * a)
+        a = fold(a * a)
+        e >>= 1
+    return result
+
+
 class Fq:
-    """Arithmetic context for F_q with q = p^m."""
+    """Arithmetic context for F_q with q = p^m.  ``fold``, ``of_index`` and
+    the p-power Frobenius ``frob`` are memoised bound lookups."""
 
     capacity = CAPACITY
 
@@ -105,9 +142,11 @@ class Fq:
         self._high = tuple(
             (w * k, (1 << w * k) - 1, self._pack(_poly_mod([0] * k + [1], self.modulus, p)))
             for k in range(2 * m - 2, m - 1, -1))
-        self.fold = _Memo(self._reduce).__getitem__
-        self.of_index = _Memo(self._index).__getitem__
-        self._frobenius = _Memo(lambda a: self.pow_(a, p))
+        # the memos close over plain data, never over the field, so a field
+        # and its memos are freed by reference counting
+        self.fold = _Memo(_reducer(self._high, self._shifts, self._mask, p)).__getitem__
+        self.of_index = _Memo(_indexer(self._shifts, p)).__getitem__
+        self.frob = _Memo(partial(_power, self.fold, e=p)).__getitem__
 
     def __repr__(self):
         return f"Fq({self.p})" if self.m == 1 else f"Fq({self.p}, {self.m})"
@@ -128,12 +167,6 @@ class Fq:
         """The polynomial-basis coefficients of an element, low degree first."""
         return [(a >> s) & self._mask for s in self._shifts]
 
-    def _reduce(self, raw: int):
-        """``fold`` without the memo."""
-        for shift, below, row in self._high:
-            raw = (raw & below) + (raw >> shift) * row
-        return self._pack(c % self.p for c in self.coeffs(raw))
-
     def check_capacity(self, n: int) -> None:
         """Raise OverflowError unless a raw slot can hold n summed products."""
         if n > self.capacity:
@@ -143,13 +176,6 @@ class Fq:
 
     def of_int(self, n: int):
         return n % self.p
-
-    def _index(self, n: int):
-        """``of_index`` without the memo: element number n, 0 <= n < q, the
-        base-p digits of n, low first, as polynomial-basis coefficients (n
-        itself over a prime field)."""
-        p = self.p
-        return self._pack(n // p**k % p for k in range(len(self._shifts)))
 
     def elements(self):
         return [self._pack(t) for t in product(range(self.p), repeat=len(self._shifts))]
@@ -176,18 +202,7 @@ class Fq:
     def pow_(self, a, e: int):
         if e < 0:
             return self.pow_(self.inv(a), -e)
-        fold = self.fold
-        result = 1
-        while e:
-            if e & 1:
-                result = fold(result * a)
-            a = fold(a * a)
-            e >>= 1
-        return result
-
-    def frob(self, a):
-        """The p-power Frobenius a -> a^p."""
-        return self._frobenius[a]
+        return _power(self.fold, a, e)
 
     def to_str(self, a) -> str:
         """An element of the prime subfield F_p (one with only its slot 0

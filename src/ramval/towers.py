@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import zip_longest
 
-from .algebra import Fq, LocalElem, Poly2
+from .algebra import Fq, Poly2
 from .genseq import (
     BadParams,
     GenSeq,
@@ -27,11 +27,13 @@ from .genseq import (
     StandardExpansion,
     build_tower_seq,
     expand,
+    times_w_power,
+    tower_key_pairs,
     tower_keys,
     value_of,
     value_table,
 )
-from .transforms import ChartChain, NotApplicable, _as_elem, _bottom_row, _mu_with_certificate
+from .transforms import ChartChain, NotApplicable, _bottom_row, _mu_with_certificate
 from .values import fmt_value, p_adic_split
 
 
@@ -64,11 +66,15 @@ class Tower:
     seq_base: GenSeq  # family P, chart (u, v)
     v_sub: Poly2  # v as an element of the top chart
     mid_keys_xy: list[Poly2]  # middle keys rewritten in (x, y)
-    base_keys_xv: list[LocalElem]  # base keys rewritten in (x, v), modulo x^base_prec
+    # base keys rewritten in (x, v): pairs (N_j, a_j) standing for N_j / w^a_j,
+    # N_j modulo x^base_prec (``tower_key_pairs``)
+    base_keys_xv: list[tuple[Poly2, int]]
+    w: Poly2  # 1 - x^(p-1), the denominator of u = x^p / w
     base_prec: int  # N of ``certificate_precision`` of the middle sequence
     _chains: dict = dc_field(default_factory=dict, repr=False)
     _certs: dict = dc_field(default_factory=dict, repr=False)
     _pushed: dict = dc_field(default_factory=dict, repr=False)
+    _pushed_w: dict = dc_field(default_factory=dict, repr=False)
 
     def chain(self, which: str) -> ChartChain:
         """The chart chain of the top ("S"), middle ("A") or base ("R")
@@ -108,31 +114,46 @@ class Tower:
 
         The composite-order calculus, backed by the comparison certificates,
         predicts the two orders (o, s); the key is pushed modulo x'^(o + 1),
-        which holds the lowest row and nothing above it.  Inconsistent if
-        the truncated key vanishes (its order exceeds o) or its orders differ
-        from the prediction, and for chain "A" if the push reads the base key
-        past x^base_prec, the precision it is known to.  NotApplicable if no
-        exact map reaches level k.  Computed once per (chain, key, level).
+        which holds the lowest row and nothing above it.  A base key
+        N / w^a is pushed as push(N) * push(w)^(-a): a chart map is a ring
+        map, and push(w) is a unit pair.  If push(N) has x-order o_N, the
+        product modulo x'^(o + 1) reads push(w)^(-a) only modulo
+        x'^(o + 1 - o_N), so that is the precision of the unit
+        (``_pushed_w_at``), raised through the truncated Frobenius ``pow``.
+
+        Inconsistent if the truncated key vanishes (its order exceeds o) or
+        its orders differ from the prediction, and for chain "A" if the push
+        reads N past x^base_prec, the precision it is known to.
+        NotApplicable if no exact map reaches level k.  Computed once per
+        (chain, key, level).
         """
         slot = (which, i, k)
         if slot not in self._pushed:
-            foreign, certs, known = {
-                "S": (self.mid_keys_xy, "mid-in-top", None),
-                "A": (self.base_keys_xv, "base-in-mid", self.base_prec),
-            }[which]
             chain = self.chain(which)
-            o, s = _mu_with_certificate(chain.level(k), self.certificates(certs), i)
-            if known is not None:
-                _, read = chain.pull_back(k, o + 1)
-                if read > known:
+            certs = self.certificates("mid-in-top" if which == "S" else "base-in-mid")
+            o, s = _mu_with_certificate(chain.level(k), certs, i)
+            prec = o + 1
+            if which == "S":
+                elem = chain.push_exact(self.mid_keys_xy[i], k, prec)
+            else:
+                _, read = chain.pull_back(k, prec)
+                if read > self.base_prec:
                     raise Inconsistent(
                         f"foreign key {i} of chain {which} pushed into level {k} modulo "
-                        f"x'^{o + 1} is read modulo x^{read}, past the x^{known} it is known to"
+                        f"x'^{prec} is read modulo x^{read}, past the x^{self.base_prec} "
+                        "it is known to"
                     )
-            elem = chain.push_exact(foreign[i], k, o + 1)
+                num, a = self.base_keys_xv[i]
+                elem = chain.push_exact(num, k, prec)
+                if not elem.is_zero():
+                    # push(N) has x-order o_N, so the product modulo x'^prec
+                    # reads the unit modulo x'^(prec - o_N)
+                    unit_prec = prec - elem.x_order()
+                    unit = pow(self._pushed_w_at(k, unit_prec), -a, unit_prec)
+                    elem = elem.__mul__(unit, prec)
             if elem.is_zero():
                 raise Inconsistent(
-                    f"foreign key {i} of chain {which} has no row below x^{o + 1} at "
+                    f"foreign key {i} of chain {which} has no row below x^{prec} at "
                     f"level {k}: its x-order exceeds the predicted {o}"
                 )
             data = _bottom_row(elem)
@@ -143,6 +164,14 @@ class Tower:
                 )
             self._pushed[slot] = data
         return self._pushed[slot]
+
+    def _pushed_w_at(self, k: int, prec: int):
+        """w pushed through the exact maps of chain "A" into level k modulo
+        x'^prec, computed once per level and precision: a push is never
+        reused at another precision."""
+        if (k, prec) not in self._pushed_w:
+            self._pushed_w[(k, prec)] = self.chain("A").push_exact(self.w, k, prec)
+        return self._pushed_w[(k, prec)]
 
     def certificates(self, which: str) -> list[CrossCert]:
         """Cross-chart comparison certificates: "mid-in-top" compares the
@@ -162,6 +191,12 @@ class Tower:
         value(F - K_i^mult) > value(F), so a wrong proposal fails it and
         cannot certify anything.
 
+        A base key is a pair (num, a), F = num / w^a, read through its
+        numerator: w is a unit, of value 0 and x-order 0, so F and num have
+        the same degrees modulo x^N, and the deviation F - K_i^mult has the
+        value and x-order of num - K_i^mult * w^a (``times_w_power``), which
+        is what is valued.  A middle key is the pair (key, 0).
+
         f and f mod x^N differ by x^N * (ring element), of value at least
         N * value(x).  A key's value mult * value(K_i) must be below
         N * value(x); a key that vanishes modulo x^N, or whose value is
@@ -175,20 +210,21 @@ class Tower:
             return self._certs[which]
         host, foreign, prec = {
             "mid-in-top": (
-                self.seq_top, self.mid_keys_xy, certificate_precision(self.seq_top, self.p)
+                self.seq_top, [(key, 0) for key in self.mid_keys_xy],
+                certificate_precision(self.seq_top, self.p),
             ),
             "base-in-mid": (self.seq_mid, self.base_keys_xv, self.base_prec),
         }[which]
         vals = host.values
         certs = []
-        for i, key in enumerate(foreign):
-            f_elem = _as_elem(key).truncate(prec)
-            if f_elem.is_zero():
+        for i, (num, a) in enumerate(foreign):
+            f_num = num.truncate(prec)
+            if f_num.is_zero():
                 raise Inconsistent(f"{which} key {i} vanishes modulo x^{prec} (N = {prec})")
             if i:
-                what, deg_f, deg_k = "deg_y", f_elem.num.deg_y(), host.keys[i].deg_y()
+                what, deg_f, deg_k = "deg_y", f_num.deg_y(), host.keys[i].deg_y()
             else:
-                what, deg_f, deg_k = "x-order", f_elem.x_order(), host.keys[0].x_order()
+                what, deg_f, deg_k = "x-order", f_num.x_order(), host.keys[0].x_order()
             mult, rest = divmod(deg_f, deg_k)
             if rest or mult < 1 or p_adic_split(mult, self.p)[0] != 1:
                 raise Inconsistent(
@@ -201,7 +237,7 @@ class Tower:
                     f"{which} key {i} has value {fmt_value(val_f)} modulo x^{prec}, not below "
                     f"N * value(x) = {fmt_value(prec * vals[0])} (N = {prec})"
                 )
-            delta = f_elem.__sub__(LocalElem(pow(host.keys[i], mult, prec)), prec)
+            delta = f_num.__sub__(times_w_power(pow(host.keys[i], mult, prec), a, prec), prec)
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue
@@ -227,38 +263,43 @@ def certificate_precision(host: GenSeq, p: int) -> int:
     return int(p * host.values[-1] / host.values[0]) + 1
 
 
+# The longest tower, by p, whose `tower` run took about a second or less
+# (fresh processes, 2-vCPU VM, levels = length - 1): the next key took 2-6 s.
+# Past p = 13 a `report` took seconds at every length.
+QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 10, 13: 10}
+
+
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
     """Construct the three validated generating sequences and the glue data.
 
-    The middle keys in the top chart and the base keys in the middle chart
-    come from ``tower_keys``: the U recursion started from (x, v) with
-    v = y^p - x^c y, and the P recursion started from (u, v) with
-    u = x^p / (1 - x^(p-1)).  Substitution is a ring map, so this is the
-    substitution applied to every key.  The base keys are built modulo
-    x^N, N = ``certificate_precision`` of the middle sequence, which is all
-    that their certificates and pushes read.
+    The middle keys in the top chart come from ``tower_keys``: the U
+    recursion started from (x, v) with v = y^p - x^c y.  The base keys in
+    the middle chart come from ``tower_key_pairs``: the P recursion started
+    from u = x^p / w, w = 1 - x^(p-1), as the pair (x^p, 1), and v as (y, 0),
+    so base key j is N_j / w^a_j.  Substitution is a ring map, so this is
+    the substitution applied to every key.  The numerators N_j are built
+    modulo x^N, N = ``certificate_precision`` of the middle sequence, which
+    is all that their certificates and pushes read.
 
     Key degrees grow like p^(2*length).  Truncation bounds the x-degrees of
-    the base keys by N and those of the chain keys past each chain's spine
-    by the precision their checks read, but the three sequences, the middle
-    keys and the chain spines stay exact (the middle keys are read modulo
-    x^N only by their certificates), so p > 5 or length > 10 gets a cost
-    warning.
+    the base numerators by N and those of the chain keys past each chain's
+    spine by the precision their checks read, but the three sequences, the
+    middle keys and the chain spines stay exact (the middle keys are read
+    modulo x^N only by their certificates).  A tower longer than its
+    ``QUIET_LENGTH``, or past p = 13, gets a cost warning.
     """
     if length < 2:
         raise BadParams("length must be >= 2")
     if c < 1 or c % (p - 1) != 0:
         raise BadParams(f"c = {c} must be a positive multiple of p - 1 = {p - 1}")
-    if p > 5 or length > 10:
+    quiet = QUIET_LENGTH.get(p)
+    if quiet is None or length > quiet:
         import warnings
 
-        warnings.warn(
-            f"tower with p = {p}, length = {length}: exact key degrees reach "
-            f"p^(2*length-2) = {p ** (2 * length - 2)}; the sequences, the middle "
-            "keys and the chain spines stay exact, so expect slow certificate, "
-            "identity and parameter-link checks",
-            stacklevel=2,
-        )
+        measured = (f"at p = {p}, towers longer than {quiet} took seconds" if quiet
+                    else "past p = 13, reports took seconds at every length")
+        warnings.warn(f"tower with p = {p}, length = {length}: expect a slow run; {measured}",
+                      stacklevel=2)
     fld = field if field is not None else Fq(p)
     seq_top = build_tower_seq("Q", p, None, length, fld)
     seq_mid = build_tower_seq("U", p, c, length, fld)
@@ -267,11 +308,10 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     x = Poly2.x(fld)
     y = Poly2.y(fld)
     v_sub = y**p - Poly2.monomial(fld, c, 1)
-    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
 
     base_prec = certificate_precision(seq_mid, p)
     mid_keys_xy = tower_keys("U", p, x, v_sub, length)
-    base_keys_xv = tower_keys("P", p, u_elem, LocalElem(y), length, base_prec)
+    base_keys_xv = tower_key_pairs("P", p, (x**p, 1), (y, 0), length, base_prec)
 
     return Tower(
         p=p,
@@ -284,6 +324,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         v_sub=v_sub,
         mid_keys_xy=mid_keys_xy,
         base_keys_xv=base_keys_xv,
+        w=Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0),
         base_prec=base_prec,
     )
 

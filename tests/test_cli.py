@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -295,21 +296,43 @@ def test_table_formats_take_effect(capsys, command):
 
 
 def test_tower_cost_warning_is_one_line(capsys):
-    # p > 5 draws the cost warning: one line, no source path or line number
-    code, out, err = run(capsys, "tower", "--p", "7", "--c", "6", "--levels", "2",
-                         "--length", "4")
+    # a tower past its measured quiet length, or past p = 13, draws the cost
+    # warning: one line, no source path or line number
+    code, out, err = run(capsys, "tower", "--p", "17", "--c", "16", "--levels", "1",
+                         "--length", "2")
     assert code == 0 and out
-    assert err == ("warning: tower with p = 7, length = 4: exact key degrees reach "
-                   "p^(2*length-2) = 117649; the sequences, the middle keys and the "
-                   "chain spines stay exact, so expect slow certificate, identity and "
-                   "parameter-link checks\n")
+    assert err == ("warning: tower with p = 17, length = 2: expect a slow run; past p = 13, "
+                   "reports took seconds at every length\n")
+    code, out, err = run(capsys, "tower", "--p", "2", "--levels", "1", "--length", "14")
+    assert code == 0 and out
+    assert err == ("warning: tower with p = 2, length = 14: expect a slow run; at p = 2, "
+                   "towers longer than 13 took seconds\n")
 
 
 def test_tower_at_length_10_draws_no_cost_warning(capsys):
-    # only the chain spines stay exact, so length 10 at p = 2 or 3 takes
-    # about a second and draws no warning; the warning starts past length 10
+    # the base keys are numerators over powers of w and the chain keys past
+    # the spines are truncated, so length 10 at p = 2, and length 12 at
+    # p = 7, take well under a second and draw no warning
     code, out, err = run(capsys, "tower", "--p", "2", "--levels", "3", "--length", "10")
     assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, "tower", "--p", "7", "--c", "6", "--levels", "1",
+                         "--length", "12")
+    assert (code, err) == (0, "") and out
+
+
+def test_tower_over_f4_leaves_no_cyclic_garbage(capsys):
+    # with the collector off, a second text-format `tower --q 4` frees
+    # everything it made by reference counting, its F_4 and the field's
+    # memos included: nothing is left for the cyclic collector
+    argv = ("tower", "--p", "2", "--c", "1", "--q", "4", "--levels", "3", "--length", "5")
+    assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_report_jobs_rejected(capsys):

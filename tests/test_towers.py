@@ -16,7 +16,7 @@ from ramval.genseq import (
     InvalidSequence,
     StandardExpansion,
     expand,
-    tower_keys,
+    _tower_recursion,
     value_of,
     value_table,
 )
@@ -84,27 +84,50 @@ def test_middle_keys_in_top_chart_first_identities():
 
 def _equal_mod_xpow(a: LocalElem, b: LocalElem, n: int) -> bool:
     """a == b modulo x^n, by cross-multiplication (the denominators are
-    units)."""
-    return not (a.num * b.den - b.num * a.den).truncate(n)
+    units), each product formed modulo x^n."""
+    return not a.num.__mul__(b.den, n).__sub__(b.num.__mul__(a.den, n), n)
 
 
-@pytest.mark.parametrize("p,m,length", [(2, 1, 5), (3, 1, 4), (3, 2, 4), (5, 1, 3)])
+def _base_key_elems(t, prec=None):
+    """The base keys N_j / w^a_j of a tower as pairs, w^a_j modulo x^prec."""
+    return [LocalElem(num, pow(t.w, a, prec)) for num, a in t.base_keys_xv]
+
+
+def _exact_base_keys(p, fld, length):
+    """Reference: the P recursion run exactly on the pairs u = x^p / w and
+    v in the middle chart, with ``LocalElem`` arithmetic."""
+    x, y = Poly2.x(fld), Poly2.y(fld)
+    keys = [LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0)), LocalElem(y)]
+    for j in range(1, length):
+        step = _tower_recursion("P", p, j)
+        keys.append(keys[j] ** step.exponent - keys[0] ** step.x_exp * keys[j - 1])
+    return keys
+
+
+@pytest.mark.parametrize("p,m,length", [(2, 1, 5), (3, 1, 4), (3, 2, 4), (5, 1, 3), (2, 2, 5),
+                                        (7, 1, 3)])
 def test_rewritten_keys_are_substituted_keys(p, m, length):
     # independent oracle for the chart rewrites: substitution is a ring map,
     # so the recursion run from the images of the first two keys must equal
     # every key substituted on its own (Horner for the middle keys, the pair
-    # kernel for the base keys); the base keys are built modulo x^N, so they
-    # are compared modulo x^N
+    # kernel for the base keys); the base numerators are built modulo x^N,
+    # so N_j / w^a_j is compared modulo x^N, and a_j follows the max rule
     fld = Fq(p, m)
     t = build_tower(p, p - 1, length, fld)
     x, y = Poly2.x(fld), Poly2.y(fld)
-    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
+    u_elem = LocalElem(x**p, t.w)
+    assert t.w == Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0)
     assert len(t.mid_keys_xy) == len(t.seq_mid.keys) == length + 1
     for rewritten, key in zip(t.mid_keys_xy, t.seq_mid.keys):
         assert rewritten == key.compose(x, t.v_sub)
     assert len(t.base_keys_xv) == len(t.seq_base.keys) == length + 1
-    for rewritten, key in zip(t.base_keys_xv, t.seq_base.keys):
+    for rewritten, key in zip(_base_key_elems(t), t.seq_base.keys):
         assert _equal_mod_xpow(rewritten, LocalElem(key).compose(u_elem, LocalElem(y)), t.base_prec)
+    exps = [a for _, a in t.base_keys_xv]
+    assert exps[:2] == [1, 0]
+    for j in range(1, length):
+        step = _tower_recursion("P", p, j)
+        assert exps[j + 1] == max(step.exponent * exps[j], step.x_exp + exps[j - 1]), j
 
 
 def test_deviation_j2_exact_shape():
@@ -428,7 +451,7 @@ def test_parameter_links_skip_only_without_exact_maps(monkeypatch):
 @pytest.mark.parametrize("p,c,m", [(2, 1, 1), (3, 2, 1), (3, 2, 2)])
 def test_truncated_pushed_key_matches_exact_push(p, c, m):
     t = build_tower(p, c, 4, Fq(p, m))
-    foreign = {"S": t.mid_keys_xy, "A": t.base_keys_xv}
+    foreign = {"S": t.mid_keys_xy, "A": _base_key_elems(t, t.base_prec)}
     for k in range(1, 5):
         for which, keys in foreign.items():
             # at p = 3, level 4, the exact pushes of keys 3 and 4 run for minutes
@@ -466,11 +489,50 @@ def test_pushed_leading_data_matches_whole_monomial(p, c, q, kmax):
     t = build_tower(p, c, 5, fld)
     for k in range(2, kmax + 1):
         vecs = {"S": t.chain("A").level(k).vecs[:2], "A": t.chain("R").level(k).vecs[:2]}
-        foreign = {"S": t.mid_keys_xy, "A": t.base_keys_xv}
+        foreign = {"S": t.mid_keys_xy, "A": _base_key_elems(t, t.base_prec)}
         for label in ("S", "A"):
             for vec in vecs[label]:
                 assert _pushed_leading_data(t, label, vec, k) == \
                     _whole_monomial_residue(t, label, foreign[label], vec, k)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_split_base_key_push_matches_whole_push(p, m):
+    # chain A pushes base key N / w^a as push(N) * push(w)^(-a); the whole
+    # pair N / (w^a mod x^N) pushed in one piece must give the same lowest
+    # row, and the two elements agree modulo x'^(o + 1), with both factors
+    # of the split taken modulo x'^(o + 1).  At p = 7, level 4, the whole
+    # pushes of keys 4 and 5 take about half a minute each
+    t = build_tower(p, p - 1, 5, Fq(p, m))
+    chain = t.chain("A")
+    for k in range(1, 5):
+        for i, ((num, a), whole_key) in enumerate(zip(t.base_keys_xv,
+                                                      _base_key_elems(t, t.base_prec))):
+            if p == 7 and k == 4 and i > 3:
+                continue
+            data = t.pushed_key("A", i, k)
+            prec = data[0] + 1
+            whole = chain.push_exact(whole_key, k, prec)
+            assert _bottom_row(whole) == data, (k, i)
+            split = chain.push_exact(num, k, prec) * pow(chain.push_exact(t.w, k, prec), -a, prec)
+            assert _equal_mod_xpow(split, whole, prec), (k, i)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+def test_pushed_key_independent_of_request_order(p, m):
+    # push(w) is kept per level and precision: asking for the keys of a
+    # level in reverse order gives the same data as asking in key order, and
+    # every kept push is w pushed at exactly the precision it is kept under
+    t = build_tower(p, p - 1, 5, Fq(p, m))
+    forward, backward = (dataclasses.replace(t, _pushed={}, _pushed_w={}) for _ in range(2))
+    n = len(t.base_keys_xv)
+    for k in range(1, 5):
+        got = [forward.pushed_key("A", i, k) for i in range(n)]
+        assert [backward.pushed_key("A", i, k) for i in reversed(range(n))] == got[::-1], k
+    assert forward._pushed_w.keys() == backward._pushed_w.keys()
+    for (k, prec), unit in backward._pushed_w.items():
+        want = t.chain("A").push_exact(t.w, k, prec)
+        assert (unit.num.terms, unit.den.terms) == (want.num.terms, want.den.terms), (k, prec)
 
 
 def test_pushed_leading_data_combines_key_data():
@@ -578,23 +640,21 @@ def _truncation_case(p, m, length):
     """A tower with its base keys modulo x^N, and the base keys built by the
     exact recursion."""
     fld = Fq(p, m)
-    t = build_tower(p, p - 1, length, fld)
-    x, y = Poly2.x(fld), Poly2.y(fld)
-    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
-    return t, tower_keys("P", p, u_elem, LocalElem(y), length)
+    return build_tower(p, p - 1, length, fld), _exact_base_keys(p, fld, length)
 
 
 def _with_base_keys(t, keys):
     """A copy of the tower with other base keys and no cached results."""
-    return dataclasses.replace(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={})
+    return dataclasses.replace(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={},
+                               _pushed_w={})
 
 
 @pytest.mark.parametrize("p,m,length", TRUNCATION_CASES)
 def test_truncated_base_keys_equal_exact_keys_mod_xN(p, m, length):
     t, exact = _truncation_case(p, m, length)
     assert len(t.base_keys_xv) == len(exact)
-    for i, (key, ex) in enumerate(zip(t.base_keys_xv, exact)):
-        assert max(e[0] for e in key.num.terms) < t.base_prec, i
+    for i, ((num, _), key, ex) in enumerate(zip(t.base_keys_xv, _base_key_elems(t), exact)):
+        assert max(e[0] for e in num.terms) < t.base_prec, i
         assert _equal_mod_xpow(key, ex, t.base_prec), i
 
 
@@ -638,9 +698,7 @@ def test_certificate_multiplier_is_the_value_ratio(p, m, c, length):
     # test_truncated_certificates_equal_exact_certificates)
     fld = Fq(p, m)
     t = build_tower(p, c, length, fld)
-    x, y = Poly2.x(fld), Poly2.y(fld)
-    u_elem = LocalElem(x**p, Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0))
-    exact_base = tower_keys("P", p, u_elem, LocalElem(y), length)
+    exact_base = _exact_base_keys(p, fld, length)
     for which, host, exact in (("mid-in-top", t.seq_top, t.mid_keys_xy),
                                ("base-in-mid", t.seq_mid, exact_base)):
         certs = t.certificates(which)
@@ -661,17 +719,19 @@ def test_certificates_value_each_nonzero_deviation_once(monkeypatch, p, c, lengt
 
     monkeypatch.setattr(towers_module, "value_of", recording)
     for which, host, foreign, n in (
-            ("mid-in-top", t.seq_top, t.mid_keys_xy, certificate_precision(t.seq_top, p)),
+            ("mid-in-top", t.seq_top, [(key, 0) for key in t.mid_keys_xy],
+             certificate_precision(t.seq_top, p)),
             ("base-in-mid", t.seq_mid, t.base_keys_xv, t.base_prec)):
         calls.clear()
         certs = t.certificates(which)
-        keys = [_as_elem(key).truncate(n) for key in foreign]
-        deltas = [key.__sub__(LocalElem(pow(host.keys[i], cert.mult, n)), n)
-                  for i, (key, cert) in enumerate(zip(keys, certs))]
-        nonzero = [delta.num for delta in deltas if not delta.is_zero()]
+        # F = num / w^a, so F - K_i^mult has the value of num - K_i^mult * w^a
+        nums = [num.truncate(n) for num, _ in foreign]
+        deltas = [nums[i] - (pow(host.keys[i], cert.mult, n) * pow(t.w, a, n)).truncate(n)
+                  for i, ((_, a), cert) in enumerate(zip(foreign, certs))]
+        nonzero = [delta for delta in deltas if not delta.is_zero()]
         assert nonzero, which
-        assert [(f.num, gs) for f, gs in calls] == [(num, host) for num in nonzero], which
-        assert not {f.num for f, _ in calls} & {key.num for key in keys}, which
+        assert calls == [(delta, host) for delta in nonzero], which
+        assert not {f for f, _ in calls} & set(nums), which
 
 
 @pytest.mark.parametrize("length", [4, 8])
@@ -707,8 +767,8 @@ def test_certificate_precision_is_minimal(p, c, length):
 def test_base_key_terms_from_xN_on_change_no_certificate(p, length):
     t, _ = _truncation_case(p, 1, length)
     n = t.base_prec
-    tail = LocalElem(Poly2(t.field, {(n, 0): 1, (n + 3, p): 1, (2 * n, 1): 1}))
-    tampered = _with_base_keys(t, [key + tail for key in t.base_keys_xv])
+    tail = Poly2(t.field, {(n, 0): 1, (n + 3, p): 1, (2 * n, 1): 1})
+    tampered = _with_base_keys(t, [(num + tail, a) for num, a in t.base_keys_xv])
     assert tampered.certificates("base-in-mid") == t.certificates("base-in-mid")
 
 
@@ -721,8 +781,10 @@ def test_base_key_term_below_deviation_order_is_seen(p, length):
     for i, cert in enumerate(certs):
         if cert.t_order < 1:
             continue
+        # N + x^(t-1) is N / w^a + x^(t-1) / w^a, and w^a is a unit
         keys = list(t.base_keys_xv)
-        keys[i] = keys[i] + LocalElem(Poly2.monomial(t.field, cert.t_order - 1, 0))
+        num, a = keys[i]
+        keys[i] = (num + Poly2.monomial(t.field, cert.t_order - 1, 0), a)
         try:
             got = _with_base_keys(t, keys).certificates("base-in-mid")[i]
         except Inconsistent:
@@ -762,7 +824,7 @@ def test_pushed_key_rejects_a_read_past_base_precision():
     o, _, _ = t.pushed_key("A", 2, 3)
     _, read = chain.pull_back(3, o + 1)
     for n, ok in ((read, True), (read - 1, False)):
-        t2 = dataclasses.replace(t, base_prec=n, _pushed={})
+        t2 = dataclasses.replace(t, base_prec=n, _pushed={}, _pushed_w={})
         if ok:
             assert t2.pushed_key("A", 2, 3) == t.pushed_key("A", 2, 3)
         else:

@@ -534,16 +534,18 @@ def test_chain_pushforward_matches_order_calculus_base_side():
         ch_a = tower.chain("A")
         ch_s = tower.chain("S")
         rep = run_tower_ladder(tower, kmax)
+        base_in_mid = [LocalElem(num, pow(tower.w, a, tower.base_prec))
+                       for num, a in tower.base_keys_xv]
         base_in_top = [
             k.compose(LocalElem(Poly2.x(tower.field)), LocalElem(tower.v_sub))
-            for k in tower.base_keys_xv
+            for k in base_in_mid
         ]
         for k in range(1, kmax + 1):
             lvl_r = tower.chain("R").level(k)
             row = next(r for r in rep if r.level == k and r.extension == "A/R")
-            assert _mu_exact_of_vector(tower.base_keys_xv, lvl_r.vecs[0], ch_a, k) == (
+            assert _mu_exact_of_vector(base_in_mid, lvl_r.vecs[0], ch_a, k) == (
                 row.form.a, 0)
-            assert _mu_exact_of_vector(tower.base_keys_xv, lvl_r.vecs[1], ch_a, k) == (
+            assert _mu_exact_of_vector(base_in_mid, lvl_r.vecs[1], ch_a, k) == (
                 row.form.b, row.form.d)
             row_t = next(r for r in rep if r.level == k and r.extension == "S/R")
             assert _mu_exact_of_vector(base_in_top, lvl_r.vecs[0], ch_s, k) == (
