@@ -264,7 +264,7 @@ def certificate_precision(host: GenSeq, p: int) -> int:
 
 
 # The longest tower, by p, whose `tower` run took about a second or less
-# (fresh processes, 2-vCPU VM, levels = length - 1): the next key took 2-6 s.
+# (fresh processes, 2-vCPU VM, levels = length - 1); one key more took 2-12 s.
 # Past p = 13 a `report` took seconds at every length.
 QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 10, 13: 10}
 
