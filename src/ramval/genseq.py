@@ -269,12 +269,11 @@ def tower_key_pairs(family: str, p: int, key0: tuple[Poly2, int], key1: tuple[Po
     return keys
 
 
-def tower_keys(family: str, p: int, key0: Poly2, key1: Poly2, length: int,
-               prec: int | None = None) -> list[Poly2]:
+def tower_keys(family: str, p: int, key0: Poly2, key1: Poly2, length: int) -> list[Poly2]:
     """The polynomial keys of ``tower_key_pairs`` started from (key0, key1):
     (x, y) gives a family's own keys, and (x, v(x, y)) the middle keys
     rewritten in the top chart."""
-    return [num for num, _ in tower_key_pairs(family, p, (key0, 0), (key1, 0), length, prec)]
+    return [num for num, _ in tower_key_pairs(family, p, (key0, 0), (key1, 0), length)]
 
 
 def build_tower_seq(

@@ -2,8 +2,11 @@
 
 The base chart has parameters (u, v), the top chart (x, y), and the middle
 chart (x, v), glued by u = x^p / (1 - x^(p-1)) and v = y^p - x^c y with
-(p - 1) | c.  Each chart carries its own generating sequence (families P, U,
-Q); the suite verifies the explicit identities tying them together:
+(p - 1) | c.  Each chart carries a generating sequence: family Q in the top
+chart, U in the middle one and P in the base one.  P and Q share their
+recursion, so the base sequence is the top one under the base chart's
+names, and the two share one chart chain.  The suite verifies the explicit
+identities tying the charts together:
 
 * deviation identities: the middle keys, rewritten in (x, y), differ from
   (powers of) the top keys by an explicitly bounded x-multiple;
@@ -17,10 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import zip_longest
 
 from .algebra import Fq, Poly2
 from .genseq import (
+    FAMILY_CHARTS,
     BadParams,
     GenSeq,
     Inconsistent,
@@ -63,7 +66,7 @@ class Tower:
     length: int
     seq_top: GenSeq  # family Q, chart (x, y)
     seq_mid: GenSeq  # family U, chart (x, v)
-    seq_base: GenSeq  # family P, chart (u, v)
+    seq_base: GenSeq  # family P, chart (u, v): seq_top renamed
     v_sub: Poly2  # v as an element of the top chart
     mid_keys_xy: list[Poly2]  # middle keys rewritten in (x, y)
     # base keys rewritten in (x, v): pairs (N_j, a_j) standing for N_j / w^a_j,
@@ -78,33 +81,12 @@ class Tower:
 
     def chain(self, which: str) -> ChartChain:
         """The chart chain of the top ("S"), middle ("A") or base ("R")
-        sequence, built once.
-
-        Families P and Q share their recursion and first keys, so the base
-        and top sequences differ only in chart names, and so would their
-        chains, level by level.  Chain R is therefore chain S, after a check
-        on first use that the two sequences agree in field, keys and values.
-        """
+        sequence, built once.  The base sequence is the top one renamed
+        (``build_tower``), so chain R is chain S."""
+        which = "S" if which == "R" else which
         if which not in self._chains:
-            if which == "R":
-                self._check_base_is_top()
-                self._chains["R"] = self.chain("S")
-            else:
-                seqs = {"S": self.seq_top, "A": self.seq_mid}
-                self._chains[which] = ChartChain(seqs[which])
+            self._chains[which] = ChartChain({"S": self.seq_top, "A": self.seq_mid}[which])
         return self._chains[which]
-
-    def _check_base_is_top(self):
-        """Inconsistent, naming the first difference, unless the base and
-        top sequences agree in field, keys and values."""
-        base, top = self.seq_base, self.seq_top
-        items = [("field", base.field, top.field)]
-        for name in ("key", "value"):
-            pairs = zip_longest(getattr(base, name + "s"), getattr(top, name + "s"))
-            items += ((f"{name} {i}", b, t) for i, (b, t) in enumerate(pairs))
-        diff = next((what for what, b, t in items if b != t), None)
-        if diff is not None:
-            raise Inconsistent(f"base {diff} differs from top {diff}; chain R cannot share chain S")
 
     def pushed_key(self, which: str, i: int, k: int) -> tuple[int, int, object]:
         """Leading data of foreign key i pushed through the exact maps of
@@ -270,8 +252,10 @@ QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 10, 13: 10}
 
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
-    """Construct the three validated generating sequences and the glue data.
+    """Construct the three generating sequences and the glue data.
 
+    The base sequence is the top one renamed: the same field, keys and
+    values (in lists of its own), with the names and label of the base chart.
     The middle keys in the top chart come from ``tower_keys``: the U
     recursion started from (x, v) with v = y^p - x^c y.  The base keys in
     the middle chart come from ``tower_key_pairs``: the P recursion started
@@ -303,7 +287,8 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     fld = field if field is not None else Fq(p)
     seq_top = build_tower_seq("Q", p, None, length, fld)
     seq_mid = build_tower_seq("U", p, c, length, fld)
-    seq_base = build_tower_seq("P", p, None, length, fld)
+    seq_base = GenSeq(fld, list(seq_top.keys), list(seq_top.values), FAMILY_CHARTS["P"],
+                      f"P(p={p},N={length})")
 
     x = Poly2.x(fld)
     y = Poly2.y(fld)

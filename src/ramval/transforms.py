@@ -377,10 +377,10 @@ def validate_chart_seq(level: ChainLevel) -> None:
 class ChartChain:
     """Iterated composite transforms of one generating sequence.
 
-    Each level's values, indices and degrees are computed once, in
-    ``extend``; the exponent-vector and composite-order bookkeeping is exact
-    at every level.  Keys are carried at the levels 1..K that exact chart
-    maps reach, and each at the precision its readers need.
+    Each level's values, indices and degrees are computed once, by
+    ``_next_orders``; the exponent-vector and composite-order bookkeeping is
+    exact at every level.  Keys are carried at the levels 1..K that exact
+    chart maps reach, and each at the precision its readers need.
 
     The spine stays exact: key 0 and every key j of level k with
     k + j - 1 <= K, that is, each key that becomes a first key by level K.
@@ -398,7 +398,8 @@ class ChartChain:
         lat = base.ensure_valid()
         self.base = base
         self.exact = exact
-        self._walked = None  # levels 2..K, from ``_walk_spine``
+        self._top = None  # K, from ``_walk_spine``
+        self._orders = {}  # k -> the level after level k, from ``_next_orders``
         nbase = len(base.keys)
         ident = [tuple(1 if t == i else 0 for t in range(nbase)) for i in range(nbase)]
         r = base.field.one
@@ -498,10 +499,10 @@ class ChartChain:
             _relation_exponent(nl, j)
         return nl
 
-    def _walk_spine(self) -> list[ChainLevel]:
-        """Levels 2..K, K the last level an exact chart map reaches, each
-        with its order data, the chart map into it, its spine keys (exact)
-        and the precision of every key; computed on first use.
+    def _walk_spine(self) -> int:
+        """K, the last level an exact chart map reaches, computed on first
+        use with levels 2..K: each with the chart map into it, its spine
+        keys (exact) and the precision of every key.
 
         Level t's first key is base key t pushed through the maps into
         levels 2..t, and the map out of level t is built from it.  So the
@@ -509,15 +510,16 @@ class ChartChain:
         the maps it has, each image the spine key of its level, and stops at
         the first level with no exact map out of it (NotApplicable), or with
         key 0 alone.  The precisions then follow backward from level K (see
-        the class docstring)."""
-        if self._walked is not None:
-            return self._walked
+        the class docstring).  ``extend`` reads the order data of each level
+        the walk reached from ``_orders``."""
+        if self._top is not None:
+            return self._top
         first = self.levels[0]
         lvls = [first]
         while True:
             cur = lvls[-1]
             try:
-                nl = self._next_orders(cur)
+                nl = self._orders[cur.k] = self._next_orders(cur)
                 nl.map_from_prev = _chart_map(cur)
             except NotApplicable:
                 break
@@ -529,7 +531,7 @@ class ChartChain:
                 for k in range(1, t):  # key t - k + 1 of level k -> key t - k of level k + 1
                     prev, lvl = lvls[k - 1], lvls[k]
                     lvl.keys.append(_shifted_key(lvl.map_from_prev, prev, t - k + 1, None))
-        top = len(lvls)  # K
+        top = self._top = len(lvls)  # K
         for k in range(top, 1, -1):
             lvl = lvls[k - 1]
             lvl.precs = []
@@ -541,26 +543,23 @@ class ChartChain:
                 else:
                     pushed = lvl.degrees[j] + lvls[k].precs[j - 1]
                     lvl.precs.append(max(read, -(-pushed // lvl.indices[1])))
-        self._walked = lvls[1:]
-        return self._walked
+        return top
 
     def extend(self):
         """Append the next level.  Its values, indices and degrees come from
-        the composite-order calculus and are checked at every level:
-        positive values, degrees equal to the index products, growth
-        v_{i+1} > n_i * v_i and integral relation exponents a_j >= 0
-        (Inconsistent otherwise).  The levels that exact maps reach come
-        from ``_walk_spine`` with their chart maps and spine keys; here they
-        get their other keys (``composite_transform``), and
-        ``validate_chart_seq`` checks them."""
+        the composite-order calculus (``_next_orders``, once per level) and
+        are checked at every level: positive values, degrees equal to the
+        index products, growth v_{i+1} > n_i * v_i and integral relation
+        exponents a_j >= 0 (Inconsistent otherwise).  The levels 2..K that
+        exact maps reach have their chart maps and spine keys from
+        ``_walk_spine``; here they get their other keys
+        (``composite_transform``), and ``validate_chart_seq`` checks them."""
         cur = self.levels[-1]
-        walked = self._walk_spine()
-        if cur.k <= len(walked):
-            nl = walked[cur.k - 1]
+        top = self._walk_spine()
+        nl = self._orders.get(cur.k) or self._next_orders(cur)
+        if nl.k <= top:
             composite_transform(cur, nl)
             validate_chart_seq(nl)
-        else:
-            nl = self._next_orders(cur)
         # cross-check: the two bookkeeping directions must be mutually inverse
         for j, vec in enumerate(nl.vecs):
             expected = (1, 0) if j == 0 else (0, nl.degrees[j])

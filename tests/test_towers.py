@@ -17,6 +17,7 @@ from ramval.genseq import (
     StandardExpansion,
     expand,
     _tower_recursion,
+    build_tower_seq,
     value_of,
     value_table,
 )
@@ -568,6 +569,58 @@ def test_certificates_multipliers_alternate():
 # -- the shared base/top chain ----------------------------------------------------
 
 
+@pytest.mark.parametrize("p,q", [(2, None), (3, None), (5, None), (7, None), (2, 4), (3, 9)])
+def test_base_and_top_families_build_the_same_sequence(p, q):
+    # families P and Q share their recursion, which is what lets the tower
+    # rename the top sequence into the base one
+    fld = Fq(p) if q is None else Fq(p, 2)
+    for length in range(2, 9):
+        base = build_tower_seq("P", p, None, length, fld)
+        top = build_tower_seq("Q", p, None, length, fld)
+        assert (base.field, base.keys, base.values) == (top.field, top.keys, top.values), length
+
+
+@pytest.mark.parametrize("p,c,q", [(2, 1, None), (3, 2, None), (3, 2, 9)])
+def test_base_sequence_is_top_sequence_renamed(p, c, q):
+    fld = Fq(p) if q is None else Fq(p, 2)
+    t = build_tower(p, c, 5, fld)
+    built = build_tower_seq("P", p, None, 5, fld)
+    assert t.seq_base == built  # field, keys, values, chart and label
+    # the keys and values are lists of their own
+    t.seq_base.keys.append(t.seq_base.keys[-1])
+    t.seq_base.values[2] += 1
+    assert (len(t.seq_top.keys), t.seq_top.values) == (6, built.values)
+
+
+def test_tower_builds_each_sequence_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return build_tower_seq(*args, **kwargs)
+
+    monkeypatch.setattr(towers_module, "build_tower_seq", counted)
+    build_tower(2, 1, 5)
+    assert calls == ["Q", "U"]
+
+
+def test_chain_computes_each_level_once(monkeypatch, capsys):
+    # one composite-order computation per level per chain: levels 2..7 of
+    # chains S and A (chain R is chain S)
+    levels = []
+    next_orders = ChartChain._next_orders
+
+    def counted(self, cur):
+        levels.append((self.base.label, cur.k + 1))
+        return next_orders(self, cur)
+
+    monkeypatch.setattr(ChartChain, "_next_orders", counted)
+    assert main(["tower", "--p", "2", "--c", "1", "--levels", "7", "--length", "8"]) == 0
+    capsys.readouterr()
+    assert len(levels) == len(set(levels)) == 12
+    assert sorted(k for _, k in levels) == sorted(list(range(2, 8)) * 2)
+
+
 def test_base_chain_is_top_chain():
     for first in "RS":
         t = build_tower(2, 1, 5)
@@ -580,7 +633,7 @@ def test_shared_chain_matches_separate_base_chain(p, c):
     # a chain built from the base sequence alone has the levels, keys and
     # maps of the shared chain (only the labels and chart names differ)
     t = build_tower(p, c, 6)
-    shared, separate = t.chain("R"), ChartChain(t.seq_base)
+    shared, separate = t.chain("R"), ChartChain(build_tower_seq("P", p, None, 6))
 
     def pair(e):
         return e.num, e.den
@@ -598,35 +651,6 @@ def test_shared_chain_matches_separate_base_chain(p, c):
                 (mb.n, mb.residue, pair(mb.phi_x), pair(mb.phi_y)), k
         else:
             assert b.map_from_prev is None, k
-
-
-def test_shared_chain_requires_equal_sequences():
-    t = build_tower(2, 1, 5)
-    t.seq_base.values[2] += 1
-    with pytest.raises(Inconsistent, match="base value 2 differs from top value 2"):
-        t.chain("R")
-    t = build_tower(2, 1, 5)
-    t.seq_base.keys.append(t.seq_base.keys[-1])
-    with pytest.raises(Inconsistent, match="base key 6 differs from top key 6"):
-        t.chain("R")
-    t = build_tower(2, 1, 5)
-    t.seq_base.field = Fq(2, 2)
-    with pytest.raises(Inconsistent, match="base field differs from top field"):
-        t.chain("R")
-
-
-def test_tower_exits_1_when_base_key_differs(capsys, monkeypatch):
-    def tampered(*args, **kwargs):
-        t = build_tower(*args, **kwargs)
-        t.seq_base.keys[3] = t.seq_base.keys[3] + Poly2.monomial(t.field, 40, 0)
-        return t
-
-    monkeypatch.setattr(towers_module, "build_tower", tampered)
-    assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert ("verification failed: base key 3 differs from top key 3; "
-            "chain R cannot share chain S") in captured.err
 
 
 # -- base keys and base-in-mid certificates modulo x^N ---------------------------
