@@ -9,7 +9,7 @@ kernel, on the numerator and on the denominator.
 from __future__ import annotations
 
 from .field import Fq
-from .poly import Poly2, _degrees, _times_power
+from .poly import Poly2, _degrees
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -108,8 +108,8 @@ class LocalElem:
         num = self.num.compose(xn, yn, xd, yd, prec)
         den = self.den.compose(xn, yn, xd, yd, prec)
         (nx, ny), (dx, dy) = _degrees(self.num), _degrees(self.den)
-        num = _times_power(_times_power(num, xd, max(dx - nx, 0), prec), yd, max(dy - ny, 0), prec)
-        den = _times_power(_times_power(den, xd, max(nx - dx, 0), prec), yd, max(ny - dy, 0), prec)
+        num = num.times_pow(xd, max(dx - nx, 0), prec).times_pow(yd, max(dy - ny, 0), prec)
+        den = den.times_pow(xd, max(nx - dx, 0), prec).times_pow(yd, max(ny - dy, 0), prec)
         # the constructor rejects a non-unit denominator image
         return LocalElem(num, den)
 

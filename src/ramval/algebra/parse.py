@@ -1,8 +1,8 @@
 """Text grammar for polynomials: terms `c*x^i*y^j` joined by `+`/`-`.
 
-Coefficients are integers reduced mod p.  Variables are x and y; the aliases
-u and v are accepted and mapped by chart context (u -> x-slot, v -> y-slot in
-the base chart; v -> y-slot in the middle chart).
+Coefficients are integers reduced mod p.  The two variables are named by the
+chart: (x, y) in the top chart by default, (u, v) in the base chart and (x, v)
+in the middle one; the first name is the x-slot, the second the y-slot.
 """
 
 from __future__ import annotations
@@ -21,12 +21,10 @@ class ParseError(ValueError):
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([a-zA-Z])|(\^)|(\*)|(\+)|(-))")
 
-# variable aliases -> abstract slot
-_SLOTS = {"x": 0, "y": 1, "u": 0, "v": 1}
 
-
-def parse_poly(text: str, field: Fq) -> Poly2:
-    """Parse a polynomial in the two chart variables over F_q."""
+def parse_poly(text: str, field: Fq, names: tuple[str, str] = ("x", "y")) -> Poly2:
+    """Parse a polynomial over F_q in the two chart variables ``names``; any
+    other variable is a ParseError."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -68,9 +66,10 @@ def parse_poly(text: str, field: Fq) -> Poly2:
                 idx += 1
                 saw_factor = True
             elif kind == 1:  # variable
-                if val not in _SLOTS:
-                    raise ParseError(f"unknown variable {val!r}", tpos)
-                slot = _SLOTS[val]
+                if val not in names:
+                    raise ParseError(f"unknown variable {val!r}, expected {' or '.join(names)}",
+                                     tpos)
+                slot = names.index(val)
                 e = 1
                 idx += 1
                 if idx < len(tokens) and tokens[idx][0] == 2:  # ^

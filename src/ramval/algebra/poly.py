@@ -5,9 +5,11 @@ A Poly2 is a dict mapping exponent pairs (i, j) -> nonzero coefficient,
 charts rename them for display (u/v in the base chart, x/v in the middle
 chart).
 
-Powers decompose into base-p digits so that p-power exponents reduce to
-Frobenius (coefficient-wise p-th power plus exponent scaling), which keeps
-the tower polynomials sparse in characteristic p.
+Powers have one kernel, ``times_pow``: f * g^e reads e in base p, and the
+p^i-th power of g is its i-th Frobenius twist (coefficient-wise p-th power
+plus exponent scaling), so each unit of digit i is one product with that
+twist.  This keeps the tower polynomials sparse in characteristic p, and a
+two-term g stays two terms; ``**`` is ``times_pow`` applied to 1.
 
 Coefficients are the packed ints of ``Fq``, so the integer product of two
 coefficients is their unreduced convolution.  Products, substitutions and
@@ -23,7 +25,7 @@ of terms) are skipped, never stepped through.
 Substitution has one kernel, ``compose``, which works on y-rows as well: one
 x-image per x-exponent, one product per row with its y-image.  It takes
 optional denominators for the two substituted variables and clears them
-with powers, spending no product on a denominator that is exactly 1, so
+with ``times_pow``, spending no product on a denominator that is exactly 1, so
 polynomial substitutions and the numerator / denominator pairs of
 ``LocalElem.compose`` run the same code.
 """
@@ -60,14 +62,6 @@ def _rows(terms: dict) -> dict:
 def _degrees(poly: "Poly2") -> tuple[int, int]:
     """(x-degree, y-degree) of a polynomial, (0, 0) for zero."""
     return max((i for i, _ in poly.terms), default=0), max((j for _, j in poly.terms), default=0)
-
-
-def _times_power(f: "Poly2", den: "Poly2 | None", e: int, prec: int | None = None) -> "Poly2":
-    """f * den^e, modulo x^prec when ``prec`` is given; no product is formed
-    when f is zero, e is 0, or den is None or exactly 1."""
-    if not f or not e or den is None or den.terms == {(0, 0): den.field.one}:
-        return f
-    return f.__mul__(pow(den, e, prec), prec)
 
 
 class Poly2:
@@ -220,35 +214,40 @@ class Poly2:
             return self
         return Poly2(self.field, {e: c for e, c in self.terms.items() if e[0] < prec})
 
-    def __pow__(self, e: int, prec: int | None = None) -> "Poly2":
-        """self^e; ``pow(f, e, K)`` is f^e modulo x^K, with every Frobenius
-        twist and product truncated."""
+    def times_pow(self, base: "Poly2", e: int, prec: int | None = None) -> "Poly2":
+        """self * base^e; with ``prec``, modulo x^prec for self given modulo
+        x^prec (every caller passes a result computed at ``prec``), with every
+        Frobenius twist and product truncated.
+
+        Digit d_i of e in base p costs d_i products with the twist
+        base^(p^i), formed from the previous one by ``frobenius``.  The loop
+        stops once the product vanishes or a twist is 1 modulo x^prec, so
+        w = 1 - x^(p-1), whose twists 1 - x^((p-1) p^i) have two terms,
+        costs one two-term product per unit of each digit below the first i
+        with (p-1) p^i >= prec.  For e = 0, or a base that is 1 modulo x^prec,
+        no product and no copy is formed and self is returned; the result is
+        0 at once when e * x-order(base) >= prec."""
         if e < 0:
             raise ArithmeticError("negative polynomial power")
         fld = self.field
-        if e == 0:
-            return Poly2.one(fld).truncate(prec)
-        base = self.truncate(prec)
-        if not base or prec is not None and e * base.x_order() >= prec:
+        one = {(0, 0): fld.one}
+        if not e or base.terms == one:
+            return self
+        twist = base.truncate(prec)
+        if not twist or prec is not None and e * twist.x_order() >= prec:
             return Poly2(fld)
-        # base-p digits: p-power parts are Frobenius twists.
-        p = fld.p
-        digits = []
-        n = e
-        while n:
-            digits.append(n % p)
-            n //= p
-        result = Poly2.one(fld)
-        frob_pow = base
-        for k, d in enumerate(digits):
-            if d:
-                piece = frob_pow
-                for _ in range(d - 1):
-                    piece = piece.__mul__(frob_pow, prec)
-                result = result.__mul__(piece, prec)
-            if k < len(digits) - 1:
-                frob_pow = frob_pow.frobenius().truncate(prec)
-        return result
+        p, out = fld.p, self
+        while e and out and twist.terms != one:
+            e, d = divmod(e, p)
+            for _ in range(d):
+                out = out.__mul__(twist, prec)
+            if e:
+                twist = twist.frobenius().truncate(prec)
+        return out
+
+    def __pow__(self, e: int, prec: int | None = None) -> "Poly2":
+        """self^e; ``pow(f, e, K)`` is f^e modulo x^K (``times_pow``)."""
+        return Poly2.one(self.field).truncate(prec).times_pow(self, e, prec)
 
     # -- orders and restrictions --------------------------------------------
 
@@ -363,16 +362,19 @@ class Poly2:
         accumulator.  With ``prec``, a row whose x-part starts at x^o takes
         its y-image modulo x^(prec - o), and an image that vanishes drops
         its terms or its row.  A denominator that is None or exactly 1
-        costs no product."""
+        costs no product (``times_pow``)."""
         fld = self.field
         if not self.terms:
             return Poly2(fld)
         dx, dy = _degrees(self)
+        one = Poly2.one(fld)
+        x_den = one if x_den is None else x_den
+        y_den = one if y_den is None else y_den
         x_images: dict = {}
 
         def x_image(i):
             if i not in x_images:
-                x_images[i] = _times_power(pow(sub_x, i, prec), x_den, dx - i, prec)
+                x_images[i] = pow(sub_x, i, prec).times_pow(x_den, dx - i, prec)
             return x_images[i]
 
         def rows():
@@ -381,7 +383,7 @@ class Poly2:
                 if not x_part:
                     continue
                 y_prec = None if prec is None else prec - x_part.x_order()
-                y_image = _times_power(pow(sub_y, j, y_prec), y_den, dy - j, y_prec)
+                y_image = pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec)
                 if y_image:
                     yield fld.one, x_part.__mul__(y_image, prec)
 

@@ -80,7 +80,7 @@ def _build_seq(args):
 
 def cmd_value(args) -> int:
     seq = _build_seq(args)
-    f = parse_poly(args.poly, seq.field)
+    f = parse_poly(args.poly, seq.field, seq.chart)
     exp = expand(f, seq)
     val, exps = exp.minimal_term()
     print(f"value = {fmt_value(val)}")

@@ -85,9 +85,6 @@ class GenSeq:
     label: str = ""
     _lattice: Lattice | None = dc_field(default=None, repr=False, compare=False)
 
-    def __len__(self) -> int:
-        return len(self.keys)
-
     @property
     def top(self) -> int:
         return len(self.keys) - 1
@@ -226,37 +223,29 @@ def _tower_recursion(family: str, p: int, j: int) -> RecursionStep:
     return RecursionStep(p**3, p ** (2 * j - 1))
 
 
-def times_w_power(f: Poly2, k: int, prec: int | None = None) -> Poly2:
-    """f * w^k modulo x^prec, w = 1 - x^(p-1) over a field of characteristic
-    p.  There w^(p^i) = 1 - x^((p-1) p^i), so each unit of each base-p digit
-    of k is one two-term product; once (p-1) p^i >= prec, w^(p^i) is 1
-    modulo x^prec and the higher digits are skipped."""
-    p = f.field.p
-    step = p - 1
-    while k and (prec is None or step < prec):
-        k, digit = divmod(k, p)
-        for _ in range(digit):
-            f = f.__sub__(f.shift(step), prec)
-        step *= p
-    return f
+def glue_unit(field: Fq) -> Poly2:
+    """w = 1 - x^(p-1), the denominator of the tower's glue u = x^p / w."""
+    return Poly2.one(field) - Poly2.monomial(field, field.p - 1, 0)
 
 
 def tower_key_pairs(family: str, p: int, key0: tuple[Poly2, int], key1: tuple[Poly2, int],
                     length: int, prec: int | None = None) -> list[tuple[Poly2, int]]:
     """key_0, key_1 and key_{j+1} = key_j^e - key_0^E * key_{j-1} for
     j = 1..length-1, with (e, E) from ``_tower_recursion``, each key a pair
-    (N, a) standing for N / w^a with w = 1 - x^(p-1); with ``prec``, every
+    (N, a) standing for N / w^a with w = ``glue_unit``; with ``prec``, every
     numerator modulo x^prec.
 
     The images of key_0 and key_1 under a chart substitution give the keys
     rewritten in another chart, since substitution is a ring map; reduction
     modulo x^prec is a ring map too, so every operation takes ``prec``.  Key
     j + 1 has a = max(e * a_j, E * a_0 + a_{j-1}): only the side with the
-    smaller exponent is multiplied by w^k, k the difference
-    (``times_w_power``).  With a_0 = a_1 = 0 every exponent is 0 and the
-    keys are polynomials."""
+    smaller exponent is multiplied by w^k, k the difference, through
+    ``Poly2.times_pow``: one two-term product per unit of each base-p digit
+    of k below x^prec.  With a_0 = a_1 = 0 every exponent is 0, no product
+    with w is formed and the keys are polynomials."""
     keys = [(key0[0].truncate(prec), key0[1]), (key1[0].truncate(prec), key1[1])]
     num0, a0 = keys[0]
+    w = glue_unit(num0.field)
     for j in range(1, length):
         step = _tower_recursion(family, p, j)
         (num_j, a_j), (num_l, a_l) = keys[j], keys[j - 1]
@@ -264,8 +253,8 @@ def tower_key_pairs(family: str, p: int, key0: tuple[Poly2, int], key1: tuple[Po
         tail = pow(num0, step.x_exp, prec).__mul__(num_l, prec)
         a_tail = step.x_exp * a0 + a_l
         a = max(a_head, a_tail)
-        keys.append((times_w_power(head, a - a_head, prec).__sub__(
-            times_w_power(tail, a - a_tail, prec), prec), a))
+        keys.append((head.times_pow(w, a - a_head, prec).__sub__(
+            tail.times_pow(w, a - a_tail, prec), prec), a))
     return keys
 
 

@@ -30,7 +30,7 @@ from .genseq import (
     StandardExpansion,
     build_tower_seq,
     expand,
-    times_w_power,
+    glue_unit,
     tower_key_pairs,
     tower_keys,
     value_of,
@@ -176,8 +176,9 @@ class Tower:
         A base key is a pair (num, a), F = num / w^a, read through its
         numerator: w is a unit, of value 0 and x-order 0, so F and num have
         the same degrees modulo x^N, and the deviation F - K_i^mult has the
-        value and x-order of num - K_i^mult * w^a (``times_w_power``), which
-        is what is valued.  A middle key is the pair (key, 0).
+        value and x-order of num - K_i^mult * w^a, which is what is valued;
+        the product with w^a is ``Poly2.times_pow``, one two-term product per
+        unit of each base-p digit of a below x^N.  A middle key is the pair (key, 0).
 
         f and f mod x^N differ by x^N * (ring element), of value at least
         N * value(x).  A key's value mult * value(K_i) must be below
@@ -219,7 +220,7 @@ class Tower:
                     f"{which} key {i} has value {fmt_value(val_f)} modulo x^{prec}, not below "
                     f"N * value(x) = {fmt_value(prec * vals[0])} (N = {prec})"
                 )
-            delta = f_num.__sub__(times_w_power(pow(host.keys[i], mult, prec), a, prec), prec)
+            delta = f_num.__sub__(pow(host.keys[i], mult, prec).times_pow(self.w, a, prec), prec)
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue
@@ -309,7 +310,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         v_sub=v_sub,
         mid_keys_xy=mid_keys_xy,
         base_keys_xv=base_keys_xv,
-        w=Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0),
+        w=glue_unit(fld),
         base_prec=base_prec,
     )
 

@@ -212,14 +212,73 @@ def test_poly_mul_zero():
 
 
 def test_pow_matches_repeated_mul():
+    # over F_2 to F_9 exponents up to 30 have digits >= 2 and two to five
+    # base-p digits, so every Frobenius twist and digit product is exercised
     rng = random.Random(5)
-    for fld in (F2, F3):
+    for fld in FIELDS:
         for _ in range(30):
             f = random_poly(fld, rng, max_deg=4, max_terms=4)
+            g = random_poly(fld, rng, max_deg=4, max_terms=4)
             acc = Poly2.one(fld)
-            for e in range(6):
+            for e in range(31):
                 assert f**e == acc
+                assert g.times_pow(f, e) == g * acc
                 acc = acc * f
+
+
+def test_times_pow_edge_cases():
+    rng = random.Random(7)
+    for fld in FIELDS:
+        p = fld.p
+        f = random_poly(fld, rng, max_deg=4, max_terms=4)
+        # modulo x^0 = 1 every power is 0, the 0th included
+        assert pow(f, 0, 0).is_zero() and pow(Poly2.zero(fld), 0, 0).is_zero()
+        with pytest.raises(ArithmeticError):
+            f.times_pow(f, -1)
+        with pytest.raises(ArithmeticError):
+            pow(f, -1, 3)
+        # w = 1 - x^(p-1) is 1 modulo x^prec for prec <= p - 1, not 1
+        w = Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0)
+        for prec in range(1, p):
+            g = f.truncate(prec)
+            for k in (1, p - 1, p, 2 * p + 1):
+                assert g.times_pow(w, k, prec) is g
+
+
+def test_times_pow_of_w_is_two_term_products(monkeypatch):
+    # f * w^k, w = 1 - x^(p-1): the twist w^(p^i) = 1 - x^((p-1) p^i) has two
+    # terms, so digit d_i of k costs d_i products of f's size times 2, and none
+    # once (p-1) p^i >= prec; forming w^k whole would multiply f by up to
+    # prec / (p-1) terms instead
+    products = []
+    mul = Poly2.__mul__
+
+    def counting(self, other, prec=None):
+        products.append(len(other.terms))
+        return mul(self, other, prec)
+
+    monkeypatch.setattr(Poly2, "__mul__", counting)
+    rng = random.Random(13)
+    for fld in FIELDS:
+        p = fld.p
+        w = Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0)
+        f = Poly2.one(fld) + random_poly(fld, rng, max_deg=3, max_terms=5).shift(1)
+        for prec in (None, 1, p - 1, p, 2 * p, p**2, 40):
+            for k in range(60):
+                expected, n, step = 0, k, p - 1
+                while n and (prec is None or step < prec):
+                    expected += n % p
+                    n, step = n // p, step * p
+                products.clear()
+                out = f.truncate(prec).times_pow(w, k, prec)
+                assert products == [2] * expected, (fld, prec, k)
+                monkeypatch.setattr(Poly2, "__mul__", mul)
+                assert out == (f * w**k).truncate(prec)
+                monkeypatch.setattr(Poly2, "__mul__", counting)
+            if prec is not None:
+                # x^k with k >= prec is 0 modulo x^prec before any product
+                products.clear()
+                assert f.times_pow(Poly2.x(fld), prec, prec).is_zero() and products == []
 
 
 def test_frobenius_additive():
@@ -374,7 +433,7 @@ def test_parse_error_position():
 
 
 def test_parse_aliases_and_coefficients():
-    assert parse_poly("u^2 + 2*v", F3) == parse_poly("x^2 + 2*y", F3)
+    assert parse_poly("u^2 + 2*v", F3, ("u", "v")) == parse_poly("x^2 + 2*y", F3)
     assert parse_poly("3*y + 4", F3) == parse_poly("1", F3)
     assert parse_poly("y - y", F3).is_zero()
 
@@ -504,8 +563,12 @@ def test_precision_protocol_is_exact_then_truncate(case):
     for part in (f.num, f.den) if isinstance(f, LocalElem) else (f,):
         kept = {t: c for t, c in part.terms.items() if prec is None or t[0] < prec}
         assert part.truncate(prec).terms == kept
-    for op in (lambda k: f.truncate(k), lambda k: f.__mul__(g, k), lambda k: f.__sub__(g, k),
-               lambda k: pow(f, e, k), lambda k: pow(f, -e, k)):
+    ops = [lambda k: f.truncate(k), lambda k: f.__mul__(g, k), lambda k: f.__sub__(g, k),
+           lambda k: pow(f, e, k), lambda k: pow(f, -e, k)]
+    if isinstance(f, Poly2):
+        # times_pow takes its first factor modulo x^prec, as every caller has it
+        ops.append(lambda k: f.truncate(k).times_pow(g, e, k))
+    for op in ops:
         assert _outcome(lambda: op(prec)) == _outcome(lambda: op(None).truncate(prec))
 
 

@@ -49,6 +49,18 @@ def test_value_parse_error_exit_2(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("family,extra,poly,names", [
+    ("Q", [], "u", "x or y"),  # u is no alias of x
+    ("Q", [], "x*u", "x or y"),
+    ("U", ["--c", "1"], "y", "x or v"),  # the middle chart has no y
+    ("P", [], "x", "u or v"),
+])
+def test_value_rejects_variables_outside_the_chart(capsys, family, extra, poly, names):
+    code, out, err = run(capsys, "value", "--family", family, "--p", "2", *extra, poly)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: unknown variable '{poly[-1]}', expected {names} ")
+
+
 def test_semigroup_command(capsys):
     code, out, _ = run(capsys, "semigroup", "--family", "Q", "--p", "2",
                        "--length", "4", "--bound", "1", "--format", "tsv")
@@ -68,8 +80,8 @@ def test_validate_command(capsys):
 @pytest.mark.parametrize("family", ["Q", "P"])
 def test_c_rejected_for_families_q_and_p(capsys, command, family):
     # c is a parameter of the middle-chart family only: Q and P never read it,
-    # even an inadmissible one
-    extra = ["x"] if command == "value" else []
+    # even an inadmissible one; `value` reads the first variable of the chart
+    extra = [genseq.FAMILY_CHARTS[family][0]] if command == "value" else []
     code, out, err = run(capsys, command, "--family", family, "--p", "3", "--c", "7", *extra)
     assert (code, out) == (2, "")
     assert err == f"error: --c applies to family U only; family {family} takes no c\n"

@@ -97,7 +97,7 @@ def test_build_top_family_values():
 def test_build_base_family_key_shape():
     gs = build_tower_seq("P", 3, None, 2)
     assert gs.chart == ("u", "v")
-    assert gs.keys[2] == parse_poly("v^9 - u", F3)
+    assert gs.keys[2] == parse_poly("v^9 - u", F3, ("u", "v"))
 
 
 def test_build_rejects_bad_params():
