@@ -72,12 +72,13 @@ class Tower:
     # base keys rewritten in (x, v): pairs (N_j, a_j) standing for N_j / w^a_j,
     # N_j modulo x^base_prec (``tower_key_pairs``)
     base_keys_xv: list[tuple[Poly2, int]]
-    w: Poly2  # 1 - x^(p-1), the denominator of u = x^p / w
+    # 1 - x^(p-1), the denominator of u = x^p / w; the certificates value
+    # N_j - K^mult * w^a_j, and the parameter links read N_j alone
+    w: Poly2
     base_prec: int  # N of ``certificate_precision`` of the middle sequence
     _chains: dict = dc_field(default_factory=dict, repr=False)
     _certs: dict = dc_field(default_factory=dict, repr=False)
-    _pushed: dict = dc_field(default_factory=dict, repr=False)
-    _pushed_w: dict = dc_field(default_factory=dict, repr=False)
+    _pushed: dict = dc_field(default_factory=dict, repr=False)  # pushed_key, per slot
 
     def chain(self, which: str) -> ChartChain:
         """The chart chain of the top ("S"), middle ("A") or base ("R")
@@ -97,11 +98,14 @@ class Tower:
         The composite-order calculus, backed by the comparison certificates,
         predicts the two orders (o, s); the key is pushed modulo x'^(o + 1),
         which holds the lowest row and nothing above it.  A base key
-        N / w^a is pushed as push(N) * push(w)^(-a): a chart map is a ring
-        map, and push(w) is a unit pair.  If push(N) has x-order o_N, the
-        product modulo x'^(o + 1) reads push(w)^(-a) only modulo
-        x'^(o + 1 - o_N), so that is the precision of the unit
-        (``_pushed_w_at``), raised through the truncated Frobenius ``pow``.
+        N / w^a is read through its numerator: push(N / w^a) is
+        push(N) * push(w)^(-a), since a chart map is a ring map, and
+        push(w)^(-a) has lowest row the constant 1.  For w(0, 0) = 1, and
+        every chart map fixes the origin: phi_x = r * x'^n * (y' + 1), and
+        phi_y = (x' - B) / A with B(0) = 0, because each level's key 1 has
+        lowest term y (``validate_chart_seq``; key 1 is y at level 1).  The
+        lowest row is multiplicative (``_bottom_row``), so the key has the
+        leading data of push(N).
 
         Inconsistent if the truncated key vanishes (its order exceeds o) or
         its orders differ from the prediction, and for chain "A" if the push
@@ -125,14 +129,7 @@ class Tower:
                         f"x'^{prec} is read modulo x^{read}, past the x^{self.base_prec} "
                         "it is known to"
                     )
-                num, a = self.base_keys_xv[i]
-                elem = chain.push_exact(num, k, prec)
-                if not elem.is_zero():
-                    # push(N) has x-order o_N, so the product modulo x'^prec
-                    # reads the unit modulo x'^(prec - o_N)
-                    unit_prec = prec - elem.x_order()
-                    unit = pow(self._pushed_w_at(k, unit_prec), -a, unit_prec)
-                    elem = elem.__mul__(unit, prec)
+                elem = chain.push_exact(self.base_keys_xv[i][0], k, prec)
             if elem.is_zero():
                 raise Inconsistent(
                     f"foreign key {i} of chain {which} has no row below x^{prec} at "
@@ -146,14 +143,6 @@ class Tower:
                 )
             self._pushed[slot] = data
         return self._pushed[slot]
-
-    def _pushed_w_at(self, k: int, prec: int):
-        """w pushed through the exact maps of chain "A" into level k modulo
-        x'^prec, computed once per level and precision: a push is never
-        reused at another precision."""
-        if (k, prec) not in self._pushed_w:
-            self._pushed_w[(k, prec)] = self.chain("A").push_exact(self.w, k, prec)
-        return self._pushed_w[(k, prec)]
 
     def certificates(self, which: str) -> list[CrossCert]:
         """Cross-chart comparison certificates: "mid-in-top" compares the

@@ -17,12 +17,14 @@ values on original keys follow an integer recursion across levels.
 
 Where only leading data is needed, an element is pushed modulo x'^K: the old
 x maps into (x'^n), so each map reads its input modulo x^ceil(K / n), and
-every product past x'^K is skipped.  ``ChartChain.pull_back`` is the one
-place that pulls a precision back through the maps.  The parameter links
-push the foreign keys this way at every level the exact maps reach, with K
-one past the x-order the calculus predicts, and check the pushed orders
-against it.  Every push, exact or truncated, runs the one substitution
-kernel, ``Poly2.compose`` (through ``LocalElem.compose``).
+every product past x'^K is skipped.  ``ChartChain.pull_back`` pulls the
+precision of a push back through the maps, and the spine walk
+(``ChartChain._walk_spine``) plans the key precisions with the same ceiling
+rule.  The parameter links push the foreign keys this way at every level
+the exact maps reach, with K one past the x-order the calculus predicts,
+and check the pushed orders against it.  Every push, exact or truncated,
+runs the one substitution kernel, ``Poly2.compose`` (through
+``LocalElem.compose``).
 
 The chain keys themselves are carried modulo the precision their readers
 need.  The spine stays exact: key 0 and every key that later becomes a

@@ -499,11 +499,13 @@ def test_pushed_leading_data_matches_whole_monomial(p, c, q, kmax):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
 def test_split_base_key_push_matches_whole_push(p, m):
-    # chain A pushes base key N / w^a as push(N) * push(w)^(-a); the whole
-    # pair N / (w^a mod x^N) pushed in one piece must give the same lowest
-    # row, and the two elements agree modulo x'^(o + 1), with both factors
-    # of the split taken modulo x'^(o + 1).  At p = 7, level 4, the whole
-    # pushes of keys 4 and 5 take about half a minute each
+    # chain A reads base key N / w^a off the lowest row of push(N); the
+    # whole pair N / (w^a mod x^N) pushed in one piece, an oracle that never
+    # drops the unit, must give the same lowest row.  The split product
+    # push(N) * push(w)^(-a), both factors modulo x'^(o + 1), must agree
+    # with the whole push modulo x'^(o + 1): a push is a ring map.  At
+    # p = 7, level 4, the whole pushes of keys 4 and 5 take about half a
+    # minute each
     t = build_tower(p, p - 1, 5, Fq(p, m))
     chain = t.chain("A")
     for k in range(1, 5):
@@ -521,19 +523,60 @@ def test_split_base_key_push_matches_whole_push(p, m):
 
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_pushed_key_independent_of_request_order(p, m):
-    # push(w) is kept per level and precision: asking for the keys of a
-    # level in reverse order gives the same data as asking in key order, and
-    # every kept push is w pushed at exactly the precision it is kept under
+    # pushed_key keeps its data per (chain, key, level): asking for the keys
+    # of a level in reverse order gives the same data as asking in key order
     t = build_tower(p, p - 1, 5, Fq(p, m))
-    forward, backward = (dataclasses.replace(t, _pushed={}, _pushed_w={}) for _ in range(2))
+    forward, backward = (dataclasses.replace(t, _pushed={}) for _ in range(2))
     n = len(t.base_keys_xv)
     for k in range(1, 5):
         got = [forward.pushed_key("A", i, k) for i in range(n)]
         assert [backward.pushed_key("A", i, k) for i in reversed(range(n))] == got[::-1], k
-    assert forward._pushed_w.keys() == backward._pushed_w.keys()
-    for (k, prec), unit in backward._pushed_w.items():
-        want = t.chain("A").push_exact(t.w, k, prec)
-        assert (unit.num.terms, unit.den.terms) == (want.num.terms, want.den.terms), (k, prec)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)])
+def test_chart_maps_fix_the_origin(p, m):
+    # what lets pushed_key read a base key N / w^a off push(N): every exact
+    # chart map sends the origin to the origin, so push(w) is a unit pair
+    # whose lowest row is the constant 1
+    t = build_tower(p, p - 1, 6, Fq(p, m))
+    zero = t.field.zero
+    for which in "SA":
+        chain = t.chain(which)
+        top = chain._walk_spine()
+        assert top >= 2, which
+        for k in range(2, top + 1):
+            cmap = chain.level(k).map_from_prev
+            assert cmap.phi_x.num.constant_term() == zero, (which, k)
+            assert cmap.phi_y.num.constant_term() == zero, (which, k)
+            assert _bottom_row(chain.push_exact(t.w, k, 1)) == (0, 0, t.field.one), (which, k)
+
+
+def test_pushed_key_pushes_one_element_per_slot(monkeypatch, capsys):
+    # each uncached (chain, key, level) costs one push: of the middle key, or
+    # of the base key's numerator; w is never pushed
+    push_exact, pushed_key = ChartChain.push_exact, towers_module.Tower.pushed_key
+    pushes, slots, ws = [], {}, {}
+
+    def counted_push(self, elem, k, prec=None):
+        pushes.append(elem)
+        return push_exact(self, elem, k, prec)
+
+    def counted_key(self, which, i, k):
+        ws[id(self)] = self.w
+        if (which, i, k) in self._pushed:
+            return pushed_key(self, which, i, k)
+        before = len(pushes)
+        data = pushed_key(self, which, i, k)
+        slots[(which, i, k)] = len(pushes) - before
+        return data
+
+    monkeypatch.setattr(ChartChain, "push_exact", counted_push)
+    monkeypatch.setattr(towers_module.Tower, "pushed_key", counted_key)
+    assert main(["report", "--p", "5", "--c", "4", "--levels", "4", "--length", "5"]) == 0
+    capsys.readouterr()
+    assert {which for which, _, _ in slots} == {"S", "A"}
+    assert set(slots.values()) == {1}, slots
+    assert ws and not [elem for elem in pushes for w in ws.values() if elem == w]
 
 
 def test_pushed_leading_data_combines_key_data():
@@ -669,8 +712,7 @@ def _truncation_case(p, m, length):
 
 def _with_base_keys(t, keys):
     """A copy of the tower with other base keys and no cached results."""
-    return dataclasses.replace(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={},
-                               _pushed_w={})
+    return dataclasses.replace(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={})
 
 
 @pytest.mark.parametrize("p,m,length", TRUNCATION_CASES)
@@ -848,7 +890,7 @@ def test_pushed_key_rejects_a_read_past_base_precision():
     o, _, _ = t.pushed_key("A", 2, 3)
     _, read = chain.pull_back(3, o + 1)
     for n, ok in ((read, True), (read - 1, False)):
-        t2 = dataclasses.replace(t, base_prec=n, _pushed={}, _pushed_w={})
+        t2 = dataclasses.replace(t, base_prec=n, _pushed={})
         if ok:
             assert t2.pushed_key("A", 2, 3) == t.pushed_key("A", 2, 3)
         else:
