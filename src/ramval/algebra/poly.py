@@ -368,13 +368,14 @@ class Poly2:
             return Poly2(fld)
         dx, dy = _degrees(self)
         one = Poly2.one(fld)
+        unit = one.truncate(prec)
         x_den = one if x_den is None else x_den
         y_den = one if y_den is None else y_den
         x_images: dict = {}
 
         def x_image(i):
             if i not in x_images:
-                x_images[i] = pow(sub_x, i, prec).times_pow(x_den, dx - i, prec)
+                x_images[i] = unit.times_pow(sub_x, i, prec).times_pow(x_den, dx - i, prec)
             return x_images[i]
 
         def rows():
@@ -382,8 +383,10 @@ class Poly2:
                 x_part = Poly2.combination(fld, ((c, x_image(i)) for i, c in row.items() if x_image(i)))
                 if not x_part:
                     continue
+                # x_part is nonzero modulo x^prec, so y_prec >= 1 and one is
+                # already 1 modulo x^y_prec
                 y_prec = None if prec is None else prec - x_part.x_order()
-                y_image = pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec)
+                y_image = one.times_pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec)
                 if y_image:
                     yield fld.one, x_part.__mul__(y_image, prec)
 

@@ -425,9 +425,9 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
 
 
 class ValueTable:
-    """The expansions of w^b in one sequence, each read as its (value, coefficient)
-    pairs, values in units of 1/D (``value_table``).  A plain class: building
-    a dataclass would add about a millisecond to every import."""
+    """The expansions of v^b in one sequence, each read as its (value, coefficient)
+    pairs, values in units of 1/D, least value first (``value_table``).  A plain
+    class: building a dataclass would add about a millisecond to every import."""
 
     __slots__ = ("field", "denom", "x_weight", "rows")
 
@@ -436,7 +436,7 @@ class ValueTable:
         self.field, self.denom, self.x_weight, self.rows = field, denom, x_weight, rows
 
     def sums(self, g: Poly2) -> dict[int, object]:
-        """The expansion of g(x, w) = sum c * x^a * w^b keyed by value: {value
+        """The expansion of g(x, v) = sum c * x^a * v^b keyed by value: {value
         in units of 1/D: nonzero coefficient}, for every b that g reaches.
 
         The standard expansion over a validated sequence is unique, so it is
@@ -462,15 +462,37 @@ class ValueTable:
         return {v: c for v, s in acc.items() if (c := fold(s))}
 
     def value(self, g: Poly2) -> Fraction:
-        """The valuation of g(x, w): the least value of ``sums``."""
-        sums = self.sums(g)
-        if not sums:
+        """The valuation of g(x, v), read off the least candidate terms.
+
+        The candidate of a term c * x^a * v^b of g is the least entry of row
+        b shifted by a * value(x); let m be the least candidate.  A row holds
+        each value at most once (``value_table``), so no term reaches a value
+        below m, each term adds at most one product at m, and the products of
+        the terms whose candidate is m sum to the coefficient of the
+        expansion at m.  If that sum folds to nonzero the value is m / D;
+        if it cancels, the value is the least value of ``sums``."""
+        if not g.terms:
             raise ArithmeticError("cannot expand the zero element")
-        return Fraction(min(sums), self.denom)
+        rows, w0 = self.rows, self.x_weight
+        least, raw = None, 0
+        for (a, b), c in g.terms.items():
+            v, cf = rows[b][0]
+            v += a * w0
+            if least is None or v < least:
+                least, raw = v, c * cf
+            elif v == least:
+                raw += c * cf
+        # at most one product per term of g
+        self.field.check_capacity(len(g.terms))
+        if not self.field.fold(raw):
+            least = min(self.sums(g))
+        return Fraction(least, self.denom)
 
 
 def value_table(powers: list[StandardExpansion]) -> ValueTable:
-    """The value table of powers[b], the expansion of w^b in one sequence.
+    """The value table of powers[b], the expansion of v^b in one sequence:
+    row b holds its (value, coefficient) pairs sorted by value, so row[0] is
+    its least term.
 
     Summing by value is summing by exponent vector only if distinct vectors
     that samples reach have distinct values.  Such a vector is (m_0 + a,
@@ -479,7 +501,8 @@ def value_table(powers: list[StandardExpansion]) -> ValueTable:
     distinct tails can share a value only if the tails' values agree
     modulo value(x).  That never happens for standard monomials
     (``residue_of_quotient``); it is checked here once per table,
-    InvalidSequence naming both tails if it fails."""
+    InvalidSequence naming both tails if it fails.  So a row holds each
+    value at most once."""
     gs = powers[0].gs
     lat = gs.ensure_valid()
     w0, weights = lat.weights[0], lat.weights[1:]
@@ -496,6 +519,7 @@ def value_table(powers: list[StandardExpansion]) -> ValueTable:
                     f"value table of {gs.label or 'a sequence'}: exponent tails {other} and "
                     f"{tail} have values congruent modulo value(x)")
             row.append((exps[0] * w0 + v, cf))
+        row.sort()
         rows.append(row)
     return ValueTable(gs.field, lat.denom, w0, rows)
 

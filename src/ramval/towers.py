@@ -400,13 +400,29 @@ def random_middle_poly(tower: Tower, rng: random.Random) -> Poly2:
     """Random nonzero polynomial in the middle chart within the expansion span:
     up to SAMPLE_TERMS terms c * x^a * v^b with a <= 6, b <= p^2 + p and c a
     nonzero element of F_q, coefficients on one exponent added (v when they
-    cancel)."""
+    cancel).
+
+    Every draw goes through ``below``, the rejection loop on
+    ``rng.getrandbits`` that ``randint`` and ``randrange`` run for a positive
+    width (``Random._randbelow_with_getrandbits``, the same in CPython 3.10
+    to 3.13): ``randint(1, k)`` is ``1 + below(k)`` and ``randrange(a, b)``
+    is ``a + below(b - a)``, so a seed draws the same samples as through
+    those two methods, in the same order."""
     fld = tower.field
     max_v = _sample_v_degree(tower.p)
+    getrandbits = rng.getrandbits
+
+    def below(n):
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     terms: dict = {}
-    for _ in range(rng.randint(1, SAMPLE_TERMS)):
-        coeff = fld.of_index(rng.randrange(1, fld.q))
-        e = (rng.randrange(0, 7), rng.randrange(0, max_v + 1))
+    for _ in range(1 + below(SAMPLE_TERMS)):
+        coeff = fld.of_index(1 + below(fld.q - 1))
+        e = (below(7), below(max_v + 1))
         s = fld.add(terms.get(e, 0), coeff)
         if s:
             terms[e] = s
@@ -433,16 +449,19 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     sampled g(x, v), value(g) in the middle chart equals value(g(x, v(x, y)))
     in the top chart.
 
-    Both values are the least values of sums over the ``value_table`` of
-    each side's ``restriction_tables``: each sample's expansion, summed from
-    the cached expansions of the powers of v and keyed by value, which
-    ``value_table`` checks once per table to name one exponent vector.  Each
-    side keeps its own sequence and its own table, so the two stay
-    independent computations.  Sample 0 and every DIRECT_EVERY-th sample are
-    also valued by dividing from scratch (``value_of``, with its own tie
-    check), g in the middle sequence and its substitution g(x, v(x, y)) in
-    the top one; Inconsistent, naming the sample and both value pairs, if
-    the two paths disagree."""
+    Both values are read off the ``value_table`` of each side's
+    ``restriction_tables``, the cached expansions of the powers of v keyed by
+    value, which ``value_table`` checks once per table to name one exponent
+    vector: ``ValueTable.value`` sums only the products at the least
+    candidate value, the least row entry of each term of the sample shifted
+    by its power of x, and falls back to the whole value-keyed expansion
+    (``ValueTable.sums``) when they cancel.  Each side keeps its own
+    sequence and its own table, so the two stay independent computations.
+    Sample 0 and every DIRECT_EVERY-th sample are also valued by dividing
+    from scratch (``value_of``, with its own tie check), g in the middle
+    sequence and its substitution g(x, v(x, y)) in the top one;
+    Inconsistent, naming the sample and both value pairs, if the two paths
+    disagree."""
     rng = random.Random(seed)
     mid_powers, top_powers = restriction_tables(tower)
     mid_table, top_table = value_table(mid_powers), value_table(top_powers)

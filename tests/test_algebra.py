@@ -664,6 +664,30 @@ def test_poly_compose_matches_term_oracle(case):
     assert poly.compose(sub_x, sub_y, prec=prec) == oracle.truncate(prec)
 
 
+def test_compose_builds_images_without_pow(monkeypatch):
+    # compose forms its x- and y-images on one 1 through times_pow, so no
+    # Poly2.__pow__ runs, not even for the x^0 term of a row or for row 0,
+    # exactly, modulo x^prec or with denominators
+    powers = []
+    real_pow = Poly2.__pow__
+
+    def recording(self, e, prec=None):
+        powers.append(e)
+        return real_pow(self, e, prec)
+
+    for fld in (F2, F3, F9):
+        x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
+        poly = parse_poly("1 + x + y + x^2*y + x*y^3 + y^4", fld)
+        sub_x, sub_y = x * (y + one), x + x * y
+        oracle = _oracle_compose(poly, LocalElem(sub_x), LocalElem(sub_y)).as_poly()
+        monkeypatch.setattr(Poly2, "__pow__", recording)
+        for prec in (None, 1, 3, 7):
+            assert poly.compose(sub_x, sub_y, prec=prec) == oracle.truncate(prec)
+            poly.compose(sub_x, sub_y, one + x, one + y, prec)
+        monkeypatch.setattr(Poly2, "__pow__", real_pow)
+    assert powers == []
+
+
 def test_compose_poly_pair_drops_vanishing_rows():
     # over F_3 with x -> x^3 (y + 1): modulo x^6 the x-images of x^2 and
     # beyond vanish, so the row at y^9, made of x^2 and x^5, drops whole

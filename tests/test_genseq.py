@@ -488,17 +488,20 @@ def test_term_order_carries_no_meaning(case):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(_expansion_case())
 def test_value_table_keeps_no_zero_coefficient(case):
-    # g(x, w) = w - 1 over the expansions of f and f + h sums to the
+    # g(x, v) = v - 1 over the expansions of f and f + h sums to the
     # expansion of h, keyed by value: every value of f's expansion that h's
-    # lacks folds to zero and must be dropped
+    # lacks folds to zero and must be dropped; where the least terms of f
+    # and f + h cancel, value falls back to these sums
     gs, f, h, _ = case
     assume(not (f + h).is_zero())
     fld = gs.field
     weights = gs.ensure_valid().weights
     g = Poly2(fld, {(0, 1): fld.one, (0, 0): fld.neg(fld.one)})
-    sums = value_table([expand(f, gs), expand(f + h, gs)]).sums(g)
+    table = value_table([expand(f, gs), expand(f + h, gs)])
+    sums = table.sums(g)
     assert fld.zero not in sums.values()
     assert sums == {sum(map(mul, e, weights)): c for e, c in expand(h, gs).terms.items()}
+    assert table.value(g) == value_of(h, gs)
 
 
 # -- semigroups --------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -15,6 +16,7 @@ from ramval.genseq import (
     Inconsistent,
     InvalidSequence,
     StandardExpansion,
+    ValueTable,
     expand,
     _tower_recursion,
     build_tower_seq,
@@ -241,6 +243,36 @@ def test_random_middle_poly_matches_sum_of_monomials(p, m):
     assert rng.random() == ref_rng.random()  # the same draws, in the same order
 
 
+def _randrange_middle_poly(tower, rng):
+    """The sampler as it drew through ``rng.randint`` and ``rng.randrange``:
+    the oracle that pins the draws of ``random_middle_poly``."""
+    fld = tower.field
+    max_v = tower.p**2 + tower.p
+    terms: dict = {}
+    for _ in range(rng.randint(1, 6)):
+        coeff = fld.of_index(rng.randrange(1, fld.q))
+        e = (rng.randrange(0, 7), rng.randrange(0, max_v + 1))
+        s = fld.add(terms.get(e, 0), coeff)
+        if s:
+            terms[e] = s
+        else:
+            terms.pop(e, None)
+    return Poly2(fld, terms) if terms else Poly2.y(fld)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2)])
+def test_random_middle_poly_pinned_to_randrange(p, m):
+    # F_2, F_5, F_4 and F_9: every seed draws the samples, and leaves the
+    # generator in the state, that randint and randrange did
+    t = build_tower(p, p - 1, 3, Fq(p, m))
+    for seed in range(21):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            g, ref = random_middle_poly(t, rng), _randrange_middle_poly(t, ref_rng)
+            assert list(g.terms.items()) == list(ref.terms.items())
+        assert rng.getstate() == ref_rng.getstate()
+
+
 @lru_cache(maxsize=None)
 def _tower_with_tables(p, m, length):
     t = build_tower(p, p - 1, length, Fq(p, m))
@@ -279,6 +311,72 @@ def test_linear_expansions_match_direct_expansions(case):
     for table, f, gs in ((mid_table, g, t.seq_mid), (top_table, composed, t.seq_top)):
         assert table.sums(g) == _by_value(expand(f, gs))
         assert table.value(g) == value_of(f, gs)
+
+
+def _least_candidate(table, g):
+    """The least value that a term of g reaches through the least entry of
+    its row, in units of 1/D."""
+    return min(table.rows[b][0][0] + a * table.x_weight for a, b in g.terms)
+
+
+@st.composite
+def _cancelling_case(draw):
+    """A restriction case, one of its sides, and g with the products at its
+    least candidate on that side made to cancel where a spot allows it: g
+    minus the term c * x^a * v^b, for a spot (a, b) whose candidate is that
+    value, that folds the sum there to zero.  Over F_2 this includes sums of
+    two equal-value terms."""
+    t, tables, g = draw(_restriction_case())
+    side = draw(st.sampled_from([0, 1]))
+    table, fld = tables[side], t.field
+    least = _least_candidate(table, g)
+    at_least = [(a, b) for a, b in g.terms if table.rows[b][0][0] + a * table.x_weight == least]
+    raw = sum(c * table.rows[b][0][1] for (a, b), c in g.terms.items() if (a, b) in at_least)
+    # a spot whose removal leaves no term at the least candidate cancels nothing
+    spots = [(a, b) for b, row in enumerate(table.rows) for a in range(7)
+             if row[0][0] + a * table.x_weight == least and [(a, b)] != at_least]
+    if not spots:
+        return t, side, table, g
+    a, b = draw(st.sampled_from(spots))
+    c = fld.div(fld.fold(raw), table.rows[b][0][1])
+    return t, side, table, g - Poly2.monomial(fld, a, b, c)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_cancelling_case())
+def test_value_table_value_is_least_sum(case):
+    # value is the least key of sums over D, and the direct value on the
+    # table's own side, also where the least candidates cancel
+    t, side, table, g = case
+    f, gs = (g, t.seq_mid) if side == 0 else (g.compose(Poly2.x(t.field), t.v_sub), t.seq_top)
+    assert table.value(g) == Fraction(min(table.sums(g)), table.denom) == value_of(f, gs)
+
+
+def test_value_table_sums_only_when_least_candidates_cancel(monkeypatch):
+    # the full sums run for a sample exactly when the products at its least
+    # candidate cancel, i.e. when its value lies above that candidate
+    summed = []
+    real_sums = ValueTable.sums
+
+    def recording(self, g):
+        summed.append(g)
+        return real_sums(self, g)
+
+    for p, m in ((2, 1), (3, 1), (2, 2), (3, 2)):
+        t, tables = _tower_with_tables(p, m, 4)
+        fld, rng = t.field, random.Random(p * m)
+        samples = [random_middle_poly(t, rng) for _ in range(300)]
+        samples.append(Poly2.monomial(fld, 0, p) - Poly2.x(fld))  # the key U_2
+        for table in tables:
+            cancelling = [g for g in samples
+                          if min(real_sums(table, g)) > _least_candidate(table, g)]
+            assert 0 < len(cancelling) < len(samples)
+            monkeypatch.setattr(ValueTable, "sums", recording)
+            values = [table.value(g) for g in samples]
+            monkeypatch.setattr(ValueTable, "sums", real_sums)
+            assert summed == cancelling
+            assert values == [Fraction(min(table.sums(g)), table.denom) for g in samples]
+            summed.clear()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
