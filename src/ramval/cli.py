@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 from functools import cache
 
-from . import monomial, towers, transforms
+from . import towers, transforms
 from .algebra import Fq, ParseError, parse_poly
 from .genseq import BadParams, Inconsistent, build_tower_seq, expand, semigroup, validate
 from .reporting import Report, render_table
@@ -130,6 +130,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_monomialize(args) -> int:
+    from . import monomial  # its only command: no other command pays for importing it
+
     try:
         a, b, c, d = (int(t) for t in args.matrix.split(","))
     except ValueError:

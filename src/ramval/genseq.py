@@ -14,7 +14,7 @@ polynomial rings", Trans. AMS 40, 1936); public values stay Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -53,37 +53,37 @@ class InvalidSequence(Inconsistent):
 
 
 # recursion step: key_{j+1} = key_j**exponent - x**x_exp * key_{j-1}
-@dataclass(frozen=True)
-class RecursionStep:
-    exponent: int
-    x_exp: int
+RecursionStep = namedtuple("RecursionStep", "exponent x_exp")
 
 
 FAMILY_CHARTS = {"Q": ("x", "y"), "P": ("u", "v"), "U": ("x", "v")}
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(namedtuple("Lattice", "indices degrees denom weights")):
     """What every expansion of a validated sequence reads: the indices n_i,
     the key y-degrees, the common denominator D of the values and the
     integer weights value_i * D."""
 
-    indices: tuple[int, ...]
-    degrees: tuple[int, ...]
-    denom: int
-    weights: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass
 class GenSeq:
-    """Keys with assigned values; keys[0] is the chart coordinate x."""
+    """Keys with assigned values; keys[0] is the chart coordinate x.  The
+    lattice data are cached by ``ensure_valid``."""
 
-    field: Fq
-    keys: list[Poly2]
-    values: list[Fraction]
-    chart: tuple[str, str] = ("x", "y")
-    label: str = ""
-    _lattice: Lattice | None = dc_field(default=None, repr=False, compare=False)
+    __slots__ = ("field", "keys", "values", "chart", "label", "_lattice")  # the cache last
+
+    def __init__(self, field: Fq, keys: list[Poly2], values: list[Fraction],
+                 chart: tuple[str, str] = ("x", "y"), label: str = ""):
+        self.field, self.keys, self.values = field, keys, values
+        self.chart, self.label = chart, label
+        self._lattice: Lattice | None = None
+
+    def __eq__(self, other):
+        """Equal keys, values, field, chart and label; the cache is not compared."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1])
 
     @property
     def top(self) -> int:
@@ -137,11 +137,11 @@ class GenSeq:
         ]
 
 
-@dataclass
 class ValidityReport:
-    label: str
-    rows: list[dict]
-    ok: bool
+    __slots__ = ("label", "rows", "ok")
+
+    def __init__(self, label: str, rows: list[dict], ok: bool):
+        self.label, self.rows, self.ok = label, rows, ok
 
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
@@ -311,14 +311,15 @@ def build_tower_seq(
 # -- standard expansions ----------------------------------------------------
 
 
-@dataclass
 class StandardExpansion:
     """``terms`` maps each exponent vector (m_0, ..., m_N) to its nonzero
     coefficient, unordered: distinct standard monomials have distinct values
     (``residue_of_quotient``), so no reading depends on the entry order."""
 
-    gs: GenSeq
-    terms: dict[tuple[int, ...], object]
+    __slots__ = ("gs", "terms")
+
+    def __init__(self, gs: GenSeq, terms: dict[tuple[int, ...], object]):
+        self.gs, self.terms = gs, terms
 
     def as_poly(self) -> Poly2:
         """Reassemble the element (round-trip identity check)."""
@@ -426,8 +427,9 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
 
 class ValueTable:
     """The expansions of v^b in one sequence, each read as its (value, coefficient)
-    pairs, values in units of 1/D, least value first (``value_table``).  A plain
-    class: building a dataclass would add about a millisecond to every import."""
+    pairs, values in units of 1/D, least value first (``value_table``).  Like
+    every record of the package it is a plain class, not a dataclass: importing
+    ``dataclasses`` and building one would add to every start-up."""
 
     __slots__ = ("field", "denom", "x_weight", "rows")
 

@@ -4,7 +4,7 @@ index and graded-presentation data."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .values import ValueGroup, order_in_quotient
@@ -120,12 +120,12 @@ def lattice_index_snf(mat: list[list[int]]) -> int:
     return abs(idx)
 
 
-@dataclass
 class ReductionResult:
-    s: int
-    t1: int
-    t2: int
-    steps: str  # word over {L, R}: L divides the first pair, R the second
+    __slots__ = ("s", "t1", "t2", "steps")
+
+    def __init__(self, s: int, t1: int, t2: int, steps: str):
+        self.s, self.t1, self.t2 = s, t1, t2
+        self.steps = steps  # word over {L, R}: L divides the first pair, R the second
 
     @property
     def determinant_value(self) -> int:
@@ -159,15 +159,14 @@ def euclidean_reduce(pair1: tuple[int, int], pair2: tuple[int, int]) -> Reductio
     return ReductionResult(s1, t1, t2, "".join(steps))
 
 
-@dataclass(frozen=True)
-class GradedPresentation:
+class GradedPresentation(namedtuple("GradedPresentation", "rank relations degree class_tokens",
+                                    defaults=((),))):
     """Presentation data of the graded-ring extension; the ring itself is
-    never materialized, only the relation exponents and the degree."""
+    never materialized, only the relation exponents and the degree.
+    ``relations`` is ((a, b), (c, d)): the exponent rows of the two
+    relations."""
 
-    rank: int
-    relations: tuple  # ((a, b), (c, d)): the exponent rows of the two relations
-    degree: int
-    class_tokens: tuple[str, ...] = ()
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {

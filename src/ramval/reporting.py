@@ -7,7 +7,6 @@ parsed, seed included, are embedded in every header so runs are reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 SCHEMA_VERSION = 1
 
@@ -52,11 +51,13 @@ def render_table(rows: list[dict], fmt: str, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
 class Report:
-    config: dict  # the parsed options, header order; "fmt" is the output format
-    sections: list = field(default_factory=list)  # (title, rows) pairs
-    ok: bool = True
+    __slots__ = ("config", "sections", "ok")
+
+    def __init__(self, config: dict):
+        self.config = config  # the parsed options, header order; "fmt" is the output format
+        self.sections = []  # (title, rows) pairs
+        self.ok = True
 
     def add(self, title: str, rows: list[dict], ok: bool = True):
         self.sections.append((title, rows))

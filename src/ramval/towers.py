@@ -19,7 +19,7 @@ identities tying the charts together:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from .algebra import Fq, Poly2
 from .genseq import (
@@ -40,8 +40,7 @@ from .transforms import ChartChain, NotApplicable, _bottom_row, _mu_with_certifi
 from .values import fmt_value, p_adic_split
 
 
-@dataclass(frozen=True)
-class CrossCert:
+class CrossCert(namedtuple("CrossCert", "mult t_order")):
     """Comparison of a foreign element F against a host key K: F = K^mult * u
     with u a 1-unit, certified by the split F - K^mult = x^t_order * (rest)
     and, checked before the certificate is made, the value margin
@@ -54,31 +53,37 @@ class CrossCert:
     x^N, so that x^t_order divides it in both cases.
     """
 
-    mult: int
-    t_order: int
+    __slots__ = ()
 
 
-@dataclass
 class Tower:
-    p: int
-    c: int
-    field: Fq
-    length: int
-    seq_top: GenSeq  # family Q, chart (x, y)
-    seq_mid: GenSeq  # family U, chart (x, v)
-    seq_base: GenSeq  # family P, chart (u, v): seq_top renamed
-    v_sub: Poly2  # v as an element of the top chart
-    mid_keys_xy: list[Poly2]  # middle keys rewritten in (x, y)
-    # base keys rewritten in (x, v): pairs (N_j, a_j) standing for N_j / w^a_j,
-    # N_j modulo x^base_prec (``tower_key_pairs``)
-    base_keys_xv: list[tuple[Poly2, int]]
-    # 1 - x^(p-1), the denominator of u = x^p / w; the certificates value
-    # N_j - K^mult * w^a_j, and the parameter links read N_j alone
-    w: Poly2
-    base_prec: int  # N of ``certificate_precision`` of the middle sequence
-    _chains: dict = dc_field(default_factory=dict, repr=False)
-    _certs: dict = dc_field(default_factory=dict, repr=False)
-    _pushed: dict = dc_field(default_factory=dict, repr=False)  # pushed_key, per slot
+    """The three charts' sequences and keys, with the chart chains, the
+    certificates and the pushed keys built on first use and cached."""
+
+    __slots__ = ("p", "c", "field", "length", "seq_top", "seq_mid", "seq_base", "v_sub",
+                 "mid_keys_xy", "base_keys_xv", "w", "base_prec",
+                 "_chains", "_certs", "_pushed")
+
+    def __init__(self, p: int, c: int, field: Fq, length: int,
+                 seq_top: GenSeq, seq_mid: GenSeq, seq_base: GenSeq, v_sub: Poly2,
+                 mid_keys_xy: list[Poly2], base_keys_xv: list[tuple[Poly2, int]],
+                 w: Poly2, base_prec: int):
+        self.p, self.c, self.field, self.length = p, c, field, length
+        self.seq_top = seq_top  # family Q, chart (x, y)
+        self.seq_mid = seq_mid  # family U, chart (x, v)
+        self.seq_base = seq_base  # family P, chart (u, v): seq_top renamed
+        self.v_sub = v_sub  # v as an element of the top chart
+        self.mid_keys_xy = mid_keys_xy  # middle keys rewritten in (x, y)
+        # base keys rewritten in (x, v): pairs (N_j, a_j) standing for
+        # N_j / w^a_j, N_j modulo x^base_prec (``tower_key_pairs``)
+        self.base_keys_xv = base_keys_xv
+        # 1 - x^(p-1), the denominator of u = x^p / w; the certificates value
+        # N_j - K^mult * w^a_j, and the parameter links read N_j alone
+        self.w = w
+        self.base_prec = base_prec  # N of ``certificate_precision`` of the middle sequence
+        self._chains = {}
+        self._certs = {}
+        self._pushed = {}  # pushed_key, per slot
 
     def chain(self, which: str) -> ChartChain:
         """The chart chain of the top ("S"), middle ("A") or base ("R")
@@ -316,11 +321,11 @@ def deviation_exponent(p: int, j: int) -> int:
     return sum(p ** (2 * j - 1 - 4 * t) for t in range(j // 2))
 
 
-@dataclass
 class CheckReport:
-    name: str
-    ok: bool
-    details: dict
+    __slots__ = ("name", "ok", "details")
+
+    def __init__(self, name: str, ok: bool, details: dict):
+        self.name, self.ok, self.details = name, ok, details
 
     def row(self) -> dict:
         out = {"check": self.name, "ok": self.ok}

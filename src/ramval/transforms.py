@@ -46,7 +46,7 @@ recursion shape predicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 
@@ -74,17 +74,11 @@ class NotPPower(Inconsistent):
 # -- stable forms -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StableForm:
+class StableForm(namedtuple("StableForm", "a a_bar alpha b d beta unit_residue",
+                            defaults=(1,))):
     """Invariants (a, a_bar, alpha, b, d, beta) of a parameter pair."""
 
-    a: int
-    a_bar: int
-    alpha: int
-    b: int
-    d: int
-    beta: int
-    unit_residue: object = 1
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -164,17 +158,22 @@ def defect_from_stable(sf: StableForm, e: int, f: int, p: int, f_res: int = 1) -
 # -- chart maps and chart chains ----------------------------------------------
 
 
-@dataclass
 class ChartMap:
     """Substitution rules expressing old chart parameters in the new chart."""
 
-    source: str
-    target: str
-    n: int
-    residue: object
-    phi_x: LocalElem  # image of the old x
-    phi_y: LocalElem  # image of the old y
-    chart_vars: tuple[str, str] = ("x'", "y'")
+    __slots__ = ("source", "target", "n", "residue", "phi_x", "phi_y", "chart_vars")
+
+    def __init__(self, source: str, target: str, n: int, residue,
+                 phi_x: LocalElem, phi_y: LocalElem, chart_vars: tuple[str, str] = ("x'", "y'")):
+        self.source, self.target, self.n, self.residue = source, target, n, residue
+        self.phi_x = phi_x  # image of the old x
+        self.phi_y = phi_y  # image of the old y
+        self.chart_vars = chart_vars
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     def push(self, elem, prec: int | None = None) -> LocalElem:
         """Re-express an element of the old chart in the new chart, modulo
@@ -191,7 +190,6 @@ class ChartMap:
         }
 
 
-@dataclass
 class ChainLevel:
     """One chart of a chain: values, indices and distinguished degrees of its
     keys, the composite-order tables, and, at the levels the exact chart maps
@@ -199,18 +197,21 @@ class ChainLevel:
     with their precisions: key i is known modulo x^precs[i], and exactly
     where precs[i] is None (see ``ChartChain``)."""
 
-    k: int
-    values: list[Fraction]
-    indices: list[int]
-    degrees: list[int]  # distinguished degrees of the level keys
-    vecs: list[tuple[int, ...]]  # level keys as monomials in the base keys
-    crows: list[tuple[int, ...]]  # base keys as monomials in the level keys
-    r: object  # residue of x / key_1^n_1: the translation constant of the next step
-    keys: list[LocalElem] | None = None
-    precs: list[int | None] | None = None
-    label: str = ""
-    chart: tuple[str, str] = ("x", "y")
-    map_from_prev: ChartMap | None = None
+    __slots__ = ("k", "values", "indices", "degrees", "vecs", "crows", "r", "keys", "precs",
+                 "label", "chart", "map_from_prev")
+
+    def __init__(self, k: int, values: list[Fraction], indices: list[int], degrees: list[int],
+                 vecs: list[tuple[int, ...]], crows: list[tuple[int, ...]], r,
+                 keys: list[LocalElem] | None = None, precs: list[int | None] | None = None,
+                 label: str = "", chart: tuple[str, str] = ("x", "y"),
+                 map_from_prev: ChartMap | None = None):
+        self.k, self.values, self.indices = k, values, indices
+        self.degrees = degrees  # distinguished degrees of the level keys
+        self.vecs = vecs  # level keys as monomials in the base keys
+        self.crows = crows  # base keys as monomials in the level keys
+        self.r = r  # residue of x / key_1^n_1: the translation constant of the next step
+        self.keys, self.precs = keys, precs
+        self.label, self.chart, self.map_from_prev = label, chart, map_from_prev
 
     def key_str(self, i: int) -> str:
         return self.keys[i].to_str(*self.chart)
@@ -604,12 +605,11 @@ class ChartChain:
 # -- the tower ladder ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LadderRow:
-    level: int
-    extension: str  # "S/A", "A/R" or "S/R"
-    form: StableForm
-    defect: int
+class LadderRow(namedtuple("LadderRow", "level extension form defect")):
+    """One ladder row: the stable form and defect of one extension ("S/A",
+    "A/R" or "S/R") at one level."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         out = {"j": self.level, "extension": self.extension}

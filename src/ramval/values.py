@@ -9,7 +9,7 @@ rational generator g, meaning the group g*Z.  Groups of the common form
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 Value = Fraction
@@ -33,15 +33,13 @@ def _fraction_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-@dataclass(frozen=True)
-class ValueGroup:
+class ValueGroup(namedtuple("ValueGroup", "generator")):
     """The subgroup generator*Z of Q, generator >= 0 (0 means the trivial group)."""
 
-    generator: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.generator < 0:
-            object.__setattr__(self, "generator", -self.generator)
+    def __new__(cls, generator: Fraction):
+        return super().__new__(cls, -generator if generator < 0 else generator)
 
     @classmethod
     def integers(cls) -> "ValueGroup":

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import os
@@ -153,6 +152,25 @@ def test_monomialize_example(capsys):
 def test_monomialize_singular_exit_2(capsys):
     code, _, err = run(capsys, "monomialize", "--matrix", "2,0,0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize("matrix,message", [
+    ("1,2,2,4", "domain error: exponent matrix is singular\n"),
+    ("1,2,x,4", "error: --matrix expects four comma-separated integers a,b,c,d\n"),
+])
+def test_monomialize_rejects_bad_matrix_exit_2(capsys, matrix, message):
+    # `monomial` is imported inside the command: its errors reach main's handlers
+    assert run(capsys, "monomialize", "--matrix", matrix) == (2, "", message)
+
+
+def test_cli_import_loads_no_dataclasses():
+    # start-up cost: the records are plain classes, and `monomial` is imported
+    # by `monomialize` alone; a fresh interpreter without site packages
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import ramval.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'ramval.monomial') if m in sys.modules])")
+    src = str(Path(ramval.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_report_command(capsys):
@@ -454,7 +472,8 @@ def test_invalid_tower_sequence_exits_1(capsys, monkeypatch, command):
             return seq
         keys = list(seq.keys)
         keys[2] = keys[2] + Poly2.monomial(seq.field, 0, keys[2].deg_y())
-        return dataclasses.replace(seq, keys=keys)
+        # a new sequence: it carries no cached lattice, so it is validated
+        return genseq.GenSeq(seq.field, keys, seq.values, seq.chart, seq.label)
 
     monkeypatch.setattr(towers, "build_tower_seq", tampered)
     code, out, err = run(capsys, command, "--p", "2", "--levels", "3", "--length", "5")

@@ -1,4 +1,4 @@
-import dataclasses
+import copy
 import random
 import re
 from fractions import Fraction
@@ -619,12 +619,21 @@ def test_split_base_key_push_matches_whole_push(p, m):
             assert _equal_mod_xpow(split, whole, prec), (k, i)
 
 
+def _tower_copy(t, **attrs):
+    """A shallow copy of the tower with ``attrs`` set; the caches not named
+    are shared with t."""
+    out = copy.copy(t)
+    for name, value in attrs.items():
+        setattr(out, name, value)
+    return out
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_pushed_key_independent_of_request_order(p, m):
     # pushed_key keeps its data per (chain, key, level): asking for the keys
     # of a level in reverse order gives the same data as asking in key order
     t = build_tower(p, p - 1, 5, Fq(p, m))
-    forward, backward = (dataclasses.replace(t, _pushed={}) for _ in range(2))
+    forward, backward = (_tower_copy(t, _pushed={}) for _ in range(2))
     n = len(t.base_keys_xv)
     for k in range(1, 5):
         got = [forward.pushed_key("A", i, k) for i in range(n)]
@@ -810,7 +819,7 @@ def _truncation_case(p, m, length):
 
 def _with_base_keys(t, keys):
     """A copy of the tower with other base keys and no cached results."""
-    return dataclasses.replace(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={})
+    return _tower_copy(t, base_keys_xv=keys, _chains={}, _certs={}, _pushed={})
 
 
 @pytest.mark.parametrize("p,m,length", TRUNCATION_CASES)
@@ -988,7 +997,7 @@ def test_pushed_key_rejects_a_read_past_base_precision():
     o, _, _ = t.pushed_key("A", 2, 3)
     _, read = chain.pull_back(3, o + 1)
     for n, ok in ((read, True), (read - 1, False)):
-        t2 = dataclasses.replace(t, base_prec=n, _pushed={})
+        t2 = _tower_copy(t, base_prec=n, _pushed={})
         if ok:
             assert t2.pushed_key("A", 2, 3) == t.pushed_key("A", 2, 3)
         else:

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 from fractions import Fraction as F
 
@@ -674,7 +673,7 @@ def _zero_deviation_orders(tower, which):
     """Set every deviation x-order t of one certificate set to 0; 0 * ord(x)
     never dominates a key's order, so the ladder must refuse them."""
     tower._certs[which] = [
-        dataclasses.replace(cert, t_order=0) for cert in tower.certificates(which)
+        cert._replace(t_order=0) for cert in tower.certificates(which)
     ]
 
 

@@ -3,6 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import ramval
+from ramval.towers import CrossCert
+from ramval.transforms import StableForm
 from ramval.values import (
     NotSubgroup,
     ValueGroup,
@@ -173,3 +176,21 @@ def test_stage_indices_match_gcd_oracle(p):
     for i, n_i in enumerate(stage_indices(vals)[1:], start=1):
         g = subgroup_generator_oracle(vals[:i])
         assert n_i == min(n for n in range(1, p**4 + 1) if (n * vals[i] / g).denominator == 1)
+
+
+def test_records_are_immutable_values():
+    # the frozen records are namedtuples: equal and hashed by value, with the
+    # generator of a ValueGroup normalized to be nonnegative
+    minus_half, half = ValueGroup(F(-1, 2)), ValueGroup(F(1, 2))
+    assert minus_half == half and hash(minus_half) == hash(half)
+    assert minus_half.generator == F(1, 2)
+    sf = StableForm(a=2, a_bar=1, alpha=1, b=0, d=2, beta=1)
+    cert = CrossCert(1, 4)
+    for record, name in ((sf, "a"), (sf, "unit_residue"), (cert, "t_order"), (half, "generator")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert repr(sf) == "StableForm(a=2, a_bar=1, alpha=1, b=0, d=2, beta=1, unit_residue=1)"
+    assert repr(cert) == "CrossCert(mult=1, t_order=4)"
+    assert repr(half) == "ValueGroup(generator=Fraction(1, 2))"
+    assert (ramval.GenSeq, ramval.StableForm, ramval.ValueGroup) == (
+        ramval.genseq.GenSeq, StableForm, ValueGroup)
