@@ -2,14 +2,14 @@
 
 Localization at (x, y) is never materialized: the only denominators that
 occur are units (nonzero constant term).  Pairs multiply and divide exactly.
-Substituting pairs for x and y runs ``Poly2.compose``, the one substitution
-kernel, on the numerator and on the denominator.
+Substituting a polynomial for x and a pair for y runs ``Poly2.compose``, the
+one substitution kernel, on the numerator and on the denominator.
 """
 
 from __future__ import annotations
 
 from .field import Fq
-from .poly import Poly2, _degrees
+from .poly import Poly2
 
 
 class NotAUnitDenominator(ArithmeticError):
@@ -93,23 +93,22 @@ class LocalElem:
             return self
         return LocalElem(self.num.truncate(prec), self.den.truncate(prec))
 
-    def compose(self, sub_x: "LocalElem", sub_y: "LocalElem", prec: int | None = None) -> "LocalElem":
-        """Substitute x -> sub_x, y -> sub_y; the result is again a pair,
-        modulo x^prec when ``prec`` is given.
+    def compose(self, sub_x: Poly2, sub_y: "LocalElem", prec: int | None = None) -> "LocalElem":
+        """Substitute x -> sub_x, a polynomial, and y -> sub_y, a pair; the
+        result is again a pair, modulo x^prec when ``prec`` is given.
 
-        ``Poly2.compose`` clears the substituted denominators from the
-        numerator and from the denominator, each up to its own x- and
-        y-degree; the part with the lower degree then takes the missing
-        denominator powers, so the quotient is unchanged.  The substituted
-        denominator must remain a unit, which holds for substitutions
-        fixing the origin.
+        ``Poly2.compose`` clears sub_y's denominator from the numerator and
+        from the denominator, each up to its own y-degree (0 for a zero
+        numerator); the part with the lower one then takes the missing
+        powers, so the quotient is unchanged.  The substituted denominator
+        must remain a unit, which holds for substitutions fixing the origin.
         """
-        xn, xd, yn, yd = sub_x.num, sub_x.den, sub_y.num, sub_y.den
-        num = self.num.compose(xn, yn, xd, yd, prec)
-        den = self.den.compose(xn, yn, xd, yd, prec)
-        (nx, ny), (dx, dy) = _degrees(self.num), _degrees(self.den)
-        num = num.times_pow(xd, max(dx - nx, 0), prec).times_pow(yd, max(dy - ny, 0), prec)
-        den = den.times_pow(xd, max(nx - dx, 0), prec).times_pow(yd, max(ny - dy, 0), prec)
+        yn, yd = sub_y.num, sub_y.den
+        num = self.num.compose(sub_x, yn, yd, prec)
+        den = self.den.compose(sub_x, yn, yd, prec)
+        ny, dy = max(self.num.deg_y(), 0), self.den.deg_y()
+        num = num.times_pow(yd, max(dy - ny, 0), prec)
+        den = den.times_pow(yd, max(ny - dy, 0), prec)
         # the constructor rejects a non-unit denominator image
         return LocalElem(num, den)
 

@@ -23,11 +23,11 @@ degrees of sparse operands (tower keys reach y-degree p^(2N) with a handful
 of terms) are skipped, never stepped through.
 
 Substitution has one kernel, ``compose``, which works on y-rows as well: one
-x-image per x-exponent, one product per row with its y-image.  It takes
-optional denominators for the two substituted variables and clears them
-with ``times_pow``, spending no product on a denominator that is exactly 1, so
-polynomial substitutions and the numerator / denominator pairs of
-``LocalElem.compose`` run the same code.
+x-image per x-exponent, one product per row with its y-image.  It takes the
+shape of a chart map, a polynomial x-image and an optional denominator for
+the substituted y, which it clears with ``times_pow``, spending no product on
+a denominator that is exactly 1, so polynomial substitutions and the
+numerator / denominator pairs of ``LocalElem.compose`` run the same code.
 """
 
 from __future__ import annotations
@@ -57,11 +57,6 @@ def _rows(terms: dict) -> dict:
         else:
             row[i] = c
     return rows
-
-
-def _degrees(poly: "Poly2") -> tuple[int, int]:
-    """(x-degree, y-degree) of a polynomial, (0, 0) for zero."""
-    return max((i for i, _ in poly.terms), default=0), max((j for _, j in poly.terms), default=0)
 
 
 class Poly2:
@@ -348,13 +343,12 @@ class Poly2:
 
     # -- substitution --------------------------------------------------------
 
-    def compose(self, sub_x: "Poly2", sub_y: "Poly2", x_den: "Poly2 | None" = None,
-                y_den: "Poly2 | None" = None, prec: int | None = None) -> "Poly2":
-        """Evaluate at x = sub_x / x_den, y = sub_y / y_den and clear the
-        denominators: the sum of c * sub_x^i * x_den^(dx-i) * sub_y^j *
-        y_den^(dy-j) over the terms c x^i y^j, with dx and dy the x- and
-        y-degrees of self; modulo x^prec when ``prec`` is given.  Without
-        denominators this is self(sub_x, sub_y).
+    def compose(self, sub_x: "Poly2", sub_y: "Poly2", y_den: "Poly2 | None" = None,
+                prec: int | None = None) -> "Poly2":
+        """Evaluate at x = sub_x, y = sub_y / y_den and clear the denominator:
+        the sum of c * sub_x^i * sub_y^j * y_den^(dy-j) over the terms
+        c x^i y^j, with dy the y-degree of self; modulo x^prec when ``prec``
+        is given.  Without a denominator this is self(sub_x, sub_y).
 
         The terms are grouped by y-row.  The x-image of each x-exponent is
         formed once, each row is one combination of x-images, and each row
@@ -366,16 +360,15 @@ class Poly2:
         fld = self.field
         if not self.terms:
             return Poly2(fld)
-        dx, dy = _degrees(self)
+        dy = self.deg_y()
         one = Poly2.one(fld)
         unit = one.truncate(prec)
-        x_den = one if x_den is None else x_den
         y_den = one if y_den is None else y_den
         x_images: dict = {}
 
         def x_image(i):
             if i not in x_images:
-                x_images[i] = unit.times_pow(sub_x, i, prec).times_pow(x_den, dx - i, prec)
+                x_images[i] = unit.times_pow(sub_x, i, prec)
             return x_images[i]
 
         def rows():

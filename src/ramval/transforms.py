@@ -15,16 +15,15 @@ every level-k key is an exact monomial in the original keys, the pair
 (exceptional order, restriction order) is additive on such monomials, and its
 values on original keys follow an integer recursion across levels.
 
-Where only leading data is needed, an element is pushed modulo x'^K: the old
-x maps into (x'^n), so each map reads its input modulo x^ceil(K / n), and
+Where only leading data is needed, an element is pushed modulo x'^K: each
+map reads its input modulo x^ceil(K / n) (``ChartMap.input_prec``), and
 every product past x'^K is skipped.  ``ChartChain.pull_back`` pulls the
-precision of a push back through the maps, and the spine walk
-(``ChartChain._walk_spine``) plans the key precisions with the same ceiling
-rule.  The parameter links push the foreign keys this way at every level
-the exact maps reach, with K one past the x-order the calculus predicts,
-and check the pushed orders against it.  Every push, exact or truncated,
-runs the one substitution kernel, ``Poly2.compose`` (through
-``LocalElem.compose``).
+precision of a push back through the maps by that rule, and the spine walk
+(``ChartChain._walk_spine``) plans the key precisions by it.  The parameter
+links push the foreign keys this way at every level the exact maps reach,
+with K one past the x-order the calculus predicts, and check the pushed
+orders against it.  Every push, exact or truncated, runs the one
+substitution kernel, ``Poly2.compose`` (through ``LocalElem.compose``).
 
 The chain keys themselves are carried modulo the precision their readers
 need.  The spine stays exact: key 0 and every key that later becomes a
@@ -164,9 +163,9 @@ class ChartMap:
     __slots__ = ("source", "target", "n", "residue", "phi_x", "phi_y", "chart_vars")
 
     def __init__(self, source: str, target: str, n: int, residue,
-                 phi_x: LocalElem, phi_y: LocalElem, chart_vars: tuple[str, str] = ("x'", "y'")):
+                 phi_x: Poly2, phi_y: LocalElem, chart_vars: tuple[str, str] = ("x'", "y'")):
         self.source, self.target, self.n, self.residue = source, target, n, residue
-        self.phi_x = phi_x  # image of the old x
+        self.phi_x = phi_x  # image of the old x: the polynomial r * x'^n * (y' + 1)
         self.phi_y = phi_y  # image of the old y
         self.chart_vars = chart_vars
 
@@ -179,6 +178,12 @@ class ChartMap:
         """Re-express an element of the old chart in the new chart, modulo
         x'^prec when ``prec`` is given."""
         return _as_elem(elem).compose(self.phi_x, self.phi_y, prec)
+
+    def input_prec(self, prec: int | None) -> int | None:
+        """The precision the map reads its input to when its output is read
+        modulo x'^prec: the old x maps into (x'^n), so x^ceil(prec / n);
+        None (exact) for None."""
+        return None if prec is None else -(-prec // self.n)
 
     def describe(self) -> dict:
         xn, yn = self.chart_vars
@@ -268,7 +273,7 @@ def _chart_map(level: ChainLevel) -> ChartMap:
         target=f"{level.label}/T{k}",
         n=n1,
         residue=level.r,
-        phi_x=LocalElem(phi_x_poly),
+        phi_x=phi_x_poly,
         phi_y=LocalElem(xs - b_poly.compose(phi_x_poly, ys), a_poly.compose(phi_x_poly, ys)),
         chart_vars=(f"x{k}", f"y{k}"),
     )
@@ -545,7 +550,7 @@ class ChartChain:
                     lvl.precs.append(read)
                 else:
                     pushed = lvl.degrees[j] + lvls[k].precs[j - 1]
-                    lvl.precs.append(max(read, -(-pushed // lvl.indices[1])))
+                    lvl.precs.append(max(read, lvls[k].map_from_prev.input_prec(pushed)))
         return top
 
     def extend(self):
@@ -585,10 +590,7 @@ class ChartChain:
             if lvl.map_from_prev is None:
                 raise NotApplicable(f"no exact chart map into level {lvl.k}")
             steps.append((lvl.map_from_prev, prec))
-            if prec is not None:
-                # the old x maps into (x'^n), so the map reads its input
-                # modulo x^ceil(prec / n)
-                prec = -(-prec // lvl.map_from_prev.n)
+            prec = lvl.map_from_prev.input_prec(prec)
         return steps[::-1], prec
 
     def push_exact(self, elem, k: int, prec: int | None = None) -> LocalElem:

@@ -408,11 +408,26 @@ def test_local_elem_arithmetic():
 
 def test_local_elem_compose_keeps_unit_denominator():
     u = LocalElem(parse_poly("x^2", F3), parse_poly("1 - x", F3))
-    sub_x = LocalElem(parse_poly("x^3", F3) * parse_poly("y + 1", F3))
+    sub_x = parse_poly("x^3", F3) * parse_poly("y + 1", F3)
     sub_y = LocalElem(Poly2.x(F3))
     img = u.compose(sub_x, sub_y)
     assert img.x_order() == 6
     assert img.den.is_unit()
+    # the padding by powers of sub_y's denominator, exact and modulo x^3:
+    # a zero numerator over a non-constant denominator, then pairs whose
+    # numerator, and whose denominator, has the higher y-degree
+    sub_y = LocalElem(parse_poly("x + x^2", F3), parse_poly("1 + x", F3))
+    for num, den in (("0", "1 + x*y^2"), ("x + x*y + y^3", "1 + x*y"),
+                     ("x*y + y^2", "1 + y + x*y^4")):
+        elem = LocalElem(parse_poly(num, F3), parse_poly(den, F3))
+        oracle = (_oracle_compose(elem.num, sub_x, sub_y)
+                  * _oracle_compose(elem.den, sub_x, sub_y).invert())
+        img = elem.compose(sub_x, sub_y)
+        assert img.den.is_unit() and img == oracle, num
+        assert img.is_zero() == (num == "0"), num
+        truncated = elem.compose(sub_x, sub_y, 3)
+        assert all(i < 3 for i, _ in truncated.num.terms), num
+        assert _congruent(truncated, oracle, 3), num
 
 
 def test_parse_error_position():
@@ -488,7 +503,7 @@ def _compose_case(draw):
     # a chart-map shape: x -> r x^n (y + 1), y -> (x - B) / A with B(0) = 0, A(0) != 0
     n = draw(st.integers(1, 3))
     r = field.of_index(draw(st.integers(1, field.q - 1)))
-    sub_x = LocalElem((Poly2.x(field) ** n * (Poly2.y(field) + Poly2.one(field))).scale(r))
+    sub_x = (Poly2.x(field) ** n * (Poly2.y(field) + Poly2.one(field))).scale(r)
     sub_y = LocalElem(Poly2.x(field) - draw(_polys(field, min_x=1, max_size=3)),
                       Poly2.one(field) + draw(_polys(field, min_x=1, max_size=3)))
     return elem, sub_x, sub_y, draw(st.integers(1, 12))
@@ -575,13 +590,13 @@ def test_precision_protocol_is_exact_then_truncate(case):
 # -- substitution against a term-by-term oracle ---------------------------------
 
 
-def _oracle_compose(poly: Poly2, sub_x: LocalElem, sub_y: LocalElem) -> LocalElem:
+def _oracle_compose(poly: Poly2, sub_x: Poly2, sub_y: LocalElem) -> LocalElem:
     """poly(sub_x, sub_y) as the sum of c * sub_x^i * sub_y^j, one term at a
     time in LocalElem ring operations (no row grouping, no shared images)."""
     fld = poly.field
     out = LocalElem(Poly2.zero(fld))
     for (i, j), c in poly.terms.items():
-        out = out + LocalElem(Poly2.const(fld, c)) * sub_x**i * sub_y**j
+        out = out + LocalElem(Poly2.const(fld, c)) * LocalElem(sub_x)**i * sub_y**j
     return out
 
 
@@ -608,19 +623,17 @@ def _unit_dens(field):
 
 @st.composite
 def _substitution_case(draw):
-    """(poly, sub_x, sub_y, prec): sub_x is either the chart-map shape
-    r x^n (y + 1), with denominator 1, or a pair with a drawn unit
-    denominator; sub_y has a drawn unit denominator; both substitutions
-    vanish at the origin."""
+    """(poly, sub_x, sub_y, prec): sub_x is a polynomial, either the
+    chart-map shape r x^n (y + 1) or x times a drawn polynomial; sub_y has a
+    drawn unit denominator; both substitutions vanish at the origin."""
     field = draw(st.sampled_from((F2, F3, F4, F9)))
     one, x = Poly2.one(field), Poly2.x(field)
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
         r = field.of_index(draw(st.integers(1, field.q - 1)))
-        sub_x = LocalElem((x**n * (Poly2.y(field) + one)).scale(r))
+        sub_x = (x**n * (Poly2.y(field) + one)).scale(r)
     else:
-        sub_x = LocalElem(x * (one + draw(_polys(field, max_deg=2, max_size=2))),
-                          draw(_unit_dens(field)))
+        sub_x = x * (one + draw(_polys(field, max_deg=2, max_size=2)))
     sub_y = LocalElem(x - draw(_polys(field, min_x=1, max_deg=2, max_size=2)),
                       draw(_unit_dens(field)))
     return draw(_gapped_polys(field)), sub_x, sub_y, draw(st.integers(1, 12))
@@ -633,21 +646,20 @@ def test_compose_poly_pair_matches_term_oracle(case):
     fld = poly.field
     one, x = Poly2.one(fld), Poly2.x(fld)
     oracle = _oracle_compose(poly, sub_x, sub_y)
-    # the kernel clears the denominators up to the degrees of poly
-    dx, dy = max(i for i, _ in poly.terms), max(j for _, j in poly.terms)
-    cleared = poly.compose(sub_x.num, sub_y.num, sub_x.den, sub_y.den)
-    assert LocalElem(cleared, sub_x.den**dx * sub_y.den**dy) == oracle
+    # the kernel clears the denominator up to the y-degree of poly
+    cleared = poly.compose(sub_x, sub_y.num, sub_y.den)
+    assert LocalElem(cleared, sub_y.den**poly.deg_y()) == oracle
     assert LocalElem(poly).compose(sub_x, sub_y) == oracle
     truncated = LocalElem(poly).compose(sub_x, sub_y, prec)
     assert all(i < prec for i, _ in truncated.num.terms)
     assert _congruent(truncated, oracle, prec)
     # pairs whose numerator, then whose denominator, has the higher degree
     elem = LocalElem(poly, one + x)
-    quotient = oracle * (LocalElem(one) + sub_x).invert()
+    quotient = oracle * LocalElem(one + sub_x).invert()
     assert elem.compose(sub_x, sub_y) == quotient
     assert _congruent(elem.compose(sub_x, sub_y, prec), quotient, prec)
     elem = LocalElem(x, one + x * poly)
-    quotient = sub_x * (LocalElem(one) + sub_x * oracle).invert()
+    quotient = LocalElem(sub_x) * (LocalElem(one) + LocalElem(sub_x) * oracle).invert()
     assert elem.compose(sub_x, sub_y) == quotient
     assert _congruent(elem.compose(sub_x, sub_y, prec), quotient, prec)
 
@@ -659,7 +671,7 @@ def test_compose_poly_pair_matches_term_oracle(case):
 def test_poly_compose_matches_term_oracle(case):
     # Poly2.compose without denominators, exact and modulo x^prec
     poly, sub_x, sub_y, prec = case
-    oracle = _oracle_compose(poly, LocalElem(sub_x), LocalElem(sub_y)).as_poly()
+    oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y)).as_poly()
     assert poly.compose(sub_x, sub_y) == oracle
     assert poly.compose(sub_x, sub_y, prec=prec) == oracle.truncate(prec)
 
@@ -667,7 +679,7 @@ def test_poly_compose_matches_term_oracle(case):
 def test_compose_builds_images_without_pow(monkeypatch):
     # compose forms its x- and y-images on one 1 through times_pow, so no
     # Poly2.__pow__ runs, not even for the x^0 term of a row or for row 0,
-    # exactly, modulo x^prec or with denominators
+    # exactly, modulo x^prec or with a y-denominator
     powers = []
     real_pow = Poly2.__pow__
 
@@ -679,11 +691,11 @@ def test_compose_builds_images_without_pow(monkeypatch):
         x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
         poly = parse_poly("1 + x + y + x^2*y + x*y^3 + y^4", fld)
         sub_x, sub_y = x * (y + one), x + x * y
-        oracle = _oracle_compose(poly, LocalElem(sub_x), LocalElem(sub_y)).as_poly()
+        oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y)).as_poly()
         monkeypatch.setattr(Poly2, "__pow__", recording)
         for prec in (None, 1, 3, 7):
             assert poly.compose(sub_x, sub_y, prec=prec) == oracle.truncate(prec)
-            poly.compose(sub_x, sub_y, one + x, one + y, prec)
+            poly.compose(sub_x, sub_y, one + y, prec)
         monkeypatch.setattr(Poly2, "__pow__", real_pow)
     assert powers == []
 
@@ -693,7 +705,7 @@ def test_compose_poly_pair_drops_vanishing_rows():
     # beyond vanish, so the row at y^9, made of x^2 and x^5, drops whole
     for fld in (F3, F9):
         x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
-        sub_x = LocalElem(x**3 * (y + one))
+        sub_x = x**3 * (y + one)
         sub_y = LocalElem(x + x**2, one + x)
         poly = LocalElem(parse_poly("1 + x*y + x^2*y^9 + x^5*y^9 + y^10", fld))
         oracle = _oracle_compose(poly.num, sub_x, sub_y)

@@ -112,20 +112,25 @@ def _exact_base_keys(p, fld, length):
 def test_rewritten_keys_are_substituted_keys(p, m, length):
     # independent oracle for the chart rewrites: substitution is a ring map,
     # so the recursion run from the images of the first two keys must equal
-    # every key substituted on its own (Horner for the middle keys, the pair
-    # kernel for the base keys); the base numerators are built modulo x^N,
-    # so N_j / w^a_j is compared modulo x^N, and a_j follows the max rule
+    # every key substituted on its own (Horner for the middle keys, term by
+    # term for the base keys: key(x^p / w, y) is the sum of
+    # c x^(p i) w^(dx - i) y^j over w^dx, dx the key's x-degree); the base
+    # numerators are built modulo x^N, so N_j / w^a_j is compared modulo
+    # x^N, and a_j follows the max rule
     fld = Fq(p, m)
     t = build_tower(p, p - 1, length, fld)
-    x, y = Poly2.x(fld), Poly2.y(fld)
-    u_elem = LocalElem(x**p, t.w)
+    x, N = Poly2.x(fld), t.base_prec
     assert t.w == Poly2.one(fld) - Poly2.monomial(fld, p - 1, 0)
     assert len(t.mid_keys_xy) == len(t.seq_mid.keys) == length + 1
     for rewritten, key in zip(t.mid_keys_xy, t.seq_mid.keys):
         assert rewritten == key.compose(x, t.v_sub)
     assert len(t.base_keys_xv) == len(t.seq_base.keys) == length + 1
     for rewritten, key in zip(_base_key_elems(t), t.seq_base.keys):
-        assert _equal_mod_xpow(rewritten, LocalElem(key).compose(u_elem, LocalElem(y)), t.base_prec)
+        dx = max(i for i, _ in key.terms)
+        num = Poly2.zero(fld)
+        for (i, j), c in key.terms.items():
+            num = num + Poly2.monomial(fld, p * i, j, c).__mul__(pow(t.w, dx - i, N), N)
+        assert _equal_mod_xpow(rewritten, LocalElem(num, pow(t.w, dx, N)), N)
     exps = [a for _, a in t.base_keys_xv]
     assert exps[:2] == [1, 0]
     for j in range(1, length):
@@ -644,16 +649,19 @@ def test_pushed_key_independent_of_request_order(p, m):
 def test_chart_maps_fix_the_origin(p, m):
     # what lets pushed_key read a base key N / w^a off push(N): every exact
     # chart map sends the origin to the origin, so push(w) is a unit pair
-    # whose lowest row is the constant 1
+    # whose lowest row is the constant 1; and the old x that push
+    # substitutes is the r * x'^n * (y' + 1) that describe() prints
     t = build_tower(p, p - 1, 6, Fq(p, m))
-    zero = t.field.zero
+    zero, x, y = t.field.zero, Poly2.x(t.field), Poly2.y(t.field)
     for which in "SA":
         chain = t.chain(which)
         top = chain._walk_spine()
         assert top >= 2, which
         for k in range(2, top + 1):
             cmap = chain.level(k).map_from_prev
-            assert cmap.phi_x.num.constant_term() == zero, (which, k)
+            assert cmap.phi_x == (x**cmap.n * (y + Poly2.one(t.field))).scale(cmap.residue), \
+                (which, k)
+            assert cmap.phi_x.constant_term() == zero, (which, k)
             assert cmap.phi_y.num.constant_term() == zero, (which, k)
             assert _bottom_row(chain.push_exact(t.w, k, 1)) == (0, 0, t.field.one), (which, k)
 
@@ -797,8 +805,8 @@ def test_shared_chain_matches_separate_base_chain(p, c):
             assert [pair(key) for key in a.keys] == [pair(key) for key in b.keys], k
         if a.map_from_prev is not None:
             ma, mb = a.map_from_prev, b.map_from_prev
-            assert (ma.n, ma.residue, pair(ma.phi_x), pair(ma.phi_y)) == \
-                (mb.n, mb.residue, pair(mb.phi_x), pair(mb.phi_y)), k
+            assert (ma.n, ma.residue, ma.phi_x, pair(ma.phi_y)) == \
+                (mb.n, mb.residue, mb.phi_x, pair(mb.phi_y)), k
         else:
             assert b.map_from_prev is None, k
 
