@@ -5,11 +5,14 @@ A Poly2 is a dict mapping exponent pairs (i, j) -> nonzero coefficient,
 charts rename them for display (u/v in the base chart, x/v in the middle
 chart).
 
-Powers have one kernel, ``times_pow``: f * g^e reads e in base p, and the
-p^i-th power of g is its i-th Frobenius twist (coefficient-wise p-th power
-plus exponent scaling), so each unit of digit i is one product with that
-twist.  This keeps the tower polynomials sparse in characteristic p, and a
-two-term g stays two terms; ``**`` is ``times_pow`` applied to 1.
+Powers have one kernel, ``times_pow``: f * g^e for a one-term g is a shift
+and a scale of f, formed in one step.  Otherwise e is read in base p, and the
+p^i-th power of g is its i-th Frobenius twist (exponents scaled by p^i,
+coefficients through i Frobenius steps), so each unit of digit i is one
+product with that twist, and a run of zero digits is crossed by a single
+twist ``frobenius(s)`` of the last one.  This keeps the tower polynomials
+sparse in characteristic p, and a two-term g stays two terms; ``**`` is
+``times_pow`` applied to 1.
 
 Coefficients are the packed ints of ``Fq``, so the integer product of two
 coefficients is their unreduced convolution.  Products, substitutions and
@@ -196,11 +199,21 @@ class Poly2:
             out[(ni, nj)] = c
         return Poly2(self.field, out)
 
-    def frobenius(self) -> "Poly2":
-        """p-th power: exponents scale by p, coefficients take Frobenius."""
+    def frobenius(self, s: int = 1, prec: int | None = None) -> "Poly2":
+        """The p^s-th power (the s-th Frobenius twist) modulo x^prec:
+        exponents scale by p^s and each coefficient takes s mod m Frobenius
+        steps (F_q has q = p^m); a term that lands at x^prec or above is
+        never built."""
         fld = self.field
-        p = fld.p
-        return Poly2(fld, {(i * p, j * p): fld.frob(c) for (i, j), c in self.terms.items()})
+        ps, steps, frob = fld.p**s, s % fld.m, fld.frob
+        out = {}
+        for (i, j), c in self.terms.items():
+            i *= ps
+            if prec is None or i < prec:
+                for _ in range(steps):
+                    c = frob(c)
+                out[(i, j * ps)] = c
+        return Poly2(fld, out)
 
     def truncate(self, prec: int | None) -> "Poly2":
         """The polynomial modulo x^prec: its terms of x-degree below prec;
@@ -214,31 +227,50 @@ class Poly2:
         x^prec (every caller passes a result computed at ``prec``), with every
         Frobenius twist and product truncated.
 
-        Digit d_i of e in base p costs d_i products with the twist
-        base^(p^i), formed from the previous one by ``frobenius``.  The loop
-        stops once the product vanishes or a twist is 1 modulo x^prec, so
-        w = 1 - x^(p-1), whose twists 1 - x^((p-1) p^i) have two terms,
-        costs one two-term product per unit of each digit below the first i
-        with (p-1) p^i >= prec.  For e = 0, or a base that is 1 modulo x^prec,
-        no product and no copy is formed and self is returned; the result is
-        0 at once when e * x-order(base) >= prec."""
+        A base with one term c x^i y^j modulo x^prec is raised in one step:
+        the result is self shifted by (i e, j e) and scaled by c^e, without a
+        product or a twist.  Otherwise e is read in base p: digit d_i costs
+        d_i products with the twist base^(p^i), and a run of zero digits is
+        crossed by one ``frobenius(s, prec)`` of the last twist, s the
+        distance to the next nonzero digit.  The loop stops once the product
+        vanishes or a twist is 1 modulo x^prec, so w = 1 - x^(p-1), whose
+        twists 1 - x^((p-1) p^i) have two terms, costs one two-term product
+        per unit of each digit below the first i with (p-1) p^i >= prec.  For
+        e = 0, or a base that is 1 modulo x^prec, no product and no copy is
+        formed and self is returned; the result is 0 at once when
+        e * x-order(base) >= prec."""
         if e < 0:
             raise ArithmeticError("negative polynomial power")
         fld = self.field
         one = {(0, 0): fld.one}
-        if not e or base.terms == one:
+        if not e:
             return self
-        twist = base.truncate(prec)
+        # a one-term base needs no truncation: its power keeps no term below
+        # x^prec when the base has none
+        twist = base if len(base.terms) == 1 else base.truncate(prec)
+        if twist.terms == one:
+            return self
+        if len(twist.terms) == 1:
+            ((i, j), c), = twist.terms.items()
+            i, j, c, fold = i * e, j * e, fld.pow_(c, e), fld.fold
+            return Poly2(fld, {(a + i, b + j): fold(c * v) for (a, b), v in self.terms.items()
+                               if prec is None or a + i < prec})
         if not twist or prec is not None and e * twist.x_order() >= prec:
             return Poly2(fld)
         p, out = fld.p, self
-        while e and out and twist.terms != one:
+        while True:
             e, d = divmod(e, p)
             for _ in range(d):
                 out = out.__mul__(twist, prec)
-            if e:
-                twist = twist.frobenius().truncate(prec)
-        return out
+            if not e or not out:
+                return out
+            s = 1
+            while not e % p:
+                e //= p
+                s += 1
+            twist = twist.frobenius(s, prec)
+            if twist.terms == one:
+                return out
 
     def __pow__(self, e: int, prec: int | None = None) -> "Poly2":
         """self^e; ``pow(f, e, K)`` is f^e modulo x^K (``times_pow``)."""

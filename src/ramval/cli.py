@@ -8,7 +8,6 @@ witness), 2 = usage or domain error.  All numeric output is exact fractions.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
 from fractions import Fraction
@@ -17,7 +16,7 @@ from functools import cache
 from . import towers, transforms
 from .algebra import Fq, ParseError, parse_poly
 from .genseq import BadParams, Inconsistent, build_tower_seq, expand, semigroup, validate
-from .reporting import Report, render_table
+from .reporting import Report, render_table, to_json
 from .values import fmt_value, p_adic_split
 
 class UsageError(ValueError):
@@ -158,7 +157,7 @@ def cmd_monomialize(args) -> int:
         }
     pres = monomial.graded_presentation_rank2(m, f=1)
     out["presentation"] = pres.as_dict()
-    print(json.dumps(out, indent=2))
+    print(to_json(out))
     all_ok = out["agree"] and out.get("reduction", {}).get("determinant_identity", True)
     return 0 if all_ok else 1
 

@@ -19,6 +19,29 @@ def _cell(v) -> str:
     return str(v)
 
 
+def to_json(obj, indent: str = "") -> str:
+    """``json.dumps(obj, indent=2, default=str)``, written by hand for lists,
+    tuples and dicts and with ``json.dumps(leaf, default=str)`` for the rest.
+    An indented ``json.dumps`` takes the pure-Python encoder, whose nested
+    closures refer to themselves and so outlive every call until a cyclic
+    collection; the unindented leaf calls take the C encoder, which builds
+    none."""
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [inner + to_json(v, inner) for v in obj]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]" if items else "[]"
+    if isinstance(obj, dict):
+        items = [f"{inner}{_json_key(k)}: {to_json(v, inner)}" for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
+    return json.dumps(obj, default=str)
+
+
+def _json_key(k) -> str:
+    """A dict key as ``json.dumps`` writes it: a string, or the JSON text of
+    a number, bool or None in quotes."""
+    return json.dumps(k if isinstance(k, str) else json.dumps(k))
+
+
 def render_table(rows: list[dict], fmt: str, title: str = "") -> str:
     if not rows:
         return f"{title}: (empty)\n" if fmt == "text" else ""
@@ -74,7 +97,7 @@ class Report:
                     {"title": title, "rows": rows} for title, rows in self.sections
                 ],
             }
-            return json.dumps(payload, indent=2, default=str) + "\n"
+            return to_json(payload) + "\n"
         parts = []
         if fmt == "md":
             parts.append("## ramval report")

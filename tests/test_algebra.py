@@ -281,6 +281,42 @@ def test_times_pow_of_w_is_two_term_products(monkeypatch):
                 assert f.times_pow(Poly2.x(fld), prec, prec).is_zero() and products == []
 
 
+def test_times_pow_forms_only_the_products_and_twists_it_needs(monkeypatch):
+    # a one-term base is raised in one step, with no product and no twist; a
+    # two-term base to d p^k costs one twist base^(p^k), however long the
+    # run of k zero digits below d, and d products with it; p^k + 1 costs
+    # one product on each side of that twist
+    calls = []
+    mul, frobenius = Poly2.__mul__, Poly2.frobenius
+
+    def counting_mul(self, other, prec=None):
+        calls.append("mul")
+        return mul(self, other, prec)
+
+    def counting_frobenius(self, *args):
+        calls.append("frobenius")
+        return frobenius(self, *args)
+
+    monkeypatch.setattr(Poly2, "__mul__", counting_mul)
+    monkeypatch.setattr(Poly2, "frobenius", counting_frobenius)
+    for fld in FIELDS:
+        p = fld.p
+        t = fld.of_index(fld.q - 1)  # outside F_p over F_4 and F_9
+        f = Poly2.one(fld) + Poly2.monomial(fld, 1, 2, t)
+        mono = Poly2.monomial(fld, 0, 1, t)
+        binom = Poly2.x(fld) + Poly2.monomial(fld, 0, 1, t)
+        for k in range(1, 7):
+            for prec in (None, p**k + 1):
+                for d in range(1, p):
+                    calls.clear()
+                    f.times_pow(mono, d * p**k, prec)
+                    f.times_pow(binom, d * p**k, prec)
+                    assert calls == ["frobenius"] + ["mul"] * d, (fld, k, d, prec)
+                calls.clear()
+                f.times_pow(binom, p**k + 1, prec)
+                assert calls == ["mul", "frobenius", "mul"], (fld, k, prec)
+
+
 def test_frobenius_additive():
     rng = random.Random(11)
     for fld in (F2, F3):
@@ -525,6 +561,45 @@ def test_truncated_mul_and_pow_match_exact(case):
     f, g, e, prec = case
     assert f.__mul__(g, prec) == (f * g).truncate(prec)
     assert pow(f, e, prec) == (f**e).truncate(prec)
+
+
+@st.composite
+def _times_pow_case(draw):
+    """(f, base, e, prec) for ``times_pow``: a one-term base at any
+    precision; a base c y^j + x h (or 1 + x h) at a small precision, so
+    that every truncated power stays small; or a base of at most two terms
+    exactly.  e is p^k, d p^k or p^k + 1 (k <= 6, or k <= 3 exactly), or
+    any e <= 30."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    p = field.p
+    unit = st.integers(1, field.q - 1).map(field.of_index)
+    kind = draw(st.sampled_from(("monomial", "unit lead", "exact")))
+    k, d = draw(st.integers(0, 3 if kind == "exact" else 6)), draw(st.integers(1, p - 1))
+    e = draw(st.sampled_from((p**k, d * p**k, p**k + 1, draw(st.integers(0, 30)))))
+    if kind == "monomial":
+        base = Poly2.monomial(field, draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(unit))
+        prec = draw(st.sampled_from((None, *range(1, 9))))
+    elif kind == "unit lead":
+        # 1 + x h becomes 1 modulo x^prec at a twist past the first
+        lead = Poly2.one(field) if draw(st.booleans()) else Poly2.monomial(
+            field, 0, draw(st.integers(0, 2)), draw(unit))
+        base = lead + draw(_polys(field, min_x=1, max_deg=3, max_size=2))
+        prec = draw(st.integers(1, 5))
+    else:
+        base, prec = draw(_polys(field, max_deg=3, max_size=2)), None
+    return draw(_polys(field, max_deg=3, max_size=4)).truncate(prec), base, e, prec
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_times_pow_case())
+def test_times_pow_matches_repeated_truncated_products(case):
+    # the one-step monomial power and the jumps over zero digits against e
+    # truncated products, over F_2, F_3, F_4 and F_9
+    f, base, e, prec = case
+    expected = f
+    for _ in range(e):
+        expected = expected.__mul__(base, prec)
+    assert f.times_pow(base, e, prec) == expected
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -365,6 +365,29 @@ def test_tower_over_f4_leaves_no_cyclic_garbage(capsys):
         gc.enable()
 
 
+def test_json_output_leaves_no_cyclic_garbage(capsys):
+    # after a warm-up, a second JSON `tower` and a second JSON `report` leave
+    # nothing for the cyclic collector: the indented JSON is written without
+    # the pure-Python encoder and its self-referring closures
+    commands = [("tower", "--p", "2", "--c", "1", "--q", "4", "--levels", "3", "--length", "5",
+                 "--format", "json"),
+                ("report", "--p", "2", "--c", "1", "--levels", "3", "--samples", "20",
+                 "--format", "json")]
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in commands:
+            assert run(capsys, *argv)[0] == 0
+            gc.collect()
+            assert gc.garbage == [], argv
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
 def test_report_jobs_rejected(capsys):
     for flag in ("--jobs", "--prec"):
         with pytest.raises(SystemExit) as ex:

@@ -1,7 +1,9 @@
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from ramval.cli import main
-from ramval.reporting import Report, render_table
+from ramval.reporting import Report, render_table, to_json
 
 
 ROWS = [{"i": 1, "ok": True, "value": "1/2"}, {"i": 2, "ok": False, "value": "17/16"}]
@@ -56,3 +58,23 @@ def test_header_echoes_the_parsed_options(capsys):
     header = capsys.readouterr().out.splitlines()[2]
     assert header == ('`{"p": 2, "c": 1, "q": null, "levels": 2, "length": 4, "samples": 3, '
                       '"fmt": "md", "seed": 0, "schema": 1}`')
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                | st.fractions(max_denominator=9))
+_JSON_KEYS = st.text(max_size=3) | st.integers(-9, 9) | st.booleans() | st.none()
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda kids: (st.lists(kids, max_size=3) | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(_JSON_KEYS, kids, max_size=3)),
+    max_leaves=12)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_to_json_matches_indented_json_dumps(obj):
+    # the same text as the standard indented encoder: empty and nested
+    # containers, tuples as lists, non-string keys, non-ASCII text, NaN and
+    # the default=str leaves (a Fraction)
+    assert to_json(obj) == json.dumps(obj, indent=2, default=str)
+
