@@ -385,10 +385,10 @@ class Poly2:
         The terms are grouped by y-row.  The x-image of each x-exponent is
         formed once, each row is one combination of x-images, and each row
         is multiplied once by its y-image; the rows are summed in one
-        accumulator.  With ``prec``, a row whose x-part starts at x^o takes
-        its y-image modulo x^(prec - o), and an image that vanishes drops
-        its terms or its row.  A denominator that is None or exactly 1
-        costs no product (``times_pow``)."""
+        accumulator.  With ``prec``, a row whose x-images start at x^o or
+        above takes its y-image modulo x^(prec - o), and an image that
+        vanishes drops its terms or its row.  A denominator that is None or
+        exactly 1 costs no product (``times_pow``)."""
         fld = self.field
         if not self.terms:
             return Poly2(fld)
@@ -397,6 +397,9 @@ class Poly2:
         unit = one.truncate(prec)
         y_den = one if y_den is None else y_den
         x_images: dict = {}
+        # a nonzero x-image sub_x^i has x-order i * x_step: lowest x-rows
+        # multiply, since k[y] is a domain
+        x_step = sub_x.x_order() if prec is not None and sub_x else 0
 
         def x_image(i):
             if i not in x_images:
@@ -405,12 +408,17 @@ class Poly2:
 
         def rows():
             for j, row in _rows(self.terms).items():
-                x_part = Poly2.combination(fld, ((c, x_image(i)) for i, c in row.items() if x_image(i)))
+                x_part = Poly2.combination(fld, ((c, image) for i, c in row.items()
+                                                 if (image := x_image(i))))
                 if not x_part:
                     continue
-                # x_part is nonzero modulo x^prec, so y_prec >= 1 and one is
-                # already 1 modulo x^y_prec
-                y_prec = None if prec is None else prec - x_part.x_order()
+                # the least x-order of the row's images is at most that of
+                # x_part, which is nonzero modulo x^prec: so y_prec >= 1 and
+                # one is already 1 modulo x^y_prec.  Where the lowest rows
+                # cancel, y_prec is larger than x_part needs, and the product
+                # modulo x^prec is the same
+                y_prec = None if prec is None else prec - x_step * min(
+                    i for i in row if x_images[i])
                 y_image = one.times_pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec)
                 if y_image:
                     yield fld.one, x_part.__mul__(y_image, prec)

@@ -111,10 +111,10 @@ def cmd_transform(args) -> int:
     for k in range(1, args.levels + 1):
         lvl = chain.level(k)
         rows = []
-        for i in range(len(lvl.values)):
+        for i, value in enumerate(lvl.values):
             row = {
                 "i": i,
-                "value": fmt_value(lvl.values[i]),
+                "value": fmt_value(value),
                 "index": lvl.indices[i] if i else "",
                 "degree": lvl.degrees[i] if i else "",
             }

@@ -9,7 +9,9 @@ attained by a unique term.
 The values of a validated sequence lie in (1/D)Z for the common denominator
 D of its values, so the minimum is taken over integer dot products with the
 weights value_i * D (MacLane, "A construction for absolute values in
-polynomial rings", Trans. AMS 40, 1936); public values stay Fractions.
+polynomial rings", Trans. AMS 40, 1936).  Value tables read samples in the
+same units (``ValueTable.least``), and so do the chart chains and the
+certificate bounds built on a sequence; public values stay Fractions.
 """
 
 from __future__ import annotations
@@ -464,14 +466,19 @@ class ValueTable:
         return {v: c for v, s in acc.items() if (c := fold(s))}
 
     def value(self, g: Poly2) -> Fraction:
-        """The valuation of g(x, v), read off the least candidate terms.
+        """The valuation of g(x, v): ``least(g)`` / D."""
+        return Fraction(self.least(g), self.denom)
+
+    def least(self, g: Poly2) -> int:
+        """The valuation of g(x, v) in units of 1/D, read off the least
+        candidate terms.
 
         The candidate of a term c * x^a * v^b of g is the least entry of row
         b shifted by a * value(x); let m be the least candidate.  A row holds
         each value at most once (``value_table``), so no term reaches a value
         below m, each term adds at most one product at m, and the products of
         the terms whose candidate is m sum to the coefficient of the
-        expansion at m.  If that sum folds to nonzero the value is m / D;
+        expansion at m.  If that sum folds to nonzero the value is m;
         if it cancels, the value is the least value of ``sums``."""
         if not g.terms:
             raise ArithmeticError("cannot expand the zero element")
@@ -488,7 +495,7 @@ class ValueTable:
         self.field.check_capacity(len(g.terms))
         if not self.field.fold(raw):
             least = min(self.sums(g))
-        return Fraction(least, self.denom)
+        return least
 
 
 def value_table(powers: list[StandardExpansion]) -> ValueTable:

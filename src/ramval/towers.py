@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
+from fractions import Fraction
 
 from .algebra import Fq, Poly2
 from .genseq import (
@@ -192,7 +193,8 @@ class Tower:
             ),
             "base-in-mid": (self.seq_mid, self.base_keys_xv, self.base_prec),
         }[which]
-        vals = host.values
+        lat = host.ensure_valid()
+        weights, denom = lat.weights, lat.denom
         certs = []
         for i, (num, a) in enumerate(foreign):
             f_num = num.truncate(prec)
@@ -208,17 +210,19 @@ class Tower:
                     f"{which} key {i}: {what} {deg_f} modulo x^{prec} is not a p-power times "
                     f"the {what} {deg_k} of host key {i} (N = {prec})"
                 )
-            val_f = mult * vals[i]
-            if val_f >= prec * vals[0]:
+            # the bound val_f < N * value(x), in units of 1/D
+            weight_f = mult * weights[i]
+            if weight_f >= prec * weights[0]:
                 raise Inconsistent(
-                    f"{which} key {i} has value {fmt_value(val_f)} modulo x^{prec}, not below "
-                    f"N * value(x) = {fmt_value(prec * vals[0])} (N = {prec})"
+                    f"{which} key {i} has value {fmt_value(Fraction(weight_f, denom))} modulo "
+                    f"x^{prec}, not below N * value(x) = "
+                    f"{fmt_value(Fraction(prec * weights[0], denom))} (N = {prec})"
                 )
             delta = f_num.__sub__(pow(host.keys[i], mult, prec).times_pow(self.w, a, prec), prec)
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue
-            margin = value_of(delta, host) - val_f
+            margin = value_of(delta, host) - Fraction(weight_f, denom)
             if margin <= 0:
                 raise Inconsistent(
                     f"{which} key {i}: deviation value does not dominate (margin {margin})"
@@ -236,8 +240,10 @@ def certificate_precision(host: GenSeq, p: int) -> int:
     at most p * value(host key L), below N * value(x): modulo x^N the
     deviation's value is read exactly wherever it can matter, since a
     deviation that reads N * value(x) or more has at least that value,
-    above the key's (``Tower.certificates``)."""
-    return int(p * host.values[-1] / host.values[0]) + 1
+    above the key's (``Tower.certificates``).  Read on the integer weights
+    of the validated host: value_i = weight_i / D."""
+    w = host.ensure_valid().weights
+    return p * w[-1] // w[0] + 1
 
 
 # The longest tower, by p, whose `tower` run took about a second or less
@@ -457,25 +463,30 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     Both values are read off the ``value_table`` of each side's
     ``restriction_tables``, the cached expansions of the powers of v keyed by
     value, which ``value_table`` checks once per table to name one exponent
-    vector: ``ValueTable.value`` sums only the products at the least
+    vector: ``ValueTable.least`` sums only the products at the least
     candidate value, the least row entry of each term of the sample shifted
     by its power of x, and falls back to the whole value-keyed expansion
     (``ValueTable.sums``) when they cancel.  Each side keeps its own
     sequence and its own table, so the two stay independent computations.
-    Sample 0 and every DIRECT_EVERY-th sample are also valued by dividing
-    from scratch (``value_of``, with its own tie check), g in the middle
-    sequence and its substitution g(x, v(x, y)) in the top one;
-    Inconsistent, naming the sample and both value pairs, if the two paths
-    disagree."""
+    Each side's value is an integer in units of its own 1/D, so the two are
+    compared cross-multiplied, and Fractions are built only for the direct
+    samples and the mismatch rows.  Sample 0 and every DIRECT_EVERY-th
+    sample are also valued by dividing from scratch (``value_of``, with its
+    own tie check), g in the middle sequence and its substitution
+    g(x, v(x, y)) in the top one; Inconsistent, naming the sample and both
+    value pairs, if the two paths disagree."""
     rng = random.Random(seed)
     mid_powers, top_powers = restriction_tables(tower)
     mid_table, top_table = value_table(mid_powers), value_table(top_powers)
+    mid_denom, top_denom = mid_table.denom, top_table.denom
     x = Poly2.x(tower.field)
     mismatches = []
     for n in range(samples):
         g = random_middle_poly(tower, rng)
-        mid_val, top_val = mid_table.value(g), top_table.value(g)
+        # each side's value in units of its own 1/D
+        mid_least, top_least = mid_table.least(g), top_table.least(g)
         if n % DIRECT_EVERY == 0:
+            mid_val, top_val = Fraction(mid_least, mid_denom), Fraction(top_least, top_denom)
             mid_direct = value_of(g, tower.seq_mid)
             top_direct = value_of(g.compose(x, tower.v_sub), tower.seq_top)
             if (mid_direct, top_direct) != (mid_val, top_val):
@@ -484,8 +495,9 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
                     f"({fmt_value(mid_val)}, {fmt_value(top_val)}) from the cached expansions, "
                     f"({fmt_value(mid_direct)}, {fmt_value(top_direct)}) by direct division"
                 )
-        if mid_val != top_val:
-            mismatches.append((g.to_str("x", "v"), fmt_value(mid_val), fmt_value(top_val)))
+        if mid_least * top_denom != top_least * mid_denom:
+            mismatches.append((g.to_str("x", "v"), fmt_value(Fraction(mid_least, mid_denom)),
+                               fmt_value(Fraction(top_least, top_denom))))
     return CheckReport(
         "restriction",
         not mismatches,
@@ -581,11 +593,11 @@ def verify_parameter_links(tower: Tower, j: int) -> CheckReport:
     lvl_a = tower.chain("A").level(k)
     lvl_r = tower.chain("R").level(k)
     p = tower.p
-    x_s, y_s = lvl_s.values[0], lvl_s.values[1]
-    x_a, v_a = lvl_a.values[0], lvl_a.values[1]
+    x_s, y_s = lvl_s.values[:2]
+    x_a, v_a = lvl_a.values[:2]
     # the base sequence is normalised to value(u) = 1, and u = x^p * unit
     # has value p where x has value 1, so base-chart values scale by p
-    u_r, v_r = p * lvl_r.values[0], p * lvl_r.values[1]
+    u_r, v_r = (p * v for v in lvl_r.values[:2])
     odd = j % 2 == 1
     checks = {
         "xA_vs_xS": x_a == (p * x_s if odd else x_s),

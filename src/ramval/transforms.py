@@ -13,7 +13,11 @@ whole acceptance range of the tower scenarios.
 Invariants of deep levels are extracted through the composite-order calculus:
 every level-k key is an exact monomial in the original keys, the pair
 (exceptional order, restriction order) is additive on such monomials, and its
-values on original keys follow an integer recursion across levels.
+values on original keys follow an integer recursion across levels.  The
+values themselves follow one too (v'_0 = v_1, v'_j = v_{j+1} - deg_{j+1} *
+v_1), so every level lies in the base sequence's (1/D)Z: the calculus runs
+on integer weights over D (``ChainLevel.weights``), and a Fraction is built
+only where a value is printed or read through ``ChainLevel.values``.
 
 Where only leading data is needed, an element is pushed modulo x'^K: each
 map reads its input modulo x^ceil(K / n) (``ChartMap.input_prec``), and
@@ -48,10 +52,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 from .algebra import LocalElem, Poly2
 from .genseq import GenSeq, Inconsistent, SequenceTooShort, residue_of_quotient
-from .values import p_adic_split, stage_indices
+from .values import p_adic_split
 
 
 class NotApplicable(ArithmeticError):
@@ -200,23 +205,34 @@ class ChainLevel:
     keys, the composite-order tables, and, at the levels the exact chart maps
     reach, the keys (numerator / unit-denominator pairs named by ``chart``)
     with their precisions: key i is known modulo x^precs[i], and exactly
-    where precs[i] is None (see ``ChartChain``)."""
+    where precs[i] is None (see ``ChartChain``).
 
-    __slots__ = ("k", "values", "indices", "degrees", "vecs", "crows", "r", "keys", "precs",
-                 "label", "chart", "map_from_prev")
+    The values are carried as integer ``weights`` over ``denom``, the common
+    denominator D of the base sequence's values: a composite transform maps
+    values by an integer recursion, so every level of a chain lies in the
+    base's (1/D)Z.  ``values`` is the list of Fractions weight / D, derived
+    on each read."""
 
-    def __init__(self, k: int, values: list[Fraction], indices: list[int], degrees: list[int],
-                 vecs: list[tuple[int, ...]], crows: list[tuple[int, ...]], r,
+    __slots__ = ("k", "weights", "denom", "indices", "degrees", "vecs", "crows", "r", "keys",
+                 "precs", "label", "chart", "map_from_prev")
+
+    def __init__(self, k: int, weights: list[int], denom: int, indices: list[int],
+                 degrees: list[int], vecs: list[tuple[int, ...]], crows: list[tuple[int, ...]], r,
                  keys: list[LocalElem] | None = None, precs: list[int | None] | None = None,
                  label: str = "", chart: tuple[str, str] = ("x", "y"),
                  map_from_prev: ChartMap | None = None):
-        self.k, self.values, self.indices = k, values, indices
+        self.k, self.weights, self.denom, self.indices = k, weights, denom, indices
         self.degrees = degrees  # distinguished degrees of the level keys
         self.vecs = vecs  # level keys as monomials in the base keys
         self.crows = crows  # base keys as monomials in the level keys
         self.r = r  # residue of x / key_1^n_1: the translation constant of the next step
         self.keys, self.precs = keys, precs
         self.label, self.chart, self.map_from_prev = label, chart, map_from_prev
+
+    @property
+    def values(self) -> list[Fraction]:
+        """The values of the level keys, weight / D."""
+        return [Fraction(w, self.denom) for w in self.weights]
 
     def key_str(self, i: int) -> str:
         return self.keys[i].to_str(*self.chart)
@@ -316,16 +332,31 @@ def _recursion_remainder(keys: list[LocalElem], j: int, e: int, prec: int) -> Lo
     return pow(keys[j], e, prec).__sub__(keys[j + 1], prec)
 
 
+def _weight_indices(weights: list[int]) -> list[int]:
+    """[0, n_1, n_2, ...] for positive integer weights: n_i is the order of
+    weight_i modulo the group the weights before it generate, g Z with g
+    their gcd, so n_i = g / gcd(g, weight_i).  Over a common denominator
+    these are the ``stage_indices`` of the values."""
+    out = [0]
+    g = weights[0]
+    for w in weights[1:]:
+        h = gcd(g, w)
+        out.append(g // h)
+        g = h
+    return out
+
+
 def _relation_exponent(level: ChainLevel, j: int) -> int:
     """a_j = (n_j * value_j - value_{j-1}) / value_0, the x-exponent of the
-    recursion key_{j+1} = key_j^n_j - delta x^a_j key_{j-1}; Inconsistent
-    unless it is a nonnegative integer."""
-    v = level.values
-    a = (level.indices[j] * v[j] - v[j - 1]) / v[0]
-    if a.denominator != 1 or a < 0:
-        raise Inconsistent(f"level {level.k}, key {j + 1}: relation exponent {a} "
-                           "is not a nonnegative integer")
-    return int(a)
+    recursion key_{j+1} = key_j^n_j - delta x^a_j key_{j-1}, in the level's
+    integer weights; Inconsistent unless it is a nonnegative integer."""
+    w = level.weights
+    num = level.indices[j] * w[j] - w[j - 1]
+    a, rest = divmod(num, w[0])
+    if rest or a < 0:
+        raise Inconsistent(f"level {level.k}, key {j + 1}: relation exponent "
+                           f"{Fraction(num, w[0])} is not a nonnegative integer")
+    return a
 
 
 def _validation_reads(level: ChainLevel) -> list[int]:
@@ -333,7 +364,7 @@ def _validation_reads(level: ChainLevel) -> list[int]:
     level that passes it: 1 for the x^0 row, and a_j + o + 1 for both keys
     of the recursion remainder j, where o is the x-order of key j - 1: 1 for
     key 0 = x, 0 for every other key."""
-    reads = [1] * len(level.values)
+    reads = [1] * len(level.weights)
     for j in range(1, len(reads) - 1):
         prec = _relation_exponent(level, j) + (j == 1) + 1
         reads[j] = max(reads[j], prec)
@@ -411,7 +442,7 @@ class ChartChain:
         nbase = len(base.keys)
         ident = [tuple(1 if t == i else 0 for t in range(nbase)) for i in range(nbase)]
         r = base.field.one
-        if nbase > 1 and base.values[0] == lat.indices[1] * base.values[1]:
+        if nbase > 1 and lat.weights[0] == lat.indices[1] * lat.weights[1]:
             try:
                 r = residue_of_quotient(base.keys[0], base.keys[1] ** lat.indices[1], base)
             except SequenceTooShort:
@@ -419,7 +450,8 @@ class ChartChain:
         self.levels = [
             ChainLevel(
                 k=1,
-                values=list(base.values),
+                weights=list(lat.weights),
+                denom=lat.denom,
                 indices=list(lat.indices),
                 degrees=list(lat.degrees),
                 vecs=ident,
@@ -445,23 +477,24 @@ class ChartChain:
 
     def _next_orders(self, cur: ChainLevel) -> ChainLevel:
         """The level after ``cur``, without keys: its values, indices and
-        degrees from the composite-order calculus, checked (see
-        ``extend``), and its exponent-vector tables."""
-        if len(cur.values) < 2:
+        degrees from the composite-order calculus, in integer weights over
+        the chain's D, checked (see ``extend``), and its exponent-vector
+        tables.  The witnesses of the checks name values as Fractions."""
+        w, denom = cur.weights, cur.denom
+        if len(w) < 2:
             raise NotApplicable("chain exhausted: too few keys to transform")
         n1 = cur.indices[1]
-        if cur.values[0] != n1 * cur.values[1]:
+        if w[0] != n1 * w[1]:
             raise NotApplicable("ratio condition fails along the chain")
-        m = len(cur.values) - 1  # new key count
+        m = len(w) - 1  # new key count
         k = cur.k + 1
 
-        new_values = [cur.values[1]] + [
-            cur.values[j] - cur.degrees[j] * cur.values[1] for j in range(2, m + 1)
-        ]
-        for i, v in enumerate(new_values):
+        new_weights = [w[1]] + [w[j] - cur.degrees[j] * w[1] for j in range(2, m + 1)]
+        for i, v in enumerate(new_weights):
             if v <= 0:
-                raise Inconsistent(f"level {k}, key {i}: value {v} is not positive")
-        new_indices = stage_indices(new_values)
+                raise Inconsistent(f"level {k}, key {i}: value {Fraction(v, denom)} "
+                                   "is not positive")
+        new_indices = _weight_indices(new_weights)
         new_degrees = [0]
         for i in range(1, m):
             new_degrees.append(new_degrees[i - 1] * new_indices[i - 1] if i > 1 else 1)
@@ -473,10 +506,10 @@ class ChartChain:
                     f"{new_degrees[i]} is not the shifted degree {cur.degrees[i + 1]}"
                 )
         for i in range(1, m - 1):
-            if new_values[i + 1] <= new_indices[i] * new_values[i]:
+            if new_weights[i + 1] <= new_indices[i] * new_weights[i]:
                 raise Inconsistent(
-                    f"level {k}, key {i + 1}: value {new_values[i + 1]} does not exceed "
-                    f"{new_indices[i]} * {new_values[i]}"
+                    f"level {k}, key {i + 1}: value {Fraction(new_weights[i + 1], denom)} "
+                    f"does not exceed {new_indices[i]} * {Fraction(new_weights[i], denom)}"
                 )
 
         new_vecs = [cur.vecs[1]] + [
@@ -494,7 +527,8 @@ class ChartChain:
 
         nl = ChainLevel(
             k=k,
-            values=new_values,
+            weights=new_weights,
+            denom=denom,
             indices=new_indices,
             degrees=new_degrees,
             vecs=new_vecs,

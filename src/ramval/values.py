@@ -1,9 +1,12 @@
 """Exact arithmetic for valuation values and finitely generated value groups in Q.
 
-Values are plain ``fractions.Fraction`` objects.  A finitely generated
-subgroup of Q is cyclic, so a ValueGroup is stored as a single nonnegative
-rational generator g, meaning the group g*Z.  Groups of the common form
-(1/d)Z have g = 1/d.
+Values are plain ``fractions.Fraction`` objects wherever they are printed
+or returned.  The loops that read many values of one sequence (expansions,
+chart chains, certificate bounds, value tables) carry them as integer
+weights over the sequence's common denominator D instead (``genseq.Lattice``,
+``transforms.ChainLevel``).  A finitely generated subgroup of Q is cyclic, so
+a ValueGroup is stored as a single nonnegative rational generator g, meaning
+the group g*Z.  Groups of the common form (1/d)Z have g = 1/d.
 """
 
 from __future__ import annotations

@@ -1,6 +1,5 @@
 import copy
 import random
-import re
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -38,6 +37,7 @@ from ramval.towers import (
     verify_value_comparison,
 )
 from ramval.transforms import ChartChain, _as_elem, _bottom_row, run_tower_ladder
+from ramval.values import fmt_value
 
 F2 = Fq(2)
 
@@ -449,6 +449,42 @@ def test_restriction_direct_path_on_every_50th_sample(monkeypatch):
     assert verify_restriction(t, samples=101, seed=3).ok
     # samples 0, 50 and 100, each in both charts
     assert valued == [t.seq_mid.label, t.seq_top.label] * 3
+
+
+def test_restriction_mismatch_rows_name_both_values(monkeypatch):
+    # the least entry of top row 3 raised by 1/D_top; sample 0, the one
+    # checked directly, does not reach v^3, so the samples that read it
+    # disagree without raising, and each row prints both values, over the
+    # two sides' different denominators
+    t = build_tower(2, 1, 5)
+    seed, samples, b = 4, towers_module.DIRECT_EVERY, 3  # sample 0 alone is direct
+    assert b not in {j for _, j in random_middle_poly(t, random.Random(seed)).terms}
+    real, tables = towers_module.value_table, []
+
+    def tampered(powers):
+        table = real(powers)
+        if powers[0].gs is t.seq_top:
+            v, cf = table.rows[b][0]
+            table.rows[b][0] = (v + 1, cf)
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(towers_module, "value_table", tampered)
+    rep = verify_restriction(t, samples=samples, seed=seed)
+    mid_table, top_table = tables
+    assert (mid_table.denom, top_table.denom) == (512, 1024)
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(samples):
+        g = random_middle_poly(t, rng)
+        mid, top = mid_table.value(g), top_table.value(g)
+        if mid != top:
+            assert top == mid + Fraction(1, 1024) and mid.denominator == 2
+            expected.append((g.to_str("x", "v"), fmt_value(mid), fmt_value(top)))
+    assert not rep.ok
+    assert rep.details["mismatch_count"] == len(expected) >= 5
+    assert rep.details["mismatches"] == expected[:5]
+    assert rep.details["mismatches"][0][1:] == ("3/2", "1537/1024")
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -985,8 +1021,9 @@ def test_tower_exits_1_when_base_precision_is_too_small(capsys, monkeypatch):
     assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.search(r"verification failed: base-in-mid key \d+.* modulo x\^20.*\(N = 20\)",
-                     captured.err), captured.err
+    # the bound is read on integer weights; the witness names Fractions
+    assert captured.err == ("verification failed: base-in-mid key 4 has value 4369/128 modulo "
+                            "x^20, not below N * value(x) = 20 (N = 20)\n")
 
 
 def test_tower_exits_1_when_top_precision_is_too_small(capsys, monkeypatch):
@@ -994,8 +1031,8 @@ def test_tower_exits_1_when_top_precision_is_too_small(capsys, monkeypatch):
     assert main(["tower", "--p", "2", "--levels", "3", "--length", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.search(r"verification failed: mid-in-top key \d+.* modulo x\^20.*\(N = 20\)",
-                     captured.err), captured.err
+    assert captured.err == ("verification failed: mid-in-top key 5 has value 69905/512 modulo "
+                            "x^20, not below N * value(x) = 20 (N = 20)\n")
 
 
 def test_pushed_key_rejects_a_read_past_base_precision():

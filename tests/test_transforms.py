@@ -1,7 +1,9 @@
 import inspect
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramval import towers, transforms
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
@@ -22,6 +24,7 @@ from ramval.transforms import (
     stable_form,
     validate_chart_seq,
 )
+from ramval.values import stage_indices
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -187,6 +190,14 @@ def test_chain_rejects_level_failing_validation():
         chain.level(2)
 
 
+def _add_value(lvl, i, value):
+    """Add ``value`` to the value of key i of a chain level: the level
+    carries its values as integer weights over its denominator D."""
+    weight = value * lvl.denom
+    assert weight.denominator == 1, (value, lvl.denom)
+    lvl.weights[i] += int(weight)
+
+
 def test_chart_validation_detects_tampering():
     # corrupting a transformed key must not pass the validity checks
     seq = build_tower_seq("U", 2, 1, 5)
@@ -198,7 +209,7 @@ def test_chart_validation_detects_tampering():
     assert str(ex.value) == ("transformed sequence failed validation: U(p=2,c=1,N=5)/T2: "
                              "key 2 has lowest term x^1 y^8, not x^0 y^8")
     fresh = ChartChain(seq).level(2)
-    fresh.values[2] += F(1, 64)  # breaks the relation exponent integrality
+    _add_value(fresh, 2, F(1, 64))  # breaks the relation exponent integrality
     with pytest.raises(Inconsistent) as ex:
         validate_chart_seq(fresh)
     assert str(ex.value) == "level 2, key 3: relation exponent 33/16 is not a nonnegative integer"
@@ -376,13 +387,12 @@ ORDER_CALCULUS_TAMPERS = {
                "level 6, key 2: n_1 * distinguished degree = 4 * 4 is not the shifted "
                "degree 17"),
     # level-6 value 1/16384 of key 2 keeps its index 4 but not the growth
-    "growth": (lambda lvl: lvl.values.__setitem__(3, lvl.values[3] - F(1, 1024)),
+    "growth": (lambda lvl: _add_value(lvl, 3, -F(1, 1024)),
                "level 6, key 2: value 1/16384 does not exceed 4 * 1/4096"),
     # level-6 values 19/16384 and 305/65536 of keys 2 and 3 keep their
     # indices and the growth, but a_2 = (4 * 19/16384 - 1/4096) * 1024 = 9/2
-    "relation-exponent": (lambda lvl: lvl.values.__setitem__(
-                              slice(3, 5), [lvl.values[3] + F(1, 8192),
-                                            lvl.values[4] + F(1, 2048)]),
+    "relation-exponent": (lambda lvl: (_add_value(lvl, 3, F(1, 8192)),
+                                       _add_value(lvl, 4, F(1, 2048))),
                           "level 6, key 3: relation exponent 9/2 is not a nonnegative integer"),
 }
 
@@ -397,6 +407,47 @@ def test_chain_checks_values_without_exact_keys(tamper, witness):
     with pytest.raises(Inconsistent) as ex:
         chain.level(6)
     assert str(ex.value) == witness
+
+
+# weights with shared factors of 2 and 3, so that indices above 1 are common
+_WEIGHTS = st.tuples(st.integers(1, 40), st.integers(0, 7), st.integers(0, 5)).map(
+    lambda t: t[0] * 2 ** t[1] * 3 ** t[2])
+
+
+@settings(max_examples=300, deadline=None)
+@given(denom=st.integers(1, 5000), weights=st.lists(_WEIGHTS, min_size=1, max_size=9))
+def test_weight_indices_are_stage_indices(denom, weights):
+    # the chain's indices by integer gcd on weights over D equal the stage
+    # indices of the values weight / D, taken through the value groups
+    values = [F(w, denom) for w in weights]
+    assert transforms._weight_indices(weights) == stage_indices(values)
+
+
+@pytest.mark.parametrize("family", "QPU")
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_chain_values_follow_fraction_recursion(family, p):
+    # oracle: v'_0 = v_1, v'_j = v_{j+1} - deg_{j+1} * v_1 in Fractions, with
+    # the indices of the new values from their value groups and the degrees
+    # their running products, at every level to length - 1
+    length = 7
+    base = build_tower_seq(family, p, p - 1 if family == "U" else None, length)
+    chain = ChartChain(base)
+    values = list(base.values)
+    degrees = [0] + [key.deg_y() for key in base.keys[1:]]
+    past_maps = 0
+    for k in range(1, length):
+        lvl = chain.level(k)
+        assert lvl.values == values, k
+        assert all(type(v) is F for v in lvl.values), k
+        assert lvl.denom == base.ensure_valid().denom
+        assert lvl.indices == stage_indices(values), k
+        assert lvl.degrees == degrees, k
+        past_maps += lvl.keys is None
+        values = [values[1]] + [values[j] - degrees[j] * values[1]
+                                for j in range(2, len(values))]
+        indices = stage_indices(values)
+        degrees = [0] + [prod(indices[1:i]) for i in range(1, len(values))]
+    assert past_maps == length - 5  # levels 5 and 6 rest on the order calculus
 
 
 # -- chains ------------------------------------------------------------------------
