@@ -97,9 +97,8 @@ def cmd_semigroup(args) -> int:
 def cmd_validate(args) -> int:
     seq = _build_seq(args)
     report = validate(seq)
-    rows = [dict(r) for r in report.rows]
-    print(render_table(rows, args.format, f"validity of {seq.label}"), end="")
-    print(render_table(seq.describe(), args.format, "keys"), end="")
+    print(render_table(report.rows, args.format, f"validity of {seq.label}"), end="")
+    print(render_table(seq.describe(report), args.format, "keys"), end="")
     print("pass" if report.ok else "FAIL")
     return 0 if report.ok else 1
 
@@ -183,13 +182,14 @@ def cmd_tower(args) -> int:
 # -- full verification report --------------------------------------------------
 
 
-def _validity_rows(tower) -> tuple[list[dict], bool]:
-    rows, ok = [], True
+def _validity_rows(tower) -> list[dict]:
+    """One passing row per tower sequence, each validated through its
+    ``ensure_valid`` cache: InvalidSequence (exit 1) on the first that fails."""
+    rows = []
     for name, seq in (("top", tower.seq_top), ("mid", tower.seq_mid), ("base", tower.seq_base)):
-        r = validate(seq)
-        rows.append({"sequence": f"{name} ({seq.label})", "ok": r.ok})
-        ok = ok and r.ok
-    return rows, ok
+        seq.ensure_valid()
+        rows.append({"sequence": f"{name} ({seq.label})", "ok": True})
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -200,7 +200,7 @@ def cmd_report(args) -> int:
     jmax_dev = min(args.length - 1, 4 if p == 2 else 3)
     jmax_val = min(args.length - 2, 4)
     rep = Report(_config(args, "levels", "length", "samples"))
-    rep.add("sequence validity", *_validity_rows(tower))
+    rep.add("sequence validity", _validity_rows(tower))
     sections = {
         "deviation identities": [towers.verify_deviation_identity(tower, j)
                                  for j in range(1, jmax_dev + 1)],

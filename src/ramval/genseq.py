@@ -22,15 +22,7 @@ from math import lcm
 from operator import mul
 
 from .algebra import Fq, LocalElem, Poly2
-from .values import (
-    NotSubgroup,
-    ValueGroup,
-    fmt_value,
-    group_index,
-    group_join,
-    stage_indices,
-    tower_key_value,
-)
+from .values import fmt_value, stage_indices, tower_key_value
 
 
 class BadParams(ValueError):
@@ -91,15 +83,6 @@ class GenSeq:
     def top(self) -> int:
         return len(self.keys) - 1
 
-    def groups(self) -> list[ValueGroup]:
-        """Stage groups generated by values[0..i]."""
-        out = []
-        g = ValueGroup(Fraction(0))
-        for v in self.values:
-            g = group_join(g, v)
-            out.append(g)
-        return out
-
     def indices(self) -> list[int]:
         """n_i = order of value_i in the quotient by the previous stage (i >= 1)."""
         return stage_indices(self.values)
@@ -108,108 +91,95 @@ class GenSeq:
         return [k.deg_y() if i else 0 for i, k in enumerate(self.keys)]
 
     def ensure_valid(self) -> Lattice:
-        """Validate once; the lattice data are computed then and cached."""
+        """Validate once and cache the lattice that a valid ``validate``
+        report carries; InvalidSequence with the report's summary if any
+        check fails."""
         if self._lattice is None:
             report = validate(self)
             if not report.ok:
                 raise InvalidSequence(report.summary())
-            denom = lcm(*(v.denominator for v in self.values))
-            self._lattice = Lattice(
-                indices=tuple(self.indices()),
-                degrees=tuple(self.degrees()),
-                denom=denom,
-                weights=tuple(int(v * denom) for v in self.values),
-            )
+            self._lattice = report.lattice
         return self._lattice
 
     def key_str(self, i: int) -> str:
         return self.keys[i].to_str(*self.chart)
 
-    def describe(self) -> list[dict]:
-        """Rows (i, key, value, n_i) for reports."""
-        idx = self._lattice.indices if self._lattice else self.indices()
+    def describe(self, report: ValidityReport) -> list[dict]:
+        """Rows (i, key, value, n_i) for reports, n_i read off the rows of
+        the sequence's ``validate`` report; the cell is empty where a row has
+        none."""
+        index = {row["i"]: row["index"] for row in report.rows if row["i"]}
         return [
             {
                 "i": i,
                 "key": self.key_str(i),
                 "value": fmt_value(self.values[i]),
-                "index": idx[i] if i else "",
+                "index": index.get(i) or "",
             }
             for i in range(len(self.keys))
         ]
 
 
 class ValidityReport:
-    __slots__ = ("label", "rows", "ok")
+    """The rows of ``validate``: a row for key 0 if it is not x, then one per
+    key i >= 1 with its index n_i (None if some value is not positive) and
+    whether its growth, monicity and degree checks hold.  ``lattice`` is the
+    sequence's Lattice if every check passes, None otherwise."""
 
-    def __init__(self, label: str, rows: list[dict], ok: bool):
-        self.label, self.rows, self.ok = label, rows, ok
+    __slots__ = ("label", "rows", "lattice")
+
+    def __init__(self, label: str, rows: list[dict], lattice: Lattice | None):
+        self.label, self.rows, self.lattice = label, rows, lattice
+
+    @property
+    def ok(self) -> bool:
+        return self.lattice is not None
 
     def summary(self) -> str:
         status = "pass" if self.ok else "FAIL"
         lines = [f"sequence {self.label or '<anonymous>'}: {status}"]
         for row in self.rows:
-            lines.append(
-                "  i={i}: index computed={index_computed} declared-order={order} "
-                "growth={growth} monic={monic} degree={degree}".format(**row)
-            )
+            lines.append("  i={i}: index={index} growth={growth} monic={monic} "
+                         "degree={degree}".format(**row))
         return "\n".join(lines)
 
 
 def validate(gs: GenSeq) -> ValidityReport:
-    """Check the positivity, group-index, growth, monicity and degree
-    conditions."""
+    """Check that the values are positive, that key 0 is x, and for each key
+    i >= 1 with index n_i (one stage pass, ``gs.indices()``): growth
+    value_{i+1} > n_i * value_i, monicity in y, and deg_y key_{i+1} = n_i *
+    deg_y key_i (deg_y >= 1 for the last key).  A valid report carries the
+    lattice: the indices, the key degrees, the common denominator D of the
+    values and the weights value_i * D."""
     n = len(gs.keys)
     if min(gs.values) <= 0:
         # stage groups and indices are defined for positive values only
-        rows = [dict(i=i, index_computed=None, order=None, growth="-", monic="-", degree="-")
-                for i in range(1, n)]
-        return ValidityReport(gs.label, rows, False)
-    rows = []
-    ok = True
-    grps = gs.groups()
-    orders = stage_indices(gs.values)
-
-    if gs.keys[0] != Poly2.x(gs.field):
-        ok = False
-        rows.append(
-            dict(i=0, index_computed="-", order="-", growth="-", monic=False, degree="-")
-        )
-
+        rows = [dict(i=i, index=None, growth="-", monic="-", degree="-") for i in range(1, n)]
+        return ValidityReport(gs.label, rows, None)
+    indices = gs.indices()
     degs = gs.degrees()
+    ok = gs.keys[0] == Poly2.x(gs.field)
+    rows = [] if ok else [dict(i=0, index="-", growth="-", monic=False, degree="-")]
     for i in range(1, n):
-        row: dict = {"i": i}
-        try:
-            idx = group_index(grps[i], grps[i - 1])
-        except NotSubgroup:
-            idx = None
-        order = orders[i]
-        row["index_computed"] = idx
-        row["order"] = order
-        row_ok = idx == order and idx is not None and idx >= 1
-
-        if i + 1 < n:
-            growth = gs.values[i + 1] > order * gs.values[i]
-        else:
-            growth = True  # nothing to check for the last key
-        row["growth"] = growth
-        row_ok = row_ok and growth
-
-        monic = gs.keys[i].is_monic_y()
-        row["monic"] = monic
-        row_ok = row_ok and monic
-
-        if i + 1 < n:
-            degree_ok = degs[i + 1] == order * degs[i]
-        else:
-            degree_ok = degs[i] >= 1
-        row["degree"] = degree_ok
-        row_ok = row_ok and degree_ok
-
+        last = i + 1 == n  # nothing to grow into for the last key
+        row = dict(
+            i=i,
+            index=indices[i],
+            growth=last or gs.values[i + 1] > indices[i] * gs.values[i],
+            monic=gs.keys[i].is_monic_y(),
+            degree=degs[i] >= 1 if last else degs[i + 1] == indices[i] * degs[i],
+        )
+        ok = ok and row["growth"] and row["monic"] and row["degree"]
         rows.append(row)
-        ok = ok and row_ok
-
-    return ValidityReport(gs.label, rows, ok)
+    if not ok:
+        return ValidityReport(gs.label, rows, None)
+    denom = lcm(*(v.denominator for v in gs.values))
+    return ValidityReport(gs.label, rows, Lattice(
+        indices=tuple(indices),
+        degrees=tuple(degs),
+        denom=denom,
+        weights=tuple(int(v * denom) for v in gs.values),
+    ))
 
 
 def _tower_recursion(family: str, p: int, j: int) -> RecursionStep:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,66 @@ def test_validate_command(capsys):
                        "--length", "5")
     assert code == 0
     assert "pass" in out
+
+
+def test_validate_nonpositive_value_exits_1(capsys, monkeypatch):
+    # a value that is not positive leaves every index undefined: both tables
+    # print with empty index cells, then FAIL, a verification failure
+    real = cli.build_tower_seq
+
+    def tampered(*args):
+        seq = real(*args)
+        vals = [seq.values[0], Fraction(-1, 2)] + seq.values[2:]
+        return genseq.GenSeq(seq.field, seq.keys, vals, seq.chart, seq.label)
+
+    monkeypatch.setattr(cli, "build_tower_seq", tampered)
+    code, out, err = run(capsys, "validate", "--family", "U", "--p", "2", "--c", "1",
+                         "--length", "3", "--format", "tsv")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "i\tindex\tgrowth\tmonic\tdegree",
+        "1\tNone\t-\t-\t-",
+        "2\tNone\t-\t-\t-",
+        "3\tNone\t-\t-\t-",
+        "i\tkey\tvalue\tindex",
+        "0\tx\t1\t",
+        "1\tv\t-1/2\t",
+        "2\tx + v^2\t17/16\t",
+        "3\tx^8 + x^8*v + v^16\t273/32\t",
+        "FAIL",
+    ]
+
+
+@pytest.mark.parametrize("command,validations", [("report", 3), ("tower", 2)])
+def test_each_sequence_validated_once(capsys, monkeypatch, command, validations):
+    # report reads the tower's three sequences through their ensure_valid
+    # cache, so each is validated once; tower never reads the base sequence,
+    # whose chain is the top sequence's.  Each validation takes one stage
+    # pass, and no production path takes a group index
+    real_validate, real_stage_indices = genseq.validate, genseq.stage_indices
+    stage_passes = []
+
+    def counted_validate(gs):
+        stage_passes.append(0)
+        return real_validate(gs)
+
+    def counted_stage_indices(vals):
+        stage_passes[-1] += 1
+        return real_stage_indices(vals)
+
+    def no_group_index(*args):
+        raise AssertionError("group_index has no production caller")
+
+    monkeypatch.setattr(genseq, "validate", counted_validate)
+    monkeypatch.setattr(genseq, "stage_indices", counted_stage_indices)
+    monkeypatch.setattr("ramval.values.group_index", no_group_index)
+    code, _, _ = run(capsys, command, "--p", "2", "--c", "1", "--levels", "2", "--length", "4")
+    assert code == 0
+    assert stage_passes == [1] * validations
+    assert not hasattr(genseq.GenSeq, "groups")
+    bound = [name for name, mod in sys.modules.items() if name.startswith("ramval.")
+             and hasattr(mod, "group_index") and name != "ramval.values"]
+    assert bound == []
 
 
 @pytest.mark.parametrize("command", ["value", "semigroup", "validate", "transform"])
@@ -502,7 +563,7 @@ def test_invalid_tower_sequence_exits_1(capsys, monkeypatch, command):
     code, out, err = run(capsys, command, "--p", "2", "--levels", "3", "--length", "5")
     assert (code, out) == (1, "")
     assert err.startswith("verification failed: sequence Q(p=2,N=5): FAIL\n")
-    assert "i=2: index computed=4 declared-order=4 growth=True monic=False" in err
+    assert "i=2: index=4 growth=True monic=False" in err
 
 
 def _foreign_key(i, make):

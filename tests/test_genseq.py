@@ -144,7 +144,7 @@ def test_validate_trivial_value_group_fails():
         gs = GenSeq(F2, [Poly2.x(F2), Poly2.y(F2)], [F(v) for v in values])
         report = validate(gs)
         assert not report.ok
-        assert report.rows[0]["index_computed"] is None
+        assert report.rows[0]["index"] is None
         with pytest.raises(InvalidSequence):
             gs.ensure_valid()
 

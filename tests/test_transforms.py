@@ -24,7 +24,7 @@ from ramval.transforms import (
     stable_form,
     validate_chart_seq,
 )
-from ramval.values import stage_indices
+from ramval.values import ValueGroup, group_index, stage_indices
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -418,9 +418,16 @@ _WEIGHTS = st.tuples(st.integers(1, 40), st.integers(0, 7), st.integers(0, 5)).m
 @given(denom=st.integers(1, 5000), weights=st.lists(_WEIGHTS, min_size=1, max_size=9))
 def test_weight_indices_are_stage_indices(denom, weights):
     # the chain's indices by integer gcd on weights over D equal the stage
-    # indices of the values weight / D, taken through the value groups
+    # indices of the values weight / D, taken through the value groups; and
+    # each stage index, the order of value_i modulo the stage group before
+    # it, is the group index of that stage group in the next one, which is
+    # why validation compares no two index computations
     values = [F(w, denom) for w in weights]
-    assert transforms._weight_indices(weights) == stage_indices(values)
+    indices = stage_indices(values)
+    assert transforms._weight_indices(weights) == indices
+    stages = [ValueGroup.generated_by(values[:i + 1]) for i in range(len(values))]
+    for i in range(1, len(values)):
+        assert group_index(stages[i], stages[i - 1]) == indices[i], i
 
 
 @pytest.mark.parametrize("family", "QPU")
