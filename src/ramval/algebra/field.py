@@ -200,8 +200,13 @@ class Fq:
         return self.mul(a, self.inv(b))
 
     def pow_(self, a, e: int):
+        """a^e for a reduced element a; e < 0 needs a nonzero a.  A nonzero
+        a has a^(q-1) = 1, so an exponent e >= q is first reduced to
+        (e - 1) mod (q - 1) + 1, which is positive."""
         if e < 0:
             return self.pow_(self.inv(a), -e)
+        if a and e >= self.q:
+            e = (e - 1) % (self.q - 1) + 1
         return _power(self.fold, a, e)
 
     def to_str(self, a) -> str:

@@ -26,7 +26,9 @@ degrees of sparse operands (tower keys reach y-degree p^(2N) with a handful
 of terms) are skipped, never stepped through.
 
 Substitution has one kernel, ``compose``, which works on y-rows as well: one
-x-image per x-exponent, one product per row with its y-image.  It takes the
+x-image per x-exponent; a row's x-part is the raw sum of its terms' x-images,
+folded once, and its products with the row's y-image go into one raw
+accumulator for the whole result, folded once at the end.  It takes the
 shape of a chart map, a polynomial x-image and an optional denominator for
 the substituted y, which it clears with ``times_pow``, spending no product on
 a denominator that is exactly 1, so polynomial substitutions and the
@@ -60,6 +62,36 @@ def _rows(terms: dict) -> dict:
         else:
             row[i] = c
     return rows
+
+
+def _add_product(acc: dict, a: dict, b: dict, prec: int | None) -> int:
+    """Add the products of the terms of a and b into the raw sums ``acc``,
+    without multiplying the pairs whose x-exponents sum to prec or more;
+    return the most products this adds to one exponent: one per term of the
+    smaller factor."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = acc.get
+    if prec is not None and len(a) <= 2:
+        # a factor of one or two terms checks each pair, cheaper than a sort
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
+                if i1 + i2 < prec:
+                    e = (i1 + i2, j1 + j2)
+                    acc[e] = get(e, 0) + c1 * c2
+        return len(a)
+    if prec is None:
+        b_items = list(b.items())
+    else:
+        # the partners of an x^i1 term are the prefix of b, sorted by
+        # exponent, below ((prec - i1,),): (t,) sorts before every (t, j)
+        b_items = sorted(b.items())
+    for (i1, j1), c1 in a.items():
+        row = b_items if prec is None else islice(b_items, bisect_left(b_items, ((prec - i1,),)))
+        for (i2, j2), c2 in row:
+            e = (i1 + i2, j1 + j2)
+            acc[e] = get(e, 0) + c1 * c2
+    return len(a)
 
 
 class Poly2:
@@ -147,47 +179,17 @@ class Poly2:
         """The product; with ``prec``, the product modulo x^prec, formed
         without the term pairs whose x-exponents sum to prec or more."""
         fld = self.field
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Poly2(fld)
-        if len(a) > len(b):
-            a, b = b, a
-        if prec is None:
-            b_items = list(b.items())
-        else:
-            # the partners of an x^i1 term are a prefix of b sorted by x-exponent
-            b_items = sorted(b.items())
-            b_x = [i for (i, _), _ in b_items]
-        # an exponent collects at most one product per term of a
-        fld.check_capacity(len(a))
         acc: dict = {}
-        get = acc.get
-        for (i1, j1), c1 in a.items():
-            row = b_items if prec is None else islice(b_items, bisect_left(b_x, prec - i1))
-            for (i2, j2), c2 in row:
-                e = (i1 + i2, j1 + j2)
-                acc[e] = get(e, 0) + c1 * c2
+        fld.check_capacity(_add_product(acc, self.terms, other.terms, prec))
         fold = fld.fold
         return Poly2(fld, {e: c for e, s in acc.items() if (c := fold(s))})
 
-    @staticmethod
-    def combination(field: Fq, pairs) -> "Poly2":
-        """The sum of c * f over the (element c, Poly2 f) pairs, summed
-        unreduced in one accumulator and folded once per exponent."""
-        acc: dict = {}
-        get = acc.get
-        n = 0
-        for c, f in pairs:
-            n += 1
-            for e, v in f.terms.items():
-                acc[e] = get(e, 0) + c * v
-        field.check_capacity(n)
-        fold = field.fold
-        return Poly2(field, {e: c for e, s in acc.items() if (c := fold(s))})
-
     def scale(self, c) -> "Poly2":
         """The polynomial times the field element c."""
-        return Poly2.combination(self.field, [(c, self)])
+        fld = self.field
+        fld.check_capacity(1)
+        fold = fld.fold
+        return Poly2(fld, {e: r for e, v in self.terms.items() if (r := fold(c * v))})
 
     def shift(self, dx: int, dy: int = 0) -> "Poly2":
         """Multiply by x^dx * y^dy (dx, dy may be negative if divisible)."""
@@ -284,10 +286,6 @@ class Poly2:
             raise IndeterminateOrder("x-order of the zero polynomial")
         return min(i for i, _ in self.terms)
 
-    def x_coefficient(self, i: int) -> dict:
-        """Coefficient of x^i as dict {y-exponent: coeff}."""
-        return {j: c for (xi, j), c in self.terms.items() if xi == i}
-
     def is_monic_y(self) -> bool:
         d = self.deg_y()
         return {e: c for e, c in self.terms.items() if e[1] == d} == {(0, d): self.field.one}
@@ -383,12 +381,14 @@ class Poly2:
         is given.  Without a denominator this is self(sub_x, sub_y).
 
         The terms are grouped by y-row.  The x-image of each x-exponent is
-        formed once, each row is one combination of x-images, and each row
-        is multiplied once by its y-image; the rows are summed in one
-        accumulator.  With ``prec``, a row whose x-images start at x^o or
-        above takes its y-image modulo x^(prec - o), and an image that
-        vanishes drops its terms or its row.  A denominator that is None or
-        exactly 1 costs no product (``times_pow``)."""
+        formed once.  A row's x-part is summed raw from the x-images of its
+        terms and folded once per exponent; its products with the row's
+        y-image go straight into one raw accumulator for the whole result,
+        folded once at the end.  With ``prec``, a row whose x-images start
+        at x^o or above takes its y-image modulo x^(prec - o), no pair at or
+        past x^prec is multiplied, and an image that vanishes drops its
+        terms or its row.  A denominator that is None or exactly 1 costs no
+        product (``times_pow``)."""
         fld = self.field
         if not self.terms:
             return Poly2(fld)
@@ -396,34 +396,39 @@ class Poly2:
         one = Poly2.one(fld)
         unit = one.truncate(prec)
         y_den = one if y_den is None else y_den
+        fold = fld.fold
         x_images: dict = {}
         # a nonzero x-image sub_x^i has x-order i * x_step: lowest x-rows
         # multiply, since k[y] is a domain
         x_step = sub_x.x_order() if prec is not None and sub_x else 0
-
-        def x_image(i):
-            if i not in x_images:
-                x_images[i] = unit.times_pow(sub_x, i, prec)
-            return x_images[i]
-
-        def rows():
-            for j, row in _rows(self.terms).items():
-                x_part = Poly2.combination(fld, ((c, image) for i, c in row.items()
-                                                 if (image := x_image(i))))
-                if not x_part:
-                    continue
-                # the least x-order of the row's images is at most that of
-                # x_part, which is nonzero modulo x^prec: so y_prec >= 1 and
-                # one is already 1 modulo x^y_prec.  Where the lowest rows
-                # cancel, y_prec is larger than x_part needs, and the product
-                # modulo x^prec is the same
-                y_prec = None if prec is None else prec - x_step * min(
-                    i for i in row if x_images[i])
-                y_image = one.times_pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec)
-                if y_image:
-                    yield fld.one, x_part.__mul__(y_image, prec)
-
-        return Poly2.combination(fld, rows())
+        acc: dict = {}
+        # the most products one cell of acc collects
+        n = 0
+        for j, row in _rows(self.terms).items():
+            part: dict = {}
+            get = part.get
+            for i, c in row.items():
+                image = x_images.get(i)
+                if image is None:
+                    image = x_images[i] = unit.times_pow(sub_x, i, prec).terms
+                for e, v in image.items():
+                    part[e] = get(e, 0) + c * v
+            # a cell of the x-part collects at most one product per x-image
+            fld.check_capacity(len(row))
+            x_part = {e: c for e, s in part.items() if (c := fold(s))}
+            if not x_part:
+                continue
+            # the least x-order of the row's images is at most that of
+            # x_part, which is nonzero modulo x^prec: so y_prec >= 1 and
+            # one is already 1 modulo x^y_prec.  Where the lowest rows
+            # cancel, y_prec is larger than x_part needs, and the product
+            # modulo x^prec is the same
+            y_prec = None if prec is None else prec - x_step * min(i for i in row if x_images[i])
+            y_image = one.times_pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec).terms
+            if y_image:
+                n += _add_product(acc, x_part, y_image, prec)
+        fld.check_capacity(n)
+        return Poly2(fld, {e: c for e, s in acc.items() if (c := fold(s))})
 
     # -- display ------------------------------------------------------------
 

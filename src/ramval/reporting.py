@@ -7,6 +7,7 @@ parsed, seed included, are embedded in every header so runs are reproducible.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = 1
 
@@ -21,11 +22,13 @@ def _cell(v) -> str:
 
 def to_json(obj, indent: str = "") -> str:
     """``json.dumps(obj, indent=2, default=str)``, written by hand for lists,
-    tuples and dicts and with ``json.dumps(leaf, default=str)`` for the rest.
-    An indented ``json.dumps`` takes the pure-Python encoder, whose nested
-    closures refer to themselves and so outlive every call until a cyclic
-    collection; the unindented leaf calls take the C encoder, which builds
-    none."""
+    tuples and dicts.  An exact ``int`` leaf is its ``int.__repr__`` and a
+    ``str`` leaf its ``encode_basestring_ascii``, which is what
+    ``json.dumps`` writes for them; any other leaf takes
+    ``json.dumps(leaf, default=str)``.  An indented ``json.dumps`` takes the
+    pure-Python encoder, whose nested closures refer to themselves and so
+    outlive every call until a cyclic collection; the unindented leaf calls
+    take the C encoder, which builds none."""
     inner = indent + "  "
     if isinstance(obj, (list, tuple)):
         items = [inner + to_json(v, inner) for v in obj]
@@ -33,13 +36,18 @@ def to_json(obj, indent: str = "") -> str:
     if isinstance(obj, dict):
         items = [f"{inner}{_json_key(k)}: {to_json(v, inner)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + indent + "}" if items else "{}"
+    kind = type(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
     return json.dumps(obj, default=str)
 
 
 def _json_key(k) -> str:
     """A dict key as ``json.dumps`` writes it: a string, or the JSON text of
     a number, bool or None in quotes."""
-    return json.dumps(k if isinstance(k, str) else json.dumps(k))
+    return encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
 
 
 def render_table(rows: list[dict], fmt: str, title: str = "") -> str:

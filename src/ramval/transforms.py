@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from .algebra import LocalElem, Poly2
+from .algebra import IndeterminateOrder, LocalElem, Poly2
 from .genseq import GenSeq, Inconsistent, SequenceTooShort, residue_of_quotient
 from .values import p_adic_split
 
@@ -101,15 +101,15 @@ def _as_elem(e) -> LocalElem:
 
 def _bottom_row(elem: LocalElem) -> tuple[int, int, object]:
     """Leading data of elem: (x-order, y-order of the lowest x-row, its
-    coefficient), the lowest term under a monomial order.  It is
-    multiplicative, because k[x, y] is a domain."""
-    fld = elem.field
-    onum = elem.num.x_order()
-    oden = elem.den.x_order()
-    num_row = elem.num.x_coefficient(onum)
-    den_row = elem.den.x_coefficient(oden)
-    tn, td = min(num_row), min(den_row)
-    return onum - oden, tn - td, fld.div(num_row[tn], den_row[td])
+    coefficient), the lowest term under a monomial order.  Exponent pairs
+    order by x first, then by y, so the lowest term of a part is the least
+    of its exponents.  It is multiplicative, because k[x, y] is a domain."""
+    num, den = elem.num.terms, elem.den.terms
+    if not num:
+        raise IndeterminateOrder("x-order of the zero polynomial")
+    low_num, low_den = min(num), min(den)
+    return (low_num[0] - low_den[0], low_num[1] - low_den[1],
+            elem.field.div(num[low_num], den[low_den]))
 
 
 def stable_form(u_elem, v_elem, p: int) -> StableForm:

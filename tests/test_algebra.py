@@ -14,7 +14,7 @@ from ramval.algebra import (
     Poly2,
     parse_poly,
 )
-from ramval.algebra.field import MEMO_LIMIT
+from ramval.algebra.field import MEMO_LIMIT, _power
 from ramval.transforms import _bottom_row
 
 F2 = Fq(2)
@@ -158,9 +158,28 @@ def test_sums_past_capacity_raise():
         f * f
     with pytest.raises(OverflowError):
         Poly2.y(fld).divrem_y(f)
-    with pytest.raises(OverflowError):
-        Poly2.combination(fld, [(fld.one, f)] * 3)
     assert (f * Poly2.x(fld)).x_order() == 1  # a one-term factor still fits
+    assert f.scale(fld.one) == f
+    fld.capacity = 0
+    with pytest.raises(OverflowError):
+        f.scale(fld.one)
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3), (5, 2)])
+def test_pow_reduces_large_exponents(p, m):
+    # pow_ against repeated mul for e in 0..3q, and at huge exponents
+    # (multiples of q - 1, their neighbours, 538084) against square and
+    # multiply on the unreduced exponent; every element, 0 included
+    fld = Fq(p, m)
+    q = fld.q
+    huge = [k * (q - 1) + d for k in (q, 10**6, 3**20) for d in (-1, 0, 1)] + [538084]
+    for a in fld.elements():
+        power = fld.one
+        for e in range(3 * q + 1):
+            assert fld.pow_(a, e) == power, (a, e)
+            power = fld.mul(power, a)
+        for e in huge:
+            assert fld.pow_(a, e) == _power(fld.fold, a, e), (a, e)
 
 
 def test_frobenius_fixes_prime_field():
@@ -431,6 +450,15 @@ def test_y_order_mod_x_examples():
     assert _bottom_row(LocalElem(u2, parse_poly("1 + y + x", F2)))[:2] == (0, 4)
     # an x-divisible element has no y-order mod x; its bottom row is at x^1
     assert _bottom_row(LocalElem(parse_poly("x*y", F2)))[:2] == (1, 1)
+    # the coefficient is the numerator's lowest one over the denominator's:
+    # over F_9, w x^2 y^3 + ... over 2 + ... is (w / 2) at (2, 3)
+    w = F9.of_index(3)
+    num = Poly2(F9, {(2, 3): w, (2, 5): F9.one, (3, 0): F9.one, (4, 1): w})
+    den = Poly2(F9, {(0, 0): F9.of_int(2), (0, 1): w, (1, 0): F9.one})
+    assert _bottom_row(LocalElem(num, den)) == (2, 3, F9.div(w, F9.of_int(2)))
+    assert F9.div(w, F9.of_int(2)) not in (F9.one, w)
+    with pytest.raises(IndeterminateOrder):
+        _bottom_row(LocalElem(Poly2.zero(F2)))
 
 
 def test_local_elem_arithmetic():
@@ -773,6 +801,24 @@ def test_compose_builds_images_without_pow(monkeypatch):
             poly.compose(sub_x, sub_y, one + y, prec)
         monkeypatch.setattr(Poly2, "__pow__", real_pow)
     assert powers == []
+
+
+def test_compose_accumulator_capacity(monkeypatch):
+    # a cell of the result collects at most min(|x-part|, |y-image|)
+    # products per row, 1 + 2 + 2 = 5 here, while a cell of a row's x-part
+    # collects at most 2 (one per x-image of the row)
+    fld = Fq(3, 2)
+    poly = parse_poly("1 + x + y + x^2*y + x*y^2", fld)
+    sub_x, sub_y = parse_poly("x + x*y", fld), parse_poly("y + x", fld)
+    rows = {0: parse_poly("1 + x", fld), 1: parse_poly("1 + x^2", fld), 2: Poly2.x(fld)}
+    assert sum(min(len(row.compose(sub_x, sub_y).terms), len((sub_y**j).terms))
+               for j, row in rows.items()) == 5
+    oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y)).as_poly()
+    monkeypatch.setattr(fld, "capacity", 4)
+    with pytest.raises(OverflowError):
+        poly.compose(sub_x, sub_y)
+    monkeypatch.setattr(fld, "capacity", 5)
+    assert poly.compose(sub_x, sub_y) == oracle
 
 
 def test_compose_poly_pair_drops_vanishing_rows():

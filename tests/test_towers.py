@@ -616,9 +616,7 @@ def _whole_monomial_residue(tower, chain_label, foreign_keys, vec, k):
     chain = tower.chain(chain_label)
 
     def lead(e):
-        nrow = e.num.x_coefficient(e.num.x_order())
-        drow = e.den.x_coefficient(e.den.x_order())
-        return fld.div(nrow[min(nrow)], drow[min(drow)])
+        return fld.div(e.num.terms[min(e.num.terms)], e.den.terms[min(e.den.terms)])
 
     return fld.div(lead(chain.push_exact(num, k)), lead(chain.push_exact(den, k)))
 
