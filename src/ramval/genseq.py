@@ -336,25 +336,35 @@ class StandardExpansion:
         return "*".join(parts)
 
 
-def _expand_in_key(g: Poly2, key: Poly2, deg: int) -> list[Poly2]:
-    """Coefficients of g in powers of key, of y-degree ``deg``:
-    g = sum coeffs[k] * key**k.
+def _expand_in_key(g: Poly2, key: Poly2, deg: int) -> list[tuple[int, Poly2]]:
+    """The nonzero coefficients of g in powers of key, of y-degree ``deg``,
+    as pairs (k, coefficient): g = sum coefficient * key**k over the pairs,
+    k increasing; a nonzero g gives at least one pair.
 
     For the key y^deg the coefficients are slices of the y-rows: the term
-    x^a y^j goes to coefficient j // deg as x^a y^(j mod deg).  Any other
-    key is divided out one power at a time."""
+    x^a y^j goes to coefficient j // deg as x^a y^(j mod deg), and only the
+    slices some term reaches are built.  Any other key is divided out one
+    power at a time (``Poly2.divrem_y``), and a zero remainder is dropped."""
     fld = g.field
     if key.terms == {(0, deg): fld.one}:
-        sliced = [{} for _ in range(g.deg_y() // deg + 1)]
+        sliced: dict = {}
         for (a, j), c in g.terms.items():
             k, r = divmod(j, deg)
-            sliced[k][(a, r)] = c
-        return [Poly2(fld, t) for t in sliced]
+            piece = sliced.get(k)
+            if piece is None:
+                sliced[k] = {(a, r): c}
+            else:
+                piece[(a, r)] = c
+        return [(k, Poly2(fld, sliced[k])) for k in sorted(sliced)]
     out = []
+    k = 0
     while g.deg_y() >= deg:
         g, r = g.divrem_y(key)
-        out.append(r)
-    out.append(g)
+        if r:
+            out.append((k, r))
+        k += 1
+    if g:
+        out.append((k, g))
     return out
 
 
@@ -367,7 +377,11 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
     exponent is bounded by the SequenceTooShort precondition.  The branches
     run off an explicit stack: a nested function calling itself would make
     a reference cycle per call, holding the terms until the cyclic collector
-    runs.
+    runs.  Only nonzero coefficients (``_expand_in_key``) go on the stack.
+
+    The expansion is k[x]-linear and x^a times a standard term is the
+    standard term with m_0 + a, so expand(f mod x^M) and expand(f) have the
+    same terms with m_0 < M: the difference is x^M times an expansion.
     """
     lat = gs.ensure_valid()
     if f.is_zero():
@@ -378,22 +392,20 @@ def expand(f: Poly2, gs: GenSeq) -> StandardExpansion:
         raise SequenceTooShort(f"deg_y {f.deg_y()} >= {span}; extend the sequence")
 
     terms: dict[tuple[int, ...], object] = {}
-    # (element, key index, exponent tail) still to divide, last entry next;
-    # the coefficients go on in reverse, so the terms come out in the order
-    # of a depth-first recursion
+    # (nonzero element, key index, exponent tail) still to divide, last
+    # entry next; the coefficients go on in reverse, so the terms come out
+    # in the order of a depth-first recursion
     stack = [(f, top, ())]
     while stack:
         g, i, tail = stack.pop()
-        if g.is_zero():
-            continue
         if i == 0:
             for (a, b), cf in g.terms.items():
                 if b != 0:
                     raise SequenceTooShort("leftover y-degree below the first key")
                 terms[(a,) + tail] = cf
             continue
-        coeffs = _expand_in_key(g, gs.keys[i], lat.degrees[i])
-        stack.extend((coeffs[k], i - 1, (k,) + tail) for k in reversed(range(len(coeffs))))
+        stack.extend((cf, i - 1, (k,) + tail)
+                     for k, cf in reversed(_expand_in_key(g, gs.keys[i], lat.degrees[i])))
     return StandardExpansion(gs, terms)
 
 
@@ -439,7 +451,7 @@ class ValueTable:
         """The valuation of g(x, v): ``least(g)`` / D."""
         return Fraction(self.least(g), self.denom)
 
-    def least(self, g: Poly2) -> int:
+    def least(self, g: Poly2) -> int | None:
         """The valuation of g(x, v) in units of 1/D, read off the least
         candidate terms.
 
@@ -449,7 +461,11 @@ class ValueTable:
         below m, each term adds at most one product at m, and the products of
         the terms whose candidate is m sum to the coefficient of the
         expansion at m.  If that sum folds to nonzero the value is m;
-        if it cancels, the value is the least value of ``sums``."""
+        if it cancels, the value is the least value of ``sums``, and None if
+        every sum cancels.  Rows of whole expansions never give None for a
+        nonzero g; rows that keep only the terms below x^M give it, or a
+        least value of M * value(x) or more, exactly where they cannot read
+        the value (``verify_restriction``)."""
         if not g.terms:
             raise ArithmeticError("cannot expand the zero element")
         rows, w0 = self.rows, self.x_weight
@@ -464,14 +480,16 @@ class ValueTable:
         # at most one product per term of g
         self.field.check_capacity(len(g.terms))
         if not self.field.fold(raw):
-            least = min(self.sums(g))
+            least = min(self.sums(g), default=None)
         return least
 
 
 def value_table(powers: list[StandardExpansion]) -> ValueTable:
-    """The value table of powers[b], the expansion of v^b in one sequence:
-    row b holds its (value, coefficient) pairs sorted by value, so row[0] is
-    its least term.
+    """The value table of powers[b], the expansion of v^b in one sequence,
+    whole or only its terms below x^M: row b holds its (value, coefficient)
+    pairs sorted by value, so row[0] is its least term.  A row kept below
+    x^M is exact below M * value(x), and its least term is the whole
+    expansion's as long as b * value(v) is below that.
 
     Summing by value is summing by exponent vector only if distinct vectors
     that samples reach have distinct values.  Such a vector is (m_0 + a,
@@ -479,9 +497,10 @@ def value_table(powers: list[StandardExpansion]) -> ValueTable:
     vectors with one tail differ in m_0, so in value, and vectors with
     distinct tails can share a value only if the tails' values agree
     modulo value(x).  That never happens for standard monomials
-    (``residue_of_quotient``); it is checked here once per table,
-    InvalidSequence naming both tails if it fails.  So a row holds each
-    value at most once."""
+    (``residue_of_quotient``); it is checked here once per table, on the
+    tails of the rows it is given (of truncated rows, only the terms below
+    x^M, which are all that is read), InvalidSequence naming both tails if
+    it fails.  So a row holds each value at most once."""
     gs = powers[0].gs
     lat = gs.ensure_valid()
     w0, weights = lat.weights[0], lat.weights[1:]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .algebra import Fq, Poly2
 from .genseq import (
@@ -247,9 +248,10 @@ def certificate_precision(host: GenSeq, p: int) -> int:
 
 
 # The longest tower, by p, whose `tower` run took about a second or less
-# (fresh processes, 2-vCPU VM, levels = length - 1); one key more took 2-12 s.
-# Past p = 13 a `report` took seconds at every length.
-QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 10, 13: 10}
+# (fresh processes, 2-vCPU VM, levels = length - 1); one key more took
+# 1.8-12 s.  At p = 17 and 19 a `report` up to that length took 0.3-0.7 s;
+# at p = 23 a `report` took 0.9 s already at length 3.
+QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 10, 13: 10, 17: 8, 19: 8}
 
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
@@ -271,7 +273,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     spine by the precision their checks read, but the three sequences, the
     middle keys and the chain spines stay exact (the middle keys are read
     modulo x^N only by their certificates).  A tower longer than its
-    ``QUIET_LENGTH``, or past p = 13, gets a cost warning.
+    ``QUIET_LENGTH``, or past p = 19, gets a cost warning.
     """
     if length < 2:
         raise BadParams("length must be >= 2")
@@ -282,7 +284,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         import warnings
 
         measured = (f"at p = {p}, towers longer than {quiet} took seconds" if quiet
-                    else "past p = 13, reports took seconds at every length")
+                    else "past p = 19, reports took about a second or more")
         warnings.warn(f"tower with p = {p}, length = {length}: expect a slow run; {measured}",
                       stacklevel=2)
     fld = field if field is not None else Fq(p)
@@ -442,17 +444,28 @@ def random_middle_poly(tower: Tower, rng: random.Random) -> Poly2:
     return Poly2(fld, terms) if terms else Poly2.y(fld)
 
 
-def restriction_tables(tower: Tower) -> tuple[list[StandardExpansion], list[StandardExpansion]]:
+def restriction_tables(tower: Tower, prec: int | None = None
+                       ) -> tuple[list[StandardExpansion], list[StandardExpansion]]:
     """The expansions of v^b in the middle sequence and of v(x, y)^b =
     (y^p - x^c y)^b in the top sequence, for b = 0 .. p^2 + p: every power a
     restriction sample reaches.  ``verify_restriction`` reads each list
-    through its ``value_table``."""
+    through its ``value_table``.
+
+    With ``prec`` = M, each top power is expanded modulo x^M
+    (``pow(v, b, M)``) and keeps its terms with m_0 < M.  Those are the terms
+    of the whole expansion with m_0 < M (``expand``), so the row is exact
+    below M * value(x), and every term it drops has value M * value(x) or
+    more.  The middle powers are always whole."""
     fld = tower.field
     span = range(_sample_v_degree(tower.p) + 1)
-    return (
-        [expand(Poly2.monomial(fld, 0, b), tower.seq_mid) for b in span],
-        [expand(tower.v_sub**b, tower.seq_top) for b in span],
-    )
+    mid = [expand(Poly2.monomial(fld, 0, b), tower.seq_mid) for b in span]
+    top = []
+    for b in span:
+        terms = expand(pow(tower.v_sub, b, prec), tower.seq_top).terms
+        if prec is not None:
+            terms = {exps: cf for exps, cf in terms.items() if exps[0] < prec}
+        top.append(StandardExpansion(tower.seq_top, terms))
+    return mid, top
 
 
 def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> CheckReport:
@@ -474,17 +487,46 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     sample are also valued by dividing from scratch (``value_of``, with its
     own tie check), g in the middle sequence and its substitution
     g(x, v(x, y)) in the top one; Inconsistent, naming the sample and both
-    value pairs, if the two paths disagree."""
+    value pairs, if the two paths disagree.
+
+    The top table keeps each power's terms below x^M, so it reads a value
+    exactly only below M * value(x); M = floor((p^2 + p) * value(v) /
+    value(x)) + 7 in the top sequence's integer weights, value(v) read off
+    the minimal term of v's expansion.  A sample's least candidate
+    (``ValueTable.least``) is at most 6 * value(x) + (p^2 + p) * value(v),
+    below M * value(x).  A top value at or past M * value(x), or one whose
+    value-keyed sums all cancel, is never reported: the check restarts from
+    the same seed with tables at 2M.  Once M passes c * (p^2 + p), the
+    x-degree of v(x, y)^(p^2 + p), the tables are whole and read every value."""
+    lat = tower.seq_top.ensure_valid()
+    _, exps = expand(tower.v_sub, tower.seq_top).minimal_term()
+    max_v = _sample_v_degree(tower.p)
+    prec = max_v * sum(map(mul, exps, lat.weights)) // lat.weights[0] + 7
+    while True:
+        report = _restriction_pass(tower, samples, seed, prec if prec <= tower.c * max_v else None)
+        if report is not None:
+            return report
+        prec *= 2
+
+
+def _restriction_pass(tower: Tower, samples: int, seed: int,
+                      prec: int | None) -> CheckReport | None:
+    """One pass of ``verify_restriction`` with the top table kept below
+    x^prec; None as soon as a sample's top value is not read below
+    prec * value(x)."""
     rng = random.Random(seed)
-    mid_powers, top_powers = restriction_tables(tower)
+    mid_powers, top_powers = restriction_tables(tower, prec)
     mid_table, top_table = value_table(mid_powers), value_table(top_powers)
     mid_denom, top_denom = mid_table.denom, top_table.denom
+    bound = None if prec is None else prec * top_table.x_weight
     x = Poly2.x(tower.field)
     mismatches = []
     for n in range(samples):
         g = random_middle_poly(tower, rng)
         # each side's value in units of its own 1/D
         mid_least, top_least = mid_table.least(g), top_table.least(g)
+        if bound is not None and (top_least is None or top_least >= bound):
+            return None
         if n % DIRECT_EVERY == 0:
             mid_val, top_val = Fraction(mid_least, mid_denom), Fraction(top_least, top_denom)
             mid_direct = value_of(g, tower.seq_mid)

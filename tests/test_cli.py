@@ -387,13 +387,13 @@ def test_table_formats_take_effect(capsys, command):
 
 
 def test_tower_cost_warning_is_one_line(capsys):
-    # a tower past its measured quiet length, or past p = 13, draws the cost
+    # a tower past its measured quiet length, or past p = 19, draws the cost
     # warning: one line, no source path or line number
-    code, out, err = run(capsys, "tower", "--p", "17", "--c", "16", "--levels", "1",
+    code, out, err = run(capsys, "tower", "--p", "23", "--c", "22", "--levels", "1",
                          "--length", "2")
     assert code == 0 and out
-    assert err == ("warning: tower with p = 17, length = 2: expect a slow run; past p = 13, "
-                   "reports took seconds at every length\n")
+    assert err == ("warning: tower with p = 23, length = 2: expect a slow run; past p = 19, "
+                   "reports took about a second or more\n")
     code, out, err = run(capsys, "tower", "--p", "2", "--levels", "1", "--length", "14")
     assert code == 0 and out
     assert err == ("warning: tower with p = 2, length = 14: expect a slow run; at p = 2, "
@@ -402,12 +402,15 @@ def test_tower_cost_warning_is_one_line(capsys):
 
 def test_tower_at_length_10_draws_no_cost_warning(capsys):
     # the base keys are numerators over powers of w and the chain keys past
-    # the spines are truncated, so length 10 at p = 2, and length 12 at
-    # p = 7, take well under a second and draw no warning
+    # the spines are truncated, so length 10 at p = 2, length 12 at p = 7
+    # and length 8 at p = 19 take well under a second and draw no warning
     code, out, err = run(capsys, "tower", "--p", "2", "--levels", "3", "--length", "10")
     assert (code, err) == (0, "") and out
     code, out, err = run(capsys, "tower", "--p", "7", "--c", "6", "--levels", "1",
                          "--length", "12")
+    assert (code, err) == (0, "") and out
+    code, out, err = run(capsys, "tower", "--p", "19", "--c", "18", "--levels", "1",
+                         "--length", "8")
     assert (code, err) == (0, "") and out
 
 

@@ -224,7 +224,8 @@ def test_expand_in_pure_y_power_matches_division(fld, monkeypatch):
 
     monkeypatch.setattr(Poly2, "divrem_y", no_division)
     for case, want in zip(cases, expected):
-        assert _expand_in_key(*case) == want
+        # the nonzero digits of the division, with their powers of the key
+        assert _expand_in_key(*case) == [(k, c) for k, c in enumerate(want) if c]
 
 
 def test_expand_in_other_keys_roundtrip():
@@ -239,9 +240,68 @@ def test_expand_in_other_keys_roundtrip():
                 for _ in range(rng.randint(1, 6)):
                     g = g + Poly2.monomial(fld, rng.randint(0, 4), rng.randint(0, 12),
                                            rng.choice(fld.elements()[1:]))
-                coeffs = _expand_in_key(g, key, deg)
-                assert all(c.deg_y() < deg for c in coeffs)
-                assert sum((c * key**k for k, c in enumerate(coeffs)), Poly2.zero(fld)) == g
+                digits = _expand_in_key(g, key, deg)
+                powers = [k for k, _ in digits]
+                assert powers == sorted(set(powers))
+                assert all(c and c.deg_y() < deg for _, c in digits)
+                assert sum((c * key**k for k, c in digits), Poly2.zero(fld)) == g
+
+
+def _expand_oracle(f: Poly2, gs: GenSeq) -> dict:
+    """Reference expansion: divide by each key one power at a time, keep
+    every digit, zero ones included, and recurse into each with the next
+    key down; key 0 = x leaves the x-exponents."""
+    terms = {}
+
+    def walk(g, i, tail):
+        if i == 0:
+            for (a, b), c in g.terms.items():
+                assert b == 0
+                terms[(a,) + tail] = c
+            return
+        for k, digit in enumerate(_expand_by_division(g, gs.keys[i], gs.keys[i].deg_y())):
+            walk(digit, i - 1, (k,) + tail)
+
+    walk(f, gs.top, ())
+    return terms
+
+
+@st.composite
+def _span_case(draw, fields):
+    """A Q or U sequence over one of ``fields`` ((p, m) pairs) and a nonzero
+    polynomial of x-degree at most 12 in its span."""
+    p, m = draw(st.sampled_from(fields))
+    gs = _family_seq(draw(st.sampled_from("QU")), p, m)
+    fld = gs.field
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 12), st.integers(0, p**2 + p)),
+        st.integers(1, fld.q - 1).map(fld.of_index), min_size=1, max_size=8,
+    ))
+    return gs, Poly2(fld, terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_span_case([(2, 1), (5, 1), (2, 2), (3, 2)]))
+def test_expand_matches_division_oracle(case):
+    # expand keeps only nonzero digits and slices y^d without division; the
+    # oracle divides by every key and keeps every digit
+    gs, f = case
+    assert expand(f, gs).terms == _expand_oracle(f, gs)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_span_case([(2, 1), (3, 1), (2, 2), (3, 2)]), st.integers(1, 14))
+def test_expand_modulo_x_power_keeps_low_terms(case, prec):
+    # expand is k[x]-linear: expand(f) - expand(f mod x^M) is x^M times an
+    # expansion, so the terms with m_0 < M agree; where f vanishes modulo
+    # x^M, expand(f) has no term below x^M
+    gs, f = case
+    low = {exps: c for exps, c in expand(f, gs).terms.items() if exps[0] < prec}
+    f_mod = f.truncate(prec)
+    if not f_mod:
+        assert low == {}
+        return
+    assert {exps: c for exps, c in expand(f_mod, gs).terms.items() if exps[0] < prec} == low
 
 
 def test_expand_sequence_too_short():

@@ -394,6 +394,101 @@ def test_expansion_shift_law(case, a):
         assert expand(f.shift(a), gs).terms == shifted
 
 
+@lru_cache(maxsize=None)
+def _truncated_top_table(p, m, length, prec):
+    t, _ = _tower_with_tables(p, m, length)
+    top_powers = restriction_tables(t, prec)[1]
+    assert all(exps[0] < prec for power in top_powers for exps in power.terms)
+    return value_table(top_powers)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_restriction_case(), st.integers(0, 8))
+def test_truncated_top_table_reads_exactly_below_its_bound(case, extra):
+    # a top table kept below x^M, M > (p^2 + p) * value(v) so that every row
+    # keeps its least term, has the whole table's entries and sums below
+    # M * value(x), reads the exact value wherever that lies below it, and
+    # no value it reads below it is wrong
+    t, (_, top_table), g = case
+    prec = t.p + 2 + extra
+    table = _truncated_top_table(t.p, t.field.m, t.length, prec)
+    bound = prec * table.x_weight
+    for row, whole in zip(table.rows, top_table.rows):
+        assert [e for e in row if e[0] < bound] == [e for e in whole if e[0] < bound]
+    below = [{v: c for v, c in tbl.sums(g).items() if v < bound} for tbl in (table, top_table)]
+    assert below[0] == below[1]
+    least, exact = table.least(g), top_table.least(g)
+    assert (least if least is not None and least < bound else None) == (
+        exact if exact < bound else None)
+
+
+def test_value_table_least_is_none_when_every_sum_cancels():
+    # rows of v^0 and v^1 that share their one entry: 1 + v cancels there
+    table = ValueTable(F2, 1, 1, [[(0, 1)], [(0, 1)]])
+    assert table.least(Poly2(F2, {(0, 0): 1, (0, 1): 1})) is None
+
+
+def _restriction_with_shift(monkeypatch, shift, exact=False):
+    """verify_restriction at p = 3, c = 2, length 4 with every sample also
+    valued by division and sample 2 multiplied by x^shift: the report and the
+    precisions its tables were built at, or with ``exact``, built whole
+    whatever precision is asked for."""
+    t = build_tower(3, 2, 4)
+    precs, drawn = [], []
+
+    def tables(tower, prec):
+        # each pass builds its tables first, then draws from sample 0 on
+        precs.append(prec)
+        drawn.clear()
+        return restriction_tables(tower, None if exact else prec)
+
+    def sampler(tower, rng):
+        g = random_middle_poly(tower, rng)
+        drawn.append(g)
+        return g.shift(shift) if len(drawn) == 3 else g
+
+    monkeypatch.setattr(towers_module, "DIRECT_EVERY", 1)
+    monkeypatch.setattr(towers_module, "restriction_tables", tables)
+    monkeypatch.setattr(towers_module, "random_middle_poly", sampler)
+    row = verify_restriction(t, samples=5, seed=1).row()
+    # the last pass drew the seed's first samples, as every pass does
+    rng = random.Random(1)
+    assert drawn == [random_middle_poly(t, rng) for _ in range(5)]
+    return row, precs
+
+
+def test_restriction_doubles_precision_past_a_value_it_cannot_read(monkeypatch):
+    # M = floor(12 * value(v) / value(x)) + 7 = 11 at p = 3; x^11 * g has
+    # value at least 11 * value(x), so the pass at M restarts from the same
+    # seed at 2M = 22, below c * (p^2 + p) = 24, where x^11 * g reads below
+    # 22 * value(x); every value read is checked against division
+    t = build_tower(3, 2, 4)
+    prec = int(12 * value_of(t.v_sub, t.seq_top) / t.seq_top.values[0]) + 7
+    assert prec == 11
+    row, precs = _restriction_with_shift(monkeypatch, prec)
+    assert precs == [11, 22]
+    assert row == _restriction_with_shift(monkeypatch, prec, exact=True)[0]
+    assert row["ok"] and row["samples"] == 5
+
+
+def test_restriction_reaches_whole_tables_past_the_cap(monkeypatch):
+    # x^22 * g is not read below 22 * value(x) either; 44 passes
+    # c * (p^2 + p) = 24, so the third pass reads whole tables
+    row, precs = _restriction_with_shift(monkeypatch, 22)
+    assert precs == [11, 22, None]
+    assert row == _restriction_with_shift(monkeypatch, 22, exact=True)[0]
+    # at p = 2, c = 1, M = 10 is already past c * (p^2 + p) = 6
+    precs = []
+
+    def tables(tower, prec):
+        precs.append(prec)
+        return restriction_tables(tower, prec)
+
+    monkeypatch.setattr(towers_module, "restriction_tables", tables)
+    assert verify_restriction(build_tower(2, 1, 4), samples=3).ok
+    assert precs == [None]
+
+
 def _tamper_sample_zero(monkeypatch, side):
     """Replace the table entry of one power b of sample 0 (seed 0, p = 2,
     length 6) by the expansion of x^1000 times that power.  Sample 0's value
@@ -410,8 +505,8 @@ def _tamper_sample_zero(monkeypatch, side):
     assert list(col_values.values()).count(col_values[b_min]) == 1
     real = towers_module.restriction_tables
 
-    def tampered(tower):
-        mid_powers, top_powers = real(tower)
+    def tampered(tower, prec):
+        mid_powers, top_powers = real(tower, prec)
         if side == "mid":
             mid_powers[b_min] = expand(Poly2.monomial(tower.field, 1000, b_min), tower.seq_mid)
         else:
@@ -527,8 +622,8 @@ def test_restriction_congruent_tails_exit_1(monkeypatch, capsys):
     real_tables, real_sampler = towers_module.restriction_tables, towers_module.random_middle_poly
     calls = []
 
-    def tampered(tower):
-        mid_powers, top_powers = real_tables(tower)
+    def tampered(tower, prec):
+        mid_powers, top_powers = real_tables(tower, prec)
         gs = tower.seq_mid
         _, other = _congruent_tails(gs)
         mid_powers[1] = StandardExpansion(gs, {**mid_powers[1].terms, other: 1})
