@@ -18,21 +18,26 @@ Coefficients are the packed ints of ``Fq``, so the integer product of two
 coefficients is their unreduced convolution.  Products, substitutions and
 divisions sum such raw products per exponent and fold each output
 coefficient once (``Fq.fold``), after checking that the number of products
-a sum can collect fits the field's slot capacity.  Division by a polynomial
-monic in y works on y-rows {j: {i: c}}: each step peels the top row of the
-remainder and adds the quotient row times every row of the negated divisor.
-The next live row comes from a max-heap of row degrees, so the empty
-degrees of sparse operands (tower keys reach y-degree p^(2N) with a handful
-of terms) are skipped, never stepped through.
+a sum can collect fits the field's slot capacity; a product with a factor
+that is exactly 1 sums nothing and returns the other factor.  Division by a
+polynomial monic in y works on y-rows {j: {i: c}}: each step peels the top
+row of the remainder and adds the quotient row times every row of the
+negated divisor.  The next live row comes from a max-heap of row degrees, so
+the empty degrees of sparse operands (tower keys reach y-degree p^(2N) with
+a handful of terms) are skipped, never stepped through.
 
-Substitution has one kernel, ``compose``, which works on y-rows as well: one
-x-image per x-exponent; a row's x-part is the raw sum of its terms' x-images,
-folded once, and its products with the row's y-image go into one raw
-accumulator for the whole result, folded once at the end.  It takes the
-shape of a chart map, a polynomial x-image and an optional denominator for
-the substituted y, which it clears with ``times_pow``, spending no product on
-a denominator that is exactly 1, so polynomial substitutions and the
-numerator / denominator pairs of ``LocalElem.compose`` run the same code.
+Substitution has one kernel, ``compose``, with one x-image per x-exponent
+and one raw accumulator for the whole result, folded once at the end.  When
+the substituted y and its denominator are one term each, as in the chart
+maps y = x' / A with A constant, every term's image is its x-image shifted
+and scaled, and goes into the accumulator on its own.  Otherwise it works on
+y-rows as well: a row's x-part is the raw sum of its terms' x-images, folded
+once, and its products with the row's y-image go into the accumulator.  It
+takes the shape of a chart map, a polynomial x-image and an optional
+denominator for the substituted y, which it clears with ``times_pow``,
+spending no product on a denominator that is exactly 1, so polynomial
+substitutions and the numerator / denominator pairs of ``LocalElem.compose``
+run the same code.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import islice
+from math import inf
 
 from .field import Fq
 
@@ -177,8 +183,15 @@ class Poly2:
 
     def __mul__(self, other: "Poly2", prec: int | None = None) -> "Poly2":
         """The product; with ``prec``, the product modulo x^prec, formed
-        without the term pairs whose x-exponents sum to prec or more."""
+        without the term pairs whose x-exponents sum to prec or more.  A
+        factor that is exactly 1 costs no product: the other factor is
+        returned modulo x^prec (itself, shared, without ``prec``)."""
         fld = self.field
+        one = {(0, 0): fld.one}
+        if self.terms == one:
+            return other.truncate(prec)
+        if other.terms == one:
+            return self.truncate(prec)
         acc: dict = {}
         fld.check_capacity(_add_product(acc, self.terms, other.terms, prec))
         fold = fld.fold
@@ -380,21 +393,30 @@ class Poly2:
         c x^i y^j, with dy the y-degree of self; modulo x^prec when ``prec``
         is given.  Without a denominator this is self(sub_x, sub_y).
 
-        The terms are grouped by y-row.  The x-image of each x-exponent is
-        formed once.  A row's x-part is summed raw from the x-images of its
-        terms and folded once per exponent; its products with the row's
-        y-image go straight into one raw accumulator for the whole result,
-        folded once at the end.  With ``prec``, a row whose x-images start
-        at x^o or above takes its y-image modulo x^(prec - o), no pair at or
-        past x^prec is multiplied, and an image that vanishes drops its
-        terms or its row.  A denominator that is None or exactly 1 costs no
-        product (``times_pow``)."""
+        The x-image of each x-exponent is formed once.  When sub_y and the
+        denominator have one term each (a chart map y = x' / A with A
+        constant), the y-image of every term is one monomial, so each term
+        goes in alone: its x-image, shifted and scaled by that monomial, is
+        added into one raw accumulator, folded once at the end, and a term
+        whose image starts at x^prec or above is skipped before its x-image
+        is formed.  Otherwise the terms are grouped by y-row.  A row's
+        x-part is summed raw from the x-images of its terms and folded once
+        per exponent; its products with the row's y-image go straight into
+        the accumulator.  With ``prec``, a row whose x-images start at x^o
+        or above takes its y-image modulo x^(prec - o), no pair at or past
+        x^prec is multiplied, and an image that vanishes drops its terms or
+        its row.  A denominator that is None or exactly 1 costs no product
+        (``times_pow``), and self exactly 1 maps to 1 modulo x^prec with no
+        image formed."""
         fld = self.field
         if not self.terms:
             return Poly2(fld)
-        dy = self.deg_y()
         one = Poly2.one(fld)
         unit = one.truncate(prec)
+        if self.terms == one.terms:
+            # y-degree 0, so no denominator to clear
+            return unit
+        dy = self.deg_y()
         y_den = one if y_den is None else y_den
         fold = fld.fold
         x_images: dict = {}
@@ -402,6 +424,33 @@ class Poly2:
         # multiply, since k[y] is a domain
         x_step = sub_x.x_order() if prec is not None and sub_x else 0
         acc: dict = {}
+        if len(sub_y.terms) == 1 and len(y_den.terms) == 1:
+            # the image of c x^i y^j is c a^j d^(dy-j) x^dx y^dj * sub_x^i
+            # for sub_y = a x^sx y^sy and y_den = d x^tx y^ty; a cell of
+            # acc collects at most one product per term
+            fld.check_capacity(len(self.terms))
+            ((sx, sy), a), = sub_y.terms.items()
+            ((tx, ty), d), = y_den.terms.items()
+            limit = inf if prec is None else prec
+            get = acc.get
+            monomials: dict = {}
+            for (i, j), c in self.terms.items():
+                monomial = monomials.get(j)
+                if monomial is None:
+                    monomial = monomials[j] = (sx * j + tx * (dy - j), sy * j + ty * (dy - j),
+                                               fold(fld.pow_(a, j) * fld.pow_(d, dy - j)))
+                dx, dj, k = monomial
+                if i * x_step + dx >= limit:
+                    continue
+                image = x_images.get(i)
+                if image is None:
+                    image = x_images[i] = unit.times_pow(sub_x, i, prec).terms
+                ck, top = fold(c * k), limit - dx
+                for (e, f), v in image.items():
+                    if e < top:
+                        cell = (e + dx, f + dj)
+                        acc[cell] = get(cell, 0) + ck * v
+            return Poly2(fld, {e: c for e, s in acc.items() if (c := fold(s))})
         # the most products one cell of acc collects
         n = 0
         for j, row in _rows(self.terms).items():

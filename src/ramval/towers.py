@@ -487,7 +487,11 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     sample are also valued by dividing from scratch (``value_of``, with its
     own tie check), g in the middle sequence and its substitution
     g(x, v(x, y)) in the top one; Inconsistent, naming the sample and both
-    value pairs, if the two paths disagree.
+    value pairs, if the two paths disagree.  The substitution is valued
+    modulo x^N, N = floor(table value / value(x)) + 1, which keeps the check
+    exact: a value below N * value(x) is the whole substitution's, and one at
+    or past it, or a substitution that vanishes modulo x^N, is above the
+    table's value, so both disagree with the table.
 
     The top table keeps each power's terms below x^M, so it reads a value
     exactly only below M * value(x); M = floor((p^2 + p) * value(v) /
@@ -530,12 +534,18 @@ def _restriction_pass(tower: Tower, samples: int, seed: int,
         if n % DIRECT_EVERY == 0:
             mid_val, top_val = Fraction(mid_least, mid_denom), Fraction(top_least, top_denom)
             mid_direct = value_of(g, tower.seq_mid)
-            top_direct = value_of(g.compose(x, tower.v_sub), tower.seq_top)
+            # g(x, v(x, y)) modulo x^N, N * value(x) above the table's value
+            top_prec = top_least // top_table.x_weight + 1
+            top_sub = g.compose(x, tower.v_sub, prec=top_prec)
+            top_direct = value_of(top_sub, tower.seq_top) if top_sub else None
             if (mid_direct, top_direct) != (mid_val, top_val):
+                top_bound = Fraction(top_prec * top_table.x_weight, top_denom)
+                top_text = (fmt_value(top_direct) if top_direct is not None and top_direct < top_bound
+                            else f"at least {fmt_value(top_bound)}")
                 raise Inconsistent(
                     f"restriction sample {n} ({g.to_str('x', 'v')}): (middle, top) values "
                     f"({fmt_value(mid_val)}, {fmt_value(top_val)}) from the cached expansions, "
-                    f"({fmt_value(mid_direct)}, {fmt_value(top_direct)}) by direct division"
+                    f"({fmt_value(mid_direct)}, {top_text}) by direct division"
                 )
         if mid_least * top_denom != top_least * mid_denom:
             mismatches.append((g.to_str("x", "v"), fmt_value(Fraction(mid_least, mid_denom)),

@@ -14,6 +14,7 @@ from ramval.algebra import (
     Poly2,
     parse_poly,
 )
+from ramval.algebra import poly as poly_module
 from ramval.algebra.field import MEMO_LIMIT, _power
 from ramval.transforms import _bottom_row
 
@@ -228,6 +229,33 @@ def test_poly_square_char2():
 def test_poly_mul_zero():
     f = parse_poly("y^3 + x", F3)
     assert (f * Poly2.zero(F3)).is_zero()
+
+
+def test_mul_by_exactly_one_forms_no_product(monkeypatch):
+    # either factor exactly 1: the other factor modulo x^prec, with no term
+    # pair summed; a constant other than 1, or 1 plus more terms, multiplies
+    products = []
+    real = poly_module._add_product
+
+    def recording(acc, a, b, prec):
+        products.append((len(a), len(b)))
+        return real(acc, a, b, prec)
+
+    monkeypatch.setattr(poly_module, "_add_product", recording)
+    for fld in (F2, F3, F4, F9):
+        one = Poly2.one(fld)
+        f = parse_poly("1 + x + y^2 + x^3*y + x^5", fld)
+        for prec in (None, 0, 1, 3, 6):
+            expected = Poly2(fld, {e: c for e, c in f.terms.items() if prec is None or e[0] < prec})
+            assert one.__mul__(f, prec) == expected and f.__mul__(one, prec) == expected
+            assert one.__mul__(one, prec) == one.truncate(prec)
+        assert one * f is f and f * one is f
+        assert products == []
+        if fld.p > 2:
+            assert f * Poly2.const(fld, fld.of_int(2)) == f.scale(fld.of_int(2))
+        assert f * (one + Poly2.x(fld)) == f + f.shift(1)
+        assert products
+        products.clear()
 
 
 def test_pow_matches_repeated_mul():
@@ -724,19 +752,24 @@ def _unit_dens(field):
     return st.one_of(kinds)
 
 
-@st.composite
-def _substitution_case(draw):
-    """(poly, sub_x, sub_y, prec): sub_x is a polynomial, either the
-    chart-map shape r x^n (y + 1) or x times a drawn polynomial; sub_y has a
-    drawn unit denominator; both substitutions vanish at the origin."""
-    field = draw(st.sampled_from((F2, F3, F4, F9)))
+def _draw_sub_x(draw, field):
+    """A polynomial x-image vanishing at the origin: the chart-map shape
+    r x^n (y + 1), or x times a drawn polynomial."""
     one, x = Poly2.one(field), Poly2.x(field)
     if draw(st.booleans()):
         n = draw(st.integers(1, 3))
         r = field.of_index(draw(st.integers(1, field.q - 1)))
-        sub_x = (x**n * (Poly2.y(field) + one)).scale(r)
-    else:
-        sub_x = x * (one + draw(_polys(field, max_deg=2, max_size=2)))
+        return (x**n * (Poly2.y(field) + one)).scale(r)
+    return x * (one + draw(_polys(field, max_deg=2, max_size=2)))
+
+
+@st.composite
+def _substitution_case(draw):
+    """(poly, sub_x, sub_y, prec): sub_x from ``_draw_sub_x``; sub_y has a
+    drawn unit denominator; both substitutions vanish at the origin."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    x = Poly2.x(field)
+    sub_x = _draw_sub_x(draw, field)
     sub_y = LocalElem(x - draw(_polys(field, min_x=1, max_deg=2, max_size=2)),
                       draw(_unit_dens(field)))
     return draw(_gapped_polys(field)), sub_x, sub_y, draw(st.integers(1, 12))
@@ -835,3 +868,139 @@ def test_compose_poly_pair_drops_vanishing_rows():
         assert _congruent(truncated, oracle, 6)
         assert _congruent(truncated, without_row, 6)
         assert poly.compose(sub_x, sub_y) == oracle
+
+
+def _no_rows(terms):
+    raise AssertionError("a one-term y-image grouped the terms by y-row")
+
+
+@st.composite
+def _one_term_case(draw):
+    """(poly, sub_x, sub_y, y_den, prec): sub_y is one term a x^s y^t with
+    s >= 1 and t = 0 or t >= 1, y_den a nonzero constant, exactly 1 or (over
+    F_3, F_4 and F_9) another one, and sub_x from ``_draw_sub_x``."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    sub_x = _draw_sub_x(draw, field)
+    nonzero = st.integers(1, field.q - 1).map(field.of_index)
+    sub_y = Poly2.monomial(field, draw(st.integers(1, 3)), draw(st.sampled_from((0, 1, 2, field.p))),
+                           draw(nonzero))
+    y_den = Poly2.const(field, draw(st.one_of(st.just(field.one), nonzero)))
+    return draw(_gapped_polys(field)), sub_x, sub_y, y_den, draw(st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_one_term_case())
+def test_compose_one_term_y_image_matches_term_oracle(case):
+    # term by term, never by y-row, exact and modulo x^prec, for a
+    # polynomial and for a pair
+    poly, sub_x, sub_y, y_den, prec = case
+    oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y, y_den))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_rows", _no_rows)
+        cleared = poly.compose(sub_x, sub_y, y_den)
+        truncated = poly.compose(sub_x, sub_y, y_den, prec)
+        pair = LocalElem(poly).compose(sub_x, LocalElem(sub_y, y_den), prec)
+    assert LocalElem(cleared, y_den**poly.deg_y()) == oracle
+    assert truncated == cleared.truncate(prec)
+    assert _congruent(pair, oracle, prec)
+    if y_den == Poly2.one(poly.field):
+        assert poly.compose(sub_x, sub_y) == cleared == oracle.as_poly()
+
+
+def _monomials(field, max_deg=3):
+    """One-term polynomials c x^i y^j, c nonzero."""
+    return st.builds(lambda i, j, n: Poly2.monomial(field, i, j, field.of_index(n)),
+                     st.integers(0, max_deg), st.integers(0, max_deg), st.integers(1, field.q - 1))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from((F2, F3, F4, F9)).flatmap(lambda fld: st.tuples(
+    _gapped_polys(fld), _polys(fld, min_x=1, max_deg=3, max_size=3), _monomials(fld),
+    _monomials(fld), st.integers(1, 12))))
+def test_compose_one_term_monomial_denominator(case):
+    # a denominator of one term x^u y^w, not a unit, against the sum of
+    # c * sub_x^i * sub_y^j * y_den^(dy - j) in Poly2 products
+    poly, sub_x, sub_y, y_den, prec = case
+    fld, dy = poly.field, poly.deg_y()
+    oracle = Poly2.zero(fld)
+    for (i, j), c in poly.terms.items():
+        oracle = oracle + Poly2.const(fld, c) * sub_x**i * sub_y**j * y_den**(dy - j)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly_module, "_rows", _no_rows)
+        assert poly.compose(sub_x, sub_y, y_den) == oracle
+        assert poly.compose(sub_x, sub_y, y_den, prec) == oracle.truncate(prec)
+
+
+def test_compose_one_term_skips_terms_past_prec(monkeypatch):
+    # under x -> x (y + 1), y -> x^2 / 2, modulo x^6, x^i y^j starts at
+    # x^(i + 2 j): x^5 y and x^7 are skipped before their x-images are formed
+    formed = []
+    real = Poly2.times_pow
+
+    def recording(self, base, e, prec=None):
+        formed.append(e)
+        return real(self, base, e, prec)
+
+    x, y, one = Poly2.x(F3), Poly2.y(F3), Poly2.one(F3)
+    poly = parse_poly("x^2 + x^3*y + x^5*y + x^7 + y^2", F3)
+    sub_x, sub_y, y_den = x * (y + one), x**2, Poly2.const(F3, F3.of_int(2))
+    oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y, y_den))
+    monkeypatch.setattr(Poly2, "times_pow", recording)
+    truncated = poly.compose(sub_x, sub_y, y_den, 6)
+    assert sorted(set(formed)) == [0, 2, 3]
+    assert _congruent(LocalElem(truncated, y_den**2), oracle, 6)
+
+
+def test_compose_one_term_images_collide_and_cancel():
+    # y^n -> x^n and x -> x^n (y + 1) under x -> x^n (y + 1), y -> x: the
+    # x^n cells cancel; under y -> a x / d, d y - a x cancels whole
+    for fld in (F2, F3, F4, F9):
+        x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
+        for n in (1, 2, 3):
+            f, sub_x = y**n - x, x**n * (y + one)
+            assert f.compose(sub_x, x) == -(x**n * y) == f.compose(sub_x, x, prec=n + 1)
+            assert f.compose(sub_x, x, prec=n).is_zero()
+        a, d = fld.of_index(fld.q - 1), fld.of_index(fld.q // 2)
+        f = Poly2.monomial(fld, 0, 1, d) - Poly2.monomial(fld, 1, 0, a)
+        for prec in (None, 1, 2):
+            assert f.compose(x, Poly2.monomial(fld, 1, 0, a), Poly2.const(fld, d), prec).is_zero()
+        g = f + x**2 * y
+        assert g.compose(x, Poly2.monomial(fld, 1, 0, a), Poly2.const(fld, d)) == \
+            Poly2.monomial(fld, 3, 0, a)
+
+
+def test_compose_one_term_capacity(monkeypatch):
+    # a cell of the result collects at most one product per term of the
+    # input: 6 here, while the x-images of x + x*y take at most 2 per cell
+    fld = Fq(3, 2)
+    poly = parse_poly("1 + x + y + x^2*y + x*y^2 + y^3", fld)
+    sub_x, sub_y, y_den = parse_poly("x + x*y", fld), Poly2.x(fld), Poly2.const(fld, fld.of_int(2))
+    oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y, y_den))
+    monkeypatch.setattr(fld, "capacity", len(poly.terms) - 1)
+    with pytest.raises(OverflowError):
+        poly.compose(sub_x, sub_y, y_den)
+    monkeypatch.setattr(fld, "capacity", len(poly.terms))
+    assert LocalElem(poly.compose(sub_x, sub_y, y_den), y_den**3) == oracle
+
+
+def test_compose_of_exactly_one_forms_no_image(monkeypatch):
+    # 1 has y-degree 0, so it maps to 1 modulo x^prec under any
+    # substitution, with no x- or y-image formed; a constant other than 1
+    # still clears the denominator like any polynomial
+    calls = []
+    real = Poly2.times_pow
+
+    def recording(self, base, e, prec=None):
+        calls.append(e)
+        return real(self, base, e, prec)
+
+    monkeypatch.setattr(Poly2, "times_pow", recording)
+    for fld in (F2, F3, F9):
+        x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
+        for sub_y, y_den in ((x, None), (x + x * y, one + x)):
+            for prec in (None, 0, 1, 5):
+                assert one.compose(x * (y + one), sub_y, y_den, prec) == one.truncate(prec)
+        assert calls == []
+    two = Poly2.const(F3, F3.of_int(2))
+    assert two.compose(Poly2.x(F3), Poly2.x(F3), Poly2.one(F3) + Poly2.x(F3), 5) == two
+    assert calls

@@ -157,6 +157,10 @@ PINNED_TRANSFORMS = {
     "transform_P_p2_levels6_length7.txt": ("--family", "P", "--p", "2", "--levels", "6",
                                            "--length", "7"),
     "transform_U_p2_c1_q4.txt": ("--family", "U", "--p", "2", "--c", "1", "--q", "4"),
+    # chart maps into levels 2 and 3 have a one-term y-image, into level 4
+    # a three-term one, so both substitution paths run over F_9
+    "transform_U_p3_c2_q9_levels5_length6.txt": ("--family", "U", "--p", "3", "--c", "2", "--q", "9",
+                                                 "--levels", "5", "--length", "6"),
 }
 
 

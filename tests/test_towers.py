@@ -546,6 +546,42 @@ def test_restriction_direct_path_on_every_50th_sample(monkeypatch):
     assert valued == [t.seq_mid.label, t.seq_top.label] * 3
 
 
+def test_restriction_direct_substitution_vanishing_mod_x_n_exits_1(monkeypatch, capsys):
+    # every sample is x, and the top table's v^0 entry is lowered by
+    # value(x), so the table reads value 0 for x: the direct substitution
+    # x(x, v(x, y)) = x is taken modulo x^N, N = 0 // value(x) + 1 = 1, where
+    # it vanishes.  That is a disagreement (exit 1) with the bound on the
+    # top value, and the zero is never expanded (which would exit 2)
+    real = towers_module.value_table
+
+    def tampered(powers):
+        table = real(powers)
+        if powers[0].gs.label.startswith("Q("):
+            (v, cf), = table.rows[0]
+            table.rows[0] = [(v - table.x_weight, cf)]
+        return table
+
+    valued = []
+
+    def recording(f, gs):
+        valued.append(f)
+        return value_of(f, gs)
+
+    monkeypatch.setattr(towers_module, "value_table", tampered)
+    monkeypatch.setattr(towers_module, "random_middle_poly", lambda tower, rng: Poly2.x(tower.field))
+    monkeypatch.setattr(towers_module, "value_of", recording)
+    witness = ("restriction sample 0 (x): (middle, top) values (1, 0) from the cached "
+               "expansions, (1, at least 1) by direct division")
+    with pytest.raises(Inconsistent) as ex:
+        verify_restriction(build_tower(2, 1, 4), samples=3)
+    assert str(ex.value) == witness
+    assert valued == [Poly2.x(Fq(2))]  # the middle side only
+    assert main(["report", "--p", "2", "--c", "1", "--levels", "2", "--samples", "3",
+                 "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"verification failed: {witness}\n"
+
+
 def test_restriction_mismatch_rows_name_both_values(monkeypatch):
     # the least entry of top row 3 raised by 1/D_top; sample 0, the one
     # checked directly, does not reach v^3, so the samples that read it
