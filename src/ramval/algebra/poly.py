@@ -185,7 +185,8 @@ class Poly2:
         """The product; with ``prec``, the product modulo x^prec, formed
         without the term pairs whose x-exponents sum to prec or more.  A
         factor that is exactly 1 costs no product: the other factor is
-        returned modulo x^prec (itself, shared, without ``prec``)."""
+        returned modulo x^prec (``truncate``: itself, shared, when no term
+        lies at or past x^prec)."""
         fld = self.field
         one = {(0, 0): fld.one}
         if self.terms == one:
@@ -232,8 +233,9 @@ class Poly2:
 
     def truncate(self, prec: int | None) -> "Poly2":
         """The polynomial modulo x^prec: its terms of x-degree below prec;
-        itself for None (a Poly2 is never changed in place, so it is shared)."""
-        if prec is None:
+        itself for None or when no term lies at or past x^prec (a Poly2 is
+        never changed in place, so it is shared)."""
+        if prec is None or all(e[0] < prec for e in self.terms):
             return self
         return Poly2(self.field, {e: c for e, c in self.terms.items() if e[0] < prec})
 
@@ -260,9 +262,7 @@ class Poly2:
         one = {(0, 0): fld.one}
         if not e:
             return self
-        # a one-term base needs no truncation: its power keeps no term below
-        # x^prec when the base has none
-        twist = base if len(base.terms) == 1 else base.truncate(prec)
+        twist = base.truncate(prec)
         if twist.terms == one:
             return self
         if len(twist.terms) == 1:

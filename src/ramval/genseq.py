@@ -447,10 +447,6 @@ class ValueTable:
         fold = self.field.fold
         return {v: c for v, s in acc.items() if (c := fold(s))}
 
-    def value(self, g: Poly2) -> Fraction:
-        """The valuation of g(x, v): ``least(g)`` / D."""
-        return Fraction(self.least(g), self.denom)
-
     def least(self, g: Poly2) -> int | None:
         """The valuation of g(x, v) in units of 1/D, read off the least
         candidate terms.
@@ -465,7 +461,8 @@ class ValueTable:
         every sum cancels.  Rows of whole expansions never give None for a
         nonzero g; rows that keep only the terms below x^M give it, or a
         least value of M * value(x) or more, exactly where they cannot read
-        the value (``verify_restriction``)."""
+        the value, and ``verify_restriction`` then divides the whole
+        substitution instead."""
         if not g.terms:
             raise ArithmeticError("cannot expand the zero element")
         rows, w0 = self.rows, self.x_weight
@@ -489,7 +486,8 @@ def value_table(powers: list[StandardExpansion]) -> ValueTable:
     whole or only its terms below x^M: row b holds its (value, coefficient)
     pairs sorted by value, so row[0] is its least term.  A row kept below
     x^M is exact below M * value(x), and its least term is the whole
-    expansion's as long as b * value(v) is below that.
+    expansion's as long as b * value(v) is below that; a value at or past
+    M * value(x) is not read off the table (``verify_restriction``).
 
     Summing by value is summing by exponent vector only if distinct vectors
     that samples reach have distinct values.  Such a vector is (m_0 + a,

@@ -455,7 +455,8 @@ def restriction_tables(tower: Tower, prec: int | None = None
     (``pow(v, b, M)``) and keeps its terms with m_0 < M.  Those are the terms
     of the whole expansion with m_0 < M (``expand``), so the row is exact
     below M * value(x), and every term it drops has value M * value(x) or
-    more.  The middle powers are always whole."""
+    more.  The middle powers are always whole, and so are the top ones
+    without ``prec``."""
     fld = tower.field
     span = range(_sample_v_degree(tower.p) + 1)
     mid = [expand(Poly2.monomial(fld, 0, b), tower.seq_mid) for b in span]
@@ -483,69 +484,63 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     sequence and its own table, so the two stay independent computations.
     Each side's value is an integer in units of its own 1/D, so the two are
     compared cross-multiplied, and Fractions are built only for the direct
-    samples and the mismatch rows.  Sample 0 and every DIRECT_EVERY-th
-    sample are also valued by dividing from scratch (``value_of``, with its
-    own tie check), g in the middle sequence and its substitution
-    g(x, v(x, y)) in the top one; Inconsistent, naming the sample and both
-    value pairs, if the two paths disagree.  The substitution is valued
-    modulo x^N, N = floor(table value / value(x)) + 1, which keeps the check
-    exact: a value below N * value(x) is the whole substitution's, and one at
-    or past it, or a substitution that vanishes modulo x^N, is above the
-    table's value, so both disagree with the table.
+    samples and the mismatch rows.
 
-    The top table keeps each power's terms below x^M, so it reads a value
-    exactly only below M * value(x); M = floor((p^2 + p) * value(v) /
-    value(x)) + 7 in the top sequence's integer weights, value(v) read off
-    the minimal term of v's expansion.  A sample's least candidate
-    (``ValueTable.least``) is at most 6 * value(x) + (p^2 + p) * value(v),
-    below M * value(x).  A top value at or past M * value(x), or one whose
-    value-keyed sums all cancel, is never reported: the check restarts from
-    the same seed with tables at 2M.  Once M passes c * (p^2 + p), the
-    x-degree of v(x, y)^(p^2 + p), the tables are whole and read every value."""
+    The tables are built once.  The top table keeps each power's terms below
+    x^M, so it reads a value exactly only below M * value(x); M =
+    floor((p^2 + p) * value(v) / value(x)) + 7 in the top sequence's integer
+    weights, value(v) read off the minimal term of v's expansion.  A
+    sample's least candidate is at most 6 * value(x) + (p^2 + p) * value(v),
+    below M * value(x).  A top value the table does not read (None, or at or
+    past M * value(x)) is taken instead from dividing the whole
+    substitution g(x, v(x, y)) (``value_of``).
+
+    Sample 0 and every DIRECT_EVERY-th sample are also valued by dividing
+    from scratch (``value_of``, with its own tie check), g in the middle
+    sequence and its substitution in the top one; Inconsistent, naming the
+    sample and both value pairs, if the two paths disagree.  The
+    substitution is valued modulo x^N, N = floor(table value / value(x)) +
+    1, which keeps the check exact: a value below N * value(x) is the whole
+    substitution's, and one at or past it, or a substitution that vanishes
+    modulo x^N, is above the table's value, so both disagree with the
+    table.  Where the top value already came from the whole division, that
+    division is the top side of the check."""
     lat = tower.seq_top.ensure_valid()
     _, exps = expand(tower.v_sub, tower.seq_top).minimal_term()
-    max_v = _sample_v_degree(tower.p)
-    prec = max_v * sum(map(mul, exps, lat.weights)) // lat.weights[0] + 7
-    while True:
-        report = _restriction_pass(tower, samples, seed, prec if prec <= tower.c * max_v else None)
-        if report is not None:
-            return report
-        prec *= 2
-
-
-def _restriction_pass(tower: Tower, samples: int, seed: int,
-                      prec: int | None) -> CheckReport | None:
-    """One pass of ``verify_restriction`` with the top table kept below
-    x^prec; None as soon as a sample's top value is not read below
-    prec * value(x)."""
+    prec = _sample_v_degree(tower.p) * sum(map(mul, exps, lat.weights)) // lat.weights[0] + 7
     rng = random.Random(seed)
-    mid_powers, top_powers = restriction_tables(tower, prec)
-    mid_table, top_table = value_table(mid_powers), value_table(top_powers)
+    mid_table, top_table = map(value_table, restriction_tables(tower, prec))
     mid_denom, top_denom = mid_table.denom, top_table.denom
-    bound = None if prec is None else prec * top_table.x_weight
+    bound = prec * top_table.x_weight
     x = Poly2.x(tower.field)
     mismatches = []
     for n in range(samples):
         g = random_middle_poly(tower, rng)
         # each side's value in units of its own 1/D
         mid_least, top_least = mid_table.least(g), top_table.least(g)
-        if bound is not None and (top_least is None or top_least >= bound):
-            return None
+        top_whole = None
+        if top_least is None or top_least >= bound:
+            top_whole = value_of(g.compose(x, tower.v_sub), tower.seq_top)
+            # a value of the top sequence is a whole number of units 1/D
+            top_least = int(top_whole * top_denom)
         if n % DIRECT_EVERY == 0:
             mid_val, top_val = Fraction(mid_least, mid_denom), Fraction(top_least, top_denom)
             mid_direct = value_of(g, tower.seq_mid)
-            # g(x, v(x, y)) modulo x^N, N * value(x) above the table's value
-            top_prec = top_least // top_table.x_weight + 1
-            top_sub = g.compose(x, tower.v_sub, prec=top_prec)
-            top_direct = value_of(top_sub, tower.seq_top) if top_sub else None
-            if (mid_direct, top_direct) != (mid_val, top_val):
+            top_direct, top_text = top_whole, None
+            if top_whole is None:
+                # g(x, v(x, y)) modulo x^N, N * value(x) above the table's value
+                top_prec = top_least // top_table.x_weight + 1
+                top_sub = g.compose(x, tower.v_sub, prec=top_prec)
+                top_direct = value_of(top_sub, tower.seq_top) if top_sub else None
                 top_bound = Fraction(top_prec * top_table.x_weight, top_denom)
-                top_text = (fmt_value(top_direct) if top_direct is not None and top_direct < top_bound
-                            else f"at least {fmt_value(top_bound)}")
+                if top_direct is None or top_direct >= top_bound:
+                    top_direct, top_text = None, f"at least {fmt_value(top_bound)}"
+            if (mid_direct, top_direct) != (mid_val, top_val):
                 raise Inconsistent(
                     f"restriction sample {n} ({g.to_str('x', 'v')}): (middle, top) values "
                     f"({fmt_value(mid_val)}, {fmt_value(top_val)}) from the cached expansions, "
-                    f"({fmt_value(mid_direct)}, {top_text}) by direct division"
+                    f"({fmt_value(mid_direct)}, {top_text or fmt_value(top_direct)}) "
+                    "by direct division"
                 )
         if mid_least * top_denom != top_least * mid_denom:
             mismatches.append((g.to_str("x", "v"), fmt_value(Fraction(mid_least, mid_denom)),

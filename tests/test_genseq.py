@@ -551,7 +551,7 @@ def test_value_table_keeps_no_zero_coefficient(case):
     # g(x, v) = v - 1 over the expansions of f and f + h sums to the
     # expansion of h, keyed by value: every value of f's expansion that h's
     # lacks folds to zero and must be dropped; where the least terms of f
-    # and f + h cancel, value falls back to these sums
+    # and f + h cancel, least falls back to these sums
     gs, f, h, _ = case
     assume(not (f + h).is_zero())
     fld = gs.field
@@ -561,7 +561,7 @@ def test_value_table_keeps_no_zero_coefficient(case):
     sums = table.sums(g)
     assert fld.zero not in sums.values()
     assert sums == {sum(map(mul, e, weights)): c for e, c in expand(h, gs).terms.items()}
-    assert table.value(g) == value_of(h, gs)
+    assert F(table.least(g), table.denom) == value_of(h, gs)
 
 
 # -- semigroups --------------------------------------------------------------------

@@ -315,7 +315,7 @@ def test_linear_expansions_match_direct_expansions(case):
     composed = g.compose(Poly2.x(t.field), t.v_sub)
     for table, f, gs in ((mid_table, g, t.seq_mid), (top_table, composed, t.seq_top)):
         assert table.sums(g) == _by_value(expand(f, gs))
-        assert table.value(g) == value_of(f, gs)
+        assert Fraction(table.least(g), table.denom) == value_of(f, gs)
 
 
 def _least_candidate(table, g):
@@ -350,11 +350,12 @@ def _cancelling_case(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_cancelling_case())
 def test_value_table_value_is_least_sum(case):
-    # value is the least key of sums over D, and the direct value on the
-    # table's own side, also where the least candidates cancel
+    # least over D is the least key of sums over D, and the direct value on
+    # the table's own side, also where the least candidates cancel
     t, side, table, g = case
     f, gs = (g, t.seq_mid) if side == 0 else (g.compose(Poly2.x(t.field), t.v_sub), t.seq_top)
-    assert table.value(g) == Fraction(min(table.sums(g)), table.denom) == value_of(f, gs)
+    value = Fraction(table.least(g), table.denom)
+    assert value == Fraction(min(table.sums(g)), table.denom) == value_of(f, gs)
 
 
 def test_value_table_sums_only_when_least_candidates_cancel(monkeypatch):
@@ -377,7 +378,7 @@ def test_value_table_sums_only_when_least_candidates_cancel(monkeypatch):
                           if min(real_sums(table, g)) > _least_candidate(table, g)]
             assert 0 < len(cancelling) < len(samples)
             monkeypatch.setattr(ValueTable, "sums", recording)
-            values = [table.value(g) for g in samples]
+            values = [Fraction(table.least(g), table.denom) for g in samples]
             monkeypatch.setattr(ValueTable, "sums", real_sums)
             assert summed == cancelling
             assert values == [Fraction(min(table.sums(g)), table.denom) for g in samples]
@@ -428,56 +429,64 @@ def test_value_table_least_is_none_when_every_sum_cancels():
     assert table.least(Poly2(F2, {(0, 0): 1, (0, 1): 1})) is None
 
 
-def _restriction_with_shift(monkeypatch, shift, exact=False):
+def _restriction_with_shift(monkeypatch, shift):
     """verify_restriction at p = 3, c = 2, length 4 with every sample also
-    valued by division and sample 2 multiplied by x^shift: the report and the
-    precisions its tables were built at, or with ``exact``, built whole
-    whatever precision is asked for."""
+    valued by division and sample 2 multiplied by x^shift: the tower, the
+    report, the precisions its tables were built at, the samples drawn and
+    the (sequence label, polynomial) of every division."""
     t = build_tower(3, 2, 4)
-    precs, drawn = [], []
+    precs, drawn, valued = [], [], []
 
     def tables(tower, prec):
-        # each pass builds its tables first, then draws from sample 0 on
         precs.append(prec)
-        drawn.clear()
-        return restriction_tables(tower, None if exact else prec)
+        return restriction_tables(tower, prec)
 
     def sampler(tower, rng):
         g = random_middle_poly(tower, rng)
-        drawn.append(g)
-        return g.shift(shift) if len(drawn) == 3 else g
+        drawn.append(g.shift(shift) if len(drawn) == 2 else g)
+        return drawn[-1]
+
+    def recording(f, gs):
+        valued.append((gs.label, f))
+        return value_of(f, gs)
 
     monkeypatch.setattr(towers_module, "DIRECT_EVERY", 1)
     monkeypatch.setattr(towers_module, "restriction_tables", tables)
     monkeypatch.setattr(towers_module, "random_middle_poly", sampler)
+    monkeypatch.setattr(towers_module, "value_of", recording)
     row = verify_restriction(t, samples=5, seed=1).row()
-    # the last pass drew the seed's first samples, as every pass does
-    rng = random.Random(1)
-    assert drawn == [random_middle_poly(t, rng) for _ in range(5)]
-    return row, precs
+    return t, row, precs, drawn, valued
 
 
-def test_restriction_doubles_precision_past_a_value_it_cannot_read(monkeypatch):
-    # M = floor(12 * value(v) / value(x)) + 7 = 11 at p = 3; x^11 * g has
-    # value at least 11 * value(x), so the pass at M restarts from the same
-    # seed at 2M = 22, below c * (p^2 + p) = 24, where x^11 * g reads below
-    # 22 * value(x); every value read is checked against division
-    t = build_tower(3, 2, 4)
-    prec = int(12 * value_of(t.v_sub, t.seq_top) / t.seq_top.values[0]) + 7
-    assert prec == 11
-    row, precs = _restriction_with_shift(monkeypatch, prec)
-    assert precs == [11, 22]
-    assert row == _restriction_with_shift(monkeypatch, prec, exact=True)[0]
-    assert row["ok"] and row["samples"] == 5
+@pytest.mark.parametrize("shift", [0, 10, 11, 22, 33])
+def test_restriction_values_past_the_top_table_by_whole_division(monkeypatch, shift):
+    # M = floor(12 * value(v) / value(x)) + 7 = 11 at p = 3: the tables are
+    # built once, at M.  x^11 * g and beyond have value at least
+    # 11 * value(x), which the top table does not read; such a sample is
+    # valued by dividing its whole substitution, and the report is the one
+    # read off whole tables
+    t, row, precs, drawn, valued = _restriction_with_shift(monkeypatch, shift)
+    assert precs == [int(12 * value_of(t.v_sub, t.seq_top) / t.seq_top.values[0]) + 7] == [11]
+    mid_table, top_table = map(value_table, restriction_tables(t))
+    mismatches = []
+    for g in drawn:
+        mid = Fraction(mid_table.least(g), mid_table.denom)
+        top = Fraction(top_table.least(g), top_table.denom)
+        if mid != top:
+            mismatches.append((g.to_str("x", "v"), fmt_value(mid), fmt_value(top)))
+    assert row == {"check": "restriction", "ok": not mismatches, "samples": 5,
+                   "mismatches": mismatches[:5], "mismatch_count": len(mismatches)}
+    assert row["ok"]
+    # every sample divided twice, its top side modulo x^N or, past the top
+    # table, whole
+    whole = (t.seq_top.label, drawn[2].compose(Poly2.x(t.field), t.v_sub))
+    assert len(valued) == 10
+    assert (whole in valued) == (shift >= 11)
 
 
-def test_restriction_reaches_whole_tables_past_the_cap(monkeypatch):
-    # x^22 * g is not read below 22 * value(x) either; 44 passes
-    # c * (p^2 + p) = 24, so the third pass reads whole tables
-    row, precs = _restriction_with_shift(monkeypatch, 22)
-    assert precs == [11, 22, None]
-    assert row == _restriction_with_shift(monkeypatch, 22, exact=True)[0]
-    # at p = 2, c = 1, M = 10 is already past c * (p^2 + p) = 6
+def test_restriction_builds_its_tables_once_at_p_2(monkeypatch):
+    # at p = 2, c = 1, M = 10 passes c * (p^2 + p) = 6, the x-degree of
+    # v(x, y)^6, yet the top table is kept below x^10 like that of any p
     precs = []
 
     def tables(tower, prec):
@@ -486,7 +495,40 @@ def test_restriction_reaches_whole_tables_past_the_cap(monkeypatch):
 
     monkeypatch.setattr(towers_module, "restriction_tables", tables)
     assert verify_restriction(build_tower(2, 1, 4), samples=3).ok
-    assert precs == [None]
+    assert precs == [10]
+
+
+def test_restriction_values_a_sample_the_table_cannot_read_by_one_division(monkeypatch):
+    # the top table's least reads None for every sample: each is valued by
+    # one division of its whole substitution, and on sample 0, the direct
+    # one, that division is also the top side of the cross-check
+    t = build_tower(2, 1, 4)
+    expected = verify_restriction(t, samples=3, seed=0).row()
+    real_table, real_least = towers_module.value_table, ValueTable.least
+    tops, valued = [], []
+
+    def table(powers):
+        built = real_table(powers)
+        if powers[0].gs is t.seq_top:
+            tops.append(built)
+        return built
+
+    def least(self, g):
+        return None if self in tops else real_least(self, g)
+
+    def recording(f, gs):
+        valued.append((gs.label, f))
+        return value_of(f, gs)
+
+    monkeypatch.setattr(towers_module, "value_table", table)
+    monkeypatch.setattr(ValueTable, "least", least)
+    monkeypatch.setattr(towers_module, "value_of", recording)
+    assert verify_restriction(t, samples=3, seed=0).row() == expected
+    rng, x = random.Random(0), Poly2.x(t.field)
+    g0, g1, g2 = (random_middle_poly(t, rng) for _ in range(3))
+    assert valued == [(t.seq_top.label, g0.compose(x, t.v_sub)), (t.seq_mid.label, g0),
+                      (t.seq_top.label, g1.compose(x, t.v_sub)),
+                      (t.seq_top.label, g2.compose(x, t.v_sub))]
 
 
 def _tamper_sample_zero(monkeypatch, side):
@@ -608,7 +650,8 @@ def test_restriction_mismatch_rows_name_both_values(monkeypatch):
     expected = []
     for _ in range(samples):
         g = random_middle_poly(t, rng)
-        mid, top = mid_table.value(g), top_table.value(g)
+        mid = Fraction(mid_table.least(g), mid_table.denom)
+        top = Fraction(top_table.least(g), top_table.denom)
         if mid != top:
             assert top == mid + Fraction(1, 1024) and mid.denominator == 2
             expected.append((g.to_str("x", "v"), fmt_value(mid), fmt_value(top)))
@@ -631,7 +674,7 @@ def test_value_table_least_value_cancels(p):
     assert expected > 1
     for table in (mid_table, top_table):
         assert table.x_weight not in table.sums(g)
-        assert table.value(g) == expected
+        assert Fraction(table.least(g), table.denom) == expected
 
 
 def _congruent_tails(gs):
