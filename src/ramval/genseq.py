@@ -520,13 +520,27 @@ def value_table(powers: list[StandardExpansion]) -> ValueTable:
     return ValueTable(gs.field, lat.denom, w0, rows)
 
 
-def value_of(f: Poly2 | LocalElem, gs: GenSeq) -> Fraction:
+def value_of(f: Poly2 | LocalElem, gs: GenSeq, below: int | None = None) -> Fraction | None:
     """The valuation of f: minimum value over the standard expansion terms.
-    A pair num/den has the value of num, as a unit denominator has value 0."""
+    A pair num/den has the value of num, as a unit denominator has value 0.
+
+    With ``below`` = B, an integer in units of 1/D, only f mod x^n is read,
+    n = ceil(B / weight(x)) (weight(x) = value(x) * D), and the value comes
+    back only when it is below B: None otherwise, or when f mod x^n is zero,
+    which is then never expanded.  This is exact.  f - (f mod x^n) has value
+    at least n * value(x), which is B / D or more, so by the strict triangle
+    inequality a truncation valued below B / D has f's own value, and a
+    truncation that is zero or valued B / D or more shows value(f) >= B / D.
+    """
     if isinstance(f, LocalElem):
         f = f.num
+    if below is not None:
+        lat = gs.ensure_valid()
+        f = f.truncate(-(-below // lat.weights[0]))
+        if f.is_zero():
+            return None
     v, _ = expand(f, gs).minimal_term()
-    return v
+    return v if below is None or v * lat.denom < below else None
 
 
 def residue_of_quotient(f: Poly2, g: Poly2, gs: GenSeq):

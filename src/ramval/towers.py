@@ -179,11 +179,14 @@ class Tower:
         f and f mod x^N differ by x^N * (ring element), of value at least
         N * value(x).  A key's value mult * value(K_i) must be below
         N * value(x); a key that vanishes modulo x^N, or whose value is
-        N * value(x) or more, is Inconsistent, naming the key and N.  A
-        deviation dominates its key once its truncated value exceeds the
-        key's: that value is exact below N * value(x), and at or above it the
-        deviation's value is at least N * value(x).  A deviation that
-        vanishes modulo x^N gets t_order = N.
+        N * value(x) or more, is Inconsistent, naming the key and N.  The
+        deviation is valued only below its own bound: ``value_of`` with
+        ``below`` = mult * weight_i + 1 (units of 1/D) reads it modulo x^n,
+        n = ceil(below / weight(x)) <= N, so what it reads is known, and
+        returns None exactly when the deviation's value exceeds the key's.
+        A value it returns is the deviation's own, and its margin over the
+        key's value, 0 or less, is the witness of Inconsistent.  A deviation
+        that vanishes modulo x^N gets t_order = N.
         """
         if which in self._certs:
             return self._certs[which]
@@ -223,11 +226,10 @@ class Tower:
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue
-            margin = value_of(delta, host) - Fraction(weight_f, denom)
-            if margin <= 0:
-                raise Inconsistent(
-                    f"{which} key {i}: deviation value does not dominate (margin {margin})"
-                )
+            value = value_of(delta, host, below=weight_f + 1)
+            if value is not None:
+                raise Inconsistent(f"{which} key {i}: deviation value does not dominate "
+                                   f"(margin {value - Fraction(weight_f, denom)})")
             certs.append(CrossCert(mult, delta.x_order()))
         self._certs[which] = certs
         return certs
@@ -249,9 +251,10 @@ def certificate_precision(host: GenSeq, p: int) -> int:
 
 # The longest tower, by p, whose `tower` run took about a second or less
 # (fresh processes, 2-vCPU VM, levels = length - 1); one key more took
-# 1.8-12 s.  At p = 17 and 19 a `report` up to that length took 0.3-0.7 s;
-# at p = 23 a `report` took 0.9 s already at length 3.
-QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 10, 13: 10, 17: 8, 19: 8}
+# 1.8-12 s, and 2.9-3.5 s at p = 11-19.  At p = 11-19 a `report` at length
+# 13 took 0.2-0.8 s (3 or 12 levels); at p = 23 a `report` took 0.9 s
+# already at length 3.
+QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 13, 13: 13, 17: 13, 19: 13}
 
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
@@ -499,11 +502,12 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     from scratch (``value_of``, with its own tie check), g in the middle
     sequence and its substitution in the top one; Inconsistent, naming the
     sample and both value pairs, if the two paths disagree.  The
-    substitution is valued modulo x^N, N = floor(table value / value(x)) +
-    1, which keeps the check exact: a value below N * value(x) is the whole
-    substitution's, and one at or past it, or a substitution that vanishes
-    modulo x^N, is above the table's value, so both disagree with the
-    table.  Where the top value already came from the whole division, that
+    substitution is formed modulo x^N, N = floor(table value / value(x)) +
+    1, and valued below N * value(x) (``value_of`` with ``below``), which
+    keeps the check exact: a value below that bound is the whole
+    substitution's, and None, a substitution at or past it or vanishing
+    modulo x^N, is above the table's value, so it disagrees with the table.
+    Where the top value already came from the whole division, that
     division is the top side of the check."""
     lat = tower.seq_top.ensure_valid()
     _, exps = expand(tower.v_sub, tower.seq_top).minimal_term()
@@ -530,11 +534,11 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
             if top_whole is None:
                 # g(x, v(x, y)) modulo x^N, N * value(x) above the table's value
                 top_prec = top_least // top_table.x_weight + 1
-                top_sub = g.compose(x, tower.v_sub, prec=top_prec)
-                top_direct = value_of(top_sub, tower.seq_top) if top_sub else None
-                top_bound = Fraction(top_prec * top_table.x_weight, top_denom)
-                if top_direct is None or top_direct >= top_bound:
-                    top_direct, top_text = None, f"at least {fmt_value(top_bound)}"
+                top_bound = top_prec * top_table.x_weight
+                top_direct = value_of(g.compose(x, tower.v_sub, prec=top_prec), tower.seq_top,
+                                      below=top_bound)
+                if top_direct is None:
+                    top_text = f"at least {fmt_value(Fraction(top_bound, top_denom))}"
             if (mid_direct, top_direct) != (mid_val, top_val):
                 raise Inconsistent(
                     f"restriction sample {n} ({g.to_str('x', 'v')}): (middle, top) values "

@@ -589,7 +589,7 @@ def _foreign_key(i, make):
 
 def _deviations_valued_as_key_1(monkeypatch):
     """Every deviation valued 2 * value(y), the value of middle key 1."""
-    monkeypatch.setattr(towers, "value_of", lambda f, gs: 2 * gs.values[1])
+    monkeypatch.setattr(towers, "value_of", lambda f, gs, below=None: 2 * gs.values[1])
 
 
 # at p = 2, length 4, N = 35 for the top host

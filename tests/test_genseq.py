@@ -304,6 +304,39 @@ def test_expand_modulo_x_power_keeps_low_terms(case, prec):
     assert {exps: c for exps, c in expand(f_mod, gs).terms.items() if exps[0] < prec} == low
 
 
+@st.composite
+def _bound_case(draw):
+    """A span case over F_2, F_3, F_4 or F_9 and a bound B in units of 1/D:
+    near value(f) * D (at it, or a few units or value(x)s off), at or below
+    0, or with f shifted by x^s and B at most s * value(x), so that f mod
+    x^ceil(B / weight(x)) vanishes."""
+    gs, f = draw(_span_case([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    lat = gs.ensure_valid()
+    w0 = lat.weights[0]
+    kind = draw(st.sampled_from(["near", "nonpositive", "vanishing"]))
+    if kind == "vanishing":
+        s = draw(st.integers(1, 5))
+        return gs, f.shift(s), s * w0 - draw(st.integers(0, w0 - 1)), kind
+    if kind == "nonpositive":
+        return gs, f, -draw(st.integers(0, 3 * w0)), kind
+    value = int(value_of(f, gs) * lat.denom)
+    return gs, f, value + draw(st.integers(-3, 3)) * w0 + draw(st.integers(-2, 2)), kind
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_bound_case())
+def test_value_below_a_bound_is_the_whole_value_or_none(case):
+    # value_of(f, gs, below=B) is None iff value(f) * D >= B, and value(f)
+    # otherwise; a truncation that vanishes reads None
+    gs, f, bound, kind = case
+    lat = gs.ensure_valid()
+    whole = value_of(f, gs)
+    got = value_of(f, gs, below=bound)
+    assert got == (None if whole * lat.denom >= bound else whole)
+    if kind == "vanishing":
+        assert got is None and not f.truncate(-(-bound // lat.weights[0]))
+
+
 def test_expand_sequence_too_short():
     gs = build_tower_seq("Q", 2, None, 2)
     with pytest.raises(SequenceTooShort):

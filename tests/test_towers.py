@@ -7,6 +7,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ramval.genseq as genseq_module
 import ramval.towers as towers_module
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
 from ramval.cli import main
@@ -446,9 +447,9 @@ def _restriction_with_shift(monkeypatch, shift):
         drawn.append(g.shift(shift) if len(drawn) == 2 else g)
         return drawn[-1]
 
-    def recording(f, gs):
+    def recording(f, gs, below=None):
         valued.append((gs.label, f))
-        return value_of(f, gs)
+        return value_of(f, gs, below)
 
     monkeypatch.setattr(towers_module, "DIRECT_EVERY", 1)
     monkeypatch.setattr(towers_module, "restriction_tables", tables)
@@ -516,9 +517,9 @@ def test_restriction_values_a_sample_the_table_cannot_read_by_one_division(monke
     def least(self, g):
         return None if self in tops else real_least(self, g)
 
-    def recording(f, gs):
+    def recording(f, gs, below=None):
         valued.append((gs.label, f))
-        return value_of(f, gs)
+        return value_of(f, gs, below)
 
     monkeypatch.setattr(towers_module, "value_table", table)
     monkeypatch.setattr(ValueTable, "least", least)
@@ -578,9 +579,9 @@ def test_restriction_direct_path_on_every_50th_sample(monkeypatch):
     t = build_tower(2, 1, 5)
     valued = []
 
-    def recording(f, gs):
+    def recording(f, gs, below=None):
         valued.append(gs.label)
-        return value_of(f, gs)
+        return value_of(f, gs, below)
 
     monkeypatch.setattr(towers_module, "value_of", recording)
     assert verify_restriction(t, samples=101, seed=3).ok
@@ -603,21 +604,22 @@ def test_restriction_direct_substitution_vanishing_mod_x_n_exits_1(monkeypatch, 
             table.rows[0] = [(v - table.x_weight, cf)]
         return table
 
-    valued = []
+    expanded = []
 
     def recording(f, gs):
-        valued.append(f)
-        return value_of(f, gs)
+        expanded.append(f)
+        return expand(f, gs)
 
     monkeypatch.setattr(towers_module, "value_table", tampered)
     monkeypatch.setattr(towers_module, "random_middle_poly", lambda tower, rng: Poly2.x(tower.field))
-    monkeypatch.setattr(towers_module, "value_of", recording)
+    # value_of expands through the genseq module's name
+    monkeypatch.setattr(genseq_module, "expand", recording)
     witness = ("restriction sample 0 (x): (middle, top) values (1, 0) from the cached "
                "expansions, (1, at least 1) by direct division")
     with pytest.raises(Inconsistent) as ex:
         verify_restriction(build_tower(2, 1, 4), samples=3)
     assert str(ex.value) == witness
-    assert valued == [Poly2.x(Fq(2))]  # the middle side only
+    assert expanded == [Poly2.x(Fq(2))]  # the middle side only
     assert main(["report", "--p", "2", "--c", "1", "--levels", "2", "--samples", "3",
                  "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -1102,9 +1104,9 @@ def test_certificates_value_each_nonzero_deviation_once(monkeypatch, p, c, lengt
     t = build_tower(p, c, length)
     calls = []
 
-    def recording(f, gs):
+    def recording(f, gs, below=None):
         calls.append((f, gs))
-        return value_of(f, gs)
+        return value_of(f, gs, below)
 
     monkeypatch.setattr(towers_module, "value_of", recording)
     for which, host, foreign, n in (
@@ -1121,6 +1123,65 @@ def test_certificates_value_each_nonzero_deviation_once(monkeypatch, p, c, lengt
         assert nonzero, which
         assert calls == [(delta, host) for delta in nonzero], which
         assert not {f for f, _ in calls} & set(nums), which
+
+
+def _whole_deviation_value(f, gs, below=None):
+    """value_of on the whole deviation, with the bound applied afterwards."""
+    value = value_of(f, gs)
+    return value if below is None or value * gs.ensure_valid().denom < below else None
+
+
+@pytest.mark.parametrize("p,length", [(p, length) for p in (2, 3, 5) for length in range(2, 9)])
+def test_certificates_equal_those_of_whole_deviations(monkeypatch, p, length):
+    # each deviation valued only below its bound gives the certificates of
+    # the same deviation valued whole, on both links
+    bounded = [build_tower(p, p - 1, length).certificates(which)
+               for which in ("mid-in-top", "base-in-mid")]
+    monkeypatch.setattr(towers_module, "value_of", _whole_deviation_value)
+    whole = [build_tower(p, p - 1, length).certificates(which)
+             for which in ("mid-in-top", "base-in-mid")]
+    assert bounded == whole
+
+
+@pytest.mark.parametrize("key1,margin", [("2*y", "0"), ("y + 1", "-1/9")])
+def test_certificate_deviation_not_above_the_key_value_raises(key1, margin):
+    # middle key 1 at p = 3 set to 2y or y + 1: mult 1, and the deviation y
+    # or 1 has value exactly value(y) = 1/9 or 0; the real value_of, bounded
+    # just above value(y), returns it, and its margin is the witness
+    t = build_tower(3, 2, 4)
+    t.mid_keys_xy[1] = parse_poly(key1, t.field)
+    with pytest.raises(Inconsistent) as ex:
+        t.certificates("mid-in-top")
+    assert str(ex.value) == f"mid-in-top key 1: deviation value does not dominate (margin {margin})"
+
+
+def test_certificates_expand_below_their_bounds_at_p_13(monkeypatch):
+    # at p = 13, length 11, value_of sees each of the 21 deviations nonzero
+    # modulo x^N with below = weight_f + 1, weight_f = mult * weight_i the
+    # key's value in units of 1/D, and expands only a truncation modulo x^n,
+    # n = ceil(below / weight(x)), that is nonzero: here none is, where the
+    # whole deviations took 21 expansions and seconds
+    t = build_tower(13, 12, 11)
+    valued, expanded = [], []
+
+    def recording_value_of(f, gs, below=None):
+        valued.append((f.truncate(-(-below // gs.ensure_valid().weights[0])), below))
+        return value_of(f, gs, below)
+
+    def recording_expand(f, gs):
+        expanded.append(f)
+        return expand(f, gs)
+
+    monkeypatch.setattr(towers_module, "value_of", recording_value_of)
+    monkeypatch.setattr(genseq_module, "expand", recording_expand)
+    for which, host in (("mid-in-top", t.seq_top), ("base-in-mid", t.seq_mid)):
+        weights = host.ensure_valid().weights
+        first = len(valued)
+        certs = t.certificates(which)
+        key_bounds = {cert.mult * weights[i] + 1 for i, cert in enumerate(certs)}
+        assert {below for _, below in valued[first:]} <= key_bounds, which
+    assert len(valued) == 21
+    assert expanded == [low for low, _ in valued if low] == []
 
 
 @pytest.mark.parametrize("length", [4, 8])
