@@ -21,13 +21,6 @@ from .transforms import (
     run_tower_ladder,
     stable_form,
 )
-from .values import (
-    ValueGroup,
-    group_index,
-    group_join,
-    order_in_quotient,
-    tower_key_value,
-    tower_key_value_closed,
-)
+from .values import fmt_value, group_join, order_in_quotient, tower_key_value
 
 __version__ = "0.1.0"

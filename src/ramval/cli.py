@@ -81,15 +81,16 @@ def cmd_value(args) -> int:
     seq = _build_seq(args)
     f = parse_poly(args.poly, seq.field, seq.chart)
     exp = expand(f, seq)
-    val, exps = exp.minimal_term()
-    print(f"value = {fmt_value(val)}")
+    weight, exps = exp.minimal_term()
+    print(f"value = {fmt_value(weight, seq.ensure_valid().denom)}")
     print(f"minimal standard term: {exp.term_str(exps)}")
     return 0
 
 
 def cmd_semigroup(args) -> int:
     seq = _build_seq(args)
-    rows = [{"value": fmt_value(v)} for v in semigroup(seq, args.bound)]
+    denom = seq.ensure_valid().denom
+    rows = [{"value": fmt_value(w, denom)} for w in semigroup(seq, args.bound)]
     print(render_table(rows, args.format, f"semigroup values <= {args.bound}"), end="")
     return 0
 

@@ -9,9 +9,13 @@ attained by a unique term.
 The values of a validated sequence lie in (1/D)Z for the common denominator
 D of its values, so the minimum is taken over integer dot products with the
 weights value_i * D (MacLane, "A construction for absolute values in
-polynomial rings", Trans. AMS 40, 1936).  Value tables read samples in the
-same units (``ValueTable.least``), and so do the chart chains and the
-certificate bounds built on a sequence; public values stay Fractions.
+polynomial rings", Trans. AMS 40, 1936).  Every value computed on a
+sequence is such an integer weight, from ``validate`` to the printed text:
+``minimal_term``, ``value_of`` and ``semigroup`` return weights over
+``gs.ensure_valid().denom``, value tables read samples in the same units
+(``ValueTable.least``), and so do the chart chains and the certificate
+bounds built on a sequence.  Only the declared values ``GenSeq.values`` are
+Fractions, and ``values.fmt_value`` turns a weight into text.
 """
 
 from __future__ import annotations
@@ -83,9 +87,11 @@ class GenSeq:
     def top(self) -> int:
         return len(self.keys) - 1
 
-    def indices(self) -> list[int]:
-        """n_i = order of value_i in the quotient by the previous stage (i >= 1)."""
-        return stage_indices(self.values)
+    def indices(self, weights: list[int] | None = None) -> list[int]:
+        """n_i = order of value_i in the quotient by the previous stage
+        (i >= 1), read on the integer ``weights`` value_i * D (those of
+        ``_weights`` if not given); the values must be positive."""
+        return stage_indices(weights or _weights(self.values)[1])
 
     def degrees(self) -> list[int]:
         return [k.deg_y() if i else 0 for i, k in enumerate(self.keys)]
@@ -120,6 +126,13 @@ class GenSeq:
         ]
 
 
+def _weights(values) -> tuple[int, list[int]]:
+    """(D, weights): the common denominator D of the values and the integer
+    weights value_i * D."""
+    denom = lcm(*(v.denominator for v in values))
+    return denom, [v.numerator * (denom // v.denominator) for v in values]
+
+
 class ValidityReport:
     """The rows of ``validate``: a row for key 0 if it is not x, then one per
     key i >= 1 with its index n_i (None if some value is not positive) and
@@ -146,17 +159,19 @@ class ValidityReport:
 
 def validate(gs: GenSeq) -> ValidityReport:
     """Check that the values are positive, that key 0 is x, and for each key
-    i >= 1 with index n_i (one stage pass, ``gs.indices()``): growth
+    i >= 1 with index n_i (one stage pass, ``gs.indices``): growth
     value_{i+1} > n_i * value_i, monicity in y, and deg_y key_{i+1} = n_i *
-    deg_y key_i (deg_y >= 1 for the last key).  A valid report carries the
-    lattice: the indices, the key degrees, the common denominator D of the
-    values and the weights value_i * D."""
+    deg_y key_i (deg_y >= 1 for the last key).  The common denominator D of
+    the values and the weights value_i * D are computed once, and the
+    indices and the growth check read the weights.  A valid report carries
+    the lattice: the indices, the key degrees, D and the weights."""
     n = len(gs.keys)
     if min(gs.values) <= 0:
         # stage groups and indices are defined for positive values only
         rows = [dict(i=i, index=None, growth="-", monic="-", degree="-") for i in range(1, n)]
         return ValidityReport(gs.label, rows, None)
-    indices = gs.indices()
+    denom, weights = _weights(gs.values)
+    indices = gs.indices(weights)
     degs = gs.degrees()
     ok = gs.keys[0] == Poly2.x(gs.field)
     rows = [] if ok else [dict(i=0, index="-", growth="-", monic=False, degree="-")]
@@ -165,7 +180,7 @@ def validate(gs: GenSeq) -> ValidityReport:
         row = dict(
             i=i,
             index=indices[i],
-            growth=last or gs.values[i + 1] > indices[i] * gs.values[i],
+            growth=last or weights[i + 1] > indices[i] * weights[i],
             monic=gs.keys[i].is_monic_y(),
             degree=degs[i] >= 1 if last else degs[i + 1] == indices[i] * degs[i],
         )
@@ -173,13 +188,8 @@ def validate(gs: GenSeq) -> ValidityReport:
         rows.append(row)
     if not ok:
         return ValidityReport(gs.label, rows, None)
-    denom = lcm(*(v.denominator for v in gs.values))
     return ValidityReport(gs.label, rows, Lattice(
-        indices=tuple(indices),
-        degrees=tuple(degs),
-        denom=denom,
-        weights=tuple(int(v * denom) for v in gs.values),
-    ))
+        indices=tuple(indices), degrees=tuple(degs), denom=denom, weights=tuple(weights)))
 
 
 def _tower_recursion(family: str, p: int, j: int) -> RecursionStep:
@@ -304,12 +314,12 @@ class StandardExpansion:
             out = out + piece
         return out
 
-    def minimal_term(self) -> tuple[Fraction, tuple[int, ...]]:
-        """(value, exponent vector) of the unique term of least value, found
-        in one pass over the integer dot products with the lattice weights;
-        InvalidSequence if two terms share the least value."""
-        lat = self.gs.ensure_valid()
-        weights = lat.weights
+    def minimal_term(self) -> tuple[int, tuple[int, ...]]:
+        """(weight, exponent vector) of the unique term of least value, the
+        weight in units of 1/D, found in one pass over the integer dot
+        products with the lattice weights; InvalidSequence if two terms share
+        the least value."""
+        weights = self.gs.ensure_valid().weights
         best, best_exps, tied = None, None, False
         for exps in self.terms:
             v = sum(map(mul, exps, weights))
@@ -319,7 +329,7 @@ class StandardExpansion:
                 tied = True
         if tied:
             raise InvalidSequence("minimal value attained by more than one standard term")
-        return Fraction(best, lat.denom), best_exps
+        return best, best_exps
 
     def term_str(self, exps: tuple[int, ...]) -> str:
         gs = self.gs
@@ -520,27 +530,28 @@ def value_table(powers: list[StandardExpansion]) -> ValueTable:
     return ValueTable(gs.field, lat.denom, w0, rows)
 
 
-def value_of(f: Poly2 | LocalElem, gs: GenSeq, below: int | None = None) -> Fraction | None:
-    """The valuation of f: minimum value over the standard expansion terms.
-    A pair num/den has the value of num, as a unit denominator has value 0.
+def value_of(f: Poly2 | LocalElem, gs: GenSeq, below: int | None = None) -> int | None:
+    """The valuation of f as a weight in units of 1/D, D =
+    ``gs.ensure_valid().denom``: the least weight over the standard expansion
+    terms.  A pair num/den has the value of num, as a unit denominator has
+    value 0.
 
-    With ``below`` = B, an integer in units of 1/D, only f mod x^n is read,
-    n = ceil(B / weight(x)) (weight(x) = value(x) * D), and the value comes
-    back only when it is below B: None otherwise, or when f mod x^n is zero,
-    which is then never expanded.  This is exact.  f - (f mod x^n) has value
-    at least n * value(x), which is B / D or more, so by the strict triangle
-    inequality a truncation valued below B / D has f's own value, and a
-    truncation that is zero or valued B / D or more shows value(f) >= B / D.
+    With ``below`` = B, in the same units, only f mod x^n is read, n =
+    ceil(B / weight(x)), and the weight comes back only when it is below B:
+    None otherwise, or when f mod x^n is zero, which is then never expanded.
+    This is exact.  f - (f mod x^n) has weight at least n * weight(x) >= B,
+    so by the strict triangle inequality a truncation of weight below B has
+    f's own weight, and a truncation that is zero or of weight B or more
+    shows that f's weight is B or more.
     """
     if isinstance(f, LocalElem):
         f = f.num
     if below is not None:
-        lat = gs.ensure_valid()
-        f = f.truncate(-(-below // lat.weights[0]))
+        f = f.truncate(-(-below // gs.ensure_valid().weights[0]))
         if f.is_zero():
             return None
-    v, _ = expand(f, gs).minimal_term()
-    return v if below is None or v * lat.denom < below else None
+    w, _ = expand(f, gs).minimal_term()
+    return w if below is None or w < below else None
 
 
 def residue_of_quotient(f: Poly2, g: Poly2, gs: GenSeq):
@@ -561,21 +572,23 @@ def residue_of_quotient(f: Poly2, g: Poly2, gs: GenSeq):
     coefficients.
     """
     ef, eg = expand(f, gs), expand(g, gs)
-    (vf, mf), (vg, mg) = ef.minimal_term(), eg.minimal_term()
-    if vf != vg:
-        raise ValueMismatch(f"value {fmt_value(vf)} != {fmt_value(vg)}")
+    (wf, mf), (wg, mg) = ef.minimal_term(), eg.minimal_term()
+    if wf != wg:
+        denom = gs.ensure_valid().denom
+        raise ValueMismatch(f"value {fmt_value(wf, denom)} != {fmt_value(wg, denom)}")
     return gs.field.div(ef.terms[mf], eg.terms[mg])
 
 
-def semigroup(gs: GenSeq, bound: Fraction) -> tuple[Fraction, ...]:
+def semigroup(gs: GenSeq, bound: Fraction) -> tuple[int, ...]:
     """All values sum(m_i * value_i) <= bound with m_0 >= 0 and 0 <= m_i < n_i,
-    in increasing order."""
+    in increasing order, as weights in units of 1/D, D =
+    ``gs.ensure_valid().denom``."""
     lat = gs.ensure_valid()
     bound = Fraction(bound)
     if bound < 0:
         raise BadParams("bound must be >= 0")
-    # in units of 1/D: lattice points up to floor(bound * D)
-    top = bound * lat.denom // 1
+    # the bound in units of 1/D: lattice points up to floor(bound * D)
+    top = bound.numerator * lat.denom // bound.denominator
     w = lat.weights
     # the sums over keys 1..N with 0 <= m_i < n_i that stay within bound
     partial = [0]
@@ -586,4 +599,4 @@ def semigroup(gs: GenSeq, bound: Fraction) -> tuple[Fraction, ...]:
     for s in partial:
         # x-exponent free: s + m*w[0] <= top
         found.update(range(s, top + 1, w[0]))
-    return tuple(Fraction(v, lat.denom) for v in sorted(found))
+    return tuple(sorted(found))

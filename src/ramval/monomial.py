@@ -5,18 +5,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
-
-from .values import ValueGroup, order_in_quotient
-
-Value = Fraction
 
 
 class Singular(ArithmeticError):
-    pass
-
-
-class OrderMismatch(ArithmeticError):
     pass
 
 
@@ -191,42 +182,3 @@ def graded_presentation_rank2(m: Matrix2, f: int) -> GradedPresentation:
         ),
     )
 
-
-def check_min_formula(
-    gamma_values: list[Value], y_value: Value, e: int, group: ValueGroup
-) -> bool:
-    """Distinctness making the min formula valid: gamma + j*y_value are
-    pairwise distinct across classes j = 0..e-1 for gammas in the base group."""
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if order_in_quotient(y_value, group) != e:
-        raise OrderMismatch(
-            f"y-value has order {order_in_quotient(y_value, group)} != {e}"
-        )
-    if e == 1:
-        return True
-    seen: dict[Value, int] = {}
-    for j in range(e):
-        for g in gamma_values:
-            if not group.contains(g):
-                raise ValueError(f"{g} is not in the base group {group}")
-            v = g + j * y_value
-            if v in seen and seen[v] != j:
-                return False
-            seen[v] = j
-    return True
-
-
-def semigroup_decomposition(
-    big_elements, small_group: ValueGroup, y_value: Value, e: int, bound: Value
-) -> bool:
-    """Each semigroup element tau <= bound - e*y_value must be gamma + i*y_value
-    for a unique 0 <= i < e with gamma in the base group."""
-    cutoff = Fraction(bound) - e * Fraction(y_value)
-    for tau in big_elements:
-        if tau > cutoff:
-            continue
-        hits = [i for i in range(e) if small_group.contains(tau - i * y_value)]
-        if len(hits) != 1:
-            return False
-    return True

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 from operator import mul
 
 from .algebra import Fq, Poly2
@@ -184,8 +183,8 @@ class Tower:
         ``below`` = mult * weight_i + 1 (units of 1/D) reads it modulo x^n,
         n = ceil(below / weight(x)) <= N, so what it reads is known, and
         returns None exactly when the deviation's value exceeds the key's.
-        A value it returns is the deviation's own, and its margin over the
-        key's value, 0 or less, is the witness of Inconsistent.  A deviation
+        A weight it returns is the deviation's own, and its margin over the
+        key's weight, 0 or less, is the witness of Inconsistent.  A deviation
         that vanishes modulo x^N gets t_order = N.
         """
         if which in self._certs:
@@ -218,18 +217,18 @@ class Tower:
             weight_f = mult * weights[i]
             if weight_f >= prec * weights[0]:
                 raise Inconsistent(
-                    f"{which} key {i} has value {fmt_value(Fraction(weight_f, denom))} modulo "
+                    f"{which} key {i} has value {fmt_value(weight_f, denom)} modulo "
                     f"x^{prec}, not below N * value(x) = "
-                    f"{fmt_value(Fraction(prec * weights[0], denom))} (N = {prec})"
+                    f"{fmt_value(prec * weights[0], denom)} (N = {prec})"
                 )
             delta = f_num.__sub__(pow(host.keys[i], mult, prec).times_pow(self.w, a, prec), prec)
             if delta.is_zero():
                 certs.append(CrossCert(mult, prec))
                 continue
-            value = value_of(delta, host, below=weight_f + 1)
-            if value is not None:
+            weight = value_of(delta, host, below=weight_f + 1)
+            if weight is not None:
                 raise Inconsistent(f"{which} key {i}: deviation value does not dominate "
-                                   f"(margin {value - Fraction(weight_f, denom)})")
+                                   f"(margin {fmt_value(weight - weight_f, denom)})")
             certs.append(CrossCert(mult, delta.x_order()))
         self._certs[which] = certs
         return certs
@@ -379,22 +378,24 @@ def verify_deviation_identity(tower: Tower, j: int) -> CheckReport:
 def verify_value_comparison(tower: Tower, j: int) -> CheckReport:
     """Value of the middle key j+1 computed with the top sequence equals the
     top key value (j odd) or p times it (j even), and the strict inequalities
-    against the deviation exponents hold."""
+    against the deviation exponents hold; read on the top sequence's
+    integer weights over its D."""
     if not 1 <= j <= tower.length - 1:
         raise ValueError(f"j must be in 1..{tower.length - 1}")
     p = tower.p
-    beta = tower.seq_top.values[j + 1]
+    lat = tower.seq_top.ensure_valid()
+    beta = lat.weights[j + 1]
     computed = value_of(tower.mid_keys_xy[j + 1], tower.seq_top)
     expected = beta if j % 2 == 1 else p * beta
     exp_e = deviation_exponent(p, j)
-    ineq = expected < exp_e + 1
+    ineq = expected < (exp_e + 1) * lat.denom
     ok = computed == expected and ineq
     return CheckReport(
         f"value comparison j={j}",
         ok,
         {
-            "computed": fmt_value(computed),
-            "expected": fmt_value(expected),
+            "computed": fmt_value(computed, lat.denom),
+            "expected": fmt_value(expected, lat.denom),
             "bound": exp_e + 1,
             "strict_inequality": ineq,
         },
@@ -485,9 +486,10 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     by its power of x, and falls back to the whole value-keyed expansion
     (``ValueTable.sums``) when they cancel.  Each side keeps its own
     sequence and its own table, so the two stay independent computations.
-    Each side's value is an integer in units of its own 1/D, so the two are
-    compared cross-multiplied, and Fractions are built only for the direct
-    samples and the mismatch rows.
+    Each side's value is a weight in units of its own 1/D, the unit its
+    sequence's ``value_of`` returns too: a side's table and direct values
+    are compared as they are, and the two sides cross-multiplied.
+    ``fmt_value`` names values only in the witness and the mismatch rows.
 
     The tables are built once.  The top table keeps each power's terms below
     x^M, so it reads a value exactly only below M * value(x); M =
@@ -524,11 +526,8 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
         mid_least, top_least = mid_table.least(g), top_table.least(g)
         top_whole = None
         if top_least is None or top_least >= bound:
-            top_whole = value_of(g.compose(x, tower.v_sub), tower.seq_top)
-            # a value of the top sequence is a whole number of units 1/D
-            top_least = int(top_whole * top_denom)
+            top_least = top_whole = value_of(g.compose(x, tower.v_sub), tower.seq_top)
         if n % DIRECT_EVERY == 0:
-            mid_val, top_val = Fraction(mid_least, mid_denom), Fraction(top_least, top_denom)
             mid_direct = value_of(g, tower.seq_mid)
             top_direct, top_text = top_whole, None
             if top_whole is None:
@@ -538,17 +537,18 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
                 top_direct = value_of(g.compose(x, tower.v_sub, prec=top_prec), tower.seq_top,
                                       below=top_bound)
                 if top_direct is None:
-                    top_text = f"at least {fmt_value(Fraction(top_bound, top_denom))}"
-            if (mid_direct, top_direct) != (mid_val, top_val):
+                    top_text = f"at least {fmt_value(top_bound, top_denom)}"
+            if (mid_direct, top_direct) != (mid_least, top_least):
                 raise Inconsistent(
                     f"restriction sample {n} ({g.to_str('x', 'v')}): (middle, top) values "
-                    f"({fmt_value(mid_val)}, {fmt_value(top_val)}) from the cached expansions, "
-                    f"({fmt_value(mid_direct)}, {top_text or fmt_value(top_direct)}) "
-                    "by direct division"
+                    f"({fmt_value(mid_least, mid_denom)}, {fmt_value(top_least, top_denom)}) "
+                    "from the cached expansions, "
+                    f"({fmt_value(mid_direct, mid_denom)}, "
+                    f"{top_text or fmt_value(top_direct, top_denom)}) by direct division"
                 )
         if mid_least * top_denom != top_least * mid_denom:
-            mismatches.append((g.to_str("x", "v"), fmt_value(Fraction(mid_least, mid_denom)),
-                               fmt_value(Fraction(top_least, top_denom))))
+            mismatches.append((g.to_str("x", "v"), fmt_value(mid_least, mid_denom),
+                               fmt_value(top_least, top_denom)))
     return CheckReport(
         "restriction",
         not mismatches,

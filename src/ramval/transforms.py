@@ -16,8 +16,10 @@ every level-k key is an exact monomial in the original keys, the pair
 values on original keys follow an integer recursion across levels.  The
 values themselves follow one too (v'_0 = v_1, v'_j = v_{j+1} - deg_{j+1} *
 v_1), so every level lies in the base sequence's (1/D)Z: the calculus runs
-on integer weights over D (``ChainLevel.weights``), and a Fraction is built
-only where a value is printed or read through ``ChainLevel.values``.
+on integer weights over D (``ChainLevel.weights``), its indices come from
+the one index kernel ``values.stage_indices``, and a Fraction is built only
+where a value is printed (``values.fmt_value``) or read through
+``ChainLevel.values``, which compares chains of different D.
 
 Where only leading data is needed, an element is pushed modulo x'^K: each
 map reads its input modulo x^ceil(K / n) (``ChartMap.input_prec``), and
@@ -52,11 +54,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
-from math import gcd
 
 from .algebra import IndeterminateOrder, LocalElem, Poly2
 from .genseq import GenSeq, Inconsistent, SequenceTooShort, residue_of_quotient
-from .values import p_adic_split
+from .values import fmt_value, p_adic_split, stage_indices
 
 
 class NotApplicable(ArithmeticError):
@@ -332,20 +333,6 @@ def _recursion_remainder(keys: list[LocalElem], j: int, e: int, prec: int) -> Lo
     return pow(keys[j], e, prec).__sub__(keys[j + 1], prec)
 
 
-def _weight_indices(weights: list[int]) -> list[int]:
-    """[0, n_1, n_2, ...] for positive integer weights: n_i is the order of
-    weight_i modulo the group the weights before it generate, g Z with g
-    their gcd, so n_i = g / gcd(g, weight_i).  Over a common denominator
-    these are the ``stage_indices`` of the values."""
-    out = [0]
-    g = weights[0]
-    for w in weights[1:]:
-        h = gcd(g, w)
-        out.append(g // h)
-        g = h
-    return out
-
-
 def _relation_exponent(level: ChainLevel, j: int) -> int:
     """a_j = (n_j * value_j - value_{j-1}) / value_0, the x-exponent of the
     recursion key_{j+1} = key_j^n_j - delta x^a_j key_{j-1}, in the level's
@@ -355,7 +342,7 @@ def _relation_exponent(level: ChainLevel, j: int) -> int:
     a, rest = divmod(num, w[0])
     if rest or a < 0:
         raise Inconsistent(f"level {level.k}, key {j + 1}: relation exponent "
-                           f"{Fraction(num, w[0])} is not a nonnegative integer")
+                           f"{fmt_value(num, w[0])} is not a nonnegative integer")
     return a
 
 
@@ -479,7 +466,8 @@ class ChartChain:
         """The level after ``cur``, without keys: its values, indices and
         degrees from the composite-order calculus, in integer weights over
         the chain's D, checked (see ``extend``), and its exponent-vector
-        tables.  The witnesses of the checks name values as Fractions."""
+        tables.  The witnesses of the checks name values through
+        ``fmt_value``."""
         w, denom = cur.weights, cur.denom
         if len(w) < 2:
             raise NotApplicable("chain exhausted: too few keys to transform")
@@ -492,9 +480,9 @@ class ChartChain:
         new_weights = [w[1]] + [w[j] - cur.degrees[j] * w[1] for j in range(2, m + 1)]
         for i, v in enumerate(new_weights):
             if v <= 0:
-                raise Inconsistent(f"level {k}, key {i}: value {Fraction(v, denom)} "
+                raise Inconsistent(f"level {k}, key {i}: value {fmt_value(v, denom)} "
                                    "is not positive")
-        new_indices = _weight_indices(new_weights)
+        new_indices = stage_indices(new_weights)
         new_degrees = [0]
         for i in range(1, m):
             new_degrees.append(new_degrees[i - 1] * new_indices[i - 1] if i > 1 else 1)
@@ -508,8 +496,8 @@ class ChartChain:
         for i in range(1, m - 1):
             if new_weights[i + 1] <= new_indices[i] * new_weights[i]:
                 raise Inconsistent(
-                    f"level {k}, key {i + 1}: value {Fraction(new_weights[i + 1], denom)} "
-                    f"does not exceed {new_indices[i]} * {Fraction(new_weights[i], denom)}"
+                    f"level {k}, key {i + 1}: value {fmt_value(new_weights[i + 1], denom)} "
+                    f"does not exceed {new_indices[i]} * {fmt_value(new_weights[i], denom)}"
                 )
 
         new_vecs = [cur.vecs[1]] + [

@@ -13,12 +13,7 @@ import pytest
 
 from ramval.algebra import Fq, LocalElem, Poly2
 from ramval.genseq import build_tower_seq, validate, value_of
-from ramval.monomial import (
-    check_min_formula,
-    det_index,
-    lattice_index_snf,
-    semigroup_decomposition,
-)
+from ramval.monomial import det_index, lattice_index_snf
 from ramval.towers import (
     build_tower,
     check_ladder_report,
@@ -27,15 +22,16 @@ from ramval.towers import (
     verify_value_comparison,
 )
 from ramval.transforms import run_tower_ladder, stable_form, defect_from_stable
-from ramval.values import (
-    ValueGroup,
-    group_index,
-    group_join,
-    order_in_quotient,
-    tower_key_value,
+from ramval.values import stage_indices, tower_key_value
+
+from oracles import (
+    check_min_formula,
+    generator,
+    index,
+    order,
+    semigroup_decomposition,
     tower_key_value_closed,
 )
-
 from test_genseq import rewrite_oracle_value
 
 
@@ -61,17 +57,17 @@ def test_criterion_02_group_stage_indices():
     t0 = time.time()
     ok = True
     for p in (2, 3, 5):
-        grp = ValueGroup(F(0))
-        stages = []
-        for j in range(12):
-            grp = group_join(grp, tower_key_value(j, p))
-            stages.append(grp)
+        vals = [tower_key_value(j, p) for j in range(12)]
+        # the Fraction oracle's stage groups, and the integer kernel's indices
+        stages = [generator(vals[:j + 1]) for j in range(12)]
+        denom = math.lcm(*(v.denominator for v in vals))
+        indices = stage_indices([int(v * denom) for v in vals])
         for i in range(1, 11):
             expected = p if i % 2 == 1 else p**3
-            ok = ok and group_index(stages[i], stages[i - 1]) == expected
+            ok = ok and index(stages[i], stages[i - 1]) == expected == indices[i]
         for i in range(1, 7):
             gen = p ** (2 * i - 2) if i % 2 == 1 else p ** (2 * i - 3)
-            ok = ok and stages[i - 1] == ValueGroup.one_over(gen)
+            ok = ok and stages[i - 1] == F(1, gen)
     _report(2, "stage indices alternate p / p^3 and stage groups match",
             ok, time.time() - t0, 1.0)
 
@@ -103,7 +99,7 @@ def test_criterion_04_valuation_oracle_equivalence():
                 )
             if f.is_zero():
                 continue
-            if value_of(f, seq) != rewrite_oracle_value(f, seq, "Q"):
+            if value_of(f, seq) != rewrite_oracle_value(f, seq, "Q") * seq.ensure_valid().denom:
                 mismatches += 1
             checked += 1
     ok = mismatches == 0 and checked >= 500
@@ -216,8 +212,8 @@ def test_criterion_11_min_formula_and_decomposition():
             if math.gcd(s, w) != 1:
                 continue
             x_val = F(s, e)
-            group = ValueGroup.integers()
-            if order_in_quotient(x_val, group) != e:
+            group = F(1)  # the base group Z
+            if order(x_val, group) != e:
                 continue
             gammas = [F(k) for k in range(11)]
             ok = ok and check_min_formula(gammas, x_val, e, group)

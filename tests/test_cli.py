@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -109,7 +110,8 @@ def test_each_sequence_validated_once(capsys, monkeypatch, command, validations)
     # report reads the tower's three sequences through their ensure_valid
     # cache, so each is validated once; tower never reads the base sequence,
     # whose chain is the top sequence's.  Each validation takes one stage
-    # pass, and no production path takes a group index
+    # pass, on the integer weights it computes, and no ramval module keeps a
+    # value-group type
     real_validate, real_stage_indices = genseq.validate, genseq.stage_indices
     stage_passes = []
 
@@ -117,22 +119,19 @@ def test_each_sequence_validated_once(capsys, monkeypatch, command, validations)
         stage_passes.append(0)
         return real_validate(gs)
 
-    def counted_stage_indices(vals):
+    def counted_stage_indices(weights):
+        assert all(type(w) is int for w in weights)
         stage_passes[-1] += 1
-        return real_stage_indices(vals)
-
-    def no_group_index(*args):
-        raise AssertionError("group_index has no production caller")
+        return real_stage_indices(weights)
 
     monkeypatch.setattr(genseq, "validate", counted_validate)
     monkeypatch.setattr(genseq, "stage_indices", counted_stage_indices)
-    monkeypatch.setattr("ramval.values.group_index", no_group_index)
     code, _, _ = run(capsys, command, "--p", "2", "--c", "1", "--levels", "2", "--length", "4")
     assert code == 0
     assert stage_passes == [1] * validations
     assert not hasattr(genseq.GenSeq, "groups")
-    bound = [name for name, mod in sys.modules.items() if name.startswith("ramval.")
-             and hasattr(mod, "group_index") and name != "ramval.values"]
+    bound = [name for name, mod in sys.modules.items()
+             if name.split(".")[0] == "ramval" and hasattr(mod, "ValueGroup")]
     assert bound == []
 
 
@@ -147,6 +146,36 @@ def test_c_rejected_for_families_q_and_p(capsys, command, family):
     assert err == f"error: --c applies to family U only; family {family} takes no c\n"
     code, out, _ = run(capsys, command, "--family", family, "--p", "3", *extra)
     assert code == 0 and out
+
+
+# the printed edges of values: one polynomial's value, the semigroup (text
+# and tsv) and the validity report (text and tsv) of each family at p = 2
+# and 3 and over F_9, as printed before values were carried as weights
+PINNED_SWEEP = {
+    "sweep_Q_p2.txt": (("--family", "Q", "--p", "2"), "y^3 + x^2"),
+    "sweep_Q_p3.txt": (("--family", "Q", "--p", "3"), "y^10 + x^2*y + x^5"),
+    "sweep_Q_p3_q9.txt": (("--family", "Q", "--p", "3", "--q", "9"), "y^9 - x + x*y"),
+    "sweep_P_p2.txt": (("--family", "P", "--p", "2"), "v^3 + u*v"),
+    "sweep_P_p3.txt": (("--family", "P", "--p", "3"), "v^10 + u^2"),
+    "sweep_P_p3_q9.txt": (("--family", "P", "--p", "3", "--q", "9"), "v^9 - u + u*v"),
+    "sweep_U_p2_c1.txt": (("--family", "U", "--p", "2", "--c", "1"), "v^3 + x^2"),
+    "sweep_U_p3_c2.txt": (("--family", "U", "--p", "3", "--c", "2"), "v^4 + x^2"),
+    "sweep_U_p3_c2_q9.txt": (("--family", "U", "--p", "3", "--c", "2", "--q", "9"),
+                             "v^3 - x + x^2*v"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_SWEEP)
+def test_value_semigroup_validate_output_pinned(capsys, name):
+    family, poly = PINNED_SWEEP[name]
+    text = ""
+    for argv in (("value", *family, poly), ("semigroup", *family),
+                 ("semigroup", *family, "--bound", "5/2", "--format", "tsv"),
+                 ("validate", *family), ("validate", *family, "--format", "tsv")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        text += f"$ ramval {shlex.join(argv)}\n{out}"
+    assert text == (DATA / name).read_text()
 
 
 # full stdout of `transform`, pinned to the output before chain levels
@@ -588,8 +617,10 @@ def _foreign_key(i, make):
 
 
 def _deviations_valued_as_key_1(monkeypatch):
-    """Every deviation valued 2 * value(y), the value of middle key 1."""
-    monkeypatch.setattr(towers, "value_of", lambda f, gs, below=None: 2 * gs.values[1])
+    """Every deviation valued 2 * value(y), the value of middle key 1, as a
+    weight over the host's D."""
+    monkeypatch.setattr(towers, "value_of",
+                        lambda f, gs, below=None: 2 * gs.ensure_valid().weights[1])
 
 
 # at p = 2, length 4, N = 35 for the top host

@@ -319,7 +319,7 @@ def _bound_case(draw):
         return gs, f.shift(s), s * w0 - draw(st.integers(0, w0 - 1)), kind
     if kind == "nonpositive":
         return gs, f, -draw(st.integers(0, 3 * w0)), kind
-    value = int(value_of(f, gs) * lat.denom)
+    value = value_of(f, gs)
     return gs, f, value + draw(st.integers(-3, 3)) * w0 + draw(st.integers(-2, 2)), kind
 
 
@@ -327,12 +327,12 @@ def _bound_case(draw):
 @given(_bound_case())
 def test_value_below_a_bound_is_the_whole_value_or_none(case):
     # value_of(f, gs, below=B) is None iff value(f) * D >= B, and value(f)
-    # otherwise; a truncation that vanishes reads None
+    # * D otherwise; a truncation that vanishes reads None
     gs, f, bound, kind = case
     lat = gs.ensure_valid()
     whole = value_of(f, gs)
     got = value_of(f, gs, below=bound)
-    assert got == (None if whole * lat.denom >= bound else whole)
+    assert got == (None if whole >= bound else whole)
     if kind == "vanishing":
         assert got is None and not f.truncate(-(-bound // lat.weights[0]))
 
@@ -347,17 +347,19 @@ def test_expand_sequence_too_short():
 
 
 def test_value_examples():
+    # weights over each sequence's D
     gsU = build_tower_seq("U", 2, 1, 3)
-    assert value_of(Poly2.x(F2), gsU) == 1
-    assert value_of(Poly2.y(F2), gsU) == F(1, 2)
+    D = gsU.ensure_valid().denom
+    assert value_of(Poly2.x(F2), gsU) == 1 * D
+    assert value_of(Poly2.y(F2), gsU) == F(1, 2) * D
     gsQ = build_tower_seq("Q", 2, None, 3)
-    assert value_of(parse_poly("y^4", F2), gsQ) == 1
+    assert value_of(parse_poly("y^4", F2), gsQ) == 1 * gsQ.ensure_valid().denom
 
 
 def test_value_unit_denominator_is_ignored():
     gsU = build_tower_seq("U", 2, 1, 3)
     elem = LocalElem(parse_poly("x^2", F2), parse_poly("1 - x", F2))
-    assert value_of(elem, gsU) == 2
+    assert value_of(elem, gsU) == 2 * gsU.ensure_valid().denom
     # a denominator with constant term 2 is a unit too
     gsQ = build_tower_seq("Q", 3, None, 3)
     num = parse_poly("y^3 + x*y", F3)
@@ -378,7 +380,7 @@ def test_value_oracle_equivalence():
                 )
             if f.is_zero():
                 continue
-            assert value_of(f, gs) == rewrite_oracle_value(f, gs, "Q")
+            assert value_of(f, gs) == rewrite_oracle_value(f, gs, "Q") * gs.ensure_valid().denom
             checked += 1
     assert checked >= 1000
 
@@ -412,7 +414,7 @@ def test_value_additive_and_ultrametric():
 
 def test_minimal_term_lattice_matches_fraction_sum():
     # the integer dot products over (1/D)Z give the same minimum as summing
-    # the Fraction values term by term
+    # the Fraction values term by term, as a weight over D
     rng = random.Random(53)
     for fld in (F2, F3, Fq(5), Fq(2, 2), Fq(3, 2)):
         p = fld.p
@@ -432,9 +434,10 @@ def test_minimal_term_lattice_matches_fraction_sum():
                         for exps in e.terms}
                 best = min(vals.values())
                 assert list(vals.values()).count(best) == 1
-                v, exps = e.minimal_term()
-                assert type(v) is F
-                assert v == best == vals[exps] == value_of(f, gs)
+                w, exps = e.minimal_term()
+                assert type(w) is int
+                assert w == best * gs.ensure_valid().denom == vals[exps] * gs.ensure_valid().denom
+                assert w == value_of(f, gs)
 
 
 def test_minimal_term_tie_raises():
@@ -444,7 +447,7 @@ def test_minimal_term_tie_raises():
     with pytest.raises(InvalidSequence):
         tie.minimal_term()
     lower = StandardExpansion(gs, {**tie.terms, (0, 1, 0, 0): 1})
-    assert lower.minimal_term() == (F(1, 4), (0, 1, 0, 0))
+    assert lower.minimal_term() == (F(1, 4) * gs.ensure_valid().denom, (0, 1, 0, 0))
 
 
 def test_lattice_cached_on_validation():
@@ -462,8 +465,9 @@ def test_lattice_cached_on_validation():
 def test_keys_have_declared_values():
     for fam, p, c in (("U", 2, 1), ("U", 3, 2), ("Q", 2, None), ("P", 3, None)):
         gs = build_tower_seq(fam, p, c, 4)
+        D = gs.ensure_valid().denom
         for j, key in enumerate(gs.keys):
-            assert value_of(key, gs) == gs.values[j]
+            assert value_of(key, gs) == gs.values[j] * D
 
 
 # -- residues --------------------------------------------------------------------
@@ -535,8 +539,8 @@ def _residue_case(draw):
         st.integers(1, fld.q - 1).map(fld.of_index), min_size=1, max_size=6,
     ).map(lambda terms: Poly2(fld, terms))
     f, h = draw(polys), draw(polys)
-    # x has value 1, so x^k lifts h above f
-    h = h.shift(max(0, int(value_of(f, gs) - value_of(h, gs)) + 1))
+    # x has value 1, weight D, so x^k lifts h above f
+    h = h.shift(max(0, (value_of(f, gs) - value_of(h, gs)) // gs.ensure_valid().denom + 1))
     return gs, f, fld.of_index(draw(st.integers(1, fld.q - 1))), h
 
 
@@ -594,32 +598,38 @@ def test_value_table_keeps_no_zero_coefficient(case):
     sums = table.sums(g)
     assert fld.zero not in sums.values()
     assert sums == {sum(map(mul, e, weights)): c for e, c in expand(h, gs).terms.items()}
-    assert F(table.least(g), table.denom) == value_of(h, gs)
+    assert table.least(g) == value_of(h, gs)
 
 
 # -- semigroups --------------------------------------------------------------------
 
 
+def _weights_over(gs, values):
+    """The values as weights over the sequence's D."""
+    return tuple(v * gs.ensure_valid().denom for v in values)
+
+
 def test_semigroup_top_family_example():
     gs = build_tower_seq("Q", 2, None, 3)
-    assert semigroup(gs, F(1)) == (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    assert semigroup(gs, F(1)) == _weights_over(gs, (F(0), F(1, 4), F(1, 2), F(3, 4), F(1)))
 
 
 def test_semigroup_zero_bound():
     gs = build_tower_seq("Q", 2, None, 3)
-    assert semigroup(gs, F(0)) == (F(0),)
+    assert semigroup(gs, F(0)) == (0,)
 
 
 def test_semigroup_middle_family_small_bound():
     gs = build_tower_seq("U", 2, 1, 3)
-    assert semigroup(gs, F(1, 2)) == (F(0), F(1, 2))
+    assert semigroup(gs, F(1, 2)) == _weights_over(gs, (F(0), F(1, 2)))
 
 
 def test_semigroup_closed_under_addition():
     for p, c in ((2, 1), (3, 2)):
         gs = build_tower_seq("U", p, c, 4)
         found = set(semigroup(gs, F(3)))
-        assert all(a + b in found for a in found for b in found if a + b <= 3)
+        top = 3 * gs.ensure_valid().denom
+        assert all(a + b in found for a in found for b in found if a + b <= top)
 
 
 def test_semigroup_is_every_standard_value_in_bound():
@@ -631,7 +641,7 @@ def test_semigroup_is_every_standard_value_in_bound():
         for tail in product(*(range(n) for n in lat.indices[1:])):
             v = sum(m * w for m, w in zip(tail, gs.values[1:]))
             found.update(v + m0 for m0 in range(int(bound - v) + 1) if v + m0 <= bound)
-        assert semigroup(gs, bound) == tuple(sorted(found))
+        assert semigroup(gs, bound) == _weights_over(gs, sorted(found))
 
 
 def test_expand_and_semigroup_leave_no_cyclic_garbage():
@@ -661,7 +671,7 @@ def test_extension_field_sequence():
     assert validate(gs).ok
     omega = fld.of_index(2)  # t, a generator of F_4 over F_2
     f = Poly2.monomial(fld, 0, 4, omega) + Poly2.monomial(fld, 2, 1, fld.one)
-    assert value_of(f, gs) == 1
+    assert value_of(f, gs) == 1 * gs.ensure_valid().denom
     assert residue_of_quotient(f.scale(omega), f, gs) == omega
     from ramval.transforms import ChartChain
 

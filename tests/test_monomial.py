@@ -3,18 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracles import OrderMismatch, check_min_formula, semigroup_decomposition
 from ramval.monomial import (
-    OrderMismatch,
     Singular,
-    check_min_formula,
     det_index,
     euclidean_reduce,
     graded_presentation_rank2,
     lattice_index_snf,
-    semigroup_decomposition,
     smith_normal_form,
 )
-from ramval.values import ValueGroup
 
 
 def test_det_index_basic():
@@ -122,31 +119,31 @@ def test_graded_presentation_rank2():
 
 
 def test_check_min_formula_vacuous():
-    assert check_min_formula([F(0), F(1)], F(1), 1, ValueGroup.integers())
+    assert check_min_formula([F(0), F(1)], F(1), 1, F(1))
 
 
 def test_check_min_formula_halves():
-    ok = check_min_formula([F(0), F(1), F(2)], F(1, 2), 2, ValueGroup.integers())
+    ok = check_min_formula([F(0), F(1), F(2)], F(1, 2), 2, F(1))
     assert ok
 
 
 def test_check_min_formula_order_mismatch():
     with pytest.raises(OrderMismatch):
-        check_min_formula([F(0)], F(1), 2, ValueGroup.integers())
+        check_min_formula([F(0)], F(1), 2, F(1))
 
 
 def test_semigroup_decomposition_trivial():
     big = [F(k) for k in range(6)]
-    assert semigroup_decomposition(big, ValueGroup.integers(), F(1), 1, F(5))
+    assert semigroup_decomposition(big, F(1), F(1), 1, F(5))
 
 
 def test_semigroup_decomposition_halves():
     # x-parameter of value 1/2 with order 2 over the integers, bound 5
     big = [F(k, 2) for k in range(11)]
-    assert semigroup_decomposition(big, ValueGroup.integers(), F(1, 2), 2, F(5))
+    assert semigroup_decomposition(big, F(1), F(1, 2), 2, F(5))
 
 
 def test_semigroup_decomposition_wrong_order_fails():
     big = [F(k, 3) for k in range(10)]
-    assert semigroup_decomposition(big, ValueGroup.integers(), F(1, 3), 3, F(3))
-    assert not semigroup_decomposition(big, ValueGroup.integers(), F(1, 3), 2, F(3))
+    assert semigroup_decomposition(big, F(1), F(1, 3), 3, F(3))
+    assert not semigroup_decomposition(big, F(1), F(1, 3), 2, F(3))

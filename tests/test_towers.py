@@ -183,14 +183,17 @@ def test_restriction_key_examples():
         t = build_tower(p, c, 5)
         x = Poly2.x(t.field)
         v = Poly2.y(t.field)
-        # value(x) agrees in both charts
-        assert value_of(x, t.seq_mid) == value_of(x, t.seq_top) == 1
+        # weights over each side's own D, compared cross-multiplied
+        d_mid, d_top = t.seq_mid.ensure_valid().denom, t.seq_top.ensure_valid().denom
+        # value(x) = 1 in both charts
+        assert value_of(x, t.seq_mid) == 1 * d_mid and value_of(x, t.seq_top) == 1 * d_top
         # value(v) = 1/p on both sides
-        assert value_of(v, t.seq_mid) == value_of(t.v_sub, t.seq_top)
+        assert value_of(v, t.seq_mid) == Fraction(1, p) * d_mid
+        assert value_of(v, t.seq_mid) * d_top == value_of(t.v_sub, t.seq_top) * d_mid
         # value(U_2) agrees
-        assert value_of(t.seq_mid.keys[2], t.seq_mid) == value_of(
+        assert value_of(t.seq_mid.keys[2], t.seq_mid) * d_top == value_of(
             t.mid_keys_xy[2], t.seq_top
-        )
+        ) * d_mid
 
 
 @pytest.mark.parametrize("p,c", [(2, 1), (2, 2), (3, 2)])
@@ -316,7 +319,7 @@ def test_linear_expansions_match_direct_expansions(case):
     composed = g.compose(Poly2.x(t.field), t.v_sub)
     for table, f, gs in ((mid_table, g, t.seq_mid), (top_table, composed, t.seq_top)):
         assert table.sums(g) == _by_value(expand(f, gs))
-        assert Fraction(table.least(g), table.denom) == value_of(f, gs)
+        assert table.least(g) == value_of(f, gs)
 
 
 def _least_candidate(table, g):
@@ -355,8 +358,7 @@ def test_value_table_value_is_least_sum(case):
     # the table's own side, also where the least candidates cancel
     t, side, table, g = case
     f, gs = (g, t.seq_mid) if side == 0 else (g.compose(Poly2.x(t.field), t.v_sub), t.seq_top)
-    value = Fraction(table.least(g), table.denom)
-    assert value == Fraction(min(table.sums(g)), table.denom) == value_of(f, gs)
+    assert table.least(g) == min(table.sums(g)) == value_of(f, gs)
 
 
 def test_value_table_sums_only_when_least_candidates_cancel(monkeypatch):
@@ -467,14 +469,15 @@ def test_restriction_values_past_the_top_table_by_whole_division(monkeypatch, sh
     # valued by dividing its whole substitution, and the report is the one
     # read off whole tables
     t, row, precs, drawn, valued = _restriction_with_shift(monkeypatch, shift)
-    assert precs == [int(12 * value_of(t.v_sub, t.seq_top) / t.seq_top.values[0]) + 7] == [11]
+    w_x = t.seq_top.ensure_valid().weights[0]
+    assert precs == [12 * value_of(t.v_sub, t.seq_top) // w_x + 7] == [11]
     mid_table, top_table = map(value_table, restriction_tables(t))
     mismatches = []
     for g in drawn:
-        mid = Fraction(mid_table.least(g), mid_table.denom)
-        top = Fraction(top_table.least(g), top_table.denom)
-        if mid != top:
-            mismatches.append((g.to_str("x", "v"), fmt_value(mid), fmt_value(top)))
+        mid, top = mid_table.least(g), top_table.least(g)
+        if mid * top_table.denom != top * mid_table.denom:
+            mismatches.append((g.to_str("x", "v"), fmt_value(mid, mid_table.denom),
+                               fmt_value(top, top_table.denom)))
     assert row == {"check": "restriction", "ok": not mismatches, "samples": 5,
                    "mismatches": mismatches[:5], "mismatch_count": len(mismatches)}
     assert row["ok"]
@@ -672,11 +675,12 @@ def test_value_table_least_value_cancels(p):
     mid_table, top_table = map(value_table, restriction_tables(t))
     g = Poly2.monomial(t.field, 0, p) - Poly2.x(t.field)
     assert g == t.seq_mid.keys[2]
-    expected = value_of(g, t.seq_mid)
-    assert expected > 1
+    expected, d_mid = value_of(g, t.seq_mid), mid_table.denom
+    assert expected > 1 * d_mid
     for table in (mid_table, top_table):
         assert table.x_weight not in table.sums(g)
-        assert Fraction(table.least(g), table.denom) == expected
+        # each table in units of its own 1/D
+        assert table.least(g) * d_mid == expected * table.denom
 
 
 def _congruent_tails(gs):
@@ -1065,10 +1069,11 @@ def test_truncated_certificates_equal_exact_certificates(p, m, length):
     for which in ("mid-in-top", "base-in-mid"):
         host, exact, n = _exact_link(t, which, exact_base)
         certs = t.certificates(which)
+        weights = host.ensure_valid().weights
         assert len(certs) == len(exact)
         for i, (cert, key) in enumerate(zip(certs, exact)):
             val = value_of(key, host)
-            assert val == cert.mult * host.values[i], (which, i)
+            assert val == cert.mult * weights[i], (which, i)
             delta = _as_elem(key) - LocalElem(host.keys[i] ** cert.mult)
             if delta.is_zero():
                 assert cert.t_order == n, (which, i)
@@ -1093,8 +1098,9 @@ def test_certificate_multiplier_is_the_value_ratio(p, m, c, length):
     for which, host, exact in (("mid-in-top", t.seq_top, t.mid_keys_xy),
                                ("base-in-mid", t.seq_mid, exact_base)):
         certs = t.certificates(which)
-        assert [cert.mult for cert in certs] == [
-            value_of(key, host) / host.values[i] for i, key in enumerate(exact)], which
+        weights = host.ensure_valid().weights
+        assert [cert.mult * weights[i] for i, cert in enumerate(certs)] == [
+            value_of(key, host) for key in exact], which
 
 
 @pytest.mark.parametrize("p,c,length", [(2, 1, 6), (3, 2, 5), (3, 4, 5)])
@@ -1128,7 +1134,7 @@ def test_certificates_value_each_nonzero_deviation_once(monkeypatch, p, c, lengt
 def _whole_deviation_value(f, gs, below=None):
     """value_of on the whole deviation, with the bound applied afterwards."""
     value = value_of(f, gs)
-    return value if below is None or value * gs.ensure_valid().denom < below else None
+    return value if below is None or value < below else None
 
 
 @pytest.mark.parametrize("p,length", [(p, length) for p in (2, 3, 5) for length in range(2, 9)])
@@ -1196,7 +1202,7 @@ def test_mid_in_top_deviation_read_as_lower_bound(length):
     lower_bound_reads = []
     for i, (cert, key) in enumerate(zip(certs, t.mid_keys_xy)):
         delta = LocalElem(key).__sub__(LocalElem(host.keys[i] ** cert.mult), n)
-        if not delta.is_zero() and value_of(delta, host) >= n * host.values[0]:
+        if not delta.is_zero() and value_of(delta, host) >= n * host.ensure_valid().weights[0]:
             lower_bound_reads.append(i)
     assert lower_bound_reads == [length]
     assert check_ladder_report(run_tower_ladder(t, length - 1)).ok

@@ -3,7 +3,6 @@ from fractions import Fraction as F
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ramval import towers, transforms
 from ramval.algebra import Fq, LocalElem, Poly2, parse_poly
@@ -24,7 +23,7 @@ from ramval.transforms import (
     stable_form,
     validate_chart_seq,
 )
-from ramval.values import ValueGroup, group_index, stage_indices
+from oracles import stage_orders
 
 F2 = Fq(2)
 F3 = Fq(3)
@@ -409,27 +408,6 @@ def test_chain_checks_values_without_exact_keys(tamper, witness):
     assert str(ex.value) == witness
 
 
-# weights with shared factors of 2 and 3, so that indices above 1 are common
-_WEIGHTS = st.tuples(st.integers(1, 40), st.integers(0, 7), st.integers(0, 5)).map(
-    lambda t: t[0] * 2 ** t[1] * 3 ** t[2])
-
-
-@settings(max_examples=300, deadline=None)
-@given(denom=st.integers(1, 5000), weights=st.lists(_WEIGHTS, min_size=1, max_size=9))
-def test_weight_indices_are_stage_indices(denom, weights):
-    # the chain's indices by integer gcd on weights over D equal the stage
-    # indices of the values weight / D, taken through the value groups; and
-    # each stage index, the order of value_i modulo the stage group before
-    # it, is the group index of that stage group in the next one, which is
-    # why validation compares no two index computations
-    values = [F(w, denom) for w in weights]
-    indices = stage_indices(values)
-    assert transforms._weight_indices(weights) == indices
-    stages = [ValueGroup.generated_by(values[:i + 1]) for i in range(len(values))]
-    for i in range(1, len(values)):
-        assert group_index(stages[i], stages[i - 1]) == indices[i], i
-
-
 @pytest.mark.parametrize("family", "QPU")
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_chain_values_follow_fraction_recursion(family, p):
@@ -447,12 +425,12 @@ def test_chain_values_follow_fraction_recursion(family, p):
         assert lvl.values == values, k
         assert all(type(v) is F for v in lvl.values), k
         assert lvl.denom == base.ensure_valid().denom
-        assert lvl.indices == stage_indices(values), k
+        assert lvl.indices == stage_orders(values), k
         assert lvl.degrees == degrees, k
         past_maps += lvl.keys is None
         values = [values[1]] + [values[j] - degrees[j] * values[1]
                                 for j in range(2, len(values))]
-        indices = stage_indices(values)
+        indices = stage_orders(values)
         degrees = [0] + [prod(indices[1:i]) for i in range(1, len(values))]
     assert past_maps == length - 5  # levels 5 and 6 rest on the order calculus
 
