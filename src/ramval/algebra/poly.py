@@ -5,14 +5,16 @@ A Poly2 is a dict mapping exponent pairs (i, j) -> nonzero coefficient,
 charts rename them for display (u/v in the base chart, x/v in the middle
 chart).
 
-Powers have one kernel, ``times_pow``: f * g^e for a one-term g is a shift
-and a scale of f, formed in one step.  Otherwise e is read in base p, and the
-p^i-th power of g is its i-th Frobenius twist (exponents scaled by p^i,
-coefficients through i Frobenius steps), so each unit of digit i is one
-product with that twist, and a run of zero digits is crossed by a single
-twist ``frobenius(s)`` of the last one.  This keeps the tower polynomials
-sparse in characteristic p, and a two-term g stays two terms; ``**`` is
-``times_pow`` applied to 1.
+Powers have one kernel, ``_times_pow``, on raw term dicts, so a power is
+wrapped in one Poly2 however many products and twists it takes: f * g^e for
+a one-term g is a shift and a scale of f, formed in one step.  Otherwise e is
+read in base p, and the p^i-th power of g is its i-th Frobenius twist
+(exponents scaled by p^i, coefficients through i Frobenius steps), so each
+unit of digit i is one product with that twist, folded once, and a run of
+zero digits is crossed by a single twist ``_twist(s)`` of the last one.  This
+keeps the tower polynomials sparse in characteristic p, and a two-term g
+stays two terms.  ``times_pow``, ``**`` (the kernel applied to 1) and the
+images of ``compose`` all call it.
 
 Coefficients are the packed ints of ``Fq``, so the integer product of two
 coefficients is their unreduced convolution.  Products, substitutions and
@@ -34,7 +36,7 @@ and scaled, and goes into the accumulator on its own.  Otherwise it works on
 y-rows as well: a row's x-part is the raw sum of its terms' x-images, folded
 once, and its products with the row's y-image go into the accumulator.  It
 takes the shape of a chart map, a polynomial x-image and an optional
-denominator for the substituted y, which it clears with ``times_pow``,
+denominator for the substituted y, which it clears with ``_times_pow``,
 spending no product on a denominator that is exactly 1, so polynomial
 substitutions and the numerator / denominator pairs of ``LocalElem.compose``
 run the same code.
@@ -46,8 +48,14 @@ from bisect import bisect_left
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import inf
+from operator import itemgetter
 
 from .field import Fq
+
+
+# The terms of 1, shared like every term dict (never changed in place):
+# ``Fq.one`` is the int 1 in every field.
+_ONE = {(0, 0): 1}
 
 
 class NotMonic(ArithmeticError):
@@ -98,6 +106,55 @@ def _add_product(acc: dict, a: dict, b: dict, prec: int | None) -> int:
             e = (i1 + i2, j1 + j2)
             acc[e] = get(e, 0) + c1 * c2
     return len(a)
+
+
+def _twist(fld: Fq, terms: dict, s: int, prec: int | None) -> dict:
+    """The p^s-th power (the s-th Frobenius twist) of ``terms`` modulo
+    x^prec: exponents scale by p^s and each coefficient takes s mod m
+    Frobenius steps (F_q has q = p^m); a term that lands at x^prec or above
+    is never built."""
+    ps, top, frob = fld.p**s, inf if prec is None else prec, fld.frob
+    out = {(i * ps, j * ps): c for (i, j), c in terms.items() if i * ps < top}
+    for _ in range(s % fld.m):
+        out = {t: frob(c) for t, c in out.items()}
+    return out
+
+
+def _times_pow(fld: Fq, terms: dict, base: dict, e: int, prec: int | None) -> dict:
+    """The terms of terms * base^e (``Poly2.times_pow``), terms itself when
+    e = 0 or base is 1 modulo x^prec."""
+    if e < 0:
+        raise ArithmeticError("negative polynomial power")
+    if e and prec is not None and base and max(base)[0] >= prec:
+        base = {t: c for t, c in base.items() if t[0] < prec}
+    if not e or base == _ONE:
+        return terms
+    if len(base) == 1:
+        ((i, j), c), = base.items()
+        i, j, c, fold, top = i * e, j * e, fld.pow_(c, e), fld.fold, inf if prec is None else prec
+        return {(a + i, b + j): fold(c * v) for (a, b), v in terms.items() if a + i < top}
+    if not base or prec is not None and e * min(base)[0] >= prec:
+        return {}
+    p, fold, twist = fld.p, fld.fold, base
+    while True:
+        e, d = divmod(e, p)
+        for _ in range(d):
+            if terms is _ONE:
+                # a power proper (``**``, ``compose``'s images): 1 * twist
+                terms = twist
+                continue
+            acc: dict = {}
+            fld.check_capacity(_add_product(acc, terms, twist, prec))
+            terms = {t: c for t, s in acc.items() if (c := fold(s))}
+        if not e or not terms:
+            return terms
+        s = 1
+        while not e % p:
+            e //= p
+            s += 1
+        twist = _twist(fld, twist, s, prec)
+        if twist == _ONE:
+            return terms
 
 
 class Poly2:
@@ -152,7 +209,7 @@ class Poly2:
     def deg_y(self) -> int:
         if not self.terms:
             return -1
-        return max(j for _, j in self.terms)
+        return max(map(itemgetter(1), self.terms))
 
     def constant_term(self):
         return self.terms.get((0, 0), self.field.zero)
@@ -179,7 +236,19 @@ class Poly2:
         return Poly2(fld, {e: fld.neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly2", prec: int | None = None) -> "Poly2":
-        return (self + -other).truncate(prec)
+        """The difference; with ``prec``, modulo x^prec, in one pass."""
+        fld = self.field
+        fold, neg_one, top = fld.fold, fld.p - 1, inf if prec is None else prec
+        out = {e: c for e, c in self.terms.items() if e[0] < top}
+        get = out.get
+        for e, c in other.terms.items():
+            if e[0] < top:
+                # a nonzero c leaves a zero only where e was already present
+                if d := fold(get(e, 0) + neg_one * c):
+                    out[e] = d
+                else:
+                    del out[e]
+        return Poly2(fld, out)
 
     def __mul__(self, other: "Poly2", prec: int | None = None) -> "Poly2":
         """The product; with ``prec``, the product modulo x^prec, formed
@@ -188,10 +257,9 @@ class Poly2:
         returned modulo x^prec (``truncate``: itself, shared, when no term
         lies at or past x^prec)."""
         fld = self.field
-        one = {(0, 0): fld.one}
-        if self.terms == one:
+        if self.terms == _ONE:
             return other.truncate(prec)
-        if other.terms == one:
+        if other.terms == _ONE:
             return self.truncate(prec)
         acc: dict = {}
         fld.check_capacity(_add_product(acc, self.terms, other.terms, prec))
@@ -216,80 +284,44 @@ class Poly2:
         return Poly2(self.field, out)
 
     def frobenius(self, s: int = 1, prec: int | None = None) -> "Poly2":
-        """The p^s-th power (the s-th Frobenius twist) modulo x^prec:
-        exponents scale by p^s and each coefficient takes s mod m Frobenius
-        steps (F_q has q = p^m); a term that lands at x^prec or above is
-        never built."""
-        fld = self.field
-        ps, steps, frob = fld.p**s, s % fld.m, fld.frob
-        out = {}
-        for (i, j), c in self.terms.items():
-            i *= ps
-            if prec is None or i < prec:
-                for _ in range(steps):
-                    c = frob(c)
-                out[(i, j * ps)] = c
-        return Poly2(fld, out)
+        """The p^s-th power (the s-th Frobenius twist) modulo x^prec
+        (``_twist``)."""
+        return Poly2(self.field, _twist(self.field, self.terms, s, prec))
 
     def truncate(self, prec: int | None) -> "Poly2":
         """The polynomial modulo x^prec: its terms of x-degree below prec;
         itself for None or when no term lies at or past x^prec (a Poly2 is
         never changed in place, so it is shared)."""
-        if prec is None or all(e[0] < prec for e in self.terms):
+        if prec is None or not self.terms or max(self.terms)[0] < prec:
             return self
         return Poly2(self.field, {e: c for e, c in self.terms.items() if e[0] < prec})
 
     def times_pow(self, base: "Poly2", e: int, prec: int | None = None) -> "Poly2":
         """self * base^e; with ``prec``, modulo x^prec for self given modulo
         x^prec (every caller passes a result computed at ``prec``), with every
-        Frobenius twist and product truncated.
+        Frobenius twist and product truncated.  The work is ``_times_pow``'s,
+        on the term dicts, and the result is one Poly2.
 
         A base with one term c x^i y^j modulo x^prec is raised in one step:
         the result is self shifted by (i e, j e) and scaled by c^e, without a
         product or a twist.  Otherwise e is read in base p: digit d_i costs
-        d_i products with the twist base^(p^i), and a run of zero digits is
-        crossed by one ``frobenius(s, prec)`` of the last twist, s the
-        distance to the next nonzero digit.  The loop stops once the product
-        vanishes or a twist is 1 modulo x^prec, so w = 1 - x^(p-1), whose
-        twists 1 - x^((p-1) p^i) have two terms, costs one two-term product
-        per unit of each digit below the first i with (p-1) p^i >= prec.  For
-        e = 0, or a base that is 1 modulo x^prec, no product and no copy is
-        formed and self is returned; the result is 0 at once when
-        e * x-order(base) >= prec."""
-        if e < 0:
-            raise ArithmeticError("negative polynomial power")
-        fld = self.field
-        one = {(0, 0): fld.one}
-        if not e:
-            return self
-        twist = base.truncate(prec)
-        if twist.terms == one:
-            return self
-        if len(twist.terms) == 1:
-            ((i, j), c), = twist.terms.items()
-            i, j, c, fold = i * e, j * e, fld.pow_(c, e), fld.fold
-            return Poly2(fld, {(a + i, b + j): fold(c * v) for (a, b), v in self.terms.items()
-                               if prec is None or a + i < prec})
-        if not twist or prec is not None and e * twist.x_order() >= prec:
-            return Poly2(fld)
-        p, out = fld.p, self
-        while True:
-            e, d = divmod(e, p)
-            for _ in range(d):
-                out = out.__mul__(twist, prec)
-            if not e or not out:
-                return out
-            s = 1
-            while not e % p:
-                e //= p
-                s += 1
-            twist = twist.frobenius(s, prec)
-            if twist.terms == one:
-                return out
+        d_i products with the twist base^(p^i), each summed raw by
+        ``_add_product`` and folded once, and a run of zero digits is crossed
+        by one ``_twist(s)`` of the last twist, s the distance to the next
+        nonzero digit.  The loop stops once the product vanishes or a twist
+        is 1 modulo x^prec, so w = 1 - x^(p-1), whose twists 1 - x^((p-1) p^i)
+        have two terms, costs one two-term product per unit of each digit
+        below the first i with (p-1) p^i >= prec.  A product by exactly 1 is
+        the twist itself.  For e = 0, or a base that is 1 modulo x^prec, no
+        product and no copy is formed and self is returned; the result is 0
+        at once when e * x-order(base) >= prec."""
+        terms = _times_pow(self.field, self.terms, base.terms, e, prec)
+        return self if terms is self.terms else Poly2(self.field, terms)
 
     def __pow__(self, e: int, prec: int | None = None) -> "Poly2":
-        """self^e; ``pow(f, e, K)`` is f^e modulo x^K (``times_pow``)."""
-        return Poly2.one(self.field).truncate(prec).times_pow(self, e, prec)
+        """self^e; ``pow(f, e, K)`` is f^e modulo x^K (``_times_pow`` on 1)."""
+        fld, unit = self.field, _ONE if prec is None or prec > 0 else {}
+        return Poly2(fld, _times_pow(fld, unit, self.terms, e, prec))
 
     # -- orders and restrictions --------------------------------------------
 
@@ -297,7 +329,7 @@ class Poly2:
         """Largest m with x^m dividing the polynomial."""
         if not self.terms:
             raise IndeterminateOrder("x-order of the zero polynomial")
-        return min(i for i, _ in self.terms)
+        return min(self.terms)[0]
 
     def is_monic_y(self) -> bool:
         d = self.deg_y()
@@ -405,32 +437,32 @@ class Poly2:
         the accumulator.  With ``prec``, a row whose x-images start at x^o
         or above takes its y-image modulo x^(prec - o), no pair at or past
         x^prec is multiplied, and an image that vanishes drops its terms or
-        its row.  A denominator that is None or exactly 1 costs no product
-        (``times_pow``), and self exactly 1 maps to 1 modulo x^prec with no
-        image formed."""
+        its row.  Every image is formed on the term dicts by ``_times_pow``,
+        so a denominator that is None or exactly 1 costs no product, and
+        self exactly 1 maps to 1 modulo x^prec with no image formed."""
         fld = self.field
         if not self.terms:
             return Poly2(fld)
-        one = Poly2.one(fld)
-        unit = one.truncate(prec)
-        if self.terms == one.terms:
+        unit = _ONE if prec is None or prec > 0 else {}
+        if self.terms == _ONE:
             # y-degree 0, so no denominator to clear
-            return unit
+            return Poly2(fld, unit)
         dy = self.deg_y()
-        y_den = one if y_den is None else y_den
+        sub_x, sub_y = sub_x.terms, sub_y.terms
+        den = _ONE if y_den is None else y_den.terms
         fold = fld.fold
         x_images: dict = {}
         # a nonzero x-image sub_x^i has x-order i * x_step: lowest x-rows
         # multiply, since k[y] is a domain
-        x_step = sub_x.x_order() if prec is not None and sub_x else 0
+        x_step = min(sub_x)[0] if prec is not None and sub_x else 0
         acc: dict = {}
-        if len(sub_y.terms) == 1 and len(y_den.terms) == 1:
+        if len(sub_y) == 1 and len(den) == 1:
             # the image of c x^i y^j is c a^j d^(dy-j) x^dx y^dj * sub_x^i
             # for sub_y = a x^sx y^sy and y_den = d x^tx y^ty; a cell of
             # acc collects at most one product per term
             fld.check_capacity(len(self.terms))
-            ((sx, sy), a), = sub_y.terms.items()
-            ((tx, ty), d), = y_den.terms.items()
+            ((sx, sy), a), = sub_y.items()
+            ((tx, ty), d), = den.items()
             limit = inf if prec is None else prec
             get = acc.get
             monomials: dict = {}
@@ -444,7 +476,7 @@ class Poly2:
                     continue
                 image = x_images.get(i)
                 if image is None:
-                    image = x_images[i] = unit.times_pow(sub_x, i, prec).terms
+                    image = x_images[i] = _times_pow(fld, unit, sub_x, i, prec)
                 ck, top = fold(c * k), limit - dx
                 for (e, f), v in image.items():
                     if e < top:
@@ -459,7 +491,7 @@ class Poly2:
             for i, c in row.items():
                 image = x_images.get(i)
                 if image is None:
-                    image = x_images[i] = unit.times_pow(sub_x, i, prec).terms
+                    image = x_images[i] = _times_pow(fld, unit, sub_x, i, prec)
                 for e, v in image.items():
                     part[e] = get(e, 0) + c * v
             # a cell of the x-part collects at most one product per x-image
@@ -469,11 +501,11 @@ class Poly2:
                 continue
             # the least x-order of the row's images is at most that of
             # x_part, which is nonzero modulo x^prec: so y_prec >= 1 and
-            # one is already 1 modulo x^y_prec.  Where the lowest rows
+            # _ONE is already 1 modulo x^y_prec.  Where the lowest rows
             # cancel, y_prec is larger than x_part needs, and the product
             # modulo x^prec is the same
             y_prec = None if prec is None else prec - x_step * min(i for i in row if x_images[i])
-            y_image = one.times_pow(sub_y, j, y_prec).times_pow(y_den, dy - j, y_prec).terms
+            y_image = _times_pow(fld, _times_pow(fld, _ONE, sub_y, j, y_prec), den, dy - j, y_prec)
             if y_image:
                 n += _add_product(acc, x_part, y_image, prec)
         fld.check_capacity(n)

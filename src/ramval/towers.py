@@ -250,10 +250,11 @@ def certificate_precision(host: GenSeq, p: int) -> int:
 
 # The longest tower, by p, whose `tower` run took about a second or less
 # (fresh processes, 2-vCPU VM, levels = length - 1); one key more took
-# 1.8-12 s, and 2.9-3.5 s at p = 11-19.  At p = 11-19 a `report` at length
-# 13 took 0.2-0.8 s (3 or 12 levels); at p = 23 a `report` took 0.9 s
-# already at length 3.
-QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 13, 13: 13, 17: 13, 19: 13}
+# 1.8-12 s, 2.9-3.5 s at p = 11-19 and 6.3-7.2 s at p = 23 and 29.  At
+# p = 11-19 a `report` at length 13 took 0.2-0.8 s (3 or 12 levels); at
+# p = 23 and 29 a `report` took 0.6-1.1 s and 1.2-2.4 s at length 3, and at
+# p = 31 2.5-3.3 s (its tower at length 13 took 1.0 s).
+QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 13, 13: 13, 17: 13, 19: 13, 23: 13, 29: 13}
 
 
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
@@ -275,7 +276,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     spine by the precision their checks read, but the three sequences, the
     middle keys and the chain spines stay exact (the middle keys are read
     modulo x^N only by their certificates).  A tower longer than its
-    ``QUIET_LENGTH``, or past p = 19, gets a cost warning.
+    ``QUIET_LENGTH``, or past p = 29, gets a cost warning.
     """
     if length < 2:
         raise BadParams("length must be >= 2")
@@ -286,7 +287,7 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
         import warnings
 
         measured = (f"at p = {p}, towers longer than {quiet} took seconds" if quiet
-                    else "past p = 19, reports took about a second or more")
+                    else "past p = 29, a report took seconds already at length 3")
         warnings.warn(f"tower with p = {p}, length = {length}: expect a slow run; {measured}",
                       stacklevel=2)
     fld = field if field is not None else Fq(p)

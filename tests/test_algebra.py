@@ -15,7 +15,7 @@ from ramval.algebra import (
     parse_poly,
 )
 from ramval.algebra import poly as poly_module
-from ramval.algebra.field import MEMO_LIMIT, _power
+from ramval.algebra.field import MEMO_LIMIT, _power, is_prime
 from ramval.transforms import _bottom_row
 
 F2 = Fq(2)
@@ -296,15 +296,16 @@ def test_times_pow_of_w_is_two_term_products(monkeypatch):
     # f * w^k, w = 1 - x^(p-1): the twist w^(p^i) = 1 - x^((p-1) p^i) has two
     # terms, so digit d_i of k costs d_i products of f's size times 2, and none
     # once (p-1) p^i >= prec; forming w^k whole would multiply f by up to
-    # prec / (p-1) terms instead
+    # prec / (p-1) terms instead.  Each product is one ``_add_product`` of the
+    # running terms with the twist
     products = []
-    mul = Poly2.__mul__
+    real = poly_module._add_product
 
-    def counting(self, other, prec=None):
-        products.append(len(other.terms))
-        return mul(self, other, prec)
+    def counting(acc, a, b, prec):
+        products.append(len(b))
+        return real(acc, a, b, prec)
 
-    monkeypatch.setattr(Poly2, "__mul__", counting)
+    monkeypatch.setattr(poly_module, "_add_product", counting)
     rng = random.Random(13)
     for fld in FIELDS:
         p = fld.p
@@ -319,9 +320,9 @@ def test_times_pow_of_w_is_two_term_products(monkeypatch):
                 products.clear()
                 out = f.truncate(prec).times_pow(w, k, prec)
                 assert products == [2] * expected, (fld, prec, k)
-                monkeypatch.setattr(Poly2, "__mul__", mul)
+                monkeypatch.setattr(poly_module, "_add_product", real)
                 assert out == (f * w**k).truncate(prec)
-                monkeypatch.setattr(Poly2, "__mul__", counting)
+                monkeypatch.setattr(poly_module, "_add_product", counting)
             if prec is not None:
                 # x^k with k >= prec is 0 modulo x^prec before any product
                 products.clear()
@@ -332,20 +333,21 @@ def test_times_pow_forms_only_the_products_and_twists_it_needs(monkeypatch):
     # a one-term base is raised in one step, with no product and no twist; a
     # two-term base to d p^k costs one twist base^(p^k), however long the
     # run of k zero digits below d, and d products with it; p^k + 1 costs
-    # one product on each side of that twist
+    # one product on each side of that twist.  A product is one
+    # ``_add_product``, a twist one ``_twist``
     calls = []
-    mul, frobenius = Poly2.__mul__, Poly2.frobenius
+    add_product, twist = poly_module._add_product, poly_module._twist
 
-    def counting_mul(self, other, prec=None):
+    def counting_mul(*args):
         calls.append("mul")
-        return mul(self, other, prec)
+        return add_product(*args)
 
-    def counting_frobenius(self, *args):
-        calls.append("frobenius")
-        return frobenius(self, *args)
+    def counting_twist(*args):
+        calls.append("twist")
+        return twist(*args)
 
-    monkeypatch.setattr(Poly2, "__mul__", counting_mul)
-    monkeypatch.setattr(Poly2, "frobenius", counting_frobenius)
+    monkeypatch.setattr(poly_module, "_add_product", counting_mul)
+    monkeypatch.setattr(poly_module, "_twist", counting_twist)
     for fld in FIELDS:
         p = fld.p
         t = fld.of_index(fld.q - 1)  # outside F_p over F_4 and F_9
@@ -358,10 +360,10 @@ def test_times_pow_forms_only_the_products_and_twists_it_needs(monkeypatch):
                     calls.clear()
                     f.times_pow(mono, d * p**k, prec)
                     f.times_pow(binom, d * p**k, prec)
-                    assert calls == ["frobenius"] + ["mul"] * d, (fld, k, d, prec)
+                    assert calls == ["twist"] + ["mul"] * d, (fld, k, d, prec)
                 calls.clear()
                 f.times_pow(binom, p**k + 1, prec)
-                assert calls == ["mul", "frobenius", "mul"], (fld, k, prec)
+                assert calls == ["mul", "twist", "mul"], (fld, k, prec)
 
 
 def test_frobenius_additive():
@@ -658,6 +660,67 @@ def test_times_pow_matches_repeated_truncated_products(case):
     assert f.times_pow(base, e, prec) == expected
 
 
+def test_fq_one_is_the_int_1():
+    # the power kernel and products test term dicts against the module
+    # constant {(0, 0): 1}, so the unit of every field must be the int 1: all
+    # p <= 31 and q = p^m <= 2^13, which covers every field the tests and the
+    # CLI commands build
+    for p in filter(is_prime, range(32)):
+        m = 1
+        while p**m <= 2**13:
+            assert Fq(p, m).one == 1
+            m += 1
+    assert poly_module._ONE == Poly2.one(F9).terms
+
+
+@st.composite
+def _kernel_case(draw):
+    """(f, g, base, e, prec) over F_2, F_3, F_4 or F_9, prec None or 0..6.
+    base is drawn (at most three terms), one term, or 1 modulo x^prec
+    (exactly 1 when prec is None); g is drawn, f itself, or f plus terms at
+    x^prec and above, so that f - g can vanish; e is 0..10 or p^k."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    prec = draw(st.sampled_from((None, *range(7))))
+    one, low = Poly2.one(field), prec or 0
+    f = draw(_polys(field, max_deg=3, max_size=4))
+    kind = draw(st.sampled_from(("drawn", "monomial", "unit")))
+    if kind == "drawn":
+        base = draw(_polys(field, max_deg=3, max_size=3))
+    elif kind == "monomial":
+        base = draw(_monomials(field))
+    else:
+        base = one if prec is None else one + draw(_polys(field, max_deg=2, max_size=2)).shift(low)
+    g = draw(st.sampled_from((draw(_polys(field, max_deg=3, max_size=4)), f,
+                              f + draw(_polys(field, max_deg=2, max_size=2)).shift(low))))
+    p = field.p
+    e = draw(st.one_of(st.integers(0, 10), st.sampled_from((p, p**2, p**3))))
+    return f, g, base, e, prec
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_kernel_case())
+def test_power_kernel_and_difference_match_naive_references(case):
+    # times_pow and ** against e exact products truncated afterwards, the
+    # one-pass difference against a sum with the negation, and the twist
+    # against p exact products; times_pow shares self for e = 0 and for a
+    # base that is 1 modulo x^prec
+    f, g, base, e, prec = case
+    power = Poly2.one(f.field)
+    for _ in range(e):
+        power = power * base
+    start = f.truncate(prec)
+    out = start.times_pow(base, e, prec)
+    assert out == (f * power).truncate(prec)
+    assert pow(base, e, prec) == power.truncate(prec)
+    assert f.__sub__(g, prec) == (f + -g).truncate(prec)
+    twist = Poly2.one(f.field)
+    for _ in range(f.field.p):
+        twist = twist * base
+    assert base.frobenius(1, prec) == twist.truncate(prec)
+    if not e or base.truncate(prec) == Poly2.one(f.field):
+        assert out is start
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.sampled_from((F2, F3, F4, F9)).flatmap(
     lambda fld: st.tuples(_polys(fld), _polys(fld), _polys(fld), st.integers(0, 30),
@@ -812,6 +875,36 @@ def test_poly_compose_matches_term_oracle(case):
     assert poly.compose(sub_x, sub_y, prec=prec) == oracle.truncate(prec)
 
 
+@st.composite
+def _kernel_compose_case(draw):
+    """(poly, sub_x, sub_y, y_den, prec): sub_y drawn or one term, y_den
+    None, a nonzero constant or 1 + x h, and prec None or 0..8."""
+    field = draw(st.sampled_from((F2, F3, F4, F9)))
+    poly = draw(st.one_of(_gapped_polys(field), _polys(field, max_deg=3, max_size=4)))
+    sub_y = draw(st.one_of(_polys(field, max_deg=3, max_size=3), _monomials(field)))
+    nonzero = st.integers(1, field.q - 1).map(field.of_index)
+    y_den = draw(st.one_of(st.none(), nonzero.map(lambda c: Poly2.const(field, c)),
+                           _unit_dens(field)))
+    return poly, _draw_sub_x(draw, field), sub_y, y_den, draw(st.sampled_from((None, *range(9))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_kernel_compose_case())
+def test_compose_images_from_the_power_kernel_match_term_oracle(case):
+    # every x- and y-image comes from the dict power kernel: exact against
+    # the term oracle, and modulo x^prec (0 included) the exact result
+    # truncated
+    poly, sub_x, sub_y, y_den, prec = case
+    oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y) if y_den is None else LocalElem(sub_y, y_den))
+    exact = poly.compose(sub_x, sub_y, y_den)
+    if y_den is None:
+        assert exact == oracle.as_poly()
+    else:
+        # 0 has y-degree -1 and clears no denominator
+        assert LocalElem(exact, y_den ** max(poly.deg_y(), 0)) == oracle
+    assert poly.compose(sub_x, sub_y, y_den, prec) == exact.truncate(prec)
+
+
 def test_compose_builds_images_without_pow(monkeypatch):
     # compose forms its x- and y-images on one 1 through times_pow, so no
     # Poly2.__pow__ runs, not even for the x^0 term of a row or for row 0,
@@ -935,17 +1028,17 @@ def test_compose_one_term_skips_terms_past_prec(monkeypatch):
     # under x -> x (y + 1), y -> x^2 / 2, modulo x^6, x^i y^j starts at
     # x^(i + 2 j): x^5 y and x^7 are skipped before their x-images are formed
     formed = []
-    real = Poly2.times_pow
+    real = poly_module._times_pow
 
-    def recording(self, base, e, prec=None):
+    def recording(fld, terms, base, e, prec):
         formed.append(e)
-        return real(self, base, e, prec)
+        return real(fld, terms, base, e, prec)
 
     x, y, one = Poly2.x(F3), Poly2.y(F3), Poly2.one(F3)
     poly = parse_poly("x^2 + x^3*y + x^5*y + x^7 + y^2", F3)
     sub_x, sub_y, y_den = x * (y + one), x**2, Poly2.const(F3, F3.of_int(2))
     oracle = _oracle_compose(poly, sub_x, LocalElem(sub_y, y_den))
-    monkeypatch.setattr(Poly2, "times_pow", recording)
+    monkeypatch.setattr(poly_module, "_times_pow", recording)
     truncated = poly.compose(sub_x, sub_y, y_den, 6)
     assert sorted(set(formed)) == [0, 2, 3]
     assert _congruent(LocalElem(truncated, y_den**2), oracle, 6)
@@ -988,13 +1081,13 @@ def test_compose_of_exactly_one_forms_no_image(monkeypatch):
     # substitution, with no x- or y-image formed; a constant other than 1
     # still clears the denominator like any polynomial
     calls = []
-    real = Poly2.times_pow
+    real = poly_module._times_pow
 
-    def recording(self, base, e, prec=None):
+    def recording(fld, terms, base, e, prec):
         calls.append(e)
-        return real(self, base, e, prec)
+        return real(fld, terms, base, e, prec)
 
-    monkeypatch.setattr(Poly2, "times_pow", recording)
+    monkeypatch.setattr(poly_module, "_times_pow", recording)
     for fld in (F2, F3, F9):
         x, y, one = Poly2.x(fld), Poly2.y(fld), Poly2.one(fld)
         for sub_y, y_den in ((x, None), (x + x * y, one + x)):

@@ -420,13 +420,13 @@ def test_table_formats_take_effect(capsys, command):
 
 
 def test_tower_cost_warning_is_one_line(capsys):
-    # a tower past its measured quiet length, or past p = 19, draws the cost
+    # a tower past its measured quiet length, or past p = 29, draws the cost
     # warning: one line, no source path or line number
-    code, out, err = run(capsys, "tower", "--p", "23", "--c", "22", "--levels", "1",
+    code, out, err = run(capsys, "tower", "--p", "31", "--c", "30", "--levels", "1",
                          "--length", "2")
     assert code == 0 and out
-    assert err == ("warning: tower with p = 23, length = 2: expect a slow run; past p = 19, "
-                   "reports took about a second or more\n")
+    assert err == ("warning: tower with p = 31, length = 2: expect a slow run; past p = 29, "
+                   "a report took seconds already at length 3\n")
     code, out, err = run(capsys, "tower", "--p", "2", "--levels", "1", "--length", "14")
     assert code == 0 and out
     assert err == ("warning: tower with p = 2, length = 14: expect a slow run; at p = 2, "
