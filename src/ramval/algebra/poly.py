@@ -283,11 +283,6 @@ class Poly2:
             out[(ni, nj)] = c
         return Poly2(self.field, out)
 
-    def frobenius(self, s: int = 1, prec: int | None = None) -> "Poly2":
-        """The p^s-th power (the s-th Frobenius twist) modulo x^prec
-        (``_twist``)."""
-        return Poly2(self.field, _twist(self.field, self.terms, s, prec))
-
     def truncate(self, prec: int | None) -> "Poly2":
         """The polynomial modulo x^prec: its terms of x-degree below prec;
         itself for None or when no term lies at or past x^prec (a Poly2 is

@@ -13,7 +13,7 @@ polynomial rings", Trans. AMS 40, 1936).  Every value computed on a
 sequence is such an integer weight, from ``validate`` to the printed text:
 ``minimal_term``, ``value_of`` and ``semigroup`` return weights over
 ``gs.ensure_valid().denom``, value tables read samples in the same units
-(``ValueTable.least``), and so do the chart chains and the certificate
+(``ValueTable.sums``), and so do the chart chains and the certificate
 bounds built on a sequence.  Only the declared values ``GenSeq.values`` are
 Fractions, and ``values.fmt_value`` turns a weight into text.
 """
@@ -456,39 +456,6 @@ class ValueTable:
         self.field.check_capacity(len(g.terms))
         fold = self.field.fold
         return {v: c for v, s in acc.items() if (c := fold(s))}
-
-    def least(self, g: Poly2) -> int | None:
-        """The valuation of g(x, v) in units of 1/D, read off the least
-        candidate terms.
-
-        The candidate of a term c * x^a * v^b of g is the least entry of row
-        b shifted by a * value(x); let m be the least candidate.  A row holds
-        each value at most once (``value_table``), so no term reaches a value
-        below m, each term adds at most one product at m, and the products of
-        the terms whose candidate is m sum to the coefficient of the
-        expansion at m.  If that sum folds to nonzero the value is m;
-        if it cancels, the value is the least value of ``sums``, and None if
-        every sum cancels.  Rows of whole expansions never give None for a
-        nonzero g; rows that keep only the terms below x^M give it, or a
-        least value of M * value(x) or more, exactly where they cannot read
-        the value, and ``verify_restriction`` then divides the whole
-        substitution instead."""
-        if not g.terms:
-            raise ArithmeticError("cannot expand the zero element")
-        rows, w0 = self.rows, self.x_weight
-        least, raw = None, 0
-        for (a, b), c in g.terms.items():
-            v, cf = rows[b][0]
-            v += a * w0
-            if least is None or v < least:
-                least, raw = v, c * cf
-            elif v == least:
-                raw += c * cf
-        # at most one product per term of g
-        self.field.check_capacity(len(g.terms))
-        if not self.field.fold(raw):
-            least = min(self.sums(g), default=None)
-        return least
 
 
 def value_table(powers: list[StandardExpansion]) -> ValueTable:

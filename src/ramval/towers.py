@@ -29,6 +29,7 @@ from .genseq import (
     GenSeq,
     Inconsistent,
     StandardExpansion,
+    ValueTable,
     build_tower_seq,
     expand,
     glue_unit,
@@ -420,29 +421,33 @@ def random_middle_poly(tower: Tower, rng: random.Random) -> Poly2:
     nonzero element of F_q, coefficients on one exponent added (v when they
     cancel).
 
-    Every draw goes through ``below``, the rejection loop on
-    ``rng.getrandbits`` that ``randint`` and ``randrange`` run for a positive
-    width (``Random._randbelow_with_getrandbits``, the same in CPython 3.10
-    to 3.13): ``randint(1, k)`` is ``1 + below(k)`` and ``randrange(a, b)``
-    is ``a + below(b - a)``, so a seed draws the same samples as through
-    those two methods, in the same order."""
+    Every draw below a width n is the rejection loop on
+    ``rng.getrandbits(n.bit_length())`` that ``randint`` and ``randrange`` run
+    for a positive width (``Random._randbelow_with_getrandbits``, the same in
+    CPython 3.10 to 3.13): ``randint(1, n)`` is 1 + a draw below n and
+    ``randrange(a, b)`` is a + a draw below b - a, so a seed draws the same
+    samples as through those two methods, in the same order."""
     fld = tower.field
-    max_v = _sample_v_degree(tower.p)
-    getrandbits = rng.getrandbits
-
-    def below(n):
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
-
+    n_c, n_b = fld.q - 1, _sample_v_degree(tower.p) + 1
+    k_n, k_c, k_b = SAMPLE_TERMS.bit_length(), n_c.bit_length(), n_b.bit_length()
+    getrandbits, fold, of_index = rng.getrandbits, fld.fold, fld.of_index
     terms: dict = {}
-    for _ in range(1 + below(SAMPLE_TERMS)):
-        coeff = fld.of_index(1 + below(fld.q - 1))
-        e = (below(7), below(max_v + 1))
-        s = fld.add(terms.get(e, 0), coeff)
-        if s:
+    get = terms.get
+    r = getrandbits(k_n)
+    while r >= SAMPLE_TERMS:
+        r = getrandbits(k_n)
+    for _ in range(1 + r):
+        c = getrandbits(k_c)
+        while c >= n_c:
+            c = getrandbits(k_c)
+        a = getrandbits(3)  # 3 bits, the bit length of 7
+        while a >= 7:
+            a = getrandbits(3)
+        b = getrandbits(k_b)
+        while b >= n_b:
+            b = getrandbits(k_b)
+        e = (a, b)
+        if s := fold(get(e, 0) + of_index(1 + c)):
             terms[e] = s
         else:
             terms.pop(e, None)
@@ -474,6 +479,51 @@ def restriction_tables(tower: Tower, prec: int | None = None
     return mid, top
 
 
+def least_reader(mid_table: ValueTable, top_table: ValueTable):
+    """Read both sides' values of a restriction sample in one pass: g ->
+    (value of g(x, v) off ``mid_table``, value off ``top_table``), each in
+    units of its own table's 1/D.
+
+    A term c * x^a * v^b of g has on each side the candidate value of the
+    least entry (head) of that table's row b, plus a * value(x).  A row holds
+    each value at most once (``value_table``), so the products of the terms
+    at a side's least candidate m sum to the expansion's coefficient at m:
+    the value is m unless that sum folds to zero, and then the least value of
+    the table's own ``ValueTable.sums``, None if they all cancel.  Rows kept
+    below x^M give None, or a value of M * value(x) or more, exactly where
+    they cannot read the value (``verify_restriction``).  The heads are read
+    here, once per reader; g has at most SAMPLE_TERMS terms, the products a
+    sum at m collects, which the field's slots are checked once to hold."""
+    fld = mid_table.field
+    fld.check_capacity(SAMPLE_TERMS)
+    fold, w_mid, w_top = fld.fold, mid_table.x_weight, top_table.x_weight
+    heads = [(*mid[0], *top[0]) for mid, top in zip(mid_table.rows, top_table.rows)]
+
+    def read(g: Poly2) -> tuple[int | None, int | None]:
+        if not g.terms:
+            raise ArithmeticError("cannot expand the zero element")
+        mid = top = None
+        for (a, b), c in g.terms.items():
+            v_mid, c_mid, v_top, c_top = heads[b]
+            v_mid += a * w_mid
+            v_top += a * w_top
+            if mid is None or v_mid < mid:
+                mid, raw_mid = v_mid, c * c_mid
+            elif v_mid == mid:
+                raw_mid += c * c_mid
+            if top is None or v_top < top:
+                top, raw_top = v_top, c * c_top
+            elif v_top == top:
+                raw_top += c * c_top
+        if not fold(raw_mid):
+            mid = min(mid_table.sums(g), default=None)
+        if not fold(raw_top):
+            top = min(top_table.sums(g), default=None)
+        return mid, top
+
+    return read
+
+
 def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> CheckReport:
     """The middle-chart valuation is the restriction of the top one: for
     sampled g(x, v), value(g) in the middle chart equals value(g(x, v(x, y)))
@@ -482,11 +532,11 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     Both values are read off the ``value_table`` of each side's
     ``restriction_tables``, the cached expansions of the powers of v keyed by
     value, which ``value_table`` checks once per table to name one exponent
-    vector: ``ValueTable.least`` sums only the products at the least
-    candidate value, the least row entry of each term of the sample shifted
-    by its power of x, and falls back to the whole value-keyed expansion
-    (``ValueTable.sums``) when they cancel.  Each side keeps its own
-    sequence and its own table, so the two stay independent computations.
+    vector.  One pass over a sample's terms reads both sides
+    (``least_reader``): only the products at each side's least candidate
+    are summed, and a side falls back to its own table's whole value-keyed
+    expansion (``ValueTable.sums``) when they cancel.  Each side keeps its
+    own sequence, table and sums, so the two stay independent computations.
     Each side's value is a weight in units of its own 1/D, the unit its
     sequence's ``value_of`` returns too: a side's table and direct values
     are compared as they are, and the two sides cross-multiplied.
@@ -520,11 +570,12 @@ def verify_restriction(tower: Tower, samples: int = 200, seed: int = 0) -> Check
     mid_denom, top_denom = mid_table.denom, top_table.denom
     bound = prec * top_table.x_weight
     x = Poly2.x(tower.field)
+    read = least_reader(mid_table, top_table)
     mismatches = []
     for n in range(samples):
         g = random_middle_poly(tower, rng)
         # each side's value in units of its own 1/D
-        mid_least, top_least = mid_table.least(g), top_table.least(g)
+        mid_least, top_least = read(g)
         top_whole = None
         if top_least is None or top_least >= bound:
             top_least = top_whole = value_of(g.compose(x, tower.v_sub), tower.seq_top)

@@ -191,6 +191,10 @@ def test_frobenius_fixes_prime_field():
         for _ in range(fld.m):
             b = fld.frob(b)
         assert b == a
+        const = {(0, 0): a}
+        assert poly_module._twist(fld, const, fld.m, None) == const
+        # one twist, the p-th power, fixes exactly the prime field
+        assert (poly_module._twist(fld, const, 1, None) == const) == (a < fld.p)
 
 
 def _digits(n, p, m):
@@ -368,12 +372,17 @@ def test_times_pow_forms_only_the_products_and_twists_it_needs(monkeypatch):
 
 def test_frobenius_additive():
     rng = random.Random(11)
-    for fld in (F2, F3):
+
+    def twist(f):
+        return Poly2(f.field, poly_module._twist(f.field, f.terms, 1, None))
+
+    for fld in (F2, F3, F4, F9):
         p = fld.p
         for _ in range(100):
             f = random_poly(fld, rng)
             g = random_poly(fld, rng)
             assert (f + g) ** p == f**p + g**p
+            assert twist(f + g) == twist(f) + twist(g) == (f + g) ** p
 
 
 def test_divrem_trivial():
@@ -716,7 +725,7 @@ def test_power_kernel_and_difference_match_naive_references(case):
     twist = Poly2.one(f.field)
     for _ in range(f.field.p):
         twist = twist * base
-    assert base.frobenius(1, prec) == twist.truncate(prec)
+    assert poly_module._twist(f.field, base.terms, 1, prec) == twist.truncate(prec).terms
     if not e or base.truncate(prec) == Poly2.one(f.field):
         assert out is start
 

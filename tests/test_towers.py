@@ -30,6 +30,7 @@ from ramval.towers import (
     check_ladder_report,
     deviation_exponent,
     expected_alternation,
+    least_reader,
     random_middle_poly,
     restriction_tables,
     verify_deviation_identity,
@@ -269,17 +270,18 @@ def _randrange_middle_poly(tower, rng):
     return Poly2(fld, terms) if terms else Poly2.y(fld)
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
 def test_random_middle_poly_pinned_to_randrange(p, m):
-    # F_2, F_5, F_4 and F_9: every seed draws the samples, and leaves the
-    # generator in the state, that randint and randrange did
+    # F_2, F_3, F_5, F_4 and F_9: every seed draws the samples, and leaves
+    # the generator after each sample in the state, that randint and
+    # randrange did; F_2's coefficient width 1 rejects half of its draws
     t = build_tower(p, p - 1, 3, Fq(p, m))
     for seed in range(21):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         for _ in range(50):
             g, ref = random_middle_poly(t, rng), _randrange_middle_poly(t, ref_rng)
             assert list(g.terms.items()) == list(ref.terms.items())
-        assert rng.getstate() == ref_rng.getstate()
+            assert rng.getstate() == ref_rng.getstate()
 
 
 @lru_cache(maxsize=None)
@@ -319,7 +321,8 @@ def test_linear_expansions_match_direct_expansions(case):
     composed = g.compose(Poly2.x(t.field), t.v_sub)
     for table, f, gs in ((mid_table, g, t.seq_mid), (top_table, composed, t.seq_top)):
         assert table.sums(g) == _by_value(expand(f, gs))
-        assert table.least(g) == value_of(f, gs)
+    assert least_reader(mid_table, top_table)(g) == (value_of(g, t.seq_mid),
+                                                     value_of(composed, t.seq_top))
 
 
 def _least_candidate(table, g):
@@ -345,30 +348,33 @@ def _cancelling_case(draw):
     spots = [(a, b) for b, row in enumerate(table.rows) for a in range(7)
              if row[0][0] + a * table.x_weight == least and [(a, b)] != at_least]
     if not spots:
-        return t, side, table, g
+        return t, tables, side, g
     a, b = draw(st.sampled_from(spots))
     c = fld.div(fld.fold(raw), table.rows[b][0][1])
-    return t, side, table, g - Poly2.monomial(fld, a, b, c)
+    return t, tables, side, g - Poly2.monomial(fld, a, b, c)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(_cancelling_case())
 def test_value_table_value_is_least_sum(case):
-    # least over D is the least key of sums over D, and the direct value on
-    # the table's own side, also where the least candidates cancel
-    t, side, table, g = case
-    f, gs = (g, t.seq_mid) if side == 0 else (g.compose(Poly2.x(t.field), t.v_sub), t.seq_top)
-    assert table.least(g) == min(table.sums(g)) == value_of(f, gs)
+    # the one-pass reader gives, on each side, the least key of that table's
+    # sums over its D and the direct value of g (middle) and of g(x, v(x, y))
+    # (top), also where the least candidates on one side cancel
+    t, tables, side, g = case
+    direct = (value_of(g, t.seq_mid), value_of(g.compose(Poly2.x(t.field), t.v_sub), t.seq_top))
+    assert least_reader(*tables)(g) == direct
+    assert min(tables[side].sums(g)) == direct[side]
 
 
 def test_value_table_sums_only_when_least_candidates_cancel(monkeypatch):
     # the full sums run for a sample exactly when the products at its least
-    # candidate cancel, i.e. when its value lies above that candidate
+    # candidate cancel, i.e. when its value lies above that candidate, and
+    # only on that side, off that side's own table
     summed = []
     real_sums = ValueTable.sums
 
     def recording(self, g):
-        summed.append(g)
+        summed.append((self, g))
         return real_sums(self, g)
 
     for p, m in ((2, 1), (3, 1), (2, 2), (3, 2)):
@@ -376,16 +382,16 @@ def test_value_table_sums_only_when_least_candidates_cancel(monkeypatch):
         fld, rng = t.field, random.Random(p * m)
         samples = [random_middle_poly(t, rng) for _ in range(300)]
         samples.append(Poly2.monomial(fld, 0, p) - Poly2.x(fld))  # the key U_2
-        for table in tables:
-            cancelling = [g for g in samples
-                          if min(real_sums(table, g)) > _least_candidate(table, g)]
-            assert 0 < len(cancelling) < len(samples)
-            monkeypatch.setattr(ValueTable, "sums", recording)
-            values = [Fraction(table.least(g), table.denom) for g in samples]
-            monkeypatch.setattr(ValueTable, "sums", real_sums)
-            assert summed == cancelling
-            assert values == [Fraction(min(table.sums(g)), table.denom) for g in samples]
-            summed.clear()
+        cancelling = [[g for g in samples if min(real_sums(table, g)) > _least_candidate(table, g)]
+                      for table in tables]
+        assert all(0 < len(side) < len(samples) for side in cancelling)
+        read = least_reader(*tables)
+        monkeypatch.setattr(ValueTable, "sums", recording)
+        values = [read(g) for g in samples]
+        monkeypatch.setattr(ValueTable, "sums", real_sums)
+        assert [[g for tbl, g in summed if tbl is table] for table in tables] == cancelling
+        assert values == [tuple(min(table.sums(g)) for table in tables) for g in samples]
+        summed.clear()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -421,7 +427,7 @@ def test_truncated_top_table_reads_exactly_below_its_bound(case, extra):
         assert [e for e in row if e[0] < bound] == [e for e in whole if e[0] < bound]
     below = [{v: c for v, c in tbl.sums(g).items() if v < bound} for tbl in (table, top_table)]
     assert below[0] == below[1]
-    least, exact = table.least(g), top_table.least(g)
+    exact, least = least_reader(top_table, table)(g)
     assert (least if least is not None and least < bound else None) == (
         exact if exact < bound else None)
 
@@ -429,7 +435,7 @@ def test_truncated_top_table_reads_exactly_below_its_bound(case, extra):
 def test_value_table_least_is_none_when_every_sum_cancels():
     # rows of v^0 and v^1 that share their one entry: 1 + v cancels there
     table = ValueTable(F2, 1, 1, [[(0, 1)], [(0, 1)]])
-    assert table.least(Poly2(F2, {(0, 0): 1, (0, 1): 1})) is None
+    assert least_reader(table, table)(Poly2(F2, {(0, 0): 1, (0, 1): 1})) == (None, None)
 
 
 def _restriction_with_shift(monkeypatch, shift):
@@ -472,9 +478,10 @@ def test_restriction_values_past_the_top_table_by_whole_division(monkeypatch, sh
     w_x = t.seq_top.ensure_valid().weights[0]
     assert precs == [12 * value_of(t.v_sub, t.seq_top) // w_x + 7] == [11]
     mid_table, top_table = map(value_table, restriction_tables(t))
+    read = least_reader(mid_table, top_table)
     mismatches = []
     for g in drawn:
-        mid, top = mid_table.least(g), top_table.least(g)
+        mid, top = read(g)
         if mid * top_table.denom != top * mid_table.denom:
             mismatches.append((g.to_str("x", "v"), fmt_value(mid, mid_table.denom),
                                fmt_value(top, top_table.denom)))
@@ -503,29 +510,22 @@ def test_restriction_builds_its_tables_once_at_p_2(monkeypatch):
 
 
 def test_restriction_values_a_sample_the_table_cannot_read_by_one_division(monkeypatch):
-    # the top table's least reads None for every sample: each is valued by
-    # one division of its whole substitution, and on sample 0, the direct
+    # the reader gives None as the top value of every sample: each is valued
+    # by one division of its whole substitution, and on sample 0, the direct
     # one, that division is also the top side of the cross-check
     t = build_tower(2, 1, 4)
     expected = verify_restriction(t, samples=3, seed=0).row()
-    real_table, real_least = towers_module.value_table, ValueTable.least
-    tops, valued = [], []
+    real_reader, valued = towers_module.least_reader, []
 
-    def table(powers):
-        built = real_table(powers)
-        if powers[0].gs is t.seq_top:
-            tops.append(built)
-        return built
-
-    def least(self, g):
-        return None if self in tops else real_least(self, g)
+    def reader(mid_table, top_table):
+        read = real_reader(mid_table, top_table)
+        return lambda g: (read(g)[0], None)
 
     def recording(f, gs, below=None):
         valued.append((gs.label, f))
         return value_of(f, gs, below)
 
-    monkeypatch.setattr(towers_module, "value_table", table)
-    monkeypatch.setattr(ValueTable, "least", least)
+    monkeypatch.setattr(towers_module, "least_reader", reader)
     monkeypatch.setattr(towers_module, "value_of", recording)
     assert verify_restriction(t, samples=3, seed=0).row() == expected
     rng, x = random.Random(0), Poly2.x(t.field)
@@ -651,12 +651,12 @@ def test_restriction_mismatch_rows_name_both_values(monkeypatch):
     rep = verify_restriction(t, samples=samples, seed=seed)
     mid_table, top_table = tables
     assert (mid_table.denom, top_table.denom) == (512, 1024)
-    rng = random.Random(seed)
+    rng, read = random.Random(seed), least_reader(mid_table, top_table)
     expected = []
     for _ in range(samples):
         g = random_middle_poly(t, rng)
-        mid = Fraction(mid_table.least(g), mid_table.denom)
-        top = Fraction(top_table.least(g), top_table.denom)
+        mid, top = read(g)
+        mid, top = Fraction(mid, mid_table.denom), Fraction(top, top_table.denom)
         if mid != top:
             assert top == mid + Fraction(1, 1024) and mid.denominator == 2
             expected.append((g.to_str("x", "v"), fmt_value(mid), fmt_value(top)))
@@ -679,8 +679,9 @@ def test_value_table_least_value_cancels(p):
     assert expected > 1 * d_mid
     for table in (mid_table, top_table):
         assert table.x_weight not in table.sums(g)
-        # each table in units of its own 1/D
-        assert table.least(g) * d_mid == expected * table.denom
+    # each side in units of its own table's 1/D
+    mid, top = least_reader(mid_table, top_table)(g)
+    assert (mid, top * d_mid) == (expected, expected * top_table.denom)
 
 
 def _congruent_tails(gs):
