@@ -80,8 +80,10 @@ def parse_poly(text: str, field: Fq, names: tuple[str, str] = ("x", "y")) -> Pol
                     idx += 1
                 exps[slot] += e
                 saw_factor = True
-            elif kind == 3:  # *
+            elif kind == 3:  # *, only between two factors
                 idx += 1
+                if not saw_factor or idx == len(tokens) or tokens[idx][0] > 1:
+                    raise ParseError("'*' must stand between two factors", tpos)
             else:
                 break
         if not saw_factor:

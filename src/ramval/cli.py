@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from fractions import Fraction
 from functools import cache
 
@@ -52,6 +51,22 @@ def _check_levels(args, spare: int = 1) -> None:
     if args.length < need:
         raise UsageError(f"--levels {args.levels} needs --length >= {need}, "
                          f"got --length {args.length}")
+
+
+def _cost_warning(args) -> str:
+    """The stderr line that warns of a slow tower, report or transform, or "".
+    Each bound is the last input value whose measured runs took about a second
+    or less (fresh processes); each line names the range measured past it."""
+    if args.command == "transform" and args.length > 9:
+        past = "past length 9, transforms took 0.1-16 s at lengths 10-11, more when longer"
+    elif args.command == "tower" and args.length > 13:
+        past = "past length 13, towers took 0.1-5.9 s at length 14 (p = 2-43), more when longer"
+    elif args.command == "report" and (args.length > 13 or args.p > 13):
+        past = ("past p = 13 or length 13, reports took 0.1-23 s up to p = 43 and length 14, "
+                "more past them")
+    else:
+        return ""
+    return f"warning: {args.command} with p = {args.p}, length {args.length} may be slow: {past}\n"
 
 
 def _config(args, *options) -> dict:
@@ -107,6 +122,7 @@ def cmd_validate(args) -> int:
 def cmd_transform(args) -> int:
     _check_levels(args, spare=-1)
     seq = _build_seq(args)
+    sys.stderr.write(_cost_warning(args))
     chain = transforms.ChartChain(seq, exact=True)
     for k in range(1, args.levels + 1):
         lvl = chain.level(k)
@@ -169,6 +185,7 @@ def _ladder_rows(ladder) -> list[dict]:
 def cmd_tower(args) -> int:
     _check_levels(args)
     tower = towers.build_tower(args.p, args.c, args.length, _field_for(args.p, args.q))
+    sys.stderr.write(_cost_warning(args))
     ladder = transforms.run_tower_ladder(tower, args.levels)
     check = towers.check_ladder_report(ladder)
     rep = Report(_config(args, "levels", "length"))
@@ -195,10 +212,10 @@ def _validity_rows(tower) -> list[dict]:
 
 def cmd_report(args) -> int:
     """Build the tower once and run every check against it, in a fixed order."""
-    p = args.p
     _check_levels(args)
-    tower = towers.build_tower(p, args.c, args.length, _field_for(p, args.q))
-    jmax_dev = min(args.length - 1, 4 if p == 2 else 3)
+    tower = towers.build_tower(args.p, args.c, args.length, _field_for(args.p, args.q))
+    sys.stderr.write(_cost_warning(args))
+    jmax_dev = min(args.length - 1, 4 if args.p == 2 else 3)
     jmax_val = min(args.length - 2, 4)
     rep = Report(_config(args, "levels", "length", "samples"))
     rep.add("sequence validity", _validity_rows(tower))
@@ -286,23 +303,20 @@ def main(argv=None) -> int:
     # the minimal admissible tower parameter; families Q and P take no c
     if getattr(args, "c", 0) is None and getattr(args, "family", "U") == "U":
         args.c = args.p - 1
-    with warnings.catch_warnings():
-        # a warning is one stderr line, without its source location
-        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
-        try:
-            return globals()[f"cmd_{args.command}"](args)
-        except Inconsistent as ex:
-            print(f"verification failed: {ex}", file=sys.stderr)
-            return 1
-        except ParseError as ex:
-            print(f"parse error: {ex}", file=sys.stderr)
-            return 2
-        except (UsageError, BadParams, ValueError) as ex:
-            print(f"error: {ex}", file=sys.stderr)
-            return 2
-        except ArithmeticError as ex:
-            print(f"domain error: {ex}", file=sys.stderr)
-            return 2
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except Inconsistent as ex:
+        print(f"verification failed: {ex}", file=sys.stderr)
+        return 1
+    except ParseError as ex:
+        print(f"parse error: {ex}", file=sys.stderr)
+        return 2
+    except (UsageError, BadParams, ValueError) as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return 2
+    except ArithmeticError as ex:
+        print(f"domain error: {ex}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -249,15 +249,6 @@ def certificate_precision(host: GenSeq, p: int) -> int:
     return p * w[-1] // w[0] + 1
 
 
-# The longest tower, by p, whose `tower` run took about a second or less
-# (fresh processes, 2-vCPU VM, levels = length - 1); one key more took
-# 1.8-12 s, 2.9-3.5 s at p = 11-19 and 6.3-7.2 s at p = 23 and 29.  At
-# p = 11-19 a `report` at length 13 took 0.2-0.8 s (3 or 12 levels); at
-# p = 23 and 29 a `report` took 0.6-1.1 s and 1.2-2.4 s at length 3, and at
-# p = 31 2.5-3.3 s (its tower at length 13 took 1.0 s).
-QUIET_LENGTH = {2: 13, 3: 13, 5: 13, 7: 12, 11: 13, 13: 13, 17: 13, 19: 13, 23: 13, 29: 13}
-
-
 def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tower:
     """Construct the three generating sequences and the glue data.
 
@@ -276,21 +267,12 @@ def build_tower(p: int, c: int, length: int = 5, field: Fq | None = None) -> Tow
     the base numerators by N and those of the chain keys past each chain's
     spine by the precision their checks read, but the three sequences, the
     middle keys and the chain spines stay exact (the middle keys are read
-    modulo x^N only by their certificates).  A tower longer than its
-    ``QUIET_LENGTH``, or past p = 29, gets a cost warning.
+    modulo x^N only by their certificates).
     """
     if length < 2:
         raise BadParams("length must be >= 2")
     if c < 1 or c % (p - 1) != 0:
         raise BadParams(f"c = {c} must be a positive multiple of p - 1 = {p - 1}")
-    quiet = QUIET_LENGTH.get(p)
-    if quiet is None or length > quiet:
-        import warnings
-
-        measured = (f"at p = {p}, towers longer than {quiet} took seconds" if quiet
-                    else "past p = 29, a report took seconds already at length 3")
-        warnings.warn(f"tower with p = {p}, length = {length}: expect a slow run; {measured}",
-                      stacklevel=2)
     fld = field if field is not None else Fq(p)
     seq_top = build_tower_seq("Q", p, None, length, fld)
     seq_mid = build_tower_seq("U", p, c, length, fld)

@@ -543,6 +543,10 @@ def test_parse_error_position():
         ("x +  ", "dangling operator", 2),
         ("x + 2  ^3", "expected + or - between terms", 7),
         ("x +  ^2", "empty term", 5),
+        ("x**2", "'*' must stand between two factors", 1),
+        ("x*", "'*' must stand between two factors", 1),
+        ("*x", "'*' must stand between two factors", 0),
+        ("x*+y", "'*' must stand between two factors", 1),
     ):
         with pytest.raises(ParseError) as err:
             parse_poly(text, F2)

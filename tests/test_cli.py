@@ -48,6 +48,10 @@ def test_value_parse_error_exit_2(capsys):
     code, _, err = run(capsys, "value", "--family", "Q", "--p", "2", "y^2 + $")
     assert code == 2
     assert "parse error" in err
+    # a doubled * is no power operator: it is rejected, not read as x*2
+    code, out, err = run(capsys, "value", "--family", "Q", "--p", "3", "x**2")
+    assert (code, out) == (2, "")
+    assert err == "parse error: '*' must stand between two factors (at position 1)\n"
 
 
 @pytest.mark.parametrize("family,extra,poly,names", [
@@ -419,32 +423,75 @@ def test_table_formats_take_effect(capsys, command):
     assert len(outs) == 3
 
 
+# (command line, whether it draws the cost warning): tower and report past
+# length 13 whatever p, report past p = 13, transform past length 9 at any
+# --levels, and never value, semigroup or validate
+COST_WARNING_BOUNDARIES = [
+    *[(f"tower --p {p} --levels {k} --length {n}", n == 14)
+      for p in (2, 7, 31, 97) for k in (1, 12) for n in (13, 14)],
+    *[(f"report --p {p} --levels {k} --length {n}", n == 14 or p > 13)
+      for p in (2, 7, 31, 97) for k in (1, 12) for n in (13, 14)],
+    ("report --p 13 --levels 2 --length 3", False),
+    ("report --p 13 --levels 12 --length 13 --samples 5000", False),
+    ("report --p 17 --levels 2 --length 3", True),
+    ("tower --p 17 --levels 2 --length 3", False),
+    *[(f"transform --family {f} --p 7 --levels {k} --length {n}", n == 10)
+      for f in ("Q", "P", "U") for k, n in ((8, 9), (10, 9), (9, 10), (1, 10))],
+    ("value --family Q --p 31 --length 30 x", False),
+    ("semigroup --family U --p 97 --length 30", False),
+    ("validate --family P --p 2 --length 30", False),
+]
+
+
+@pytest.mark.parametrize("command_line, warns", COST_WARNING_BOUNDARIES)
+def test_cost_warning_boundaries(command_line, warns):
+    args = cli.build_parser().parse_args(command_line.split())
+    assert (cli._cost_warning(args) != "") == warns
+
+
 def test_tower_cost_warning_is_one_line(capsys):
-    # a tower past its measured quiet length, or past p = 29, draws the cost
-    # warning: one line, no source path or line number
-    code, out, err = run(capsys, "tower", "--p", "31", "--c", "30", "--levels", "1",
-                         "--length", "2")
-    assert code == 0 and out
-    assert err == ("warning: tower with p = 31, length = 2: expect a slow run; past p = 29, "
-                   "a report took seconds already at length 3\n")
+    # each cost warning is one stderr line naming its bound and the range of
+    # wall times measured past it
     code, out, err = run(capsys, "tower", "--p", "2", "--levels", "1", "--length", "14")
     assert code == 0 and out
-    assert err == ("warning: tower with p = 2, length = 14: expect a slow run; at p = 2, "
-                   "towers longer than 13 took seconds\n")
+    assert err == ("warning: tower with p = 2, length 14 may be slow: past length 13, "
+                   "towers took 0.1-5.9 s at length 14 (p = 2-43), more when longer\n")
+    code, out, err = run(capsys, "report", "--p", "17", "--c", "16", "--levels", "1",
+                         "--length", "2", "--samples", "1")
+    assert code == 0 and out
+    report_warning = ("may be slow: past p = 13 or length 13, reports took 0.1-23 s up to "
+                      "p = 43 and length 14, more past them\n")
+    assert err == f"warning: report with p = 17, length 2 {report_warning}"
+    code, out, err = run(capsys, "report", "--p", "2", "--c", "1", "--levels", "1",
+                         "--length", "14", "--samples", "1")
+    assert code == 0 and out
+    assert err == f"warning: report with p = 2, length 14 {report_warning}"
+    code, out, err = run(capsys, "transform", "--family", "Q", "--p", "2", "--levels", "1",
+                         "--length", "10")
+    assert code == 0 and out
+    assert err == ("warning: transform with p = 2, length 10 may be slow: past length 9, "
+                   "transforms took 0.1-16 s at lengths 10-11, more when longer\n")
+
+
+def test_rejected_tower_prints_no_cost_warning(capsys):
+    # the warning follows the accepted inputs: a rejected --c prints only its error
+    code, out, err = run(capsys, "tower", "--p", "31", "--c", "7", "--levels", "1",
+                         "--length", "14")
+    assert (code, out) == (2, "")
+    assert err == "error: c = 7 must be a positive multiple of p - 1 = 30\n"
 
 
 def test_tower_at_length_10_draws_no_cost_warning(capsys):
     # the base keys are numerators over powers of w and the chain keys past
-    # the spines are truncated, so length 10 at p = 2, length 12 at p = 7
-    # and length 8 at p = 19 take well under a second and draw no warning
-    code, out, err = run(capsys, "tower", "--p", "2", "--levels", "3", "--length", "10")
-    assert (code, err) == (0, "") and out
-    code, out, err = run(capsys, "tower", "--p", "7", "--c", "6", "--levels", "1",
-                         "--length", "12")
-    assert (code, err) == (0, "") and out
-    code, out, err = run(capsys, "tower", "--p", "19", "--c", "18", "--levels", "1",
-                         "--length", "8")
-    assert (code, err) == (0, "") and out
+    # the spines are truncated, so length 10 at p = 2, length 12 at p = 7,
+    # length 8 at p = 19 and length 2 at p = 31 take well under a second and
+    # draw no warning
+    for argv in (("--p", "2", "--levels", "3", "--length", "10"),
+                 ("--p", "7", "--c", "6", "--levels", "1", "--length", "12"),
+                 ("--p", "19", "--c", "18", "--levels", "1", "--length", "8"),
+                 ("--p", "31", "--c", "30", "--levels", "1", "--length", "2")):
+        code, out, err = run(capsys, "tower", *argv)
+        assert (code, err) == (0, "") and out
 
 
 def test_tower_over_f4_leaves_no_cyclic_garbage(capsys):
